@@ -81,13 +81,21 @@ impl SignalKind {
     /// Whether `value` inhabits this kind (numeric kinds admit both
     /// [`Value::Int`] and [`Value::Real`]).
     pub fn admits(self, value: &Value) -> bool {
-        matches!(
-            (self, value),
-            (SignalKind::Bool, Value::Bool(_))
-                | (SignalKind::Int, Value::Int(_))
-                | (SignalKind::Real, Value::Real(_) | Value::Int(_))
-                | (SignalKind::Sym, Value::Sym(_))
-        )
+        self.admits_kind(match value {
+            Value::Bool(_) => SignalKind::Bool,
+            Value::Int(_) => SignalKind::Int,
+            Value::Real(_) => SignalKind::Real,
+            Value::Sym(_) => SignalKind::Sym,
+        })
+    }
+
+    /// Whether values of kind `found` inhabit this kind: [`admits`]
+    /// for a value not yet built, such as one a decoder has only seen the
+    /// type tag of.
+    ///
+    /// [`admits`]: SignalKind::admits
+    pub fn admits_kind(self, found: SignalKind) -> bool {
+        self == found || (self == SignalKind::Real && found == SignalKind::Int)
     }
 }
 
@@ -177,6 +185,16 @@ impl SignalTable {
     /// Resolves a name to its id.
     pub fn id(&self, name: &str) -> Option<SignalId> {
         self.by_name.get(name).map(|&i| SignalId(i))
+    }
+
+    /// The id at dense index `index` if that signal is named exactly
+    /// `name`, byte for byte; `None` for any other name or an index past
+    /// the end. An O(1) check for decoders that expect names in
+    /// declaration order: names are unique, so a match is the id
+    /// [`id`](SignalTable::id) would return.
+    pub fn named_at(&self, index: usize, name: &[u8]) -> Option<SignalId> {
+        let declared = self.names.get(index)?;
+        (declared.as_bytes() == name).then_some(SignalId(index as u32))
     }
 
     /// The name of a signal.
@@ -450,6 +468,10 @@ mod tests {
         assert_eq!(t.name(a), "x");
         assert_eq!(t.kind(a), SignalKind::Real);
         assert_eq!(t.id("missing"), None);
+        assert_eq!(t.named_at(0, b"x"), Some(a));
+        assert_eq!(t.named_at(1, b"y"), Some(y));
+        assert_eq!(t.named_at(1, b"x"), None);
+        assert_eq!(t.named_at(2, b"x"), None, "past the end");
     }
 
     #[test]
@@ -481,6 +503,9 @@ mod tests {
         let mut f = t.frame();
         f.set_named("speed", 3i64);
         assert_eq!(f.real_or(t.id("speed").unwrap(), 0.0), 3.0);
+        assert!(SignalKind::Real.admits_kind(SignalKind::Int));
+        assert!(!SignalKind::Int.admits_kind(SignalKind::Real));
+        assert!(!SignalKind::Bool.admits_kind(SignalKind::Real));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Typed values carried by system state variables.
 
 use serde::{Content, DeError, Deserialize, Serialize};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{OnceLock, RwLock};
@@ -16,7 +17,20 @@ use std::sync::{OnceLock, RwLock};
 ///
 /// Interning is idempotent and thread-safe (parallel sweeps intern
 /// concurrently); texts are leaked once and live for the process, which is
-/// bounded by the fixed alphabets the substrates use.
+/// bounded by the fixed alphabets the substrates use. Code that interns
+/// texts from outside the process bounds the alphabet itself, with
+/// [`Sym::lookup`] and [`Sym::interned`] (the wire decoder does).
+///
+/// # Per-thread cache
+///
+/// [`Sym::new`] and [`Sym::lookup`] first consult a small direct-mapped
+/// cache of `(text, Sym)` pairs owned by the calling thread, and take the
+/// global interner's lock only on a miss. The cache is exact because the
+/// interner is append-only: a text, once interned, keeps its id for the
+/// life of the process and no id is ever remapped, so a cached pair can
+/// never go stale. Two texts that share a slot simply evict each other.
+/// A thread whose cache is already torn down (during thread exit) goes
+/// straight to the global interner.
 ///
 /// # Example
 ///
@@ -47,26 +61,87 @@ fn interner() -> &'static RwLock<Interner> {
     })
 }
 
+/// The global interner's copy of `text` and its id, if `text` is
+/// interned.
+fn find(text: &str) -> Option<(&'static str, Sym)> {
+    interner()
+        .read()
+        .expect("interner poisoned")
+        .by_text
+        .get_key_value(text)
+        .map(|(&interned, &id)| (interned, Sym(id)))
+}
+
+/// Interns `text` in the global interner, returning the interned copy of
+/// the text with its id.
+fn intern(text: &str) -> (&'static str, Sym) {
+    if let Some(found) = find(text) {
+        return found;
+    }
+    let mut w = interner().write().expect("interner poisoned");
+    if let Some((&interned, &id)) = w.by_text.get_key_value(text) {
+        return (interned, Sym(id));
+    }
+    let leaked: &'static str = Box::leak(text.to_owned().into_boxed_str());
+    let id = u32::try_from(w.texts.len()).expect("symbol alphabet overflow");
+    w.texts.push(leaked);
+    w.by_text.insert(leaked, id);
+    (leaked, Sym(id))
+}
+
+/// Slots in each thread's symbol cache (a power of two).
+const CACHE_SLOTS: usize = 64;
+
+thread_local! {
+    /// The calling thread's direct-mapped symbol cache; see [`Sym`].
+    static CACHE: [Cell<Option<(&'static str, Sym)>>; CACHE_SLOTS] =
+        const { [const { Cell::new(None) }; CACHE_SLOTS] };
+}
+
+/// The cache slot of `text`: FNV-1a over its bytes, folded to a slot
+/// index by a Fibonacci multiply.
+fn cache_slot(text: &str) -> usize {
+    let mut h: u32 = 0x811c_9dc5;
+    for &b in text.as_bytes() {
+        h = (h ^ u32::from(b)).wrapping_mul(0x0100_0193);
+    }
+    (h.wrapping_mul(0x9e37_79b9) >> (32 - CACHE_SLOTS.trailing_zeros())) as usize
+}
+
+/// Resolves `text` through the calling thread's cache, asking `global`
+/// (which answers with the interned copy of the text) on a miss and
+/// caching its answer.
+fn cached(text: &str, global: impl FnOnce(&str) -> Option<(&'static str, Sym)>) -> Option<Sym> {
+    let slot = cache_slot(text);
+    let hit = CACHE.try_with(|cache| match cache[slot].get() {
+        Some((cached, sym)) if cached == text => Some(sym),
+        _ => None,
+    });
+    if let Ok(Some(sym)) = hit {
+        return Some(sym);
+    }
+    let (interned, sym) = global(text)?;
+    // A torn-down cache just stays cold.
+    let _ = CACHE.try_with(|cache| cache[slot].set(Some((interned, sym))));
+    Some(sym)
+}
+
 impl Sym {
     /// Interns `text`, returning the same id for the same text forever.
     pub fn new(text: &str) -> Sym {
-        if let Some(&id) = interner()
-            .read()
-            .expect("interner poisoned")
-            .by_text
-            .get(text)
-        {
-            return Sym(id);
-        }
-        let mut w = interner().write().expect("interner poisoned");
-        if let Some(&id) = w.by_text.get(text) {
-            return Sym(id);
-        }
-        let leaked: &'static str = Box::leak(text.to_owned().into_boxed_str());
-        let id = u32::try_from(w.texts.len()).expect("symbol alphabet overflow");
-        w.texts.push(leaked);
-        w.by_text.insert(leaked, id);
-        Sym(id)
+        cached(text, |text| Some(intern(text))).expect("interning always yields a symbol")
+    }
+
+    /// The symbol of `text` if it is already interned, without interning
+    /// it: the read-only twin of [`Sym::new`], for callers that must not
+    /// grow the alphabet.
+    pub fn lookup(text: &str) -> Option<Sym> {
+        cached(text, find)
+    }
+
+    /// How many distinct texts have been interned, process-wide.
+    pub fn interned() -> usize {
+        interner().read().expect("interner poisoned").texts.len()
     }
 
     /// The interned text.
@@ -280,6 +355,60 @@ mod tests {
         let copied = a;
         assert_eq!(copied.as_str(), "interning_test_token");
         assert_eq!(Value::from(a), Value::sym("interning_test_token"));
+    }
+
+    /// The global interner's id for `text`, bypassing every cache.
+    fn global_id(text: &str) -> Sym {
+        find(text).unwrap().1
+    }
+
+    #[test]
+    fn cached_symbols_match_the_global_interner() {
+        // Texts that share one cache slot evict each other on every turn.
+        let slot = cache_slot("slot_probe_0");
+        let rivals: Vec<String> = (0..)
+            .map(|i| format!("slot_probe_{i}"))
+            .filter(|text| cache_slot(text) == slot)
+            .take(3)
+            .collect();
+        assert_eq!(Sym::lookup("slot_probe_never_interned"), None);
+        for _ in 0..3 {
+            for text in &rivals {
+                let sym = Sym::new(text);
+                assert_eq!(sym, global_id(text));
+                assert_eq!(Sym::lookup(text), Some(sym));
+                assert_eq!(sym.as_str(), text);
+            }
+        }
+
+        // Many threads interning one alphabet at once, each starting at a
+        // different text, all get the global ids.
+        const THREADS: usize = 8;
+        let texts: Vec<String> = (0..200).map(|i| format!("thread_probe_{i}")).collect();
+        let start = std::sync::Barrier::new(THREADS);
+        let per_thread: Vec<Vec<Sym>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|k| {
+                    let (texts, start) = (&texts, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        let n = texts.len();
+                        let mut syms = vec![Sym(u32::MAX); n];
+                        for i in 0..2 * n {
+                            let at = (i + k * 25) % n;
+                            syms[at] = Sym::new(&texts[at]);
+                        }
+                        syms
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for syms in &per_thread {
+            for (text, &sym) in texts.iter().zip(syms) {
+                assert_eq!(sym, global_id(text), "{text}");
+            }
+        }
     }
 
     #[test]

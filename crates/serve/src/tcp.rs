@@ -21,6 +21,33 @@
 //! service only need to agree on the signal namespace, not on interned
 //! ids.
 //!
+//! # Decode path
+//!
+//! Every wire stream — [`TcpSource`], [`read_frame`], and any other
+//! transport that carries these messages — decodes through the one
+//! function [`decode_payload`], which keeps no state between calls. Per
+//! signal it:
+//!
+//! 1. **resolves the name without hashing when it can.** [`write_frame`]
+//!    emits signals in id order, so the decoder first checks whether the
+//!    signal right after the previous one is named exactly these bytes
+//!    ([`SignalTable::named_at`](esafe_logic::SignalTable::named_at)).
+//!    Only on a miss does it fall back to UTF-8 validation and the
+//!    table's name map. The guess is exact:
+//!    names are unique, so a byte match is the id the map would return,
+//!    and bytes equal to a valid `String` are valid UTF-8. Every input —
+//!    shuffled, duplicated, sparse or in a foreign table's order — gets
+//!    the same ids and the same errors either way, only slower;
+//! 2. **checks the value tag against the signal's declared
+//!    [`SignalKind`]** before the value is parsed or interned, so a
+//!    mistyped value ([`DecodeError::KindMismatch`]) quarantines its own
+//!    stream instead of failing the next wave's evaluation for the
+//!    whole shard;
+//! 3. **resolves symbols through [`Sym::lookup`]**, which hits the
+//!    thread's symbol cache on the hot path, and interns an unseen text
+//!    only while the process-wide alphabet is under
+//!    [`MAX_WIRE_SYMBOLS`].
+//!
 //! # Hostile-peer budget
 //!
 //! Every length field is validated against an explicit budget **before
@@ -32,7 +59,12 @@
 //! * [`MAX_FRAME_SIGNALS`] caps the per-frame signal count (checked
 //!   before the decode loop trusts it);
 //! * [`MAX_NAME_BYTES`] / [`MAX_SYMBOL_BYTES`] cap the embedded string
-//!   fields.
+//!   fields;
+//! * [`MAX_WIRE_SYMBOLS`] caps the process-wide symbol alphabet the wire
+//!   may grow: interned texts live for the process, so past the budget
+//!   an unseen text is refused ([`DecodeError::SymbolBudget`]) while
+//!   every text already interned — every suite literal among them —
+//!   keeps decoding.
 //!
 //! A violation is a [`DecodeError`], and for a connected stream it
 //! becomes [`Poll::Corrupt`]: the shard *quarantines* that one stream —
@@ -51,7 +83,7 @@
 
 use crate::service::ShardConnector;
 use crate::source::{Poll, StreamSource};
-use esafe_logic::{Frame, Value};
+use esafe_logic::{Frame, SignalKind, Sym, Value};
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -78,6 +110,14 @@ pub const MAX_NAME_BYTES: usize = 256;
 
 /// The longest symbol value on the wire.
 pub const MAX_SYMBOL_BYTES: usize = 4096;
+
+/// The process-wide symbol alphabet ([`Sym::interned`]) up to which the
+/// decoder interns texts it has not seen. Interned texts live for the
+/// process, so this bounds what hostile peers can make it keep: at most
+/// this many texts of up to [`MAX_SYMBOL_BYTES`] each. Concurrent
+/// decoders check the budget before they intern, so together they may
+/// pass it by at most one text each.
+pub const MAX_WIRE_SYMBOLS: usize = 1024;
 
 /// Why a wire message failed to decode. Carried to the operator as the
 /// `detail` of an [`EvictReason::Corrupt`](crate::report::EvictReason::Corrupt)
@@ -120,6 +160,20 @@ pub enum DecodeError {
         /// The tag byte.
         tag: u8,
     },
+    /// The value tag's kind does not inhabit the signal's declared kind
+    /// (an integer in a real signal does); rejected before the value is
+    /// parsed or interned.
+    KindMismatch {
+        /// The signal's name.
+        name: String,
+        /// The kind the shard's table declares.
+        declared: SignalKind,
+        /// The kind the value tag carries.
+        found: SignalKind,
+    },
+    /// A symbol text never interned before arrived while the
+    /// process-wide alphabet is at [`MAX_WIRE_SYMBOLS`].
+    SymbolBudget,
 }
 
 impl std::fmt::Display for DecodeError {
@@ -147,6 +201,19 @@ impl std::fmt::Display for DecodeError {
                 write!(f, "signal `{name}` is not declared in the shard's table")
             }
             DecodeError::UnknownTag { tag } => write!(f, "unknown value tag {tag}"),
+            DecodeError::KindMismatch {
+                name,
+                declared,
+                found,
+            } => write!(
+                f,
+                "signal `{name}` is declared {declared:?} but the wire value is {found:?}"
+            ),
+            DecodeError::SymbolBudget => write!(
+                f,
+                "unseen symbol refused: the process-wide alphabet is at its \
+                 {MAX_WIRE_SYMBOLS}-symbol budget"
+            ),
         }
     }
 }
@@ -228,10 +295,10 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
 }
 
 /// Decodes one complete message payload into `frame` (cleared first),
-/// resolving signal names against the frame's table. Every length field
-/// is budget-checked before it sizes a read, so arbitrary payload bytes
-/// can never cause a panic or an oversized allocation — only a
-/// [`DecodeError`].
+/// resolving signal names against the frame's table (see the
+/// [decode path](self#decode-path)). Every length field is budget-checked
+/// before it sizes a read, so arbitrary payload bytes can never cause a
+/// panic or an oversized allocation — only a [`DecodeError`].
 ///
 /// # Errors
 ///
@@ -243,44 +310,73 @@ pub fn decode_payload(payload: &[u8], frame: &mut Frame) -> Result<(), DecodeErr
         return Err(DecodeError::TooManySignals { count });
     }
     frame.clear();
+    // The dense index the next name is guessed to have: the one after
+    // the previous signal's, as `write_frame` emits ids in order.
+    let mut next = 0;
     for _ in 0..count {
         let name_len =
             u16::from_be_bytes(take(&mut cursor, 2)?.try_into().expect("took 2")) as usize;
         if name_len > MAX_NAME_BYTES {
             return Err(DecodeError::NameTooLong { len: name_len });
         }
-        let name =
-            std::str::from_utf8(take(&mut cursor, name_len)?).map_err(|_| DecodeError::BadUtf8)?;
-        let id = frame
-            .table()
-            .id(name)
-            .ok_or_else(|| DecodeError::UndeclaredSignal {
-                name: name.to_string(),
-            })?;
-        let tag = take(&mut cursor, 1)?[0];
-        let value = match tag {
-            TAG_BOOL => Value::Bool(take(&mut cursor, 1)?[0] != 0),
-            TAG_INT => Value::Int(i64::from_le_bytes(
+        let name = take(&mut cursor, name_len)?;
+        let table = frame.table();
+        let id = match table.named_at(next, name) {
+            Some(id) => id,
+            None => {
+                let name = std::str::from_utf8(name).map_err(|_| DecodeError::BadUtf8)?;
+                table
+                    .id(name)
+                    .ok_or_else(|| DecodeError::UndeclaredSignal {
+                        name: name.to_string(),
+                    })?
+            }
+        };
+        next = id.index() + 1;
+        let found = match take(&mut cursor, 1)?[0] {
+            TAG_BOOL => SignalKind::Bool,
+            TAG_INT => SignalKind::Int,
+            TAG_REAL => SignalKind::Real,
+            TAG_SYM => SignalKind::Sym,
+            other => return Err(DecodeError::UnknownTag { tag: other }),
+        };
+        let declared = table.kind(id);
+        if !declared.admits_kind(found) {
+            return Err(DecodeError::KindMismatch {
+                name: table.name(id).to_owned(),
+                declared,
+                found,
+            });
+        }
+        let value = match found {
+            SignalKind::Bool => Value::Bool(take(&mut cursor, 1)?[0] != 0),
+            SignalKind::Int => Value::Int(i64::from_le_bytes(
                 take(&mut cursor, 8)?.try_into().expect("took 8"),
             )),
-            TAG_REAL => Value::Real(f64::from_bits(u64::from_le_bytes(
+            SignalKind::Real => Value::Real(f64::from_bits(u64::from_le_bytes(
                 take(&mut cursor, 8)?.try_into().expect("took 8"),
             ))),
-            TAG_SYM => {
-                let sym_len =
-                    u16::from_be_bytes(take(&mut cursor, 2)?.try_into().expect("took 2")) as usize;
-                if sym_len > MAX_SYMBOL_BYTES {
-                    return Err(DecodeError::SymbolTooLong { len: sym_len });
-                }
-                let text = std::str::from_utf8(take(&mut cursor, sym_len)?)
-                    .map_err(|_| DecodeError::BadUtf8)?;
-                Value::sym(text)
-            }
-            other => return Err(DecodeError::UnknownTag { tag: other }),
+            SignalKind::Sym => Value::Sym(decode_symbol(&mut cursor)?),
         };
         frame.set(id, value);
     }
     Ok(())
+}
+
+/// Decodes a symbol payload: known texts resolve read-only, and an
+/// unseen one is interned only while the alphabet is under
+/// [`MAX_WIRE_SYMBOLS`].
+fn decode_symbol(cursor: &mut &[u8]) -> Result<Sym, DecodeError> {
+    let len = u16::from_be_bytes(take(cursor, 2)?.try_into().expect("took 2")) as usize;
+    if len > MAX_SYMBOL_BYTES {
+        return Err(DecodeError::SymbolTooLong { len });
+    }
+    let text = std::str::from_utf8(take(cursor, len)?).map_err(|_| DecodeError::BadUtf8)?;
+    match Sym::lookup(text) {
+        Some(sym) => Ok(sym),
+        None if Sym::interned() < MAX_WIRE_SYMBOLS => Ok(Sym::new(text)),
+        None => Err(DecodeError::SymbolBudget),
+    }
 }
 
 /// Decodes the next message from a blocking reader into `frame`.
@@ -594,6 +690,56 @@ mod tests {
         let mut decoded = service_table.frame();
         let err = read_frame(&mut &wire[..], &mut decoded).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn mistyped_value_is_rejected_before_it_is_parsed() {
+        // The producer declares `p` real and `q` symbolic, the service
+        // declares both boolean, and `x` is real on both sides.
+        let mut b = SignalTable::builder();
+        let p = b.real("p");
+        let q = b.sym("q");
+        let x = b.int("x");
+        let sender = b.finish();
+        let mut b = SignalTable::builder();
+        b.bool("p");
+        b.bool("q");
+        b.real("x");
+        let service = b.finish();
+        let encode = |frame: &Frame| {
+            let mut wire = Vec::new();
+            write_frame(&mut wire, frame).unwrap();
+            wire.split_off(4)
+        };
+
+        let mut frame = sender.frame();
+        frame.set(p, 0.5);
+        assert_eq!(
+            decode_payload(&encode(&frame), &mut service.frame()),
+            Err(DecodeError::KindMismatch {
+                name: "p".to_owned(),
+                declared: SignalKind::Bool,
+                found: SignalKind::Real,
+            })
+        );
+
+        // A mistyped symbol is refused before its text is interned.
+        let text = "kind_mismatch_probe_never_interned";
+        let mut frame = sender.frame();
+        frame.set(q, Value::sym(text));
+        let mut payload = encode(&frame);
+        let at = payload.len() - text.len();
+        payload[at] = b'K';
+        let err = decode_payload(&payload, &mut service.frame()).unwrap_err();
+        assert!(matches!(err, DecodeError::KindMismatch { .. }), "{err}");
+        assert_eq!(Sym::lookup(&format!("K{}", &text[1..])), None);
+
+        // An integer inhabits a real signal.
+        let mut frame = sender.frame();
+        frame.set(x, 7i64);
+        let mut decoded = service.frame();
+        decode_payload(&encode(&frame), &mut decoded).unwrap();
+        assert_eq!(decoded.get_named("x"), Some(Value::Int(7)));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Chaos: a mixed healthy/hostile fleet through the service.
 //!
-//! Two layers, matching the service's two degradation mechanisms:
+//! Three layers, matching the service's degradation mechanisms:
 //!
 //! 1. **Deterministic core chaos** — a [`ShardCore`] fed ≥20% faulty
 //!    streams (stalls under and over the deadline, a mid-run
@@ -13,12 +13,16 @@
 //!    injected in-wave panic: the shard reports the crash, evicts the
 //!    lost streams with [`EvictReason::ShardRestart`], restarts, and
 //!    keeps accepting (and correctly monitoring) new connections.
+//! 3. **Wire chaos** — a producer whose table mistypes a signal the
+//!    suite reads is quarantined at decode time, before its value can
+//!    fail a wave for the whole shard.
 
-use esafe_logic::{parse, Frame, SignalTable};
+use esafe_logic::{parse, Frame, SignalKind, SignalTable, Value};
 use esafe_monitor::{Location, MonitorSuite, SuiteTemplate, ViolationInterval};
+use esafe_serve::tcp::{decode_payload, write_frame};
 use esafe_serve::{
-    EvictReason, FaultPlan, FaultySource, MonitorService, ReplaySource, ReportEvent, ServiceConfig,
-    ShardConfig, ShardCore, ShardId, StreamId,
+    DecodeError, EvictReason, FaultPlan, FaultySource, MonitorService, Poll, ReplaySource,
+    ReportEvent, ServiceConfig, ShardConfig, ShardCore, ShardId, StreamId, StreamSource,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -63,8 +67,11 @@ fn trace(sigs: &Sigs, stream: usize, ticks: usize) -> Vec<Frame> {
 
 /// The reference: a dedicated scalar suite over exactly the frames the
 /// stream delivered.
-fn scalar_violations(sigs: &Sigs, delivered: &[Frame]) -> BTreeMap<String, Vec<ViolationInterval>> {
-    let mut suite = sigs.template.instantiate();
+fn scalar_violations(
+    template: &SuiteTemplate,
+    delivered: &[Frame],
+) -> BTreeMap<String, Vec<ViolationInterval>> {
+    let mut suite = template.instantiate();
     for frame in delivered {
         suite.observe(frame).unwrap();
     }
@@ -217,7 +224,7 @@ fn hostile_fleet_degrades_per_stream_and_healthy_verdicts_are_bit_identical() {
         let got: BTreeMap<_, _> = got.into_iter().filter(|(_, v)| !v.is_empty()).collect();
         assert_eq!(
             got,
-            scalar_violations(&sigs, delivered),
+            scalar_violations(&sigs.template, delivered),
             "stream {id} diverged from its scalar twin"
         );
     }
@@ -304,7 +311,7 @@ fn injected_panic_restarts_the_shard_and_service_keeps_accepting() {
     // fresh (never reused across the restart).
     let (sender2, new_id) = service.connect_channel(&sigs.table, 64).unwrap();
     let replay = trace(&sigs, 2, 10);
-    let expected_verdicts = scalar_violations(&sigs, &replay);
+    let expected_verdicts = scalar_violations(&sigs.template, &replay);
     assert_eq!(sender2.replay(&replay), 10);
     drop(sender2);
     let summary = loop {
@@ -332,4 +339,135 @@ fn injected_panic_restarts_the_shard_and_service_keeps_accepting() {
             .any(|e| matches!(e, ReportEvent::ShardStopped { error: None, .. })),
         "shutdown after a restart still stops cleanly"
     );
+}
+
+/// A socket-free wire transport: replays encoded messages, decoding one
+/// per poll with `decode_payload` and turning a decode error into
+/// `Corrupt`, as `TcpSource` does.
+struct WireReplay(std::vec::IntoIter<Vec<u8>>);
+
+impl StreamSource for WireReplay {
+    fn poll_frame(&mut self, frame: &mut Frame) -> Poll {
+        match self.0.next() {
+            None => Poll::End,
+            Some(payload) => match decode_payload(&payload, frame) {
+                Ok(()) => Poll::Frame,
+                Err(err) => Poll::Corrupt(err.to_string()),
+            },
+        }
+    }
+}
+
+#[test]
+fn mistyped_wire_value_quarantines_only_its_stream() {
+    // The shard's table declares `p` boolean; the faulty producer's
+    // declares it real.
+    let namespace = |p_kind| {
+        let mut b = SignalTable::builder();
+        b.signal("p", p_kind);
+        b.real("x");
+        b.finish()
+    };
+    let table = namespace(SignalKind::Bool);
+    let foreign = namespace(SignalKind::Real);
+    let mut suite = MonitorSuite::new(table.clone());
+    suite
+        .add_goal("G", Location::new("Wire"), parse("x < 40.0").unwrap())
+        .unwrap();
+    suite
+        .add_goal("H", Location::new("Wire"), parse("p || x < 35.0").unwrap())
+        .unwrap();
+    let template = Arc::new(suite.template());
+    let sample = |table: &Arc<SignalTable>, p: Value, stream: usize, t: usize| {
+        let mut f = table.frame();
+        f.set_named("p", p);
+        f.set_named("x", 30.0 + ((stream * 7 + t * 3) % 17) as f64);
+        f
+    };
+    let trace = |stream: usize| -> Vec<Frame> {
+        (0..20)
+            .map(|t| sample(&table, Value::Bool(t % 5 == 0), stream, t))
+            .collect()
+    };
+    let encode = |frames: &[Frame]| -> WireReplay {
+        let payloads: Vec<Vec<u8>> = frames
+            .iter()
+            .map(|f| {
+                let mut wire = Vec::new();
+                write_frame(&mut wire, f).unwrap();
+                wire.split_off(4)
+            })
+            .collect();
+        WireReplay(payloads.into_iter())
+    };
+
+    let mut core = ShardCore::new(
+        ShardId(0),
+        &template,
+        ShardConfig {
+            width: 4,
+            report_every: 3,
+            stall_limit: None,
+        },
+    );
+    // Streams 0 and 2 are healthy; stream 1, on lane #1, sends `p` as a
+    // real from its fourth frame on.
+    let mut faulty = trace(1)[..3].to_vec();
+    faulty.push(sample(&foreign, Value::Real(0.5), 1, 3));
+    faulty.extend(trace(1)[4..].iter().cloned());
+    core.connect(StreamId(0), Box::new(encode(&trace(0))));
+    core.connect(StreamId(1), Box::new(encode(&faulty)));
+    core.connect(StreamId(2), Box::new(encode(&trace(2))));
+
+    let mut merged: BTreeMap<u64, BTreeMap<String, Vec<ViolationInterval>>> = BTreeMap::new();
+    let mut closed = BTreeMap::new();
+    let mut evicted = Vec::new();
+    while !core.is_idle() {
+        core.wave()
+            .expect("a mistyped stream must not fail the wave");
+        for event in core.take_events() {
+            let (stream, violations) = match event {
+                ReportEvent::Violations(report) => (report.stream, report.violations),
+                ReportEvent::StreamClosed(summary) => {
+                    closed.insert(summary.stream.0, summary.ticks);
+                    (summary.stream, summary.violations)
+                }
+                ReportEvent::StreamEvicted(eviction) => {
+                    evicted.push((eviction.stream, eviction.ticks, eviction.reason));
+                    (eviction.stream, eviction.violations)
+                }
+                other => panic!("unexpected event: {other:?}"),
+            };
+            let per = merged.entry(stream.0).or_default();
+            for (monitor, intervals) in violations {
+                per.entry(monitor).or_default().extend(intervals);
+            }
+        }
+    }
+
+    let detail = DecodeError::KindMismatch {
+        name: "p".to_owned(),
+        declared: SignalKind::Bool,
+        found: SignalKind::Real,
+    }
+    .to_string();
+    assert_eq!(
+        evicted,
+        vec![(StreamId(1), 3, EvictReason::Corrupt { detail })],
+        "only the mistyped stream is quarantined, after its three good frames"
+    );
+    assert_eq!(closed, BTreeMap::from([(0, 20), (2, 20)]));
+    for (stream, delivered) in [(0, trace(0)), (1, faulty[..3].to_vec()), (2, trace(2))] {
+        let got: BTreeMap<_, _> = merged
+            .remove(&stream)
+            .unwrap_or_default()
+            .into_iter()
+            .filter(|(_, v)| !v.is_empty())
+            .collect();
+        assert_eq!(
+            got,
+            scalar_violations(&template, &delivered),
+            "stream {stream} diverged from its scalar twin"
+        );
+    }
 }

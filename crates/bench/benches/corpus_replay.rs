@@ -1,21 +1,29 @@
-//! Offline re-monitoring throughput: replaying an archived trace
-//! corpus through a goal suite, end to end — open nothing, simulate
-//! nothing, just decode columns into the lane slab and sweep the fused
-//! DAG across stripes.
+//! Offline re-monitoring throughput: opening an archived trace corpus
+//! and replaying it through a goal suite — simulate nothing, just
+//! checksum the archive, decode columns into the lane slab and sweep
+//! the fused DAG across stripes.
 //!
+//! * `crc32_16MiB` — the record checksum alone over a 16 MiB buffer;
+//!   divide 16 MiB by the time for the throughput that bounds open;
+//! * `open` — [`TraceCorpusReader::open`]: read the data file,
+//!   checksum every record, decode tables, dictionary and run
+//!   metadata. Linear in archive bytes;
 //! * `decode_only` — the codec floor: materializing every archived
 //!   run's columns (delta/varint/dictionary decode), no monitoring;
+//! * `decode_into_slab_w8` — the replay decode: each run streamed
+//!   tick by tick into one lane of an 8-lane slab;
 //! * `replay_strict_w{N}` — the full `repro --replay-corpus` path at
 //!   stripe width N: per-group suite compilation, column decode
 //!   straight into the [`FrameBatch`] slab, `observe_slab` per tick,
 //!   correlation and violation extraction per lane.
 //!
-//! Each iteration covers the whole corpus (printed below as runs ×
-//! ticks); divide by total ticks for the ns/tick/run figure the
-//! acceptance bound in `repro --replay-corpus --json` reports against
-//! `BENCH_megagrid.json`.
+//! Each decode or replay iteration covers the whole corpus (printed
+//! below as runs × ticks); divide by total ticks for the ns/tick/run
+//! figure the acceptance bound in `repro --replay-corpus --json`
+//! reports against `BENCH_megagrid.json`.
 //!
 //! [`FrameBatch`]: esafe_logic::FrameBatch
+//! [`TraceCorpusReader::open`]: esafe_harness::TraceCorpusReader::open
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use esafe_scenarios::corpus::{record_grid_corpus, suite_for};
@@ -38,6 +46,21 @@ fn corpus_replay(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("corpus_replay");
     group.sample_size(10);
+
+    let buffer: Vec<u8> = (0..16u32 << 20)
+        .map(|i| (i.wrapping_mul(0x9e37_79b9) >> 24) as u8)
+        .collect();
+    group.bench_function("crc32_16MiB", |b| {
+        b.iter(|| esafe_harness::crc::crc32(std::hint::black_box(&buffer)))
+    });
+
+    group.bench_function("open", |b| {
+        b.iter(|| {
+            let reader =
+                esafe_harness::TraceCorpusReader::open(&dir).expect("committed corpus opens");
+            assert_eq!(reader.len(), stats.runs);
+        })
+    });
 
     group.bench_function("decode_only", |b| {
         b.iter(|| {

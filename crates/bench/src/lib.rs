@@ -941,7 +941,8 @@ pub struct CorpusReplaySummary {
     /// Archived signal tables.
     pub tables: usize,
     /// Opening the corpus (read, CRC-scan, table/dictionary decode), ms
-    /// — a fixed per-archive cost, excluded from the per-tick figure.
+    /// — linear in `corpus_bytes` (every record is checksummed),
+    /// excluded from the per-tick figure.
     pub open_ms: f64,
     /// End-to-end wall-clock (open + suite compile + decode + batched
     /// observe + correlate), ms.

@@ -51,8 +51,8 @@
 //! [`MonitorSuiteBatch::observe_slab`]: esafe_monitor::MonitorSuiteBatch::observe_slab
 
 use crate::context::RunContext;
+use crate::crc::crc32;
 use crate::experiment::{Experiment, ExperimentConfig, ExperimentError, RunReport};
-use crate::journal::crc32;
 use crate::substrate::Substrate;
 use crate::sweep::{AggregateBuilder, Sweep, SweepAggregate, SweepStats};
 use esafe_logic::corpus::{

@@ -43,6 +43,7 @@
 //!
 //! [`cell_seed`]: crate::sweep::cell_seed
 
+use crate::crc::crc32;
 use crate::experiment::{ExperimentConfig, ExperimentError, RunReport};
 use crate::sweep::{AggregateBuilder, CellFailure, FailureReason};
 use std::fs::{File, OpenOptions};
@@ -70,20 +71,6 @@ const TAG_QUARANTINED: u8 = 2;
 const REASON_PANIC: u8 = 1;
 const REASON_ERROR: u8 = 2;
 const REASON_TICK_BUDGET: u8 = 3;
-
-/// CRC-32 (IEEE 802.3, the zlib polynomial), bitwise — the journal
-/// checksums a few hundred bytes per cell, far off any hot path.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = 0u32.wrapping_sub(crc & 1);
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// One completed cell's contribution to the sweep aggregate — exactly
 /// the quantities [`AggregateBuilder::absorb`] extracts from a

@@ -101,6 +101,7 @@
 pub mod batch;
 pub mod context;
 pub mod corpus;
+pub mod crc;
 pub mod experiment;
 pub mod journal;
 pub mod lanes;

@@ -13,7 +13,7 @@ use esafe_harness::corpus::{
 };
 use esafe_harness::ExperimentConfig;
 use esafe_logic::corpus::{decode_run_trace, encode_run, RunMeta, SymDict};
-use esafe_logic::{FrameTrace, SignalKind, SignalTable, Value};
+use esafe_logic::{FrameBatch, FrameTrace, RunDecoder, SignalKind, SignalTable, Value};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -55,9 +55,12 @@ fn table_from(kinds: &[u8]) -> Arc<SignalTable> {
 /// The fuzzed sample for signal `j` at tick `t`: absent with
 /// probability `100 - density`, otherwise a kind-appropriate value
 /// covering the codec's hard cases (NaN bit patterns, negative zero,
-/// `Int` in a `Real` column, recurring and one-off symbols).
+/// `Int` in a `Real` column, recurring and one-off symbols). About one
+/// signal in four repeats its tick-0 sample for the whole run, so runs
+/// mix static (empty or constant) columns with changing ones.
 fn value_at(kind: SignalKind, j: usize, t: usize, density: u64, salt: u64) -> Option<Value> {
-    let m = mix(salt, j as u64, t as u64);
+    let held = mix(salt, j as u64, u64::MAX).is_multiple_of(4);
+    let m = mix(salt, j as u64, if held { 0 } else { t as u64 });
     if m % 100 >= density {
         return None;
     }
@@ -163,10 +166,69 @@ fn assert_traces_bit_equal(decoded: &FrameTrace, reference: &FrameTrace) {
     }
 }
 
+/// A kind-appropriate value planted in every slot of a slab before
+/// streaming, so a missed write shows. No fuzzed trace produces the
+/// int, real or symbol sentinel; a bool has only two values, so the
+/// bool sentinel is `flip`, which varies from case to case.
+fn sentinel(kind: SignalKind, flip: bool) -> Value {
+    match kind {
+        SignalKind::Bool => Value::Bool(flip),
+        SignalKind::Int => Value::Int(i64::MIN + 7),
+        SignalKind::Real => Value::Real(f64::from_bits(0x7ff0_5e47_1ee1_0001)),
+        SignalKind::Sym => Value::sym("sentinel"),
+    }
+}
+
+/// Streams an encoded run through [`RunDecoder::write_tick`] into one
+/// lane of a 3-lane slab planted with sentinels: at every tick the
+/// lane must hold exactly the reference frame (absent samples unset,
+/// static columns still in place after tick 0) and the neighbour lanes
+/// must keep their sentinels. The run must end fully consumed and
+/// refuse a further tick. `salt` picks the lane and the bool sentinel.
+fn assert_write_tick_streams(bytes: &[u8], dict: &SymDict, reference: &FrameTrace, salt: u64) {
+    let (lane, flip) = ((salt % 3) as usize, salt & 8 != 0);
+    let table = reference.table();
+    let (_, mut dec) = RunDecoder::new(bytes, table, dict).expect("a just-encoded run opens");
+    assert_eq!(dec.len(), reference.len());
+    let mut slab = FrameBatch::new(table, 3);
+    for id in table.ids() {
+        for l in 0..3 {
+            slab.set(id, l, sentinel(table.kind(id), flip));
+        }
+    }
+    for t in 0..reference.len() {
+        assert!(
+            dec.write_tick(&mut slab, lane, dict).is_some(),
+            "tick {t} failed"
+        );
+        for id in table.ids() {
+            let want = reference.column(id)[t];
+            assert!(
+                bits_eq(&slab.get(id, lane), &want),
+                "signal {} tick {t}: lane holds {:?}, trace {want:?}",
+                table.name(id),
+                slab.get(id, lane)
+            );
+            for l in (0..3).filter(|&l| l != lane) {
+                assert!(
+                    bits_eq(&slab.get(id, l), &Some(sentinel(table.kind(id), flip))),
+                    "signal {} tick {t}: neighbour lane {l} was overwritten",
+                    table.name(id)
+                );
+            }
+        }
+    }
+    assert!(dec.fully_consumed());
+    assert_eq!(dec.ticks_decoded(), reference.len());
+    assert!(dec.write_tick(&mut slab, lane, dict).is_none());
+}
+
 proptest! {
     /// Random tables × random tick patterns round-trip bit-identically
     /// through the run codec, and re-encoding the decoded trace with a
-    /// fresh dictionary reproduces the original bytes.
+    /// fresh dictionary reproduces the original bytes. The same bytes
+    /// streamed tick by tick into one lane of a slab reproduce the
+    /// trace there and leave the neighbour lanes alone.
     #[test]
     fn random_runs_round_trip_bit_identically(
         kinds in proptest::collection::vec(0u8..4, 1..6),
@@ -189,6 +251,8 @@ proptest! {
         // same first-appearance order, so the bytes reproduce exactly.
         let mut dict2 = SymDict::new();
         prop_assert_eq!(encode_run(&decoded, &meta, &mut dict2), bytes);
+
+        assert_write_tick_streams(&bytes, &dict, &trace, salt);
     }
 
     /// Truncating a torn (manifest-less) corpus at EVERY byte boundary

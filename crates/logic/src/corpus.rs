@@ -571,11 +571,10 @@ enum ColMode<'a> {
 
 /// A streaming decoder over one encoded signal column: yields the next
 /// tick's sample per call, holding only delta state — no materialized
-/// `Vec` of the whole column.
-pub struct ColumnCursor<'a> {
+/// `Vec` of the whole column. The tick it decodes and the run length
+/// belong to the owning [`RunDecoder`], which bounds every call.
+struct ColumnCursor<'a> {
     mode: ColMode<'a>,
-    tick: usize,
-    len: usize,
 }
 
 impl<'a> ColumnCursor<'a> {
@@ -583,7 +582,7 @@ impl<'a> ColumnCursor<'a> {
     /// `len` samples, or `None` if the prefix is malformed. The
     /// dictionary is needed up front because constant symbol columns
     /// decode their value eagerly.
-    pub fn new(body: &'a [u8], len: usize, dict: &SymDict) -> Option<Self> {
+    fn new(body: &'a [u8], len: usize, dict: &SymDict) -> Option<Self> {
         let mut cur = Cur::new(body);
         let tag = cur.u8()?;
         let presence_bytes = len.div_ceil(8);
@@ -638,25 +637,21 @@ impl<'a> ColumnCursor<'a> {
             },
             _ => return None,
         };
-        Some(ColumnCursor { mode, tick: 0, len })
+        Some(ColumnCursor { mode })
     }
 
     /// Whether the column yields the same sample every tick (empty or
-    /// constant encoding) — replay loops may write it once per lane
-    /// instead of once per tick.
-    pub fn is_static(&self) -> bool {
+    /// constant encoding), so a lane's slot keeps its tick-0 value.
+    fn is_static(&self) -> bool {
         matches!(self.mode, ColMode::Empty | ColMode::Const(_))
     }
 
-    /// The next tick's sample (`Some(None)` = recorded-absent), or
-    /// `None` when exhausted or the underlying bytes are malformed.
+    /// The sample at tick `t` (`Some(None)` = recorded-absent), or
+    /// `None` if the underlying bytes are malformed. Calls must come
+    /// in tick order with `t` below the run length the cursor was
+    /// opened with, which sized every presence bitmap.
     #[inline]
-    pub fn next_sample(&mut self, dict: &SymDict) -> Option<Option<Value>> {
-        if self.tick >= self.len {
-            return None;
-        }
-        let t = self.tick;
-        self.tick += 1;
+    fn sample(&mut self, t: usize, dict: &SymDict) -> Option<Option<Value>> {
         match &mut self.mode {
             ColMode::Empty => Some(None),
             ColMode::Const(v) => Some(Some(*v)),
@@ -715,18 +710,16 @@ impl<'a> ColumnCursor<'a> {
         }
     }
 
-    /// Whether every sample was yielded and every encoded byte was
-    /// consumed — the strict full-decode check.
-    pub fn fully_consumed(&self) -> bool {
+    /// Whether every encoded byte was consumed, once the owning run
+    /// has decoded all of its ticks. Static and bool columns carry no
+    /// per-tick byte stream (their bytes were checked exact at open).
+    fn bytes_consumed(&self) -> bool {
         match &self.mode {
-            // Static columns carry no per-tick bytes, so a replay loop
-            // that wrote them once per lane has still consumed them.
-            ColMode::Empty | ColMode::Const(_) => true,
-            ColMode::Bool { .. } => self.tick == self.len,
+            ColMode::Empty | ColMode::Const(_) | ColMode::Bool { .. } => true,
             ColMode::Int { data, .. }
             | ColMode::Real { data, .. }
             | ColMode::Sym { data, .. }
-            | ColMode::Mixed { data, .. } => self.tick == self.len && data.done(),
+            | ColMode::Mixed { data, .. } => data.done(),
         }
     }
 }
@@ -758,12 +751,17 @@ pub fn encode_run(trace: &FrameTrace, meta: &RunMeta, dict: &mut SymDict) -> Vec
 /// [`FrameBatch`] slab — the zero-materialization replay path. Holds
 /// per-column cursors borrowing the corpus bytes; no column is ever
 /// expanded into a `Vec`.
+///
+/// The cursors are stored non-static first, so after a lane's first
+/// tick the per-tick walk covers one contiguous prefix: a replay
+/// stripe touches only the cursor state that still changes.
 pub struct RunDecoder<'a> {
+    /// Column cursors; `cols[..dynamic]` are the non-static ones.
     cols: Vec<ColumnCursor<'a>>,
-    /// Indices of the non-static columns — the only ones that need a
-    /// slab write after the lane's first tick (static columns keep
-    /// their tick-0 slot for the whole run).
-    dynamic: Vec<u32>,
+    /// `sigs[k]` is the table index of the signal `cols[k]` decodes.
+    sigs: Vec<u32>,
+    /// How many leading cursors change from tick to tick.
+    dynamic: usize,
     len: usize,
     tick: usize,
 }
@@ -783,25 +781,28 @@ impl<'a> RunDecoder<'a> {
             return None;
         }
         let len = usize::try_from(meta.ticks).ok()?;
-        let mut cols = Vec::with_capacity(table.len());
-        for _ in 0..table.len() {
+        let mut dynamic = Vec::new();
+        let mut statics = Vec::new();
+        for sig in 0..table.len() as u32 {
             let body_len = usize::try_from(cur.varint()?).ok()?;
-            cols.push(ColumnCursor::new(cur.take(body_len)?, len, dict)?);
+            let col = ColumnCursor::new(cur.take(body_len)?, len, dict)?;
+            if col.is_static() {
+                statics.push((sig, col));
+            } else {
+                dynamic.push((sig, col));
+            }
         }
         if !cur.done() {
             return None;
         }
-        let dynamic = cols
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.is_static())
-            .map(|(i, _)| i as u32)
-            .collect();
+        let n_dynamic = dynamic.len();
+        let (sigs, cols) = dynamic.into_iter().chain(statics).unzip();
         Some((
             meta,
             RunDecoder {
                 cols,
-                dynamic,
+                sigs,
+                dynamic: n_dynamic,
                 len,
                 tick: 0,
             },
@@ -832,35 +833,38 @@ impl<'a> RunDecoder<'a> {
     /// malformed.
     #[inline]
     pub fn write_tick(&mut self, slab: &mut FrameBatch, lane: usize, dict: &SymDict) -> Option<()> {
-        if self.tick >= self.len {
+        let t = self.tick;
+        if t >= self.len {
             return None;
         }
         let lanes = slab.lanes();
         debug_assert!(lane < lanes, "lane out of range");
         debug_assert_eq!(slab.table().len(), self.cols.len());
-        if self.tick == 0 {
-            for (sig, col) in self.cols.iter_mut().enumerate() {
-                slab.slots[sig * lanes + lane] = col.next_sample(dict)?;
-            }
+        let walk = if t == 0 {
+            self.cols.len()
         } else {
-            for &sig in &self.dynamic {
-                let sig = sig as usize;
-                slab.slots[sig * lanes + lane] = self.cols[sig].next_sample(dict)?;
-            }
+            self.dynamic
+        };
+        for (col, &sig) in self.cols[..walk].iter_mut().zip(&self.sigs) {
+            slab.slots[sig as usize * lanes + lane] = col.sample(t, dict)?;
         }
         self.tick += 1;
         Some(())
     }
 
-    /// Decodes the next tick into a full-column sink — used by the
-    /// strict whole-trace decode below.
+    /// Decodes the next tick into a full-column sink indexed by signal
+    /// — used by the strict whole-trace decode below.
     fn write_tick_columns(
         &mut self,
         columns: &mut [Vec<Option<Value>>],
         dict: &SymDict,
     ) -> Option<()> {
-        for (col, sink) in self.cols.iter_mut().zip(columns.iter_mut()) {
-            sink.push(col.next_sample(dict)?);
+        let t = self.tick;
+        if t >= self.len {
+            return None;
+        }
+        for (col, &sig) in self.cols.iter_mut().zip(&self.sigs) {
+            columns[sig as usize].push(col.sample(t, dict)?);
         }
         self.tick += 1;
         Some(())
@@ -868,7 +872,7 @@ impl<'a> RunDecoder<'a> {
 
     /// Whether every tick and every encoded byte was consumed.
     pub fn fully_consumed(&self) -> bool {
-        self.tick == self.len && self.cols.iter().all(ColumnCursor::fully_consumed)
+        self.tick == self.len && self.cols.iter().all(ColumnCursor::bytes_consumed)
     }
 }
 

@@ -8,7 +8,7 @@
 //! * `scalar_per_run` — one run per iteration
 //!   ([`SuiteTemplate::instantiate`]), the `repro --grid` per-lane
 //!   baseline: its per-iteration time **is** the per-run cost;
-//! * `batched_w{N}_per_pass` — N lanes per iteration
+//! * `slab_w{N}_per_pass` — N lanes per iteration
 //!   ([`SuiteTemplate::instantiate_batch`]): each DAG node is decoded
 //!   once and swept across all N lanes' slab rows before the pass
 //!   moves to the next node. Criterion reports the **raw per-pass**
@@ -22,7 +22,9 @@
 //! system), pre-materialized per lane
 //! ([`esafe_bench::recorded_clean_frames`] /
 //! [`esafe_bench::replicate_lanes`] — the same harness the
-//! calibrations use) so the timed loop is monitoring only.
+//! calibrations use) and copied into one lane-major
+//! [`FrameBatch`](esafe_logic::FrameBatch) stripe per tick, so the
+//! timed loop is monitoring only.
 //!
 //! [`FusedSuiteProgram`]: esafe_logic::FusedSuiteProgram
 //! [`SuiteTemplate`]: esafe_monitor::SuiteTemplate
@@ -31,6 +33,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use esafe_bench::{recorded_clean_frames, replicate_lanes};
+use esafe_logic::FrameBatch;
 use esafe_vehicle::VehicleFamily;
 
 /// Ticks replayed per pass (bounds the width-16 lane replica set).
@@ -60,16 +63,25 @@ fn batched_observe(c: &mut Criterion) {
     });
 
     for width in [4usize, 8, 16] {
-        let lane_frames = replicate_lanes(&frames, width);
+        let stripes: Vec<FrameBatch> = replicate_lanes(&frames, width)
+            .iter()
+            .map(|lanes| {
+                let mut stripe = FrameBatch::new(family.table(), width);
+                for (lane, frame) in lanes.iter().enumerate() {
+                    stripe.write_lane_from(lane, frame);
+                }
+                stripe
+            })
+            .collect();
         let mut batch = family.template().instantiate_batch(width);
         // One iteration advances `width` runs — see the module docs for
         // how to normalize against the scalar case.
-        group.bench_function(format!("vehicle_observe_batched_w{width}_per_pass"), |b| {
+        group.bench_function(format!("vehicle_observe_slab_w{width}_per_pass"), |b| {
             b.iter(|| {
                 batch.reset();
-                for stripe in &lane_frames {
+                for stripe in &stripes {
                     batch
-                        .observe_batch(stripe)
+                        .observe_slab(stripe)
                         .expect("recorded frames are complete");
                 }
             })

@@ -1,14 +1,14 @@
-//! Per-monitor vs fused suite evaluation on the vehicle family — the
-//! cross-monitor CSE win behind `repro --grid`'s `tick_ms`.
+//! Fused suite evaluation on the vehicle family — the cross-monitor CSE
+//! win behind `repro --grid`'s `tick_ms`.
 //!
-//! Both suites come from the same [`SuiteTemplate`]: `per_monitor`
-//! walks 49 separate expression trees per tick (with stateless
-//! short-circuiting), `fused` makes one pass over the deduplicated
-//! suite-level DAG in which every shared subformula — `probe.forward`,
-//! `probe.auto_accel_source == '…'`, the speed/accel atoms — is
-//! evaluated once. The observed frames are a real recorded run
-//! (scenario 1, thesis defects), replayed per iteration so temporal
-//! cells see realistic edges.
+//! The suite is stamped from the family's [`SuiteTemplate`] and makes
+//! one pass over the deduplicated suite-level DAG in which every shared
+//! subformula — `probe.forward`, `probe.auto_accel_source == '…'`, the
+//! speed/accel atoms — is evaluated once; the printed dedup ratio is
+//! the work saved against evaluating the 49 trees one by one. The
+//! observed frames are a real recorded run (scenario 1, thesis
+//! defects), replayed per iteration so temporal cells see realistic
+//! edges.
 //!
 //! [`SuiteTemplate`]: esafe_monitor::SuiteTemplate
 
@@ -56,11 +56,6 @@ fn fused_observe(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("fused_observe");
     group.sample_size(10);
-
-    let mut per_monitor = family.template().instantiate_per_monitor();
-    group.bench_function("vehicle_replay_per_monitor", |b| {
-        b.iter(|| replay(&mut per_monitor, &trace))
-    });
 
     let mut fused = family.template().instantiate();
     group.bench_function("vehicle_replay_fused", |b| {

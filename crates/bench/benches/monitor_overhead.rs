@@ -1,12 +1,13 @@
 //! Per-tick cost of run-time goal monitoring: one monitor across formula
-//! sizes, and the full 49-monitor vehicle suite — all on the id-compiled
-//! [`Frame`] path.
+//! sizes, and the full 49-monitor vehicle suite — all on the fused
+//! engine's id-compiled [`Frame`](esafe_logic::Frame) path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use esafe_logic::{parse, CompiledMonitor, SignalTable};
+use esafe_logic::{parse, FusedSuiteProgram, SignalTable};
 use esafe_vehicle::config::VehicleParams;
 use esafe_vehicle::signals::vehicle_table;
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn single_monitor(c: &mut Criterion) {
     let mut group = c.benchmark_group("single_monitor_tick");
@@ -30,8 +31,12 @@ fn single_monitor(c: &mut Criterion) {
     for (name, src) in cases {
         let expr = parse(src).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(name), &expr, |bench, e| {
-            let mut m = CompiledMonitor::compile_in(e, &table).unwrap();
-            bench.iter(|| black_box(m.observe(&frame).unwrap()));
+            let program = FusedSuiteProgram::compile(std::slice::from_ref(e), &table).unwrap();
+            let mut m = Arc::new(program).instantiate();
+            bench.iter(|| {
+                m.observe(&frame).unwrap();
+                black_box(m.verdict(0))
+            });
         });
     }
     group.finish();
@@ -52,14 +57,8 @@ fn full_suite(c: &mut Criterion) {
     sim.step();
     let frame = esafe_vehicle::probe::derive(sim.state(), &sigs, &params);
 
-    // The per-monitor reference engine: 49 separate tree walks per tick.
+    // One pass over the deduplicated suite-level DAG.
     c.bench_function("vehicle_suite_49_monitors_tick", |b| {
-        let mut suite = esafe_vehicle::goals::build_suite(&table, &params).unwrap();
-        b.iter(|| suite.observe(black_box(&frame)).unwrap());
-    });
-
-    // The fused engine: one pass over the deduplicated suite-level DAG.
-    c.bench_function("vehicle_suite_49_monitors_fused_tick", |b| {
         let mut suite = esafe_vehicle::goals::build_suite(&table, &params)
             .unwrap()
             .template()

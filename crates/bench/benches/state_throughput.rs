@@ -20,10 +20,11 @@
 //!   allocations.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use esafe_logic::{parse, CompiledMonitor, State};
+use esafe_logic::{parse, Expr, FusedSuiteProgram, State};
 use esafe_vehicle::config::VehicleParams;
 use esafe_vehicle::signals::{self as sig, vehicle_table};
 use std::hint::black_box;
+use std::sync::Arc;
 
 /// Signals a tick's subsystems re-publish in this model.
 const WRITES: [(&str, f64); 8] = [
@@ -95,10 +96,8 @@ fn frame_sampling(c: &mut Criterion) {
     let mut group = c.benchmark_group("state_throughput");
     group.sample_size(200);
     let (table, sigs) = vehicle_table();
-    let mut monitors: Vec<CompiledMonitor> = GOALS
-        .iter()
-        .map(|g| CompiledMonitor::compile_in(&parse(g).unwrap(), &table).unwrap())
-        .collect();
+    let goals: Vec<Expr> = GOALS.iter().map(|g| parse(g).unwrap()).collect();
+    let mut monitors = Arc::new(FusedSuiteProgram::compile(&goals, &table).unwrap()).instantiate();
     let writes = [
         (sigs.host_speed, 3.2),
         (sigs.host_accel, 0.4),
@@ -126,8 +125,9 @@ fn frame_sampling(c: &mut Criterion) {
                 next.set(id, v);
             }
             observed.copy_from(&next);
-            for m in &mut monitors {
-                let _ = black_box(m.observe(&observed).unwrap());
+            monitors.observe(&observed).unwrap();
+            for m in 0..GOALS.len() {
+                black_box(monitors.verdict(m));
             }
             black_box(observed.len())
         })

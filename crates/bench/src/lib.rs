@@ -92,8 +92,8 @@ pub struct ObserveCalibration {
     pub observe_ns_per_tick: f64,
     /// Monitors (goals + subgoals) in the calibrated suite.
     pub monitors: usize,
-    /// Expression nodes summed over the per-monitor programs (what
-    /// per-monitor evaluation would walk).
+    /// Expression nodes summed over the monitors' own trees (what
+    /// evaluating each monitor on its own would walk).
     pub cse_source_nodes: usize,
     /// Nodes in the deduplicated fused DAG (what one tick evaluates).
     pub cse_unique_nodes: usize,

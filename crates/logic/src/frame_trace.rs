@@ -37,7 +37,7 @@
 
 use crate::error::EvalError;
 use crate::expr::Expr;
-use crate::incremental::CompiledMonitor;
+use crate::incremental::FusedSuiteProgram;
 use crate::signal::{Frame, SignalId, SignalTable};
 use crate::state::Trace;
 use crate::value::Value;
@@ -203,43 +203,31 @@ impl FrameTrace {
         trace
     }
 
-    /// Replays the trace through a monitor from a clean start
-    /// ([`CompiledMonitor::reset`] is applied first), returning one
-    /// verdict per sample — the frame-speed analogue of
-    /// [`eval_trace`](crate::eval::eval_trace) under *monitor semantics*
-    /// (see [`monitor_form`](crate::incremental::monitor_form): `always`
-    /// flags per-state violations, future operators are rejected at
-    /// compile time).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EvalError`] if a sample leaves a referenced signal
-    /// unset or mistyped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the monitor was compiled against a different table.
-    pub fn replay(&self, monitor: &mut CompiledMonitor) -> Result<Vec<bool>, EvalError> {
-        monitor.reset();
-        let mut frame = self.table.frame();
-        let mut out = Vec::with_capacity(self.len);
-        for i in 0..self.len {
-            self.read_into(i, &mut frame);
-            out.push(monitor.observe(&frame)?);
-        }
-        Ok(out)
-    }
-
-    /// Compiles `expr` against the trace's table and replays it — the
-    /// one-shot form of [`FrameTrace::replay`].
+    /// Compiles `expr` against the trace's table as a one-root
+    /// [`FusedSuite`](crate::FusedSuite) and replays the trace through it
+    /// from a clean start, returning one verdict per sample — the
+    /// frame-speed analogue of [`eval_trace`](crate::eval::eval_trace)
+    /// under *monitor semantics* (see
+    /// [`monitor_form`](crate::incremental::monitor_form): `always` flags
+    /// per-state violations, future operators are rejected at compile
+    /// time).
     ///
     /// # Errors
     ///
     /// Returns [`EvalError`] on compile failure (future operator,
-    /// unknown signal) or on a bad sample, as in [`FrameTrace::replay`].
+    /// unknown signal) or if a sample leaves a signal the formula reads
+    /// unset or mistyped.
     pub fn replay_expr(&self, expr: &Expr) -> Result<Vec<bool>, EvalError> {
-        let mut monitor = CompiledMonitor::compile_in(expr, &self.table)?;
-        self.replay(&mut monitor)
+        let program = FusedSuiteProgram::compile(std::slice::from_ref(expr), &self.table)?;
+        let mut suite = Arc::new(program).instantiate();
+        let mut frame = self.table.frame();
+        let mut out = Vec::with_capacity(self.len);
+        for i in 0..self.len {
+            self.read_into(i, &mut frame);
+            suite.observe(&frame).map_err(|e| e.source)?;
+            out.push(suite.verdict(0));
+        }
+        Ok(out)
     }
 }
 
@@ -313,16 +301,12 @@ mod tests {
     }
 
     #[test]
-    fn replay_matches_observe_state_over_the_name_keyed_view() {
+    fn replay_matches_eval_over_the_name_keyed_view() {
         let table = table();
         let trace = sample_trace();
         let ft = FrameTrace::from_trace(&table, &trace).unwrap();
         let expr = parse("p || prev(p)").unwrap();
-        let mut reference = CompiledMonitor::compile_in(&expr, &table).unwrap();
-        let expected: Vec<bool> = trace
-            .iter()
-            .map(|s| reference.observe_state(s).unwrap())
-            .collect();
+        let expected = crate::eval::eval_trace(&expr, &trace).unwrap();
         assert_eq!(ft.replay_expr(&expr).unwrap(), expected);
     }
 
@@ -330,10 +314,11 @@ mod tests {
     fn replay_resets_the_monitor_first() {
         let table = table();
         let ft = FrameTrace::from_trace(&table, &sample_trace()).unwrap();
-        let mut m = CompiledMonitor::compile_in(&parse("prev(p)").unwrap(), &table).unwrap();
-        let first = ft.replay(&mut m).unwrap();
-        let second = ft.replay(&mut m).unwrap();
+        let expr = parse("prev(p)").unwrap();
+        let first = ft.replay_expr(&expr).unwrap();
+        let second = ft.replay_expr(&expr).unwrap();
         assert_eq!(first, second, "replay must start from clean history");
+        assert!(!first[0], "no history before the first sample");
     }
 
     #[test]

@@ -1,52 +1,30 @@
 //! Incremental (per-tick) evaluation for run-time goal monitoring.
 //!
-//! A [`CompiledMonitor`] consumes one [`Frame`] per tick and reports the
-//! goal's *current* truth in O(#subformulas) time and O(#subformulas)
-//! memory, independent of trace length. This is the engine behind the
-//! thesis's run-time safety-goal monitors.
+//! A goal suite compiles into one [`FusedSuiteProgram`]: every
+//! monitor's [`monitor_form`]-rewritten formula merged into a single
+//! hash-consed DAG over resolved [`SignalId`]s, in which every
+//! structurally identical subexpression — stateless atoms and temporal
+//! subtrees alike, since all monitors of a suite observe the same frame
+//! stream — is one node. Compilation resolves every variable reference
+//! against a shared [`SignalTable`] **once**, so the per-tick loop is
+//! pure slot access: no string lookups, no allocation, O(#nodes) time
+//! and memory independent of trace length.
 //!
-//! Compilation is two-phase: [`CompiledMonitor::compile_in`] resolves
-//! every variable reference against a shared [`SignalTable`] **once**, so
-//! the per-tick loop is pure [`SignalId`]-indexed slot access — no string
-//! lookups, no allocation. [`CompiledMonitor::compile`] is the
-//! table-less convenience for tests and goal authoring: it infers a
-//! private table from the formula's own variables and accepts name-keyed
-//! [`State`] samples through [`CompiledMonitor::observe_state`].
+//! The program runs at two widths, sharing one compile, one home for
+//! temporal semantics (`Cell`) and one error policy:
 //!
-//! # Program / state split
+//! * [`FusedSuite`] reads one [`Frame`] per tick — one forward pass
+//!   over the topologically ordered nodes into a value slab, then one
+//!   slab read per monitor verdict;
+//! * [`FusedSuiteBatch`] reads one lane-major [`FrameBatch`] per tick —
+//!   the same pass stepping every lane (run) through each node before
+//!   moving to the next.
 //!
-//! A compiled monitor is two parts:
-//!
-//! * a [`CompiledProgram`] — the immutable compiled form (expression
-//!   nodes with resolved [`SignalId`] slots), shared across monitor
-//!   instances via [`Arc`]. Compiling is the expensive step (parse-tree
-//!   walk, name resolution); a program compiled once per sweep serves
-//!   every cell.
-//! * a small per-run state: one [`Cell`](CompiledProgram) per temporal
-//!   subformula plus a step counter. [`CompiledProgram::instantiate`]
-//!   materializes a fresh monitor in O(#temporal subformulas) — a single
-//!   `memcpy` of the initial cell values — and
-//!   [`CompiledMonitor::reset`] restores it in place without
-//!   reallocating.
-//!
-//! Because the program knows, per subformula, whether any temporal state
-//! lives below it, evaluation short-circuits `&&` / `||` / `->` over
-//! *stateless* subtrees exactly like the reference evaluator
-//! ([`crate::eval::eval_at`]) does, while still feeding every frame to
-//! every stateful subformula so monitor history never desyncs. Verdicts
-//! are identical to exhaustive evaluation on every error-free frame.
-//!
-//! # Suite-level fusion
-//!
-//! Monitors rarely run alone: a goal suite carries dozens of formulas
-//! over a shared antecedent alphabet. [`FusedSuiteProgram`] compiles a
-//! *whole suite* into one hash-consed DAG in which every structurally
-//! identical subexpression — stateless atoms and temporal subtrees
-//! alike, since all monitors of a suite observe the same frame stream —
-//! is a single node evaluated once per tick ([`FusedSuite::observe`]:
-//! one forward pass over the topologically-ordered nodes into a value
-//! slab, one slab read per monitor verdict). Fused verdicts are
-//! property-tested identical to independent per-monitor evaluation.
+//! Both evaluate every node on every tick, so every signal the suite
+//! reads ([`FusedSuiteProgram::reads`]) must be set in every frame.
+//! Verdicts are property-tested against the semantics of record,
+//! [`eval_trace`](crate::eval::eval_trace) over the [`monitor_form`]
+//! of each goal.
 //!
 //! # Monitor semantics
 //!
@@ -64,10 +42,9 @@ use crate::error::EvalError;
 use crate::eval;
 use crate::expr::{CmpOp, Expr, Operand};
 use crate::frame_batch::FrameBatch;
-use crate::signal::{Frame, SignalId, SignalKind, SignalTable};
-use crate::state::State;
+use crate::signal::{Frame, SignalId, SignalTable};
 use crate::value::Value;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -127,238 +104,6 @@ pub fn monitor_form(expr: &Expr) -> Result<Expr, EvalError> {
     })
 }
 
-/// Infers a private [`SignalTable`] from a formula's own variable
-/// references: boolean atoms become [`SignalKind::Bool`], comparison
-/// operands become [`SignalKind::Sym`] when compared against a symbol
-/// literal and [`SignalKind::Real`] otherwise. Backs the table-less
-/// [`CompiledMonitor::compile`] path.
-pub fn infer_table(expr: &Expr) -> Arc<SignalTable> {
-    let mut kinds: BTreeMap<String, SignalKind> = BTreeMap::new();
-    expr.visit(&mut |e| match e {
-        Expr::Var(v) => {
-            kinds.entry(v.clone()).or_insert(SignalKind::Bool);
-        }
-        Expr::Cmp { lhs, op: _, rhs } => {
-            let sym_literal = matches!(lhs, Operand::Lit(Value::Sym(_)))
-                || matches!(rhs, Operand::Lit(Value::Sym(_)));
-            for operand in [lhs, rhs] {
-                if let Operand::Var(v) = operand {
-                    let kind = if sym_literal {
-                        SignalKind::Sym
-                    } else {
-                        SignalKind::Real
-                    };
-                    kinds.entry(v.clone()).or_insert(kind);
-                }
-            }
-        }
-        _ => {}
-    });
-    let mut builder = SignalTable::builder();
-    for (name, kind) in kinds {
-        builder.signal(&name, kind);
-    }
-    builder.finish()
-}
-
-/// A compiled incremental monitor for one goal expression.
-///
-/// # Example
-///
-/// ```
-/// use esafe_logic::{parse, CompiledMonitor, SignalTable};
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut b = SignalTable::builder();
-/// let p = b.bool("p");
-/// let q = b.bool("q");
-/// let table = b.finish();
-///
-/// let mut m = CompiledMonitor::compile_in(&parse("always(p || prev(q))")?, &table)?;
-/// let mut frame = table.frame();
-/// frame.set(p, false);
-/// frame.set(q, true);
-/// let t1 = m.observe(&frame)?;
-/// frame.set(q, false);
-/// let t2 = m.observe(&frame)?;
-/// assert!(!t1); // no previous state yet, p false
-/// assert!(t2);  // q held in the previous state
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct CompiledMonitor {
-    program: Arc<CompiledProgram>,
-    cells: Vec<Cell>,
-    step: u64,
-}
-
-impl CompiledMonitor {
-    /// Compiles an expression against a shared signal table, resolving
-    /// every variable reference to a [`SignalId`] once.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EvalError::FutureOperator`] if the expression contains
-    /// `eventually` or `next`, and [`EvalError::UnknownSignal`] if it
-    /// references a name outside the table.
-    pub fn compile_in(expr: &Expr, table: &Arc<SignalTable>) -> Result<Self, EvalError> {
-        Ok(Arc::new(CompiledProgram::compile(expr, table)?).instantiate())
-    }
-
-    /// Compiles an expression over a private table inferred from its own
-    /// variables (see [`infer_table`]) — the goal-authoring convenience
-    /// used with [`CompiledMonitor::observe_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EvalError::FutureOperator`] if the expression contains
-    /// `eventually` or `next`.
-    pub fn compile(expr: &Expr) -> Result<Self, EvalError> {
-        Self::compile_in(expr, &infer_table(expr))
-    }
-
-    /// The signal table the monitor's variable references resolve into.
-    pub fn table(&self) -> &Arc<SignalTable> {
-        &self.program.table
-    }
-
-    /// The immutable compiled program this monitor executes. Sharing it
-    /// via [`CompiledProgram::instantiate`] yields further monitors
-    /// without recompiling.
-    pub fn program(&self) -> &Arc<CompiledProgram> {
-        &self.program
-    }
-
-    /// Feeds the next frame and returns the goal's current truth.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EvalError`] if a referenced signal is unset or mistyped
-    /// in `frame`. The monitor's history is still advanced consistently on
-    /// error-free subtrees, so callers should treat an error as fatal for
-    /// this monitor instance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frame` indexes a different table than the monitor was
-    /// compiled against.
-    pub fn observe(&mut self, frame: &Frame) -> Result<bool, EvalError> {
-        assert!(
-            Arc::ptr_eq(frame.table(), &self.program.table),
-            "frame and monitor must share one signal table"
-        );
-        self.observe_trusted(frame)
-    }
-
-    /// [`CompiledMonitor::observe`] minus the release-mode table
-    /// identity check — for batch callers (a [`MonitorSuite`]) that
-    /// already verified the frame indexes this monitor's table once for
-    /// many monitors. Identity is still `debug_assert`ed.
-    ///
-    /// [`MonitorSuite`]: ../../esafe_monitor/struct.MonitorSuite.html
-    ///
-    /// # Errors
-    ///
-    /// See [`CompiledMonitor::observe`].
-    pub fn observe_trusted(&mut self, frame: &Frame) -> Result<bool, EvalError> {
-        debug_assert!(
-            Arc::ptr_eq(frame.table(), &self.program.table),
-            "frame and monitor must share one signal table"
-        );
-        let step = usize::try_from(self.step).unwrap_or(usize::MAX);
-        let v = self
-            .program
-            .root
-            .node
-            .eval(frame, step, &self.program.table, &mut self.cells)?;
-        self.step += 1;
-        Ok(v)
-    }
-
-    /// Feeds a name-keyed [`State`] sample by converting it to a frame
-    /// over the monitor's table first (names the table does not know are
-    /// ignored; referenced-but-absent names surface as
-    /// [`EvalError::MissingVar`]). This is the seed-compatible slow path
-    /// for tests and doctests — production loops hold [`Frame`]s.
-    ///
-    /// # Errors
-    ///
-    /// See [`CompiledMonitor::observe`].
-    pub fn observe_state(&mut self, state: &State) -> Result<bool, EvalError> {
-        let frame = self.program.table.frame_from_state_lossy(state);
-        self.observe(&frame)
-    }
-
-    /// Number of samples observed so far.
-    pub fn steps_observed(&self) -> u64 {
-        self.step
-    }
-
-    /// Clears all history, returning the monitor to its initial state —
-    /// a `memcpy` of the program's initial cell values, no allocation.
-    pub fn reset(&mut self) {
-        self.cells.copy_from_slice(&self.program.init_cells);
-        self.step = 0;
-    }
-}
-
-/// The immutable compiled form of one goal expression: the
-/// [`monitor_form`]-rewritten node tree with every variable reference
-/// resolved to a [`SignalId`] slot, plus the initial value of each
-/// temporal state cell.
-///
-/// A program carries no run state, so one `Arc<CompiledProgram>` is
-/// shared by every monitor instance evaluating the same goal — across
-/// sweep cells, threads, and suite instantiations. See the
-/// [module docs](self).
-#[derive(Debug)]
-pub struct CompiledProgram {
-    table: Arc<SignalTable>,
-    root: PChild,
-    init_cells: Vec<Cell>,
-}
-
-impl CompiledProgram {
-    /// Compiles an expression against a shared signal table.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EvalError::FutureOperator`] if the expression contains
-    /// `eventually` or `next`, and [`EvalError::UnknownSignal`] if it
-    /// references a name outside the table.
-    pub fn compile(expr: &Expr, table: &Arc<SignalTable>) -> Result<Self, EvalError> {
-        let rewritten = monitor_form(expr)?;
-        let mut init_cells = Vec::new();
-        let root = PChild::build(&rewritten, table, &mut init_cells)?;
-        Ok(CompiledProgram {
-            table: Arc::clone(table),
-            root,
-            init_cells,
-        })
-    }
-
-    /// The signal table the program's variable references resolve into.
-    pub fn table(&self) -> &Arc<SignalTable> {
-        &self.table
-    }
-
-    /// Number of temporal state cells a monitor instance carries.
-    pub fn state_cells(&self) -> usize {
-        self.init_cells.len()
-    }
-
-    /// Materializes a fresh monitor over this program: one `Arc` clone
-    /// plus a `memcpy` of the initial cell values — no parsing, no name
-    /// resolution, no tree allocation.
-    pub fn instantiate(self: &Arc<Self>) -> CompiledMonitor {
-        CompiledMonitor {
-            cells: self.init_cells.clone(),
-            program: Arc::clone(self),
-            step: 0,
-        }
-    }
-}
-
 /// A comparison operand with its variable reference resolved.
 #[derive(Debug, Clone, Copy)]
 enum Slot {
@@ -374,91 +119,30 @@ impl Slot {
         })
     }
 
+    /// The operand's value in one sample, read through `get`.
     #[inline]
-    fn value(&self, frame: &Frame, step: usize, table: &SignalTable) -> Result<Value, EvalError> {
-        match self {
-            Slot::Lit(v) => Ok(*v),
-            Slot::Sig(id) => frame.get(*id).ok_or_else(|| EvalError::MissingVar {
-                name: table.name(*id).to_owned(),
-                step,
-            }),
-        }
-    }
-
-    /// [`Slot::value`] over one lane of a [`LaneSource`] — identical
-    /// semantics, storage-generic.
-    #[inline]
-    fn value_in<S: LaneSource + ?Sized>(
+    fn value(
         &self,
-        src: &S,
-        lane: usize,
+        get: impl FnOnce(SignalId) -> Option<Value>,
         step: usize,
         table: &SignalTable,
     ) -> Result<Value, EvalError> {
         match self {
             Slot::Lit(v) => Ok(*v),
-            Slot::Sig(id) => src.get(*id, lane).ok_or_else(|| EvalError::MissingVar {
+            Slot::Sig(id) => get(*id).ok_or_else(|| EvalError::MissingVar {
                 name: table.name(*id).to_owned(),
                 step,
             }),
         }
     }
 
-    /// Resolves this operand against a lane-major source, or `None` when
-    /// the source has no rows (per-lane frames).
+    /// This operand as a whole lane row of `src`.
     #[inline]
-    fn operand_row<'a, S: LaneSource + ?Sized>(&self, src: &'a S) -> Option<LaneOperand<'a>> {
+    fn operand_row<'a>(&self, src: &'a FrameBatch) -> LaneOperand<'a> {
         match self {
-            Slot::Lit(v) => Some(LaneOperand::Lit(*v)),
-            Slot::Sig(id) => src.row(*id).map(LaneOperand::Row),
+            Slot::Lit(v) => LaneOperand::Lit(*v),
+            Slot::Sig(id) => LaneOperand::Row(src.row(*id)),
         }
-    }
-}
-
-/// One tick's per-lane signal samples, abstracted over storage: a
-/// `&[Frame]` slice (one frame per lane) or a lane-major [`FrameBatch`]
-/// slab read in place. Only `Var` and `Cmp` nodes touch the source, so
-/// this is the entire surface batched evaluation needs.
-trait LaneSource {
-    /// The value of `id` in `lane`, or `None` if unset.
-    fn get(&self, id: SignalId, lane: usize) -> Option<Value>;
-    /// Whether `lane`'s sample indexes `table` (debug check only).
-    fn shares_table(&self, lane: usize, table: &Arc<SignalTable>) -> bool;
-    /// The contiguous lane-major row for `id`, when the storage has one
-    /// (`Some` for a [`FrameBatch`] slab, `None` for per-lane frames).
-    /// `Var`/`Cmp` nodes sweep rows in tight slice loops and only fall
-    /// back to per-lane [`get`](LaneSource::get) when a row is absent or
-    /// holds an unset/mistyped slot that needs exact error attribution.
-    #[inline]
-    fn row(&self, _id: SignalId) -> Option<&[Option<Value>]> {
-        None
-    }
-}
-
-impl LaneSource for [Frame] {
-    #[inline]
-    fn get(&self, id: SignalId, lane: usize) -> Option<Value> {
-        self[lane].get(id)
-    }
-
-    fn shares_table(&self, lane: usize, table: &Arc<SignalTable>) -> bool {
-        Arc::ptr_eq(self[lane].table(), table)
-    }
-}
-
-impl LaneSource for FrameBatch {
-    #[inline]
-    fn get(&self, id: SignalId, lane: usize) -> Option<Value> {
-        FrameBatch::get(self, id, lane)
-    }
-
-    fn shares_table(&self, _lane: usize, table: &Arc<SignalTable>) -> bool {
-        Arc::ptr_eq(self.table(), table)
-    }
-
-    #[inline]
-    fn row(&self, id: SignalId) -> Option<&[Option<Value>]> {
-        Some(FrameBatch::row(self, id))
     }
 }
 
@@ -608,37 +292,16 @@ fn resolve(name: &str, table: &SignalTable) -> Result<SignalId, EvalError> {
     })
 }
 
+/// A [`Var`](FusedNode::Var) node's reading of one sample slot: the
+/// boolean it holds, or the error naming the signal.
 #[inline]
-fn frame_bool(
-    frame: &Frame,
+fn slot_bool(
+    v: Option<Value>,
     id: SignalId,
     step: usize,
     table: &SignalTable,
 ) -> Result<bool, EvalError> {
-    match frame.get(id) {
-        None => Err(EvalError::MissingVar {
-            name: table.name(id).to_owned(),
-            step,
-        }),
-        Some(Value::Bool(b)) => Ok(b),
-        Some(other) => Err(EvalError::NotBoolean {
-            name: table.name(id).to_owned(),
-            found: other.type_name(),
-        }),
-    }
-}
-
-/// [`frame_bool`] over one lane of a [`LaneSource`] — identical
-/// semantics, storage-generic.
-#[inline]
-fn source_bool<S: LaneSource + ?Sized>(
-    src: &S,
-    id: SignalId,
-    lane: usize,
-    step: usize,
-    table: &SignalTable,
-) -> Result<bool, EvalError> {
-    match src.get(id, lane) {
+    match v {
         None => Err(EvalError::MissingVar {
             name: table.name(id).to_owned(),
             step,
@@ -652,12 +315,12 @@ fn source_bool<S: LaneSource + ?Sized>(
 }
 
 /// The per-lane [`Var`](FusedNode::Var) evaluation with exact error
-/// semantics, skipping retired lanes. Per-frame sources always take
-/// this path; the row fast path falls back here when any slot in the
-/// row is unset or mistyped, so the error names the right lane/step.
-fn var_lanes<S: LaneSource + ?Sized>(
+/// semantics, skipping retired lanes. The row fast path falls back here
+/// when any slot in the row is unset or mistyped, so the error names
+/// the right lane/step.
+fn var_lanes(
     out: &mut [bool],
-    src: &S,
+    src: &FrameBatch,
     id: SignalId,
     active: &[bool],
     steps: &[u64],
@@ -666,7 +329,7 @@ fn var_lanes<S: LaneSource + ?Sized>(
     for (l, out) in out.iter_mut().enumerate() {
         if active[l] {
             let step = usize::try_from(steps[l]).unwrap_or(usize::MAX);
-            *out = source_bool(src, id, l, step, table).map_err(|e| (l, e))?;
+            *out = slot_bool(src.get(id, l), id, step, table).map_err(|e| (l, e))?;
         }
     }
     Ok(())
@@ -675,9 +338,9 @@ fn var_lanes<S: LaneSource + ?Sized>(
 /// The per-lane [`Cmp`](FusedNode::Cmp) evaluation — the exact-error
 /// counterpart of [`var_lanes`] for comparisons.
 #[allow(clippy::too_many_arguments)]
-fn cmp_lanes<S: LaneSource + ?Sized>(
+fn cmp_lanes(
     out: &mut [bool],
-    src: &S,
+    src: &FrameBatch,
     lhs: &Slot,
     op: CmpOp,
     rhs: &Slot,
@@ -688,8 +351,9 @@ fn cmp_lanes<S: LaneSource + ?Sized>(
     for (l, out) in out.iter_mut().enumerate() {
         if active[l] {
             let step = usize::try_from(steps[l]).unwrap_or(usize::MAX);
-            let a = lhs.value_in(src, l, step, table).map_err(|e| (l, e))?;
-            let b = rhs.value_in(src, l, step, table).map_err(|e| (l, e))?;
+            let get = |id| src.get(id, l);
+            let a = lhs.value(get, step, table).map_err(|e| (l, e))?;
+            let b = rhs.value(get, step, table).map_err(|e| (l, e))?;
             *out = eval::compare_values(&a, op, &b).map_err(|e| (l, e))?;
         }
     }
@@ -697,7 +361,7 @@ fn cmp_lanes<S: LaneSource + ?Sized>(
 }
 
 /// One temporal subformula's run state. Each variant's "empty history"
-/// value is recorded in [`CompiledProgram::init_cells`] at compile time;
+/// value is recorded in the program's `init_cells` at compile time;
 /// reset and instantiation are slice copies.
 #[derive(Debug, Clone, Copy)]
 enum Cell {
@@ -718,8 +382,8 @@ enum Cell {
 /// The single-step semantics of each temporal operator: advance the
 /// cell with the child's current value and return the operator's output
 /// at this step. **The one place these semantics live** — shared by the
-/// per-monitor evaluator ([`PNode::eval`]) and the fused suite pass
-/// ([`FusedSuite::observe`]), so the two engines cannot drift.
+/// scalar pass ([`FusedSuite::observe`]) and the batched pass
+/// ([`FusedSuiteBatch::observe_slab`]), so the two widths cannot drift.
 ///
 /// Each method panics (`unreachable!`) on a cell variant other than the
 /// operator's own; variants are fixed at compile time.
@@ -805,229 +469,6 @@ impl Cell {
             *captured = Some(cur);
         }
         captured.expect("just set")
-    }
-}
-
-/// A compiled subformula plus whether any temporal state lives below it.
-/// Stateless subtrees may be skipped once a connective's result is
-/// decided; stateful ones must see every frame.
-#[derive(Debug)]
-struct PChild {
-    node: PNode,
-    has_state: bool,
-}
-
-impl PChild {
-    fn build(expr: &Expr, table: &SignalTable, cells: &mut Vec<Cell>) -> Result<Self, EvalError> {
-        let before = cells.len();
-        let node = PNode::build(expr, table, cells)?;
-        Ok(PChild {
-            node,
-            has_state: cells.len() > before,
-        })
-    }
-}
-
-/// The immutable node tree of a [`CompiledProgram`]: expression shape
-/// with resolved [`Slot`]s; temporal operators reference their run state
-/// by cell index instead of holding it inline.
-#[derive(Debug)]
-enum PNode {
-    Const(bool),
-    Var(SignalId),
-    Cmp {
-        lhs: Slot,
-        op: CmpOp,
-        rhs: Slot,
-    },
-    Not(Box<PChild>),
-    And(Vec<PChild>),
-    Or(Vec<PChild>),
-    Implies(Box<PChild>, Box<PChild>),
-    Prev {
-        child: Box<PChild>,
-        cell: usize,
-    },
-    Once {
-        child: Box<PChild>,
-        cell: usize,
-    },
-    Historically {
-        child: Box<PChild>,
-        cell: usize,
-    },
-    HeldFor {
-        child: Box<PChild>,
-        ticks: u64,
-        cell: usize,
-    },
-    OnceWithin {
-        child: Box<PChild>,
-        ticks: u64,
-        cell: usize,
-    },
-    Became {
-        child: Box<PChild>,
-        cell: usize,
-    },
-    Initially {
-        child: Box<PChild>,
-        cell: usize,
-    },
-}
-
-/// Allocates a state cell with its empty-history value, returning its
-/// index. The temporal node's child is built *first* (recursion in
-/// `PNode::build`), so child cells precede parent cells — irrelevant to
-/// semantics, but deterministic.
-fn alloc_cell(cells: &mut Vec<Cell>, init: Cell) -> usize {
-    cells.push(init);
-    cells.len() - 1
-}
-
-impl PNode {
-    fn build(expr: &Expr, table: &SignalTable, cells: &mut Vec<Cell>) -> Result<PNode, EvalError> {
-        let child = |e: &Expr, cells: &mut Vec<Cell>| -> Result<Box<PChild>, EvalError> {
-            Ok(Box::new(PChild::build(e, table, cells)?))
-        };
-        Ok(match expr {
-            Expr::Const(b) => PNode::Const(*b),
-            Expr::Var(v) => PNode::Var(resolve(v, table)?),
-            Expr::Cmp { lhs, op, rhs } => PNode::Cmp {
-                lhs: Slot::resolve(lhs, table)?,
-                op: *op,
-                rhs: Slot::resolve(rhs, table)?,
-            },
-            Expr::Not(e) => PNode::Not(child(e, cells)?),
-            Expr::And(items) => PNode::And(
-                items
-                    .iter()
-                    .map(|e| PChild::build(e, table, cells))
-                    .collect::<Result<_, _>>()?,
-            ),
-            Expr::Or(items) => PNode::Or(
-                items
-                    .iter()
-                    .map(|e| PChild::build(e, table, cells))
-                    .collect::<Result<_, _>>()?,
-            ),
-            Expr::Implies(a, b) => PNode::Implies(child(a, cells)?, child(b, cells)?),
-            Expr::Prev(e) => PNode::Prev {
-                child: child(e, cells)?,
-                cell: alloc_cell(cells, Cell::Last(None)),
-            },
-            Expr::Once(e) => PNode::Once {
-                child: child(e, cells)?,
-                cell: alloc_cell(cells, Cell::Seen(false)),
-            },
-            Expr::Historically(e) => PNode::Historically {
-                child: child(e, cells)?,
-                cell: alloc_cell(cells, Cell::All(true)),
-            },
-            Expr::HeldFor { expr, ticks } => PNode::HeldFor {
-                child: child(expr, cells)?,
-                ticks: *ticks,
-                cell: alloc_cell(cells, Cell::Run(0)),
-            },
-            Expr::OnceWithin { expr, ticks } => PNode::OnceWithin {
-                child: child(expr, cells)?,
-                ticks: *ticks,
-                cell: alloc_cell(cells, Cell::LastTrue(None)),
-            },
-            Expr::Became(e) => PNode::Became {
-                child: child(e, cells)?,
-                cell: alloc_cell(cells, Cell::Last(None)),
-            },
-            Expr::Initially(e) => PNode::Initially {
-                child: child(e, cells)?,
-                cell: alloc_cell(cells, Cell::Captured(None)),
-            },
-            // monitor_form has eliminated these before PNode::build runs
-            Expr::Entails(..)
-            | Expr::Iff(..)
-            | Expr::Always(_)
-            | Expr::Eventually(_)
-            | Expr::Next(_) => unreachable!("monitor_form eliminates future forms"),
-        })
-    }
-
-    fn eval(
-        &self,
-        frame: &Frame,
-        step: usize,
-        table: &SignalTable,
-        cells: &mut [Cell],
-    ) -> Result<bool, EvalError> {
-        match self {
-            PNode::Const(b) => Ok(*b),
-            PNode::Var(id) => frame_bool(frame, *id, step, table),
-            PNode::Cmp { lhs, op, rhs } => {
-                let a = lhs.value(frame, step, table)?;
-                let b = rhs.value(frame, step, table)?;
-                eval::compare_values(&a, *op, &b)
-            }
-            PNode::Not(e) => Ok(!e.node.eval(frame, step, table, cells)?),
-            PNode::And(items) => {
-                // Skip stateless children once the result is decided;
-                // temporal sub-monitors still see every frame so their
-                // history stays consistent.
-                let mut all = true;
-                for e in items {
-                    if all || e.has_state {
-                        all &= e.node.eval(frame, step, table, cells)?;
-                    }
-                }
-                Ok(all)
-            }
-            PNode::Or(items) => {
-                let mut any = false;
-                for e in items {
-                    if !any || e.has_state {
-                        any |= e.node.eval(frame, step, table, cells)?;
-                    }
-                }
-                Ok(any)
-            }
-            PNode::Implies(a, b) => {
-                let av = a.node.eval(frame, step, table, cells)?;
-                if av {
-                    b.node.eval(frame, step, table, cells)
-                } else {
-                    if b.has_state {
-                        b.node.eval(frame, step, table, cells)?;
-                    }
-                    Ok(true)
-                }
-            }
-            PNode::Prev { child, cell } => {
-                let cur = child.node.eval(frame, step, table, cells)?;
-                Ok(cells[*cell].step_prev(cur))
-            }
-            PNode::Once { child, cell } => {
-                let cur = child.node.eval(frame, step, table, cells)?;
-                Ok(cells[*cell].step_once(cur))
-            }
-            PNode::Historically { child, cell } => {
-                let cur = child.node.eval(frame, step, table, cells)?;
-                Ok(cells[*cell].step_historically(cur))
-            }
-            PNode::HeldFor { child, ticks, cell } => {
-                let cur = child.node.eval(frame, step, table, cells)?;
-                Ok(cells[*cell].step_held_for(cur, *ticks))
-            }
-            PNode::OnceWithin { child, ticks, cell } => {
-                let cur = child.node.eval(frame, step, table, cells)?;
-                Ok(cells[*cell].step_once_within(cur, step, *ticks))
-            }
-            PNode::Became { child, cell } => {
-                let cur = child.node.eval(frame, step, table, cells)?;
-                Ok(cells[*cell].step_became(cur))
-            }
-            PNode::Initially { child, cell } => {
-                let cur = child.node.eval(frame, step, table, cells)?;
-                Ok(cells[*cell].step_initially(cur))
-            }
-        }
     }
 }
 
@@ -1132,19 +573,19 @@ enum FusedNode {
 /// becomes one node, evaluated **once per tick** into a shared value
 /// slab. Temporal subformulas dedup too: every monitor in a suite
 /// observes the same frame stream, so structurally identical temporal
-/// subtrees carry identical history and can share one state cell. (This
-/// is the suite-level analogue of what [`CompiledProgram`] does for one
-/// monitor, and verdicts are identical — property-tested against
-/// per-monitor evaluation on random suites and traces.)
+/// subtrees carry identical history and can share one state cell.
+/// Verdicts are property-tested against
+/// [`eval_trace`](crate::eval::eval_trace) of each monitor's
+/// [`monitor_form`] on random suites and traces.
 ///
 /// Evaluation is a single forward pass over the topologically-ordered
 /// node vector — no recursion, no pointer chasing, no per-monitor
 /// re-walking — after which each monitor's verdict is one slab read at
 /// its root index.
 ///
-/// Like [`CompiledProgram`], a fused program is immutable and carries no
-/// run state: one `Arc<FusedSuiteProgram>` is shared by every
-/// [`FusedSuite`] instance across sweep cells and threads.
+/// A fused program is immutable and carries no run state: one
+/// `Arc<FusedSuiteProgram>` is shared by every [`FusedSuite`] and
+/// [`FusedSuiteBatch`] instance across sweep cells and threads.
 ///
 /// # Example
 ///
@@ -1187,8 +628,10 @@ pub struct FusedSuiteProgram {
     init_cells: Vec<Cell>,
     /// One slab index per monitor, in compile order.
     roots: Vec<u32>,
-    /// Node count before deduplication (the sum of the per-monitor
-    /// program sizes).
+    /// Every signal a `Var` or `Cmp` node reads, ascending, once each.
+    reads: Box<[SignalId]>,
+    /// Node count before deduplication (the sum of the standalone
+    /// per-monitor tree sizes).
     source_nodes: usize,
 }
 
@@ -1369,14 +812,61 @@ impl FusedSuiteProgram {
             let monitor = u32::try_from(monitor).expect("too many monitors");
             roots.push(b.build(&rewritten, monitor)?);
         }
+        let mut reads = Vec::new();
+        for node in &b.nodes {
+            match node {
+                FusedNode::Var(id) => reads.push(*id),
+                FusedNode::Cmp { lhs, rhs, .. } => {
+                    for slot in [lhs, rhs] {
+                        if let Slot::Sig(id) = slot {
+                            reads.push(*id);
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        reads.sort_unstable();
+        reads.dedup();
         Ok(FusedSuiteProgram {
             table: Arc::clone(table),
             nodes: b.nodes,
             owners: b.owners,
             init_cells: b.cells,
             roots,
+            reads: reads.into_boxed_slice(),
             source_nodes: b.source_nodes,
         })
+    }
+
+    /// Checks that [`compile`](FusedSuiteProgram::compile) would accept
+    /// `expr` over `table`, without building anything: the formula must
+    /// have a [`monitor_form`] and every signal it names must resolve. A
+    /// suite authored goal by goal reports each goal's errors as it is
+    /// added and still compiles once.
+    ///
+    /// # Errors
+    ///
+    /// As [`compile`](FusedSuiteProgram::compile).
+    pub fn check(expr: &Expr, table: &SignalTable) -> Result<(), EvalError> {
+        monitor_form(expr)?;
+        let mut result = Ok(());
+        expr.visit(&mut |e| {
+            let names = match e {
+                Expr::Var(v) => [Some(v), None],
+                Expr::Cmp { lhs, rhs, .. } => [lhs, rhs].map(|o| match o {
+                    Operand::Var(v) => Some(v),
+                    Operand::Lit(_) => None,
+                }),
+                _ => [None, None],
+            };
+            for name in names.into_iter().flatten() {
+                if result.is_ok() {
+                    result = resolve(name, table).map(drop);
+                }
+            }
+        });
+        result
     }
 
     /// The signal table the program's variable references resolve into.
@@ -1396,10 +886,17 @@ impl FusedSuiteProgram {
     }
 
     /// Number of nodes before deduplication (the sum of the standalone
-    /// per-monitor program sizes) — the work per-monitor evaluation
-    /// would perform without short-circuiting.
+    /// per-monitor tree sizes) — the work evaluating each monitor on its
+    /// own would perform.
     pub fn source_nodes(&self) -> usize {
         self.source_nodes
+    }
+
+    /// Every signal the program reads, ascending and once each. Both
+    /// widths evaluate every node on every tick, so each of these must
+    /// be set in every observed sample; any other signal may stay unset.
+    pub fn reads(&self) -> &[SignalId] {
+        &self.reads
     }
 
     /// Number of suite-level temporal state cells an instance carries.
@@ -1443,13 +940,10 @@ impl FusedSuite {
     /// Feeds the next frame: one forward pass evaluating every DAG node
     /// exactly once, advancing every temporal cell.
     ///
-    /// Verdicts are identical to per-monitor evaluation on error-free
-    /// frames. Error behaviour differs in one corner: per-monitor
-    /// evaluation may skip a stateless subtree whose connective is
-    /// already decided, while the fused pass evaluates every node — so a
-    /// frame leaving a *never-relevant* signal unset errors here. Treat
-    /// an error as fatal for this suite instance, as with
-    /// [`CompiledMonitor::observe`].
+    /// Every node is evaluated, short-circuited branches included, so
+    /// the frame must set every signal in
+    /// [`FusedSuiteProgram::reads`]. Treat an error as fatal for this
+    /// suite instance.
     ///
     /// # Errors
     ///
@@ -1472,7 +966,7 @@ impl FusedSuite {
             let v = match node {
                 FusedNode::Const(b) => *b,
                 FusedNode::Var(id) => {
-                    frame_bool(frame, *id, step, table).map_err(|e| FusedError {
+                    slot_bool(frame.get(*id), *id, step, table).map_err(|e| FusedError {
                         monitor: self.program.owners[i] as usize,
                         source: e,
                     })?
@@ -1482,8 +976,9 @@ impl FusedSuite {
                         monitor: self.program.owners[i] as usize,
                         source: e,
                     };
-                    let a = lhs.value(frame, step, table).map_err(err)?;
-                    let b = rhs.value(frame, step, table).map_err(err)?;
+                    let get = |id| frame.get(id);
+                    let a = lhs.value(get, step, table).map_err(err)?;
+                    let b = rhs.value(get, step, table).map_err(err)?;
                     eval::compare_values(&a, *op, &b).map_err(err)?
                 }
                 FusedNode::Not(c) => !self.slab[*c as usize],
@@ -1577,18 +1072,19 @@ impl std::error::Error for BatchError {
 /// Where a [`FusedSuite`] holds one `bool` per DAG node, a batch holds a
 /// *lane row* per node: `lanes` contiguous slots, one per run
 /// (slab-of-lanes layout, `slab[node * lanes + lane]`), and likewise one
-/// lane row per temporal state cell. [`FusedSuiteBatch::observe_batch`]
-/// advances every lane by one frame in a single forward pass that steps
+/// lane row per temporal state cell. [`FusedSuiteBatch::observe_slab`]
+/// advances every lane by one sample of a lane-major [`FrameBatch`] in
+/// a single forward pass that steps
 /// the whole batch through each DAG node before moving to the next:
 /// the per-node inner loop is a straight-line sweep over contiguous
 /// lanes — branch-free for the boolean combinators — so evaluating one
 /// shared subexpression across N runs costs one node decode plus N slab
 /// reads, instead of N full scalar passes.
 ///
-/// Lanes are independent runs in lock-step: verdicts per lane are
-/// **identical** to running a scalar [`FusedSuite`] per lane over the
-/// same frame sequence (property-tested, including mid-batch
-/// retirement). A run that ends early — a terminal event inside a sweep
+/// Lanes are independent runs in lock-step: each lane's verdicts are
+/// property-tested against [`eval_trace`](crate::eval::eval_trace) of
+/// the lane's own trace, including under mid-batch retirement. A run
+/// that ends early — a terminal event inside a sweep
 /// stripe — is [`retire_lane`](FusedSuiteBatch::retire_lane)d: its
 /// temporal cells and step counter freeze while the surviving lanes
 /// keep advancing, so early termination in one lane cannot perturb its
@@ -1597,7 +1093,7 @@ impl std::error::Error for BatchError {
 /// # Example
 ///
 /// ```
-/// use esafe_logic::{parse, FusedSuiteProgram, SignalTable};
+/// use esafe_logic::{parse, FrameBatch, FusedSuiteProgram, SignalTable};
 /// use std::sync::Arc;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -1609,11 +1105,11 @@ impl std::error::Error for BatchError {
 /// let mut batch = program.instantiate_batch(2);
 ///
 /// // Lane 0 sees p=true, lane 1 sees p=false.
-/// let mut frames = vec![table.frame(), table.frame()];
-/// frames[0].set(p, true);
-/// frames[1].set(p, false);
-/// batch.observe_batch(&frames)?;
-/// batch.observe_batch(&frames)?;
+/// let mut slab = FrameBatch::new(&table, 2);
+/// slab.set(p, 0, true);
+/// slab.set(p, 1, false);
+/// batch.observe_slab(&slab)?;
+/// batch.observe_slab(&slab)?;
 /// assert!(batch.verdict(0, 0)); // lane 0: p held in the previous state
 /// assert!(!batch.verdict(1, 0)); // lane 1: it did not
 /// # Ok(())
@@ -1688,8 +1184,8 @@ impl FusedSuiteBatch {
     }
 
     /// Retires a lane: its temporal cells and step counter freeze, and
-    /// subsequent [`observe_batch`](FusedSuiteBatch::observe_batch)
-    /// passes skip it (its slot in `frames` is ignored). Idempotent.
+    /// subsequent [`observe_slab`](FusedSuiteBatch::observe_slab)
+    /// passes skip it (its slab lane is ignored). Idempotent.
     ///
     /// # Panics
     ///
@@ -1744,16 +1240,18 @@ impl FusedSuiteBatch {
         }
     }
 
-    /// Feeds the next frame of every active lane — `frames[lane]` is
-    /// that lane's sample; retired lanes' entries are ignored. One
-    /// forward pass over the DAG advances **all** lanes through each
-    /// node before moving to the next (see the type docs).
+    /// Feeds the next sample of every active lane, read **in place**
+    /// from a lane-major [`FrameBatch`] slab — the zero-copy path a
+    /// batched simulator feeds its state slab through (lane layouts
+    /// match, so `Var`/`Cmp` reads sweep the slab's contiguous signal
+    /// rows directly). Retired lanes' slab rows are ignored. One forward
+    /// pass over the DAG advances **all** lanes through each node before
+    /// moving to the next (see the type docs).
     ///
-    /// Verdicts per lane are identical to a scalar [`FusedSuite`] fed
-    /// the same frames, with the same error-behaviour caveat as
-    /// [`FusedSuite::observe`]: every node of every active lane is
-    /// evaluated, so an unset never-relevant signal errors here. Treat
-    /// an error as fatal for the whole batch instance.
+    /// As in [`FusedSuite::observe`], every node of every active lane is
+    /// evaluated, so each active lane must set every signal in
+    /// [`FusedSuiteProgram::reads`]. Treat an error as fatal for the
+    /// whole batch instance.
     ///
     /// # Errors
     ///
@@ -1762,49 +1260,15 @@ impl FusedSuiteBatch {
     ///
     /// # Panics
     ///
-    /// Panics if `frames.len() != lanes`; debug builds also panic if an
-    /// active lane's frame indexes a different table than the program
-    /// was compiled against.
-    pub fn observe_batch(&mut self, frames: &[Frame]) -> Result<(), BatchError> {
-        assert_eq!(
-            frames.len(),
-            self.lanes,
-            "one frame per lane, retired included"
-        );
-        self.observe_src(frames)
-    }
-
-    /// [`observe_batch`](FusedSuiteBatch::observe_batch) reading a
-    /// lane-major [`FrameBatch`] slab **in place** — the zero-copy path a
-    /// batched simulator feeds its state slab through (lane layouts
-    /// match, so `Var`/`Cmp` reads sweep the slab's contiguous signal
-    /// rows directly). Retired lanes' slab rows are ignored. Verdicts
-    /// are identical to copying each lane out and calling
-    /// [`observe_batch`](FusedSuiteBatch::observe_batch).
-    ///
-    /// # Errors
-    ///
-    /// As [`observe_batch`](FusedSuiteBatch::observe_batch).
-    ///
-    /// # Panics
-    ///
     /// Panics if `slab.lanes() != lanes`; debug builds also panic if the
     /// slab indexes a different table than the program was compiled
     /// against.
-    pub fn observe_slab(&mut self, slab: &FrameBatch) -> Result<(), BatchError> {
-        assert_eq!(slab.lanes(), self.lanes, "one slab lane per batch lane");
-        self.observe_src(slab)
-    }
-
-    /// The one shared forward pass behind
-    /// [`observe_batch`](FusedSuiteBatch::observe_batch) and
-    /// [`observe_slab`](FusedSuiteBatch::observe_slab): only `Var` and
-    /// `Cmp` touch `src`, everything else is slab-to-slab.
-    fn observe_src<S: LaneSource + ?Sized>(&mut self, src: &S) -> Result<(), BatchError> {
+    pub fn observe_slab(&mut self, src: &FrameBatch) -> Result<(), BatchError> {
+        assert_eq!(src.lanes(), self.lanes, "one slab lane per batch lane");
         let lanes = self.lanes;
         debug_assert!(
-            (0..lanes).all(|l| !self.active[l] || src.shares_table(l, &self.program.table)),
-            "active lanes and batch must share one signal table"
+            Arc::ptr_eq(src.table(), &self.program.table),
+            "slab and batch must share one signal table"
         );
         let program = Arc::clone(&self.program);
         let table = &program.table;
@@ -1825,36 +1289,29 @@ impl FusedSuiteBatch {
             };
             match node {
                 FusedNode::Const(b) => out.fill(*b),
-                // `Var`/`Cmp` are the only nodes that read `src`. When
-                // the source is lane-major, a signal's samples across
-                // every run are one contiguous row, so both sweep whole
-                // rows in tight slice loops — no per-lane step
-                // bookkeeping, no active check (retired lanes' rows are
-                // frozen-but-valid, and nothing reads their slab cells).
-                // Any row that holds an unset or mistyped slot bails to
-                // the per-lane path for exact error attribution, which
-                // is also the only path frame-slice sources have.
+                // `Var`/`Cmp` are the only nodes that read `src`. A
+                // signal's samples across every run are one contiguous
+                // row, so both sweep whole rows in tight slice loops —
+                // no per-lane step bookkeeping, no active check (retired
+                // lanes' rows are frozen-but-valid, and nothing reads
+                // their slab cells). Any row that holds an unset or
+                // mistyped slot bails to the per-lane path for exact
+                // error attribution.
                 FusedNode::Var(id) => {
-                    let fast = src.row(*id).is_some_and(|vals| {
-                        let mut ok = true;
-                        for (out, v) in out.iter_mut().zip(vals) {
-                            match v {
-                                Some(Value::Bool(b)) => *out = *b,
-                                _ => ok = false,
-                            }
+                    let mut fast = true;
+                    for (out, v) in out.iter_mut().zip(src.row(*id)) {
+                        match v {
+                            Some(Value::Bool(b)) => *out = *b,
+                            _ => fast = false,
                         }
-                        ok
-                    });
+                    }
                     if !fast {
                         var_lanes(out, src, *id, active, steps, table)
                             .map_err(|(l, e)| err(l, e))?;
                     }
                 }
                 FusedNode::Cmp { lhs, op, rhs } => {
-                    let fast = match (lhs.operand_row(src), rhs.operand_row(src)) {
-                        (Some(a), Some(b)) => cmp_rows(out, &a, *op, &b),
-                        _ => false,
-                    };
+                    let fast = cmp_rows(out, &lhs.operand_row(src), *op, &rhs.operand_row(src));
                     if !fast {
                         cmp_lanes(out, src, lhs, *op, rhs, active, steps, table)
                             .map_err(|(l, e)| err(l, e))?;
@@ -1987,7 +1444,7 @@ impl FusedSuiteBatch {
     }
 
     /// Monitor `monitor`'s verdict in `lane` from the most recent
-    /// [`FusedSuiteBatch::observe_batch`] pass the lane took part in.
+    /// [`FusedSuiteBatch::observe_slab`] pass the lane took part in.
     ///
     /// # Panics
     ///
@@ -2055,7 +1512,7 @@ mod tests {
     use super::*;
     use crate::eval::eval_trace;
     use crate::parse;
-    use crate::state::Trace;
+    use crate::state::{State, Trace};
 
     fn trace_of(bits: &[(&str, Vec<bool>)]) -> Trace {
         let n = bits[0].1.len();
@@ -2070,9 +1527,48 @@ mod tests {
         t
     }
 
+    /// The table every unit-test trace resolves against.
+    fn pqr_table() -> Arc<SignalTable> {
+        let mut b = SignalTable::builder();
+        for name in ["p", "q", "r"] {
+            b.bool(name);
+        }
+        b.finish()
+    }
+
+    fn compile(srcs: &[&str], table: &Arc<SignalTable>) -> Arc<FusedSuiteProgram> {
+        let exprs: Vec<Expr> = srcs.iter().map(|s| parse(s).unwrap()).collect();
+        Arc::new(FusedSuiteProgram::compile(&exprs, table).unwrap())
+    }
+
+    /// The semantics of record for monitor `src` over `t`.
+    fn reference(src: &str, t: &Trace) -> Vec<bool> {
+        eval_trace(&monitor_form(&parse(src).unwrap()).unwrap(), t).unwrap()
+    }
+
+    /// Runs `src` as a one-root fused suite over `t`, asserting every
+    /// verdict against [`reference`].
     fn monitor_run(src: &str, t: &Trace) -> Vec<bool> {
-        let mut m = CompiledMonitor::compile(&parse(src).unwrap()).unwrap();
-        t.iter().map(|s| m.observe_state(s).unwrap()).collect()
+        let table = pqr_table();
+        let mut suite = compile(&[src], &table).instantiate();
+        let verdicts: Vec<bool> = t
+            .iter()
+            .map(|s| {
+                suite.observe(&table.frame_from_state_lossy(s)).unwrap();
+                suite.verdict(0)
+            })
+            .collect();
+        assert_eq!(verdicts, reference(src, t), "`{src}` diverged from eval");
+        verdicts
+    }
+
+    /// Copies one frame per lane into a lane-major slab.
+    fn slab_of(frames: &[Frame]) -> FrameBatch {
+        let mut slab = FrameBatch::new(frames[0].table(), frames.len());
+        for (lane, frame) in frames.iter().enumerate() {
+            slab.write_lane_from(lane, frame);
+        }
+        slab
     }
 
     #[test]
@@ -2091,8 +1587,8 @@ mod tests {
             "initially(p) -> q",
             "prev(prev(p)) && !q",
         ] {
-            let reference = eval_trace(&parse(src).unwrap(), &t).unwrap();
-            assert_eq!(monitor_run(src, &t), reference, "mismatch for {src}");
+            let past_only = eval_trace(&parse(src).unwrap(), &t).unwrap();
+            assert_eq!(monitor_run(src, &t), past_only, "mismatch for {src}");
         }
     }
 
@@ -2117,38 +1613,30 @@ mod tests {
 
     #[test]
     fn rejects_future_operators() {
-        assert!(matches!(
-            CompiledMonitor::compile(&parse("eventually(p)").unwrap()),
-            Err(EvalError::FutureOperator { .. })
-        ));
-        assert!(matches!(
-            CompiledMonitor::compile(&parse("next(p)").unwrap()),
-            Err(EvalError::FutureOperator { .. })
-        ));
+        for src in ["eventually(p)", "next(p)", "always(p -> eventually(q))"] {
+            assert!(
+                matches!(
+                    monitor_form(&parse(src).unwrap()),
+                    Err(EvalError::FutureOperator { .. })
+                ),
+                "`{src}` must be rejected"
+            );
+        }
     }
 
     #[test]
     fn compile_in_rejects_unknown_signals() {
         let table = SignalTable::builder().finish();
         assert_eq!(
-            CompiledMonitor::compile_in(&parse("p").unwrap(), &table).unwrap_err(),
+            FusedSuiteProgram::compile(&[parse("p").unwrap()], &table).unwrap_err(),
             EvalError::UnknownSignal { name: "p".into() }
         );
         let mut b = SignalTable::builder();
         b.real("x");
         assert!(matches!(
-            CompiledMonitor::compile_in(&parse("x < missing").unwrap(), &b.finish()),
+            FusedSuiteProgram::compile(&[parse("x < missing").unwrap()], &b.finish()),
             Err(EvalError::UnknownSignal { name }) if name == "missing"
         ));
-    }
-
-    #[test]
-    fn infer_table_assigns_kinds_by_position() {
-        let e = parse("p && x < 2.0 && cmd == 'STOP'").unwrap();
-        let t = infer_table(&e);
-        assert_eq!(t.kind(t.id("p").unwrap()), SignalKind::Bool);
-        assert_eq!(t.kind(t.id("x").unwrap()), SignalKind::Real);
-        assert_eq!(t.kind(t.id("cmd").unwrap()), SignalKind::Sym);
     }
 
     #[test]
@@ -2156,12 +1644,14 @@ mod tests {
         let mut b = SignalTable::builder();
         let cmd = b.sym("cmd");
         let table = b.finish();
-        let mut m = CompiledMonitor::compile_in(&parse("cmd == 'STOP'").unwrap(), &table).unwrap();
+        let mut suite = compile(&["cmd == 'STOP'"], &table).instantiate();
         let mut f = table.frame();
         f.set(cmd, Value::sym("STOP"));
-        assert!(m.observe(&f).unwrap());
+        suite.observe(&f).unwrap();
+        assert!(suite.verdict(0));
         f.set(cmd, Value::sym("GO"));
-        assert!(!m.observe(&f).unwrap());
+        suite.observe(&f).unwrap();
+        assert!(!suite.verdict(0));
     }
 
     #[test]
@@ -2181,41 +1671,45 @@ mod tests {
 
     #[test]
     fn reset_restores_initial_behaviour() {
-        let mut m = CompiledMonitor::compile(&parse("prev(p)").unwrap()).unwrap();
-        let s_true = State::new().with_bool("p", true);
-        assert!(!m.observe_state(&s_true).unwrap());
-        assert!(m.observe_state(&s_true).unwrap());
-        m.reset();
-        assert_eq!(m.steps_observed(), 0);
-        assert!(!m.observe_state(&s_true).unwrap());
+        let t = trace_of(&[
+            ("p", vec![true, false, true, true]),
+            ("q", vec![false, true, true, false]),
+            ("r", vec![true, true, false, true]),
+        ]);
+        let srcs = ["prev(p)", "once(q) && historically(r)", "initially(p) -> q"];
+        let table = pqr_table();
+        let mut suite = compile(&srcs, &table).instantiate();
+        let run = |suite: &mut FusedSuite| -> Vec<Vec<bool>> {
+            t.iter()
+                .map(|s| {
+                    suite.observe(&table.frame_from_state_lossy(s)).unwrap();
+                    (0..srcs.len()).map(|m| suite.verdict(m)).collect()
+                })
+                .collect()
+        };
+        let first = run(&mut suite);
+        suite.reset();
+        assert_eq!(suite.steps_observed(), 0);
+        assert_eq!(run(&mut suite), first);
+        for (m, src) in srcs.iter().enumerate() {
+            let got: Vec<bool> = first.iter().map(|tick| tick[m]).collect();
+            assert_eq!(got, reference(src, &t), "`{src}` diverged from eval");
+        }
     }
 
-    /// Compiles `srcs` both ways and checks fused verdicts against
-    /// independent per-monitor verdicts over `t`.
+    /// Runs `srcs` as one fused suite over `t`, checking every monitor's
+    /// verdicts against its own [`reference`] evaluation.
     fn assert_fused_matches_per_monitor(srcs: &[&str], t: &Trace) {
-        let exprs: Vec<Expr> = srcs.iter().map(|s| parse(s).unwrap()).collect();
-        let table = {
-            let mut b = SignalTable::builder();
-            for name in ["p", "q", "r"] {
-                b.bool(name);
-            }
-            b.finish()
-        };
-        let mut monitors: Vec<CompiledMonitor> = exprs
-            .iter()
-            .map(|e| CompiledMonitor::compile_in(e, &table).unwrap())
-            .collect();
-        let mut fused = Arc::new(FusedSuiteProgram::compile(&exprs, &table).unwrap()).instantiate();
-        for s in t.iter() {
-            let frame = table.frame_from_state_lossy(s);
-            fused.observe(&frame).unwrap();
-            for (i, m) in monitors.iter_mut().enumerate() {
+        let table = pqr_table();
+        let mut fused = compile(srcs, &table).instantiate();
+        let expected: Vec<Vec<bool>> = srcs.iter().map(|src| reference(src, t)).collect();
+        for (step, s) in t.iter().enumerate() {
+            fused.observe(&table.frame_from_state_lossy(s)).unwrap();
+            for (i, src) in srcs.iter().enumerate() {
                 assert_eq!(
                     fused.verdict(i),
-                    m.observe(&frame).unwrap(),
-                    "monitor {i} (`{}`) diverged at step {}",
-                    srcs[i],
-                    m.steps_observed() - 1
+                    expected[i][step],
+                    "monitor {i} (`{src}`) diverged at step {step}"
                 );
             }
         }
@@ -2264,6 +1758,19 @@ mod tests {
         // The three `prev(q)` occurrences share one temporal cell.
         assert_eq!(program.state_cells(), 1);
         assert_eq!(program.roots(), 3);
+    }
+
+    #[test]
+    fn reads_list_every_signal_the_suite_reads_once() {
+        let mut b = SignalTable::builder();
+        let x = b.real("x");
+        b.bool("unread");
+        let p = b.bool("p");
+        let y = b.real("y");
+        let table = b.finish();
+        let program = compile(&["p || x < 3.0", "prev(x < y) && p", "1.0 < y"], &table);
+        assert_eq!(program.reads(), &[x, p, y]);
+        assert!(compile(&["true"], &table).reads().is_empty());
     }
 
     #[test]
@@ -2319,46 +1826,50 @@ mod tests {
         ));
     }
 
-    /// Feeds `t` to a scalar fused suite per lane and to one batch with
-    /// a retirement schedule (`retire_at[l]` = observe count after which
-    /// lane `l` stops), asserting identical verdicts at every step.
+    /// Feeds `t` to one batch with a retirement schedule (`retire_at[l]`
+    /// = observe count after which lane `l` stops) and to a scalar fused
+    /// suite per lane, asserting at every step that both match the lane's
+    /// own [`reference`] verdicts.
     fn assert_batch_matches_scalar_lanes(srcs: &[&str], traces: &[&Trace], retire_at: &[usize]) {
-        let exprs: Vec<Expr> = srcs.iter().map(|s| parse(s).unwrap()).collect();
-        let table = {
-            let mut b = SignalTable::builder();
-            for name in ["p", "q", "r"] {
-                b.bool(name);
-            }
-            b.finish()
-        };
-        let program = Arc::new(FusedSuiteProgram::compile(&exprs, &table).unwrap());
+        let table = pqr_table();
+        let program = compile(srcs, &table);
         let lanes = traces.len();
+        let expected: Vec<Vec<Vec<bool>>> = traces
+            .iter()
+            .map(|t| srcs.iter().map(|src| reference(src, t)).collect())
+            .collect();
         let mut batch = program.instantiate_batch(lanes);
         let mut scalars: Vec<FusedSuite> = (0..lanes).map(|_| program.instantiate()).collect();
         let max_len = traces.iter().map(|t| t.len()).max().unwrap_or(0);
-        let mut frames: Vec<Frame> = (0..lanes).map(|_| table.frame()).collect();
+        let mut slab = FrameBatch::new(&table, lanes);
         for step in 0..max_len {
             for l in 0..lanes {
                 let lane_done = step >= retire_at[l].min(traces[l].len());
                 if lane_done {
                     batch.retire_lane(l);
                 } else {
-                    frames[l] = table.frame_from_state_lossy(traces[l].state(step).unwrap());
+                    let state = traces[l].state(step).unwrap();
+                    slab.write_lane_from(l, &table.frame_from_state_lossy(state));
                 }
             }
             if batch.active_lanes() == 0 {
                 break;
             }
-            batch.observe_batch(&frames).unwrap();
+            batch.observe_slab(&slab).unwrap();
             for (l, scalar) in scalars.iter_mut().enumerate() {
                 if !batch.is_active(l) {
                     continue;
                 }
-                scalar.observe(&frames[l]).unwrap();
+                scalar
+                    .observe(&table.frame_from_state_lossy(traces[l].state(step).unwrap()))
+                    .unwrap();
+                // The tick this lane just observed.
+                let tick = batch.steps_observed(l) as usize - 1;
                 for (m, src) in srcs.iter().enumerate() {
+                    let want = expected[l][m][tick];
                     assert_eq!(
-                        batch.verdict(l, m),
-                        scalar.verdict(m),
+                        (batch.verdict(l, m), scalar.verdict(m)),
+                        (want, want),
                         "lane {l} monitor {m} (`{src}`) diverged at step {step}"
                     );
                 }
@@ -2410,24 +1921,23 @@ mod tests {
         let mut b = SignalTable::builder();
         let p = b.bool("p");
         let table = b.finish();
-        let program =
-            Arc::new(FusedSuiteProgram::compile(&[parse("prev(p)").unwrap()], &table).unwrap());
+        let program = compile(&["prev(p)"], &table);
         let mut batch = program.instantiate_batch(2);
-        let mut frames = vec![table.frame(), table.frame()];
-        frames[0].set(p, true);
-        frames[1].set(p, true);
-        batch.observe_batch(&frames).unwrap();
+        let mut slab = FrameBatch::new(&table, 2);
+        slab.set(p, 0, true);
+        slab.set(p, 1, true);
+        batch.observe_slab(&slab).unwrap();
         batch.retire_lane(1);
         batch.retire_lane(1); // idempotent
         assert_eq!(batch.active_lanes(), 1);
-        batch.observe_batch(&frames).unwrap();
+        batch.observe_slab(&slab).unwrap();
         assert!(batch.verdict(0, 0));
         assert_eq!(batch.steps_observed(0), 2);
         assert_eq!(batch.steps_observed(1), 1, "retired lane froze");
         batch.reset();
         assert_eq!(batch.active_lanes(), 2);
         assert_eq!(batch.steps_observed(0), 0);
-        batch.observe_batch(&frames).unwrap();
+        batch.observe_slab(&slab).unwrap();
         assert!(!batch.verdict(0, 0), "reset must clear temporal history");
         assert!(!batch.verdict(1, 0), "reset must reactivate lane 1 clean");
     }
@@ -2437,19 +1947,13 @@ mod tests {
         let mut b = SignalTable::builder();
         let p = b.bool("p");
         let table = b.finish();
-        let program = Arc::new(
-            FusedSuiteProgram::compile(
-                &[parse("prev(p)").unwrap(), parse("once(!p)").unwrap()],
-                &table,
-            )
-            .unwrap(),
-        );
+        let program = compile(&["prev(p)", "once(!p)"], &table);
         let mut batch = program.instantiate_batch(2);
-        let mut frames = vec![table.frame(), table.frame()];
-        frames[0].set(p, true);
-        frames[1].set(p, false); // lane 1 trips `once(!p)` forever
-        batch.observe_batch(&frames).unwrap();
-        batch.observe_batch(&frames).unwrap();
+        let mut slab = FrameBatch::new(&table, 2);
+        slab.set(p, 0, true);
+        slab.set(p, 1, false); // lane 1 trips `once(!p)` forever
+        batch.observe_slab(&slab).unwrap();
+        batch.observe_slab(&slab).unwrap();
         assert!(batch.verdict(1, 1), "lane 1 latched once(!p)");
         batch.retire_lane(1);
         assert_eq!(batch.active_lanes(), 1);
@@ -2459,8 +1963,8 @@ mod tests {
         assert_eq!(batch.active_lanes(), 2);
         assert_eq!(batch.steps_observed(1), 0);
         assert_eq!(batch.steps_observed(0), 2, "neighbour untouched");
-        frames[1].set(p, true);
-        batch.observe_batch(&frames).unwrap();
+        slab.set(p, 1, true);
+        batch.observe_slab(&slab).unwrap();
         assert!(
             !batch.verdict(1, 1),
             "reclaimed lane must not inherit the previous run's once() latch"
@@ -2480,15 +1984,14 @@ mod tests {
         b.bool("p");
         b.bool("q");
         let table = b.finish();
-        let exprs = [parse("p").unwrap(), parse("p || q").unwrap()];
-        let program = Arc::new(FusedSuiteProgram::compile(&exprs, &table).unwrap());
+        let program = compile(&["p", "p || q"], &table);
         let mut batch = program.instantiate_batch(2);
         let mut ok = table.frame();
         ok.set_named("p", true);
         ok.set_named("q", false);
         let mut missing_q = table.frame();
         missing_q.set_named("p", true);
-        let err = batch.observe_batch(&[ok, missing_q]).unwrap_err();
+        let err = batch.observe_slab(&slab_of(&[ok, missing_q])).unwrap_err();
         assert_eq!((err.lane, err.monitor), (1, 1));
         assert!(matches!(err.source, EvalError::MissingVar { ref name, .. } if name == "q"));
         assert!(err.to_string().contains("lane #1"));
@@ -2496,18 +1999,19 @@ mod tests {
 
     #[test]
     fn missing_and_mistyped_signals_error_by_name() {
-        let mut m = CompiledMonitor::compile(&parse("p").unwrap()).unwrap();
+        let table = pqr_table();
+        let mut suite = compile(&["p"], &table).instantiate();
         assert_eq!(
-            m.observe(&m.table().clone().frame()).unwrap_err(),
+            suite.observe(&table.frame()).unwrap_err().source,
             EvalError::MissingVar {
                 name: "p".into(),
                 step: 0
             }
         );
-        let mut m2 = CompiledMonitor::compile(&parse("p || q").unwrap()).unwrap();
+        let mut suite = compile(&["p || q"], &table).instantiate();
         let s = State::new().with_int("p", 3).with_bool("q", true);
         assert!(matches!(
-            m2.observe_state(&s),
+            suite.observe(&table.frame_from_state_lossy(&s)).map_err(|e| e.source),
             Err(EvalError::NotBoolean { name, found: "int" }) if name == "p"
         ));
     }

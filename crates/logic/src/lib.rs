@@ -26,21 +26,21 @@
 //!   [`SignalTable::frame_from_state`] and [`Frame::to_state`].
 //! * [`frame_trace`] — recorded traces in the production representation:
 //!   a [`FrameTrace`] stores one column per signal so recordings replay
-//!   through compiled monitors at frame speed. Conversions:
+//!   through the fused engine at frame speed. Conversions:
 //!   [`FrameTrace::from_trace`] and [`FrameTrace::to_trace`].
 //!
 //! # Views of the [`Expr`] AST
 //!
 //! * [`parser`] — a round-trippable text syntax
 //!   (`always(dc || es.stopped)`, `held_for(drc == 'STOP', 200ms) -> ok`);
-//! * [`eval`] — reference evaluation over complete recorded [`Trace`]s
-//!   (the semantics of record the incremental monitor is property-tested
-//!   against);
-//! * [`incremental`] — an O(#subformulas)-per-tick monitor; variable
-//!   references are resolved to [`SignalId`]s at compile time via
-//!   [`CompiledMonitor::compile_in`], and whole goal suites fuse into
-//!   one deduplicated DAG ([`FusedSuiteProgram`]) evaluating every
-//!   shared subexpression once per tick;
+//! * [`eval`] — reference evaluation over complete recorded [`Trace`]s:
+//!   the semantics of record, and the one oracle the incremental engine
+//!   is property-tested against;
+//! * [`incremental`] — the one incremental engine: a goal suite
+//!   compiles into one deduplicated DAG ([`FusedSuiteProgram`]) over
+//!   [`SignalId`]s resolved at compile time, evaluating every shared
+//!   subexpression once per tick at two widths — [`FusedSuite`] reads a
+//!   [`Frame`], [`FusedSuiteBatch`] reads a [`FrameBatch`];
 //! * [`prop`] — bounded two-state unrolling into propositional formulas
 //!   over a dense `(variable, age)` atom table with model enumeration,
 //!   used by the composability and realizability analyses of `esafe-core`.
@@ -48,7 +48,8 @@
 //! # Example
 //!
 //! ```
-//! use esafe_logic::{parse, CompiledMonitor, SignalTable};
+//! use esafe_logic::{parse, FusedSuiteProgram, SignalTable};
+//! use std::sync::Arc;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut b = SignalTable::builder();
@@ -57,17 +58,18 @@
 //! let table = b.finish();
 //!
 //! let goal = parse("always(door_closed || elevator_stopped)")?;
-//! let mut monitor = CompiledMonitor::compile_in(&goal, &table)?;
+//! let program = Arc::new(FusedSuiteProgram::compile(&[goal], &table)?);
+//! let mut monitor = program.instantiate();
 //!
 //! let mut frame = table.frame();
 //! frame.set(door, true);
 //! frame.set(stopped, true);
-//! let ok = monitor.observe(&frame)?;
+//! monitor.observe(&frame)?;
+//! assert!(monitor.verdict(0));
 //! frame.set(door, false);
 //! frame.set(stopped, false);
-//! let bad = monitor.observe(&frame)?;
-//! assert!(ok);
-//! assert!(!bad); // the safety goal is violated in the second state
+//! monitor.observe(&frame)?;
+//! assert!(!monitor.verdict(0)); // the safety goal is violated in the second state
 //! # Ok(())
 //! # }
 //! ```
@@ -92,10 +94,7 @@ pub use error::{EvalError, ParseError, PropError};
 pub use expr::{CmpOp, Expr, Operand};
 pub use frame_batch::{FrameBatch, LaneMut, LaneRef, SignalRead, SignalWrite};
 pub use frame_trace::FrameTrace;
-pub use incremental::{
-    BatchError, CompiledMonitor, CompiledProgram, FusedError, FusedSuite, FusedSuiteBatch,
-    FusedSuiteProgram,
-};
+pub use incremental::{BatchError, FusedError, FusedSuite, FusedSuiteBatch, FusedSuiteProgram};
 pub use parser::parse;
 pub use signal::{Frame, SignalId, SignalKind, SignalTable, SignalTableBuilder};
 pub use state::{State, Trace};

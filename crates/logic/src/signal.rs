@@ -271,8 +271,8 @@ impl SignalTable {
     }
 
     /// Builds a frame carrying the state's values for names the table
-    /// knows, silently skipping the rest (the lenient conversion behind
-    /// [`CompiledMonitor::observe_state`](crate::CompiledMonitor::observe_state)).
+    /// knows, silently skipping the rest — the lenient conversion tests
+    /// use to feed name-keyed states to the incremental engine.
     pub fn frame_from_state_lossy(self: &Arc<Self>, state: &State) -> Frame {
         let mut frame = self.frame();
         for (name, value) in state.iter() {

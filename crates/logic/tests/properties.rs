@@ -1,8 +1,11 @@
 //! Property-based tests for the temporal-logic engine.
 
-use esafe_logic::eval::eval_trace;
-use esafe_logic::incremental::{monitor_form, CompiledMonitor, FusedSuiteProgram};
-use esafe_logic::{parse, prop, Expr, FrameTrace, SignalTable, State, Trace, Value};
+use esafe_logic::eval::{eval_at, eval_trace};
+use esafe_logic::incremental::{monitor_form, FusedSuiteProgram};
+use esafe_logic::{
+    parse, prop, BatchError, CmpOp, EvalError, Expr, FrameBatch, FrameTrace, FusedError,
+    FusedSuite, FusedSuiteBatch, Operand, SignalKind, SignalTable, State, Trace, Value,
+};
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -25,6 +28,14 @@ fn past_expr(depth: u32) -> impl Strategy<Value = Expr> {
         Just(Expr::Const(false)),
         (0..VARS.len()).prop_map(|i| Expr::var(VARS[i])),
     ];
+    past_over(leaf, depth)
+}
+
+/// Past-time expressions over arbitrary `leaf` atoms.
+fn past_over(
+    leaf: impl Strategy<Value = Expr> + 'static,
+    depth: u32,
+) -> impl Strategy<Value = Expr> {
     leaf.prop_recursive(depth, 24, 3, |inner| {
         prop_oneof![
             inner.clone().prop_map(Expr::not),
@@ -79,6 +90,81 @@ fn suite_from(pool: &[Expr], spec: &[(usize, usize, u8)]) -> Vec<Expr> {
         .collect()
 }
 
+/// The semantics of record for one monitor: [`eval_trace`] over the
+/// expression's [`monitor_form`].
+fn reference(e: &Expr, trace: &Trace) -> Vec<bool> {
+    eval_trace(&monitor_form(e).expect("past-only formula"), trace).expect("vars present")
+}
+
+/// Compiles `exprs` as one fused program over `table`.
+fn fuse(exprs: &[Expr], table: &Arc<SignalTable>) -> Arc<FusedSuiteProgram> {
+    Arc::new(FusedSuiteProgram::compile(exprs, table).expect("compiles"))
+}
+
+/// Splitmix-style per-lane retirement step in `0..24` (possibly beyond
+/// the lane's trace, i.e. never retired).
+fn retire_schedule(seed: u64, lanes: usize) -> Vec<usize> {
+    (0..lanes)
+        .map(|l| {
+            let mut z = seed.wrapping_add(l as u64).wrapping_mul(0x9e3779b97f4a7c15);
+            z ^= z >> 31;
+            (z % 24) as usize
+        })
+        .collect()
+}
+
+/// Runs `exprs` as one fused program over `traces`, one lane per trace:
+/// a batch retiring lane `l` after `retire_at[l]` samples, and a scalar
+/// suite per lane. At every step, each active lane's verdicts from both
+/// engines must equal that lane's [`reference`] verdicts.
+fn assert_lanes_match_eval(
+    exprs: &[Expr],
+    table: &Arc<SignalTable>,
+    traces: &[Trace],
+    retire_at: &[usize],
+) {
+    let lanes = traces.len();
+    let expected: Vec<Vec<Vec<bool>>> = traces
+        .iter()
+        .map(|t| exprs.iter().map(|e| reference(e, t)).collect())
+        .collect();
+    let program = fuse(exprs, table);
+    let mut batch: FusedSuiteBatch = program.instantiate_batch(lanes);
+    let mut scalars: Vec<FusedSuite> = (0..lanes).map(|_| program.instantiate()).collect();
+    let mut slab = FrameBatch::new(table, lanes);
+    let max_len = traces.iter().map(|t| t.len()).max().unwrap();
+    for step in 0..max_len {
+        for l in 0..lanes {
+            if step >= retire_at[l].min(traces[l].len()) {
+                batch.retire_lane(l);
+            } else {
+                let frame = table.frame_from_state_lossy(traces[l].state(step).unwrap());
+                slab.write_lane_from(l, &frame);
+                scalars[l].observe(&frame).expect("vars present");
+            }
+        }
+        if batch.active_lanes() == 0 {
+            break;
+        }
+        batch.observe_slab(&slab).expect("vars present");
+        for (l, scalar) in scalars.iter().enumerate() {
+            if !batch.is_active(l) {
+                continue;
+            }
+            // The tick this lane just observed.
+            let tick = batch.steps_observed(l) as usize - 1;
+            for (m, expr) in exprs.iter().enumerate() {
+                let want = expected[l][m][tick];
+                assert_eq!(
+                    (batch.verdict(l, m), scalar.verdict(m)),
+                    (want, want),
+                    "lane {l} monitor {m} diverged at step {step} on `{expr}`"
+                );
+            }
+        }
+    }
+}
+
 fn random_trace(rows: Vec<[bool; 4]>) -> Trace {
     let mut t = Trace::with_tick_millis(1);
     for row in rows {
@@ -103,6 +189,263 @@ fn slot_values() -> impl Strategy<Value = Vec<(&'static str, Value)>> {
         )
     });
     (b, i, rs).prop_map(|(b, i, (r, s))| vec![("flag", b), ("floor", i), ("speed", r), ("cmd", s)])
+}
+
+/// The signals of the comparison-atom properties: two of each kind, so
+/// an atom can compare a signal with a literal, a literal with a signal,
+/// or two signals of the same or of different kinds.
+const TYPED: [(&str, SignalKind); 8] = [
+    ("b", SignalKind::Bool),
+    ("c", SignalKind::Bool),
+    ("i", SignalKind::Int),
+    ("j", SignalKind::Int),
+    ("x", SignalKind::Real),
+    ("y", SignalKind::Real),
+    ("s", SignalKind::Sym),
+    ("t", SignalKind::Sym),
+];
+static ALL_SIGNALS: [usize; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
+static NUMERIC_SIGNALS: [usize; 4] = [2, 3, 4, 5];
+static ALL_KINDS: [SignalKind; 4] = [
+    SignalKind::Bool,
+    SignalKind::Int,
+    SignalKind::Real,
+    SignalKind::Sym,
+];
+static NUMERIC_KINDS: [SignalKind; 2] = [SignalKind::Int, SignalKind::Real];
+static ALL_OPS: [CmpOp; 6] = [
+    CmpOp::Eq,
+    CmpOp::Ne,
+    CmpOp::Lt,
+    CmpOp::Le,
+    CmpOp::Gt,
+    CmpOp::Ge,
+];
+static ORDERINGS: [CmpOp; 4] = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+static EQUALITIES: [CmpOp; 2] = [CmpOp::Eq, CmpOp::Ne];
+
+/// Corner values per kind: NaN, both zeros, both infinities, and reals
+/// equal to ints, so every comparison row sweep meets its edge cases.
+const INTS: [i64; 4] = [-1, 0, 1, 2];
+const REALS: [f64; 8] = [
+    f64::NAN,
+    -0.0,
+    0.0,
+    1.0,
+    -1.5,
+    2.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+];
+const SYMS: [&str; 2] = ["STOP", "GO"];
+
+/// Index past every corner table: with gaps on, the signal is unset.
+const UNSET: usize = REALS.len();
+
+fn typed_table() -> Arc<SignalTable> {
+    let mut b = SignalTable::builder();
+    for (name, kind) in TYPED {
+        b.signal(name, kind);
+    }
+    b.finish()
+}
+
+/// Corner value `k` of `kind`.
+fn corner(kind: SignalKind, k: usize) -> Value {
+    match kind {
+        SignalKind::Bool => Value::Bool(k.is_multiple_of(2)),
+        SignalKind::Int => Value::Int(INTS[k % INTS.len()]),
+        SignalKind::Real => Value::Real(REALS[k % REALS.len()]),
+        SignalKind::Sym => Value::sym(SYMS[k % SYMS.len()]),
+    }
+}
+
+/// One state per row; `row[n]` picks [`TYPED`] signal `n`'s corner
+/// value. With `gaps`, [`UNSET`] leaves the signal unset.
+fn typed_trace(rows: Vec<Vec<usize>>, gaps: bool) -> Trace {
+    let mut t = Trace::with_tick_millis(1);
+    for row in rows {
+        let mut s = State::new();
+        for (&(name, kind), &k) in TYPED.iter().zip(&row) {
+            if !(gaps && k == UNSET) {
+                s.set(name, corner(kind, k));
+            }
+        }
+        t.push(s);
+    }
+    t
+}
+
+fn signal_operand(pick: &'static [usize]) -> BoxedStrategy<Operand> {
+    (0..pick.len())
+        .prop_map(move |i| Operand::var(TYPED[pick[i]].0))
+        .boxed()
+}
+
+fn literal_operand(kinds: &'static [SignalKind]) -> BoxedStrategy<Operand> {
+    (0..kinds.len(), 0..REALS.len())
+        .prop_map(move |(kind, k)| Operand::Lit(corner(kinds[kind], k)))
+        .boxed()
+}
+
+/// `a op b` in each of the three shapes: signal vs literal, literal vs
+/// signal, and signal vs signal.
+fn atom(
+    signal: BoxedStrategy<Operand>,
+    literal: BoxedStrategy<Operand>,
+    ops: &'static [CmpOp],
+) -> BoxedStrategy<Expr> {
+    let op = (0..ops.len()).prop_map(move |i| ops[i]).boxed();
+    prop_oneof![
+        (signal.clone(), op.clone(), literal.clone()),
+        (literal, op.clone(), signal.clone()),
+        (signal.clone(), op, signal),
+    ]
+    .prop_map(|(a, op, b)| Expr::cmp(a, op, b))
+    .boxed()
+}
+
+/// Any comparison atom — every shape, operator and kind, including
+/// orderings on symbols and booleans, which `eval` refuses.
+fn any_atom() -> BoxedStrategy<Expr> {
+    atom(
+        signal_operand(&ALL_SIGNALS),
+        literal_operand(&ALL_KINDS),
+        &ALL_OPS,
+    )
+}
+
+/// A comparison atom that is never incomparable: orderings only between
+/// numeric operands, equality between any.
+fn comparable_atom() -> BoxedStrategy<Expr> {
+    prop_oneof![
+        atom(
+            signal_operand(&NUMERIC_SIGNALS),
+            literal_operand(&NUMERIC_KINDS),
+            &ORDERINGS,
+        ),
+        atom(
+            signal_operand(&ALL_SIGNALS),
+            literal_operand(&ALL_KINDS),
+            &EQUALITIES,
+        ),
+    ]
+    .boxed()
+}
+
+/// What one fused pass over bare atoms must report.
+enum Pass {
+    /// Every observing lane's verdicts: `(lane, verdict per atom)`.
+    Verdicts(Vec<(usize, Vec<bool>)>),
+    /// The first atom (by suite order) that errors in any lane, in the
+    /// first lane where it does.
+    Error {
+        lane: usize,
+        monitor: usize,
+        source: EvalError,
+    },
+}
+
+/// The pass `eval`'s results for one sample call for; `results` holds
+/// `(lane, one result per atom)` for every observing lane.
+fn expected_pass(results: &[(usize, Vec<Result<bool, EvalError>>)]) -> Pass {
+    let atoms = results.first().map_or(0, |(_, r)| r.len());
+    for monitor in 0..atoms {
+        for (lane, r) in results {
+            if let Err(source) = &r[monitor] {
+                return Pass::Error {
+                    lane: *lane,
+                    monitor,
+                    source: source.clone(),
+                };
+            }
+        }
+    }
+    Pass::Verdicts(
+        results
+            .iter()
+            .map(|(lane, r)| (*lane, r.iter().map(|v| *v.as_ref().unwrap()).collect()))
+            .collect(),
+    )
+}
+
+/// Runs bare comparison `atoms` as one fused program over `traces`, one
+/// lane per trace: a scalar suite per lane, and a batch retiring lane
+/// `l` after `retire_at[l]` samples. Each pass must report what
+/// [`expected_pass`] derives from `eval`; a pass that errors ends that
+/// engine's run.
+fn check_bare_atoms(atoms: &[Expr], traces: &[Trace], retire_at: &[usize]) {
+    let table = typed_table();
+    // A bare atom is its own monitor form.
+    let eval_tick = |l: usize, step: usize| -> Vec<Result<bool, EvalError>> {
+        atoms.iter().map(|a| eval_at(a, &traces[l], step)).collect()
+    };
+    let program = fuse(atoms, &table);
+
+    for (l, trace) in traces.iter().enumerate() {
+        let mut scalar = program.instantiate();
+        for (step, s) in trace.iter().enumerate() {
+            let got = scalar.observe(&table.frame_from_state_lossy(s));
+            match expected_pass(&[(l, eval_tick(l, step))]) {
+                Pass::Verdicts(want) => {
+                    assert!(got.is_ok(), "lane {l} step {step}: {got:?}");
+                    let verdicts: Vec<bool> = (0..atoms.len()).map(|m| scalar.verdict(m)).collect();
+                    assert_eq!(verdicts, want[0].1, "lane {l} step {step} on {atoms:?}");
+                }
+                Pass::Error {
+                    monitor, source, ..
+                } => {
+                    assert_eq!(got, Err(FusedError { monitor, source }));
+                    break;
+                }
+            }
+        }
+    }
+
+    let lanes = traces.len();
+    let mut batch = program.instantiate_batch(lanes);
+    let mut slab = FrameBatch::new(&table, lanes);
+    let max_len = traces.iter().map(|t| t.len()).max().unwrap();
+    for step in 0..max_len {
+        let mut results = Vec::new();
+        for (l, trace) in traces.iter().enumerate() {
+            if step >= retire_at[l].min(trace.len()) {
+                batch.retire_lane(l);
+            } else {
+                let state = trace.state(step).unwrap();
+                slab.write_lane_from(l, &table.frame_from_state_lossy(state));
+                results.push((l, eval_tick(l, step)));
+            }
+        }
+        if results.is_empty() {
+            break;
+        }
+        let got = batch.observe_slab(&slab);
+        match expected_pass(&results) {
+            Pass::Verdicts(want) => {
+                assert!(got.is_ok(), "step {step}: {got:?}");
+                for (l, verdicts) in want {
+                    let row: Vec<bool> = (0..atoms.len()).map(|m| batch.verdict(l, m)).collect();
+                    assert_eq!(row, verdicts, "lane {l} step {step} on {atoms:?}");
+                }
+            }
+            Pass::Error {
+                lane,
+                monitor,
+                source,
+            } => {
+                assert_eq!(
+                    got,
+                    Err(BatchError {
+                        lane,
+                        monitor,
+                        source
+                    })
+                );
+                break;
+            }
+        }
+    }
 }
 
 proptest! {
@@ -153,20 +496,24 @@ proptest! {
         prop_assert_eq!(back, frame);
     }
 
-    /// The incremental monitor agrees with the reference trace evaluator on
-    /// the monitorable rewrite of every formula.
+    /// A one-root fused suite agrees with the reference trace evaluator
+    /// on the monitorable rewrite of every formula.
     #[test]
     fn incremental_matches_reference(
         e in past_expr(4),
         rows in proptest::collection::vec(proptest::array::uniform4(any::<bool>()), 1..30),
     ) {
         let trace = random_trace(rows);
-        let rewritten = monitor_form(&e).expect("past-only formula");
-        let reference = eval_trace(&rewritten, &trace).expect("vars present");
-        let mut m = CompiledMonitor::compile(&e).expect("compiles");
-        let incremental: Vec<bool> =
-            trace.iter().map(|s| m.observe_state(s).expect("vars present")).collect();
-        prop_assert_eq!(incremental, reference);
+        let table = four_bool_table();
+        let mut suite = fuse(std::slice::from_ref(&e), &table).instantiate();
+        let incremental: Vec<bool> = trace
+            .iter()
+            .map(|s| {
+                suite.observe(&table.frame_from_state_lossy(s)).expect("vars present");
+                suite.verdict(0)
+            })
+            .collect();
+        prop_assert_eq!(incremental, reference(&e, &trace));
     }
 
     /// A name-keyed trace survives the round trip through the
@@ -184,9 +531,7 @@ proptest! {
     }
 
     /// Frame-speed replay over the column trace produces exactly the
-    /// monitor verdicts of feeding the name-keyed states one by one —
-    /// and therefore (by `incremental_matches_reference`) the reference
-    /// trace semantics of the monitorable rewrite.
+    /// reference trace semantics of the monitorable rewrite.
     #[test]
     fn frame_trace_replay_matches_state_replay(
         e in past_expr(4),
@@ -195,10 +540,7 @@ proptest! {
         let trace = random_trace(rows);
         let table = four_bool_table();
         let ft = FrameTrace::from_trace(&table, &trace).expect("names resolve");
-        let mut by_state = CompiledMonitor::compile_in(&e, &table).expect("compiles");
-        let expected: Vec<bool> =
-            trace.iter().map(|s| by_state.observe_state(s).expect("vars present")).collect();
-        prop_assert_eq!(ft.replay_expr(&e).expect("replays"), expected);
+        prop_assert_eq!(ft.replay_expr(&e).expect("replays"), reference(&e, &trace));
     }
 
     /// Propositional equivalence implies identical truth on concrete traces
@@ -260,9 +602,10 @@ proptest! {
     }
 
     /// Fused suite-level evaluation produces exactly the verdicts of
-    /// independent per-monitor evaluation, on random traces and random
-    /// suites built from shared subexpressions — the correctness
-    /// contract of the cross-monitor CSE engine.
+    /// evaluating each monitor on its own with the reference evaluator,
+    /// on random traces and random suites built from shared
+    /// subexpressions — the correctness contract of the cross-monitor
+    /// CSE engine.
     #[test]
     fn fused_suite_matches_per_monitor_on_shared_suites(
         pool in proptest::collection::vec(past_expr(3), 2..5),
@@ -273,32 +616,28 @@ proptest! {
         let exprs = suite_from(&pool, &spec);
         let table = four_bool_table();
         let trace = random_trace(rows);
-        let mut monitors: Vec<CompiledMonitor> = exprs
-            .iter()
-            .map(|e| CompiledMonitor::compile_in(e, &table).expect("compiles"))
-            .collect();
-        let program = Arc::new(
-            FusedSuiteProgram::compile(&exprs, &table).expect("compiles"));
+        let expected: Vec<Vec<bool>> = exprs.iter().map(|e| reference(e, &trace)).collect();
+        let program = fuse(&exprs, &table);
         prop_assert!(program.unique_nodes() <= program.source_nodes());
         let mut fused = program.instantiate();
-        for s in trace.iter() {
-            let frame = table.frame_from_state_lossy(s);
-            fused.observe(&frame).expect("vars present");
-            for (i, m) in monitors.iter_mut().enumerate() {
+        for (step, s) in trace.iter().enumerate() {
+            fused.observe(&table.frame_from_state_lossy(s)).expect("vars present");
+            for (i, e) in exprs.iter().enumerate() {
                 prop_assert_eq!(
                     fused.verdict(i),
-                    m.observe(&frame).expect("vars present"),
-                    "monitor {} diverged on `{}`", i, &exprs[i]
+                    expected[i][step],
+                    "monitor {} diverged at step {} on `{}`", i, step, e
                 );
             }
         }
     }
 
-    /// The batched SoA evaluator produces exactly the verdicts of a
-    /// scalar fused suite per lane — on random suites, random per-lane
-    /// traces, and random mid-batch retirement schedules (a lane that
-    /// stops early must freeze without perturbing its neighbours). This
-    /// is the correctness contract of the striped sweep engine.
+    /// The batched SoA evaluator and a scalar fused suite per lane both
+    /// produce exactly each lane's reference verdicts — on random suites,
+    /// random per-lane traces, and random mid-batch retirement schedules
+    /// (a lane that stops early must freeze without perturbing its
+    /// neighbours). This is the correctness contract of the striped
+    /// sweep engine.
     #[test]
     fn batched_fused_matches_scalar_fused_per_lane(
         pool in proptest::collection::vec(past_expr(3), 2..5),
@@ -309,53 +648,10 @@ proptest! {
             1..5),
         retire_seed in 0u64..u64::MAX,
     ) {
-        use esafe_logic::FusedSuiteBatch;
         let exprs = suite_from(&pool, &spec);
-        let table = four_bool_table();
         let traces: Vec<Trace> = lane_rows.into_iter().map(random_trace).collect();
-        let lanes = traces.len();
-        // Splitmix-style per-lane retirement step (possibly beyond the
-        // lane's trace, i.e. never retired).
-        let retire_at: Vec<usize> = (0..lanes)
-            .map(|l| {
-                let mut z = retire_seed.wrapping_add(l as u64).wrapping_mul(0x9e3779b97f4a7c15);
-                z ^= z >> 31;
-                (z % 24) as usize
-            })
-            .collect();
-        let program = Arc::new(
-            FusedSuiteProgram::compile(&exprs, &table).expect("compiles"));
-        let mut batch: FusedSuiteBatch = program.instantiate_batch(lanes);
-        let mut scalars: Vec<_> = (0..lanes).map(|_| program.instantiate()).collect();
-        let mut frames: Vec<_> = (0..lanes).map(|_| table.frame()).collect();
-        let max_len = traces.iter().map(|t| t.len()).max().unwrap();
-        for step in 0..max_len {
-            for l in 0..lanes {
-                if step >= retire_at[l].min(traces[l].len()) {
-                    batch.retire_lane(l);
-                } else {
-                    frames[l] = table.frame_from_state_lossy(traces[l].state(step).unwrap());
-                }
-            }
-            if batch.active_lanes() == 0 {
-                break;
-            }
-            batch.observe_batch(&frames).expect("vars present");
-            for (l, scalar) in scalars.iter_mut().enumerate() {
-                if !batch.is_active(l) {
-                    continue;
-                }
-                scalar.observe(&frames[l]).expect("vars present");
-                for (m, expr) in exprs.iter().enumerate() {
-                    prop_assert_eq!(
-                        batch.verdict(l, m),
-                        scalar.verdict(m),
-                        "lane {} monitor {} diverged at step {} on `{}`",
-                        l, m, step, expr
-                    );
-                }
-            }
-        }
+        let retire_at = retire_schedule(retire_seed, traces.len());
+        assert_lanes_match_eval(&exprs, &four_bool_table(), &traces, &retire_at);
     }
 
     /// Fusing the same formula list twice adds no new nodes beyond the
@@ -373,21 +669,85 @@ proptest! {
         prop_assert_eq!(doubled.roots(), 2);
     }
 
-    /// Monitor `reset` makes re-observation identical to a fresh monitor.
+    /// `reset` makes re-observation identical to a fresh suite, and both
+    /// match the reference evaluator.
     #[test]
     fn reset_equals_fresh(
         e in past_expr(3),
         rows in proptest::collection::vec(proptest::array::uniform4(any::<bool>()), 1..15),
     ) {
         let trace = random_trace(rows);
-        let mut m = CompiledMonitor::compile(&e).expect("compiles");
-        for s in trace.iter() {
-            let _ = m.observe_state(s).unwrap();
-        }
+        let table = four_bool_table();
+        let program = fuse(std::slice::from_ref(&e), &table);
+        let run = |suite: &mut FusedSuite| -> Vec<bool> {
+            trace
+                .iter()
+                .map(|s| {
+                    suite.observe(&table.frame_from_state_lossy(s)).unwrap();
+                    suite.verdict(0)
+                })
+                .collect()
+        };
+        let mut m = program.instantiate();
+        run(&mut m);
         m.reset();
-        let replay: Vec<bool> = trace.iter().map(|s| m.observe_state(s).unwrap()).collect();
-        let mut fresh = CompiledMonitor::compile(&e).expect("compiles");
-        let fresh_run: Vec<bool> = trace.iter().map(|s| fresh.observe_state(s).unwrap()).collect();
-        prop_assert_eq!(replay, fresh_run);
+        let replay = run(&mut m);
+        prop_assert_eq!(&replay, &run(&mut program.instantiate()));
+        prop_assert_eq!(replay, reference(&e, &trace));
+    }
+
+    /// Bare comparison atoms — every shape, operator and value corner,
+    /// mostly comparable, some not, with signals sometimes unset — agree
+    /// with `eval` at every tick in both engines, and each engine errors
+    /// exactly when `eval` does. Each case checks 32 suites.
+    #[test]
+    fn comparison_atoms_match_eval_and_error_with_it(
+        scenarios in proptest::collection::vec(
+            (
+                proptest::collection::vec(
+                    prop_oneof![comparable_atom(), comparable_atom(), comparable_atom(), any_atom()],
+                    1..6),
+                proptest::collection::vec(
+                    proptest::collection::vec(
+                        proptest::collection::vec(0..UNSET + 1, TYPED.len()), 1..16),
+                    1..5),
+                (0u64..u64::MAX, any::<bool>()),
+            ),
+            32),
+    ) {
+        for (atoms, lane_rows, (retire_seed, gaps)) in scenarios {
+            let traces: Vec<Trace> =
+                lane_rows.into_iter().map(|rows| typed_trace(rows, gaps)).collect();
+            let retire_at = retire_schedule(retire_seed, traces.len());
+            check_bare_atoms(&atoms, &traces, &retire_at);
+        }
+    }
+
+    /// Temporal suites over comparison atoms (orderings only on numeric
+    /// operands, so no sample is incomparable) match `eval` in both
+    /// engines, lane by lane, under random retirement.
+    #[test]
+    fn comparison_atoms_in_temporal_suites_match_eval(
+        pool in proptest::collection::vec(
+            past_over(
+                prop_oneof![comparable_atom(), (0..2usize).prop_map(|i| Expr::var(TYPED[i].0))],
+                3,
+            ),
+            2..5),
+        spec in proptest::collection::vec(
+            (0usize..16, 0usize..16, 0u8..32), 1..6),
+        lane_rows in proptest::collection::vec(
+            proptest::collection::vec(
+                proptest::collection::vec(0..UNSET, TYPED.len()), 1..16),
+            1..5),
+        retire_seed in 0u64..u64::MAX,
+    ) {
+        let exprs = suite_from(&pool, &spec);
+        let traces: Vec<Trace> = lane_rows
+            .into_iter()
+            .map(|rows| typed_trace(rows, false))
+            .collect();
+        let retire_at = retire_schedule(retire_seed, traces.len());
+        assert_lanes_match_eval(&exprs, &typed_table(), &traces, &retire_at);
     }
 }

@@ -4,8 +4,8 @@
 use crate::correlate::{CorrelationReport, CorrelationRow, SubgoalStats};
 use crate::violation::{IntervalTracker, ViolationInterval};
 use esafe_logic::{
-    CompiledMonitor, CompiledProgram, EvalError, Expr, Frame, FrameBatch, FrameTrace, FusedSuite,
-    FusedSuiteBatch, FusedSuiteProgram, SignalTable,
+    EvalError, Expr, Frame, FrameBatch, FrameTrace, FusedSuite, FusedSuiteBatch, FusedSuiteProgram,
+    SignalId, SignalTable,
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -79,37 +79,16 @@ struct Entry {
     tracker: IntervalTracker,
 }
 
-/// How a suite evaluates its monitors each tick.
-///
-/// Both engines produce identical verdicts on error-free frames (pinned
-/// by property tests and the workspace's golden sweeps); they differ
-/// only in cost:
-///
-/// * `PerMonitor` — one [`CompiledMonitor`] per entry, each re-walking
-///   its own expression tree. This is what incremental suite authoring
-///   ([`MonitorSuite::add_goal`]) builds, and the reference engine the
-///   fused path is tested against.
-/// * `Fused` — the whole suite as one [`FusedSuite`]: a deduplicated
-///   DAG in which every shared subformula is evaluated once per tick.
-///   Stamped out by [`SuiteTemplate::instantiate`].
-#[derive(Debug, Clone)]
-enum Engine {
-    /// Index-aligned with the suite's entries.
-    PerMonitor(Vec<CompiledMonitor>),
-    /// Roots index-aligned with the suite's entries.
-    Fused(FusedSuite),
-}
-
 /// A set of goal and subgoal monitors fed from a shared [`Frame`] stream.
 ///
-/// The suite is bound to one [`SignalTable`] at construction; every goal
-/// formula is compiled against it
-/// ([`CompiledMonitor::compile_in`]), so all variable references resolve
-/// to [`SignalId`](esafe_logic::SignalId)s once and
-/// [`MonitorSuite::observe`] is pure id-indexed slot access. A suite
-/// instantiated from a [`SuiteTemplate`] runs *fused*: one deduplicated
-/// DAG evaluates every monitor in a single pass per tick (see
-/// [`FusedSuiteProgram`]).
+/// The suite is bound to one [`SignalTable`]; its goals compile into one
+/// [`FusedSuiteProgram`] against that table, so every variable reference
+/// resolves to a [`SignalId`] once and
+/// [`MonitorSuite::observe`] is one pass over a deduplicated DAG that
+/// evaluates every shared subformula once per tick. An authored suite
+/// ([`MonitorSuite::new`] + [`add_goal`](MonitorSuite::add_goal))
+/// compiles when it first observes; a [`SuiteTemplate`] carries the
+/// compiled program, so an instantiated suite never compiles.
 ///
 /// Goals are top-level entries; subgoals name their parent goal. After the
 /// run, [`MonitorSuite::correlate`] produces the hit / false-positive /
@@ -118,7 +97,9 @@ enum Engine {
 pub struct MonitorSuite {
     table: Arc<SignalTable>,
     entries: Vec<Entry>,
-    engine: Engine,
+    /// Roots index-aligned with `entries`; `None` until the suite
+    /// compiles.
+    fused: Option<FusedSuite>,
 }
 
 impl MonitorSuite {
@@ -127,7 +108,7 @@ impl MonitorSuite {
         MonitorSuite {
             table,
             entries: Vec::new(),
-            engine: Engine::PerMonitor(Vec::new()),
+            fused: None,
         }
     }
 
@@ -142,6 +123,11 @@ impl MonitorSuite {
     ///
     /// Returns [`EvalError`] if the goal contains future operators or
     /// references a signal outside the suite's table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the suite has already compiled (it has observed, or it
+    /// was instantiated from a [`SuiteTemplate`]).
     pub fn add_goal(
         &mut self,
         id: impl Into<String>,
@@ -161,7 +147,7 @@ impl MonitorSuite {
     /// # Panics
     ///
     /// Panics if `parent_id` has not been added yet — the hierarchy is
-    /// declared top-down.
+    /// declared top-down — or if the suite has already compiled.
     pub fn add_subgoal(
         &mut self,
         id: impl Into<String>,
@@ -186,13 +172,12 @@ impl MonitorSuite {
         location: Location,
         expr: Expr,
     ) -> Result<(), EvalError> {
-        let Engine::PerMonitor(monitors) = &mut self.engine else {
-            panic!(
-                "cannot add monitors to a fused suite; author the suite \
-                 per-monitor and fuse it via `template().instantiate()`"
-            );
-        };
-        monitors.push(CompiledMonitor::compile_in(&expr, &self.table)?);
+        assert!(
+            self.fused.is_none(),
+            "cannot add monitors to a fused suite once it has compiled; \
+             add every goal before the first observe"
+        );
+        FusedSuiteProgram::check(&expr, &self.table)?;
         self.entries.push(Entry {
             meta: Arc::new(EntryMeta {
                 id,
@@ -205,55 +190,29 @@ impl MonitorSuite {
         Ok(())
     }
 
-    /// Whether the suite evaluates through the fused suite-level DAG
-    /// (template-instantiated) rather than one monitor at a time.
-    pub fn is_fused(&self) -> bool {
-        matches!(self.engine, Engine::Fused(_))
+    /// Compiles every entry's formula into one fused program.
+    fn compile(&self) -> Arc<FusedSuiteProgram> {
+        let exprs: Vec<Expr> = self.entries.iter().map(|e| e.meta.expr.clone()).collect();
+        Arc::new(
+            FusedSuiteProgram::compile(&exprs, &self.table)
+                .expect("every formula was checked when it was added"),
+        )
     }
 
     /// Extracts the suite's compile-once artifacts as a
-    /// [`SuiteTemplate`]: one shared `(meta, program)` pair per monitor
-    /// **plus** the suite-level [`FusedSuiteProgram`] merging every
-    /// formula into one deduplicated DAG. Building the template is the
-    /// once-per-sweep compile point; stamping suites from it is
-    /// O(monitors).
+    /// [`SuiteTemplate`]: the shared per-monitor metadata plus the
+    /// suite-level [`FusedSuiteProgram`] merging every formula into one
+    /// deduplicated DAG — compiled here unless the suite already has
+    /// been. Building the template is the once-per-sweep compile point;
+    /// stamping suites from it is O(monitors).
     pub fn template(&self) -> SuiteTemplate {
-        let entries: Vec<TemplateEntry> = match &self.engine {
-            Engine::PerMonitor(monitors) => self
-                .entries
-                .iter()
-                .zip(monitors)
-                .map(|(e, m)| TemplateEntry {
-                    meta: Arc::clone(&e.meta),
-                    program: Arc::clone(m.program()),
-                })
-                .collect(),
-            Engine::Fused(_) => self
-                .entries
-                .iter()
-                .map(|e| TemplateEntry {
-                    meta: Arc::clone(&e.meta),
-                    program: Arc::new(
-                        CompiledProgram::compile(&e.meta.expr, &self.table)
-                            .expect("formula compiled when the suite was built"),
-                    ),
-                })
-                .collect(),
-        };
-        let fused = match &self.engine {
-            Engine::Fused(f) => Arc::clone(f.program()),
-            Engine::PerMonitor(_) => {
-                let exprs: Vec<Expr> = self.entries.iter().map(|e| e.meta.expr.clone()).collect();
-                Arc::new(
-                    FusedSuiteProgram::compile(&exprs, &self.table)
-                        .expect("every formula compiled per-monitor when the suite was built"),
-                )
-            }
-        };
         SuiteTemplate {
             table: self.table.clone(),
-            entries,
-            fused,
+            metas: self.entries.iter().map(|e| Arc::clone(&e.meta)).collect(),
+            fused: match &self.fused {
+                Some(f) => Arc::clone(f.program()),
+                None => self.compile(),
+            },
         }
     }
 
@@ -263,13 +222,8 @@ impl MonitorSuite {
     /// identical to a freshly instantiated one — the property run-context
     /// pooling relies on.
     pub fn reset(&mut self) {
-        match &mut self.engine {
-            Engine::PerMonitor(monitors) => {
-                for m in monitors {
-                    m.reset();
-                }
-            }
-            Engine::Fused(f) => f.reset(),
+        if let Some(f) = &mut self.fused {
+            f.reset();
         }
         for e in &mut self.entries {
             e.tracker.reset();
@@ -278,12 +232,21 @@ impl MonitorSuite {
 
     /// Feeds one frame to every monitor — the per-tick hot path: no
     /// string lookups, no allocation, one table identity check for the
-    /// whole suite. A fused suite makes a single pass over the
-    /// deduplicated DAG and then records one verdict per entry.
+    /// whole suite, a single pass over the deduplicated DAG, then one
+    /// verdict recorded per entry. An authored suite compiles on its
+    /// first call.
+    ///
+    /// Every node of the DAG is evaluated, including branches a
+    /// connective has already decided, so the frame must set every
+    /// signal any goal reads ([`FusedSuiteProgram::reads`]); leaving one
+    /// unset is an error even where the goal's value would not depend
+    /// on it.
     ///
     /// # Errors
     ///
-    /// Returns a [`MonitorError`] naming the failing monitor.
+    /// Returns a [`MonitorError`] naming the first monitor (in suite
+    /// order) whose formula holds the failing node. Treat an error as
+    /// fatal for this run.
     ///
     /// # Panics
     ///
@@ -294,25 +257,16 @@ impl MonitorSuite {
             Arc::ptr_eq(frame.table(), &self.table),
             "frame and suite must share one signal table"
         );
-        match &mut self.engine {
-            Engine::PerMonitor(monitors) => {
-                for (e, m) in self.entries.iter_mut().zip(monitors) {
-                    let ok = m.observe_trusted(frame).map_err(|err| MonitorError {
-                        monitor_id: e.meta.id.clone(),
-                        source: err,
-                    })?;
-                    e.tracker.record(ok);
-                }
-            }
-            Engine::Fused(fused) => {
-                fused.observe(frame).map_err(|err| MonitorError {
-                    monitor_id: self.entries[err.monitor].meta.id.clone(),
-                    source: err.source,
-                })?;
-                for (i, e) in self.entries.iter_mut().enumerate() {
-                    e.tracker.record(fused.verdict(i));
-                }
-            }
+        if self.fused.is_none() {
+            self.fused = Some(self.compile().instantiate());
+        }
+        let fused = self.fused.as_mut().expect("compiled above");
+        fused.observe(frame).map_err(|err| MonitorError {
+            monitor_id: self.entries[err.monitor].meta.id.clone(),
+            source: err.source,
+        })?;
+        for (i, e) in self.entries.iter_mut().enumerate() {
+            e.tracker.record(fused.verdict(i));
         }
         Ok(())
     }
@@ -528,19 +482,16 @@ fn correlate_entries(
 
 /// The compile-once form of a [`MonitorSuite`]: every goal/subgoal
 /// formula of a substrate *family* compiled against the family's shared
-/// [`SignalTable`], held as `Arc`-shared immutable programs — both the
-/// per-monitor [`CompiledProgram`]s and the suite-level
-/// [`FusedSuiteProgram`] that merges every formula into one
-/// deduplicated DAG.
+/// [`SignalTable`] into one `Arc`-shared [`FusedSuiteProgram`] — a
+/// single deduplicated DAG — plus each monitor's shared metadata.
 ///
 /// Building a suite parses and resolves ~`O(formula size)` work per
 /// monitor; a sweep that rebuilt its suite per cell paid that ×cells.
 /// A template is built **once per sweep** (typically via
 /// [`MonitorSuite::template`] on the first suite compiled) and
-/// [`SuiteTemplate::instantiate`] stamps out a per-cell *fused* suite in
+/// [`SuiteTemplate::instantiate`] stamps out a per-cell suite in
 /// O(monitors): Arc clones, two slab allocations, and a `memcpy` of the
-/// temporal state cells. [`SuiteTemplate::instantiate_per_monitor`]
-/// stamps the reference per-monitor engine instead.
+/// temporal state cells.
 ///
 /// An instantiated suite is observationally identical to one compiled
 /// from scratch — same monitors, same ids, same verdicts — which the
@@ -548,14 +499,9 @@ fn correlate_entries(
 #[derive(Debug, Clone)]
 pub struct SuiteTemplate {
     table: Arc<SignalTable>,
-    entries: Vec<TemplateEntry>,
+    /// Index-aligned with the fused program's roots.
+    metas: Vec<Arc<EntryMeta>>,
     fused: Arc<FusedSuiteProgram>,
-}
-
-#[derive(Debug, Clone)]
-struct TemplateEntry {
-    meta: Arc<EntryMeta>,
-    program: Arc<CompiledProgram>,
 }
 
 impl SuiteTemplate {
@@ -566,12 +512,12 @@ impl SuiteTemplate {
 
     /// Number of monitors (goals + subgoals) in the template.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.metas.len()
     }
 
     /// Whether the template holds no monitors.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.metas.is_empty()
     }
 
     /// The suite-level fused program: the deduplicated DAG every
@@ -583,9 +529,9 @@ impl SuiteTemplate {
         &self.fused
     }
 
-    /// Stamps out a fresh **fused** suite — the production engine: no
-    /// parsing, no compilation, no string copies; every monitor verdict
-    /// comes from one shared evaluation pass per tick.
+    /// Stamps out a fresh suite — the production engine: no parsing, no
+    /// compilation, no string copies; every monitor verdict comes from
+    /// one shared evaluation pass per tick.
     ///
     /// # Example
     ///
@@ -604,7 +550,6 @@ impl SuiteTemplate {
     /// let template = authored.template();
     ///
     /// let mut cell_suite = template.instantiate();
-    /// assert!(cell_suite.is_fused());
     /// let mut frame = table.frame();
     /// frame.set(speed, 5.0);
     /// cell_suite.observe(&frame)?;
@@ -619,25 +564,15 @@ impl SuiteTemplate {
     pub fn instantiate(&self) -> MonitorSuite {
         MonitorSuite {
             table: self.table.clone(),
-            entries: self.stamp_entries(),
-            engine: Engine::Fused(self.fused.instantiate()),
-        }
-    }
-
-    /// Stamps out a fresh suite on the **per-monitor** reference engine —
-    /// each goal evaluated by its own [`CompiledMonitor`]. Verdicts are
-    /// identical to [`SuiteTemplate::instantiate`]; this path exists for
-    /// equivalence tests and benchmarks of the fused engine.
-    pub fn instantiate_per_monitor(&self) -> MonitorSuite {
-        MonitorSuite {
-            table: self.table.clone(),
-            entries: self.stamp_entries(),
-            engine: Engine::PerMonitor(
-                self.entries
-                    .iter()
-                    .map(|t| t.program.instantiate())
-                    .collect(),
-            ),
+            entries: self
+                .metas
+                .iter()
+                .map(|meta| Entry {
+                    meta: Arc::clone(meta),
+                    tracker: IntervalTracker::new(),
+                })
+                .collect(),
+            fused: Some(self.fused.instantiate()),
         }
     }
 
@@ -654,24 +589,14 @@ impl SuiteTemplate {
     pub fn instantiate_batch(&self, lanes: usize) -> MonitorSuiteBatch {
         MonitorSuiteBatch {
             table: self.table.clone(),
-            trackers: vec![IntervalTracker::new(); self.entries.len() * lanes],
-            prev: vec![true; self.entries.len() * lanes],
-            metas: self.entries.iter().map(|t| Arc::clone(&t.meta)).collect(),
+            trackers: vec![IntervalTracker::new(); self.metas.len() * lanes],
+            prev: vec![true; self.metas.len() * lanes],
+            metas: self.metas.clone(),
             fused: self.fused.instantiate_batch(lanes),
             lanes,
             generation: 0,
             suspended_scratch: Vec::new(),
         }
-    }
-
-    fn stamp_entries(&self) -> Vec<Entry> {
-        self.entries
-            .iter()
-            .map(|t| Entry {
-                meta: Arc::clone(&t.meta),
-                tracker: IntervalTracker::new(),
-            })
-            .collect()
     }
 }
 
@@ -720,8 +645,8 @@ impl BatchMonitorError {
 ///
 /// The batch is the monitor-side half of the harness's striped sweeps: a
 /// stripe of same-template sweep cells ticks its simulators together and
-/// feeds all observed frames to [`MonitorSuiteBatch::observe_batch`] —
-/// each DAG node is then evaluated across the whole stripe in a
+/// feeds their lane-major state slab to
+/// [`MonitorSuiteBatch::observe_slab`] — each DAG node is then evaluated across the whole stripe in a
 /// straight-line lane loop before moving to the next node, instead of
 /// re-walking the suite once per run.
 ///
@@ -734,7 +659,7 @@ impl BatchMonitorError {
 ///
 /// The per-lane lifecycle mirrors the scalar suite's
 /// observe → finish → correlate → take_violations:
-/// [`observe_batch`](MonitorSuiteBatch::observe_batch) each tick, then
+/// [`observe_slab`](MonitorSuiteBatch::observe_slab) each tick, then
 /// [`retire_lane`](MonitorSuiteBatch::retire_lane) when the lane's run
 /// ends (early termination) or [`finish`](MonitorSuiteBatch::finish)
 /// once for everything still live, then
@@ -828,41 +753,24 @@ impl MonitorSuiteBatch {
         self.fused.active_lanes() == 0
     }
 
-    /// Feeds the next frame of every active lane (`frames[lane]`;
-    /// retired lanes' entries are ignored): one batched fused pass, then
-    /// one verdict recording per monitor per active lane.
+    /// Every signal the batch's monitors read
+    /// ([`FusedSuiteProgram::reads`]): each observing lane must set all
+    /// of them.
+    pub fn reads(&self) -> &[SignalId] {
+        self.fused.program().reads()
+    }
+
+    /// Feeds the next sample of every active lane, read **in place**
+    /// from a lane-major [`FrameBatch`] slab — the zero-copy path for a
+    /// batched simulator's state slab: one batched fused pass, then one
+    /// verdict recording per monitor per active lane.
     ///
     /// # Errors
     ///
     /// Returns a [`BatchMonitorError`] naming the failing lane and
-    /// monitor. As with the scalar suite, treat an error as fatal for
-    /// the batch instance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frames.len() != lanes`; debug builds also panic if an
-    /// active lane's frame indexes a different table.
-    pub fn observe_batch(&mut self, frames: &[Frame]) -> Result<(), BatchMonitorError> {
-        self.fused
-            .observe_batch(frames)
-            .map_err(|err| BatchMonitorError {
-                lane: err.lane,
-                monitor_id: self.metas[err.monitor].id.clone(),
-                source: err.source,
-            })?;
-        self.record_verdicts();
-        Ok(())
-    }
-
-    /// [`observe_batch`](MonitorSuiteBatch::observe_batch) reading a
-    /// lane-major [`FrameBatch`] slab **in place** — the zero-copy path
-    /// for a batched simulator's state slab. Verdicts, intervals, and
-    /// errors are identical to copying each lane out into a frame and
-    /// calling [`observe_batch`](MonitorSuiteBatch::observe_batch).
-    ///
-    /// # Errors
-    ///
-    /// As [`observe_batch`](MonitorSuiteBatch::observe_batch).
+    /// monitor — for instance when an active lane leaves unset a signal
+    /// in [`reads`](MonitorSuiteBatch::reads). As with the scalar suite,
+    /// treat an error as fatal for the batch instance.
     ///
     /// # Panics
     ///
@@ -1248,14 +1156,45 @@ mod tests {
         assert_eq!(outcome(template.instantiate(), &frames), compiled);
     }
 
+    /// Violation intervals of a verdict sequence: maximal false runs.
+    fn intervals_of(verdicts: &[bool]) -> Vec<ViolationInterval> {
+        let mut out = Vec::new();
+        let mut open = None;
+        for (t, &ok) in (0u64..).zip(verdicts) {
+            match (ok, open) {
+                (false, None) => open = Some(t),
+                (true, Some(start)) => {
+                    out.push(ViolationInterval::new(start, t));
+                    open = None;
+                }
+                _ => {}
+            }
+        }
+        if let Some(start) = open {
+            out.push(ViolationInterval::new(start, verdicts.len() as u64));
+        }
+        out
+    }
+
     #[test]
-    fn fused_and_per_monitor_engines_agree() {
-        let template = suite().template();
-        let fused = template.instantiate();
-        let per_monitor = template.instantiate_per_monitor();
-        assert!(fused.is_fused());
-        assert!(!per_monitor.is_fused());
-        assert!(!suite().is_fused(), "authored suites run per-monitor");
+    fn authored_and_instantiated_suites_match_eval() {
+        use esafe_logic::eval::eval_trace;
+        use esafe_logic::incremental::monitor_form;
+        let goals = [
+            ("G", None, "g && prev(s)"),
+            ("G.A", Some("G"), "once(!s) -> g"),
+        ];
+        let author = || {
+            let mut m = MonitorSuite::new(table());
+            for (id, parent, src) in goals {
+                let expr = parse(src).unwrap();
+                match parent {
+                    None => m.add_goal(id, Location::new("System"), expr).unwrap(),
+                    Some(p) => m.add_subgoal(id, p, Location::new("Sub"), expr).unwrap(),
+                }
+            }
+            m
+        };
         let frames = [
             (true, true),
             (false, false),
@@ -1263,7 +1202,25 @@ mod tests {
             (false, true),
             (true, true),
         ];
-        assert_eq!(outcome(fused, &frames), outcome(per_monitor, &frames));
+        let mut trace = esafe_logic::Trace::with_tick_millis(1);
+        for &(g, s) in &frames {
+            trace.push(
+                esafe_logic::State::new()
+                    .with_bool("g", g)
+                    .with_bool("s", s),
+            );
+        }
+        for mut suite in [author(), author().template().instantiate()] {
+            for &(g, s) in &frames {
+                observe(&mut suite, g, s);
+            }
+            suite.finish();
+            for (id, _, src) in goals {
+                let expr = monitor_form(&parse(src).unwrap()).unwrap();
+                let want = intervals_of(&eval_trace(&expr, &trace).unwrap());
+                assert_eq!(suite.violations(id).unwrap(), want, "monitor {id}");
+            }
+        }
     }
 
     #[test]
@@ -1285,17 +1242,16 @@ mod tests {
 
     #[test]
     fn templating_a_fused_suite_round_trips() {
-        // template() on a fused (template-instantiated) suite rebuilds
-        // the per-monitor programs from the shared metas.
+        // template() on an instantiated suite shares its compiled program.
         let template = suite().template();
         let retemplated = template.instantiate().template();
+        assert!(Arc::ptr_eq(
+            retemplated.fused_program(),
+            template.fused_program()
+        ));
         let frames = [(true, true), (false, true), (true, false)];
         assert_eq!(
             outcome(retemplated.instantiate(), &frames),
-            outcome(suite(), &frames)
-        );
-        assert_eq!(
-            outcome(retemplated.instantiate_per_monitor(), &frames),
             outcome(suite(), &frames)
         );
     }
@@ -1347,14 +1303,15 @@ mod tests {
         let t = template.table().clone();
         let width = lanes.len();
         let mut batch = template.instantiate_batch(width);
-        let mut frames: Vec<_> = (0..width).map(|_| t.frame()).collect();
+        let mut slab = FrameBatch::new(&t, width);
+        let (g_id, s_id) = (t.id("g").unwrap(), t.id("s").unwrap());
         let max_len = lanes.iter().map(|l| l.len()).max().unwrap();
         for step in 0..max_len {
             for (l, lane) in lanes.iter().enumerate() {
                 match lane.get(step) {
                     Some(&(g, s)) => {
-                        frames[l].set_named("g", g);
-                        frames[l].set_named("s", s);
+                        slab.set(g_id, l, g);
+                        slab.set(s_id, l, s);
                     }
                     None => batch.retire_lane(l),
                 }
@@ -1362,7 +1319,7 @@ mod tests {
             if batch.active_lanes() == 0 {
                 break;
             }
-            batch.observe_batch(&frames).unwrap();
+            batch.observe_slab(&slab).unwrap();
         }
         batch.finish();
         for (l, lane) in lanes.iter().enumerate() {
@@ -1410,22 +1367,22 @@ mod tests {
         let template = suite().template();
         let mut batch = template.instantiate_batch(2);
         let t = template.table().clone();
-        let mut frames = vec![t.frame(), t.frame()];
-        for f in &mut frames {
-            f.set_named("g", false);
-            f.set_named("s", false);
-        }
-        batch.observe_batch(&frames).unwrap();
+        let mut slab = FrameBatch::new(&t, 2);
+        let set_all = |slab: &mut FrameBatch, v: bool| {
+            for lane in 0..2 {
+                slab.set(t.id("g").unwrap(), lane, v);
+                slab.set(t.id("s").unwrap(), lane, v);
+            }
+        };
+        set_all(&mut slab, false);
+        batch.observe_slab(&slab).unwrap();
         batch.retire_lane(0);
         batch.finish();
         assert_eq!(batch.take_violations_lane(0).len(), 2);
         batch.reset();
         assert_eq!(batch.active_lanes(), 2);
-        for f in &mut frames {
-            f.set_named("g", true);
-            f.set_named("s", true);
-        }
-        batch.observe_batch(&frames).unwrap();
+        set_all(&mut slab, true);
+        batch.observe_slab(&slab).unwrap();
         batch.finish();
         assert!(batch.take_violations_lane(0).is_empty());
         assert!(batch.take_violations_lane(1).is_empty());
@@ -1438,13 +1395,14 @@ mod tests {
         let mut batch = template.instantiate_batch(2);
         batch.set_generation(3);
         assert_eq!(batch.generation(), 3);
-        let mut frames = vec![t.frame(), t.frame()];
+        let (g, s) = (t.id("g").unwrap(), t.id("s").unwrap());
+        let mut slab = FrameBatch::new(&t, 2);
         // First occupant of lane 0 violates both monitors, then leaves.
-        frames[0].set_named("g", false);
-        frames[0].set_named("s", false);
-        frames[1].set_named("g", true);
-        frames[1].set_named("s", true);
-        batch.observe_batch(&frames).unwrap();
+        slab.set(g, 0, false);
+        slab.set(s, 0, false);
+        slab.set(g, 1, true);
+        slab.set(s, 1, true);
+        batch.observe_slab(&slab).unwrap();
         batch.retire_lane(0);
         assert!(!batch.drained(), "lane 1 is still live");
         assert_eq!(batch.take_violations_lane(0).len(), 2);
@@ -1455,9 +1413,9 @@ mod tests {
         batch.reclaim_lane(0);
         assert!(batch.is_active(0));
         assert_eq!(batch.steps_observed(0), 0);
-        frames[0].set_named("g", true);
-        frames[0].set_named("s", true);
-        batch.observe_batch(&frames).unwrap();
+        slab.set(g, 0, true);
+        slab.set(s, 0, true);
+        batch.observe_slab(&slab).unwrap();
         batch.finish();
         assert!(batch.drained());
         assert!(batch.take_violations_lane(0).is_empty());
@@ -1479,10 +1437,10 @@ mod tests {
         let template = suite().template();
         let t = template.table().clone();
         let mut batch = template.instantiate_batch(2);
-        let mut good = t.frame();
-        good.set_named("g", true);
-        good.set_named("s", true);
-        let err = batch.observe_batch(&[good, t.frame()]).unwrap_err();
+        let mut slab = FrameBatch::new(&t, 2);
+        slab.set(t.id("g").unwrap(), 0, true);
+        slab.set(t.id("s").unwrap(), 0, true);
+        let err = batch.observe_slab(&slab).unwrap_err();
         assert_eq!(err.lane, 1);
         assert_eq!(err.monitor_id, "G");
         assert!(err.to_string().contains("lane #1"));
@@ -1494,6 +1452,28 @@ mod tests {
     fn fused_suites_reject_incremental_authoring() {
         let mut fused = suite().template().instantiate();
         let _ = fused.add_goal("H", Location::new("System"), parse("g").unwrap());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot add monitors to a fused suite")]
+    fn authored_suites_reject_goals_after_their_first_observe() {
+        let mut m = suite();
+        observe(&mut m, true, true);
+        let _ = m.add_goal("H", Location::new("System"), parse("g").unwrap());
+    }
+
+    #[test]
+    fn unset_signals_in_a_decided_branch_still_error() {
+        // `g` is true, so `g || s` is decided without `s` — but every
+        // node is evaluated, so the unset `s` fails the observe.
+        let mut m = MonitorSuite::new(table());
+        m.add_goal("G", Location::new("System"), parse("g || s").unwrap())
+            .unwrap();
+        let mut f = m.table().clone().frame();
+        f.set_named("g", true);
+        let err = m.observe(&f).unwrap_err();
+        assert_eq!(err.monitor_id, "G");
+        assert!(matches!(err.source, EvalError::MissingVar { ref name, .. } if name == "s"));
     }
 
     #[test]
@@ -1535,5 +1515,24 @@ mod tests {
             m.add_goal("X", Location::new("L"), parse("not_declared").unwrap()),
             Err(EvalError::UnknownSignal { .. })
         ));
+        assert_eq!(
+            m.add_goal(
+                "Y",
+                Location::new("L"),
+                parse("g && missing < 1.0").unwrap()
+            ),
+            Err(EvalError::UnknownSignal {
+                name: "missing".into()
+            })
+        );
+        assert!(matches!(
+            m.add_goal(
+                "Z",
+                Location::new("L"),
+                parse("g -> eventually(s)").unwrap()
+            ),
+            Err(EvalError::FutureOperator { .. })
+        ));
+        assert!(m.goal_ids().is_empty(), "rejected goals are not added");
     }
 }

@@ -63,8 +63,9 @@ pub enum EvictReason {
         waves: u64,
     },
     /// The stream's transport yielded undecodable data
-    /// ([`Poll::Corrupt`](crate::source::Poll::Corrupt)); the detail is
-    /// the decoder's diagnosis. The stream is quarantined — removed
+    /// ([`Poll::Corrupt`](crate::source::Poll::Corrupt)), or a frame
+    /// that leaves unset a signal the stream's suite reads; the detail
+    /// is the diagnosis. The stream is quarantined — removed
     /// with its verdicts-so-far — and every other stream on the shard
     /// is untouched.
     Corrupt {

@@ -18,8 +18,9 @@
 //!   monitor history untouched; its stall clock counts consecutive
 //!   frameless waves and, past [`ShardConfig::stall_limit`], the stream
 //!   is evicted with provenance and the lane reclaimed;
-//! * a **corrupt** stream (transport decode failure) is quarantined:
-//!   evicted with the decoder's diagnosis, no other lane perturbed;
+//! * a **corrupt** stream (transport decode failure, or a frame that
+//!   leaves unset a signal its suite generation reads) is quarantined:
+//!   evicted with the diagnosis, no other lane perturbed;
 //! * an **ended** stream retires its lane in place, as always.
 //!
 //! # Lanes
@@ -324,10 +325,11 @@ impl ShardCore {
     /// [`Poll::Pending`] are skipped (and
     /// evicted once their stall streak passes the configured deadline),
     /// streams that ended are retired, and streams that answered
-    /// [`Poll::Corrupt`] are quarantined
-    /// — all without perturbing any other lane's verdicts. Every
-    /// `report_every` waves the newly closed violation intervals drain
-    /// into [`ReportEvent::Violations`]. Returns the number of frames
+    /// [`Poll::Corrupt`] or delivered a frame leaving unset a signal
+    /// their generation reads ([`MonitorSuiteBatch::reads`]) are
+    /// quarantined — all without perturbing any other lane's verdicts.
+    /// Every `report_every` waves the newly closed violation intervals
+    /// drain into [`ReportEvent::Violations`]. Returns the number of frames
     /// observed (0 when the shard is empty or every stream is pending —
     /// the caller may briefly park before the next wave).
     ///
@@ -351,6 +353,22 @@ impl ShardCore {
             match stream.source.poll_frame(&mut self.scratch) {
                 Poll::Frame => {
                     stream.stalled_waves = 0;
+                    let generation = stream.generation;
+                    let unset = self
+                        .slot(generation)
+                        .batch
+                        .reads()
+                        .iter()
+                        .copied()
+                        .find(|&id| self.scratch.get(id).is_none());
+                    if let Some(id) = unset {
+                        let detail = format!(
+                            "frame leaves unset signal `{}`, which the suite reads",
+                            self.table.name(id)
+                        );
+                        self.evict(lane, EvictReason::Corrupt { detail });
+                        continue;
+                    }
                     self.slab.write_lane_from(lane, &self.scratch);
                     self.live[lane] = true;
                     pulled += 1;
@@ -530,6 +548,17 @@ impl ShardCore {
                     violations,
                 }));
             }
+        }
+    }
+
+    fn slot(&self, generation: u64) -> &SuiteSlot {
+        if self.active.generation == generation {
+            &self.active
+        } else {
+            self.draining
+                .iter()
+                .find(|s| s.generation == generation)
+                .expect("a stream's generation is loaded for the stream's lifetime")
         }
     }
 

@@ -419,31 +419,7 @@ fn mistyped_wire_value_quarantines_only_its_stream() {
     core.connect(StreamId(1), Box::new(encode(&faulty)));
     core.connect(StreamId(2), Box::new(encode(&trace(2))));
 
-    let mut merged: BTreeMap<u64, BTreeMap<String, Vec<ViolationInterval>>> = BTreeMap::new();
-    let mut closed = BTreeMap::new();
-    let mut evicted = Vec::new();
-    while !core.is_idle() {
-        core.wave()
-            .expect("a mistyped stream must not fail the wave");
-        for event in core.take_events() {
-            let (stream, violations) = match event {
-                ReportEvent::Violations(report) => (report.stream, report.violations),
-                ReportEvent::StreamClosed(summary) => {
-                    closed.insert(summary.stream.0, summary.ticks);
-                    (summary.stream, summary.violations)
-                }
-                ReportEvent::StreamEvicted(eviction) => {
-                    evicted.push((eviction.stream, eviction.ticks, eviction.reason));
-                    (eviction.stream, eviction.violations)
-                }
-                other => panic!("unexpected event: {other:?}"),
-            };
-            let per = merged.entry(stream.0).or_default();
-            for (monitor, intervals) in violations {
-                per.entry(monitor).or_default().extend(intervals);
-            }
-        }
-    }
+    let mut run = drain_core(&mut core);
 
     let detail = DecodeError::KindMismatch {
         name: "p".to_owned(),
@@ -452,13 +428,35 @@ fn mistyped_wire_value_quarantines_only_its_stream() {
     }
     .to_string();
     assert_eq!(
-        evicted,
+        run.evicted,
         vec![(StreamId(1), 3, EvictReason::Corrupt { detail })],
         "only the mistyped stream is quarantined, after its three good frames"
     );
-    assert_eq!(closed, BTreeMap::from([(0, 20), (2, 20)]));
+    assert_eq!(run.closed, BTreeMap::from([(0, 20), (2, 20)]));
     for (stream, delivered) in [(0, trace(0)), (1, faulty[..3].to_vec()), (2, trace(2))] {
-        let got: BTreeMap<_, _> = merged
+        run.assert_matches_scalar(stream, &template, &delivered);
+    }
+}
+
+/// Everything a shard reported about its streams, merged per stream.
+#[derive(Default)]
+struct DrainedRun {
+    merged: BTreeMap<u64, BTreeMap<String, Vec<ViolationInterval>>>,
+    closed: BTreeMap<u64, u64>,
+    evicted: Vec<(StreamId, u64, EvictReason)>,
+}
+
+impl DrainedRun {
+    /// Asserts `stream`'s merged verdicts equal a scalar replay of the
+    /// frames it delivered.
+    fn assert_matches_scalar(
+        &mut self,
+        stream: u64,
+        template: &SuiteTemplate,
+        delivered: &[Frame],
+    ) {
+        let got: BTreeMap<_, _> = self
+            .merged
             .remove(&stream)
             .unwrap_or_default()
             .into_iter()
@@ -466,8 +464,103 @@ fn mistyped_wire_value_quarantines_only_its_stream() {
             .collect();
         assert_eq!(
             got,
-            scalar_violations(&template, &delivered),
+            scalar_violations(template, delivered),
             "stream {stream} diverged from its scalar twin"
         );
+    }
+}
+
+/// Waves `core` until it idles — every wave must succeed — collecting
+/// its reports.
+fn drain_core(core: &mut ShardCore) -> DrainedRun {
+    let mut run = DrainedRun::default();
+    while !core.is_idle() {
+        core.wave().expect("a faulty stream must not fail the wave");
+        for event in core.take_events() {
+            let (stream, violations) = match event {
+                ReportEvent::Violations(report) => (report.stream, report.violations),
+                ReportEvent::StreamClosed(summary) => {
+                    run.closed.insert(summary.stream.0, summary.ticks);
+                    (summary.stream, summary.violations)
+                }
+                ReportEvent::StreamEvicted(eviction) => {
+                    run.evicted
+                        .push((eviction.stream, eviction.ticks, eviction.reason));
+                    (eviction.stream, eviction.violations)
+                }
+                other => panic!("unexpected event: {other:?}"),
+            };
+            let per = run.merged.entry(stream.0).or_default();
+            for (monitor, intervals) in violations {
+                per.entry(monitor).or_default().extend(intervals);
+            }
+        }
+    }
+    run
+}
+
+#[test]
+fn frame_missing_a_read_signal_quarantines_only_its_stream() {
+    let mut b = SignalTable::builder();
+    b.bool("p");
+    b.real("x");
+    let table = b.finish();
+    let mut suite = MonitorSuite::new(table.clone());
+    suite
+        .add_goal("G", Location::new("Wire"), parse("x < 40.0").unwrap())
+        .unwrap();
+    suite
+        .add_goal("H", Location::new("Wire"), parse("p || x < 35.0").unwrap())
+        .unwrap();
+    let template = Arc::new(suite.template());
+    let trace = |stream: usize| -> Vec<Frame> {
+        (0..20)
+            .map(|t| {
+                let mut f = table.frame();
+                f.set_named("p", t % 5 == 0);
+                f.set_named("x", 30.0 + ((stream * 7 + t * 3) % 17) as f64);
+                f
+            })
+            .collect()
+    };
+    // Stream 1, on lane #1, omits `p` from its second frame. Only `H`
+    // reads `p`, and only when `x < 35.0` fails.
+    let mut faulty = trace(1);
+    faulty[1] = table.frame();
+    faulty[1].set_named("x", 36.0);
+    let mut core = ShardCore::new(
+        ShardId(0),
+        &template,
+        ShardConfig {
+            width: 4,
+            report_every: 3,
+            stall_limit: None,
+        },
+    );
+    let replay = |frames: Vec<Frame>| {
+        let ticks = frames.len() as u64;
+        Box::new(ReplaySource::new(Arc::new(frames), 0, ticks))
+    };
+    core.connect(StreamId(0), replay(trace(0)));
+    core.connect(StreamId(1), replay(faulty.clone()));
+    core.connect(StreamId(2), replay(trace(2)));
+    core.connect(StreamId(3), replay(trace(3)));
+
+    let mut run = drain_core(&mut core);
+
+    let detail = "frame leaves unset signal `p`, which the suite reads".to_owned();
+    assert_eq!(
+        run.evicted,
+        vec![(StreamId(1), 1, EvictReason::Corrupt { detail })],
+        "only the gapped stream is quarantined, after its one good frame"
+    );
+    assert_eq!(run.closed, BTreeMap::from([(0, 20), (2, 20), (3, 20)]));
+    for (stream, delivered) in [
+        (0, trace(0)),
+        (1, faulty[..1].to_vec()),
+        (2, trace(2)),
+        (3, trace(3)),
+    ] {
+        run.assert_matches_scalar(stream, &template, &delivered);
     }
 }

@@ -20,7 +20,7 @@
 //! previous tick's frame is memcpy'd into the scratch frame, subsystems
 //! write through [`SignalId`]-typed accessors, and the buffers swap.
 //! Run-time goal monitors compiled with
-//! [`CompiledMonitor::compile_in`](esafe_logic::CompiledMonitor::compile_in)
+//! [`FusedSuiteProgram::compile`](esafe_logic::FusedSuiteProgram::compile)
 //! against the same table attach without adapters, so the whole per-tick
 //! loop holds zero `String` allocations.
 //!

@@ -35,16 +35,18 @@ fn vehicle_scenario1_thesis_matches_seed_pipeline() {
 /// instantiations evaluate the whole 49-monitor suite as one
 /// deduplicated DAG, per-worker pooled run contexts — the production
 /// `repro --grid` path) against the per-run-compile reference, whose
-/// standalone substrates self-compile one `CompiledMonitor` per goal:
-/// the whole `SweepReport` must be bit-identical, through actual JSON
-/// text, for a grid slice that includes early-terminating, colliding,
-/// and clean cells. This is the fused-vs-per-monitor sweep golden.
+/// standalone substrates author their suite goal by goal and compile it
+/// afresh every run: the whole `SweepReport` must be bit-identical,
+/// through actual JSON text, for a grid slice that includes
+/// early-terminating, colliding, and clean cells. This is the
+/// template-vs-per-run-compile sweep golden.
 #[test]
 fn fused_template_sweep_matches_per_monitor_compile_sweep() {
     let cells = grid::cells(&[1, 2, 10], &grid::ablation_configs());
     assert_eq!(cells.len(), 42);
     // Reference: every cell builds a standalone substrate and recompiles
-    // its monitor suite per-monitor (`grid::build_cell`), serially.
+    // its monitor suite from the goal tables (`grid::build_cell`),
+    // serially.
     let reference = grid::sweep(cells.clone())
         .run_serial(grid::build_cell)
         .unwrap();
@@ -54,7 +56,7 @@ fn fused_template_sweep_matches_per_monitor_compile_sweep() {
     assert_eq!(
         serde_json::to_string_pretty(&fused).unwrap(),
         serde_json::to_string_pretty(&reference).unwrap(),
-        "fused sweep diverged from the per-monitor-compile pipeline"
+        "template sweep diverged from the per-run-compile pipeline"
     );
     assert_eq!(fused, reference, "series must match too");
     assert_eq!(fused.aggregate(), reference.aggregate());

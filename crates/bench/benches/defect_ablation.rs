@@ -1,9 +1,12 @@
-//! Ablation cost: the scenario-3 defect grid through the sweep runner,
-//! parallel vs serial (the design-choice ablation DESIGN.md calls out).
+//! Ablation cost: the scenario-3 defect grid through the sweep driver,
+//! against a per-cell `Experiment` loop over the same cells on one
+//! thread (the design-choice ablation DESIGN.md calls out).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use esafe_scenarios::grid;
+use esafe_harness::{cell_seed, AggregateBuilder, Experiment};
+use esafe_scenarios::{grid, runner};
 use esafe_vehicle::config::DefectSet;
+use esafe_vehicle::VehicleFamily;
 use std::hint::black_box;
 
 fn ablation(c: &mut Criterion) {
@@ -28,19 +31,26 @@ fn ablation(c: &mut Criterion) {
         ),
     ];
     let cells = grid::cells(&[3], &configs);
-    for parallel in [true, false] {
-        let label = if parallel { "parallel" } else { "serial" };
-        group.bench_with_input(BenchmarkId::from_parameter(label), &cells, |b, cells| {
-            b.iter(|| {
-                let sweep = if parallel {
-                    grid::run_parallel(cells.clone())
-                } else {
-                    grid::run_serial(cells.clone())
-                };
-                black_box(sweep.unwrap().aggregate())
-            })
-        });
-    }
+    group.bench_with_input(
+        BenchmarkId::from_parameter("parallel"),
+        &cells,
+        |b, cells| b.iter(|| black_box(grid::run_parallel(cells.clone()).unwrap().0.aggregate())),
+    );
+    group.bench_with_input(BenchmarkId::from_parameter("serial"), &cells, |b, cells| {
+        b.iter(|| {
+            let family = VehicleFamily::default();
+            let mut aggregate = AggregateBuilder::new();
+            for (i, cell) in cells.iter().enumerate() {
+                let substrate = grid::build_cell_in(&family, cell, cell_seed(0, i));
+                let report = Experiment::new(&substrate)
+                    .with_config(runner::thesis_config())
+                    .run()
+                    .unwrap();
+                aggregate.absorb(&report);
+            }
+            black_box(aggregate.finish())
+        })
+    });
     group.finish();
 }
 

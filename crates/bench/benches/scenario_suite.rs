@@ -3,8 +3,10 @@
 //! 49 monitors + simulation per run).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use esafe_harness::{cell_seed, AggregateBuilder, Experiment};
 use esafe_scenarios::{catalog, grid, runner};
 use esafe_vehicle::config::DefectSet;
+use esafe_vehicle::VehicleFamily;
 use std::hint::black_box;
 
 fn scenario_runs(c: &mut Criterion) {
@@ -32,10 +34,23 @@ fn scenario_sweeps(c: &mut Criterion) {
     let scenarios: Vec<u8> = (1..=10).collect();
     let cells = grid::cells(&scenarios, &configs);
     group.bench_function("catalog_x2_parallel", |b| {
-        b.iter(|| black_box(grid::run_parallel(cells.clone()).unwrap().aggregate()))
+        b.iter(|| black_box(grid::run_parallel(cells.clone()).unwrap().0.aggregate()))
     });
+    // The same cells, each run alone through `Experiment` on one thread.
     group.bench_function("catalog_x2_serial", |b| {
-        b.iter(|| black_box(grid::run_serial(cells.clone()).unwrap().aggregate()))
+        b.iter(|| {
+            let family = VehicleFamily::default();
+            let mut aggregate = AggregateBuilder::new();
+            for (i, cell) in cells.iter().enumerate() {
+                let substrate = grid::build_cell_in(&family, cell, cell_seed(0, i));
+                let report = Experiment::new(&substrate)
+                    .with_config(runner::thesis_config())
+                    .run()
+                    .unwrap();
+                aggregate.absorb(&report);
+            }
+            black_box(aggregate.finish())
+        })
     });
     group.finish();
 }

@@ -54,7 +54,7 @@ pub fn thesis_run(scenario: u8) -> ScenarioReport {
 /// configuration order.
 pub fn ablation(scenario: u8) -> Vec<(String, Vec<String>)> {
     let cells = grid::cells(&[scenario], &grid::ablation_configs());
-    let sweep = grid::run_parallel(cells.clone()).expect("scenario runs");
+    let (sweep, _) = grid::run_parallel(cells.clone()).expect("scenario runs");
     cells
         .iter()
         .zip(&sweep.runs)
@@ -66,16 +66,10 @@ pub fn ablation(scenario: u8) -> Vec<(String, Vec<String>)> {
 }
 
 /// Runs the full ten-scenario × fourteen-configuration evaluation grid
-/// in parallel and returns its order-independent aggregate.
-pub fn full_grid_aggregate() -> SweepAggregate {
-    full_grid_timed().0
-}
-
-/// [`full_grid_aggregate`] plus the sweep's timing/amortization stats —
-/// the source of the `repro --grid --json` breakdown. Runs as a
-/// **streaming reduction** (per-worker partial aggregates, no retained
-/// reports), which the regression tests pin as identical to the
-/// collect-all path.
+/// in parallel and returns its order-independent aggregate plus the
+/// sweep's timing/amortization stats — the source of the
+/// `repro --grid --json` breakdown. Runs as a **streaming reduction**
+/// (per-worker partial aggregates, no retained reports).
 pub fn full_grid_timed() -> (SweepAggregate, SweepStats) {
     grid::run_parallel_aggregate(grid::full_grid()).expect("grid runs")
 }
@@ -318,17 +312,6 @@ pub fn batch_calibration() -> BatchCalibration {
         scalar_ns_per_tick_per_run,
         widths,
     }
-}
-
-/// Runs the full default mega grid (`esafe_scenarios::mega`, ≥10⁴
-/// cells) through the batched streaming engine at the given stripe
-/// width, returning the aggregate, sweep stats, and cell count.
-pub fn full_mega_timed(width: usize) -> (SweepAggregate, SweepStats, usize) {
-    let cells = mega::mega_grid();
-    let count = cells.len();
-    let (aggregate, stats) =
-        mega::run_mega_aggregate(cells, width).expect("mega-grid formulas compile");
-    (aggregate, stats, count)
 }
 
 /// Runs an explicit mega cell list (typically [`mega_cells_subset`])

@@ -1,27 +1,28 @@
-//! Striped batched sweeps: whole groups of cells simulating *and*
-//! monitoring together through lane-major slabs.
+//! The sweep driver: the one way a [`Sweep`] runs.
 //!
-//! The scalar sweep runs one cell at a time: each run steps its own
-//! simulator and walks the fused monitor DAG once per tick for *its
-//! own* frame. The batched sweep instead groups cells that share a
-//! compile-once [`SuiteTemplate`](esafe_monitor::SuiteTemplate) (and
-//! schedule) into **stripes** of up to `width` cells, advances the
-//! whole stripe through one [`SimulatorBatch`] — every subsystem
-//! stepping all lanes of a lane-major
-//! [`FrameBatch`](esafe_logic::FrameBatch) state slab before the next
-//! subsystem runs — and feeds the slab directly to one
+//! The driver builds every cell's substrate, plans the cells into
+//! units, runs the units in parallel, and folds each finished cell into
+//! the shape the caller asked for — every report in cell order
+//! ([`Sweep::run`]), a streaming aggregate ([`Sweep::run_aggregate`]),
+//! or journal appends ([`Sweep::run_aggregate_checkpointed`]).
+//!
+//! A unit is a **stripe** of up to `width` cells sharing a compile-once
+//! [`SuiteTemplate`](esafe_monitor::SuiteTemplate) (and schedule), or a
+//! single cell on the scalar path. A stripe advances through one
+//! [`SimulatorBatch`] — every subsystem stepping all lanes of a
+//! lane-major [`FrameBatch`](esafe_logic::FrameBatch) state slab before
+//! the next subsystem runs — and feeds the slab directly to one
 //! [`MonitorSuiteBatch`] pass per tick. Monitoring, series sampling,
-//! and terminal-event checks all read the slab **in place**: the
-//! per-lane `Frame` copy across the sim→observe boundary is gone, and
-//! both engines evaluate each node/subsystem across every run in the
-//! stripe before moving on, amortizing decode and turning the inner
-//! loops into straight-line sweeps over contiguous lanes.
+//! and terminal-event checks all read the slab **in place**, and both
+//! engines evaluate each node/subsystem across every run in the stripe
+//! before moving on, amortizing decode and turning the inner loops into
+//! straight-line sweeps over contiguous lanes.
 //!
-//! Batching is observationally invisible — reports and aggregates are
-//! **bit-identical** to the scalar paths ([`Sweep::run`] /
-//! [`Sweep::run_aggregate`]), which the workspace's golden sweeps and
-//! property tests pin. The shapes that don't fit a stripe degrade
-//! gracefully to the scalar fused path, never to different results:
+//! Striping is observationally invisible: every cell's report is
+//! **bit-identical** to running that cell alone through
+//! [`Experiment`], which the workspace's golden sweeps and property
+//! tests pin. The shapes that don't fit a stripe degrade to the scalar
+//! experiment loop, never to different results:
 //!
 //! * cells without a suite template (self-compiling substrates) run
 //!   scalar;
@@ -30,29 +31,28 @@
 //!   freezes (temporal history, violation trackers, step counter) while
 //!   the surviving lanes keep ticking, exactly as if each had run alone;
 //! * a monitoring error inside a stripe reruns the whole stripe on the
-//!   scalar path, so per-cell errors surface identically to
-//!   [`Sweep::run`] (earliest-cell-first);
-//! * with a [`Quarantine`] installed via
-//!   [`Sweep::with_quarantine`], a panic anywhere in a stripe reruns
-//!   every lane on the guarded scalar path: the panicking cell is
-//!   quarantined as a typed [`CellFailure`](crate::sweep::CellFailure)
-//!   while its stripe-mates reproduce their healthy reports
-//!   bit-identically — fault containment at the cell boundary.
+//!   scalar path, so per-cell errors surface exactly as each cell's own
+//!   run reports them (earliest cell first);
+//! * with a [`Quarantine`] installed via [`Sweep::with_quarantine`], a
+//!   panic anywhere in a stripe reruns every lane on the guarded scalar
+//!   rung: the panicking cell is quarantined as a typed
+//!   [`CellFailure`] while its stripe-mates reproduce their healthy
+//!   reports bit-identically — fault containment at the cell boundary.
+//!   A stripe honours the quarantine's tick budget itself; the lanes
+//!   still live when it elapses fail exactly where a scalar run would.
 
 use crate::context::{RunContext, RunTiming, SuiteProvenance};
 use crate::experiment::{Experiment, ExperimentConfig, ExperimentError, RunReport};
-use crate::journal::{CellDelta, JournalRecord, SweepJournal};
 use crate::lanes::LaneAllocator;
 use crate::substrate::Substrate;
-use crate::sweep::{
-    cell_seed, GuardedOutcome, Partial, Quarantine, Sweep, SweepAggregate, SweepReport, SweepStats,
-};
+use crate::sweep::{cell_seed, retry_seed, CellFailure, FailureReason, Quarantine, Sweep};
 use esafe_logic::SignalId;
 use esafe_monitor::MonitorSuiteBatch;
 use esafe_sim::{sample_point, SeriesLog, Simulator, SimulatorBatch};
 use rayon::prelude::*;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Default stripe width for batched sweeps: wide enough to amortize the
@@ -61,7 +61,7 @@ use std::time::Instant;
 /// calibrates its width empirically; see `esafe-bench`.)
 pub const DEFAULT_BATCH_WIDTH: usize = 8;
 
-/// One schedulable piece of a batched sweep: a lock-step stripe of
+/// One schedulable piece of a sweep: a lock-step stripe of
 /// same-template cell indices, or a single cell on the scalar path.
 #[derive(Debug)]
 enum Unit {
@@ -74,8 +74,8 @@ enum Unit {
 /// signal table, and scheduled duration (`Arc` identity — the family
 /// pattern); template-less cells and one-cell tails run scalar. `None`
 /// cells are planned into **no** unit — they are cells the caller is
-/// skipping (already checkpointed) or failed to build (quarantined
-/// separately by the guarded planner).
+/// skipping (already checkpointed) or failed to build (planned onto the
+/// guarded scalar rung by [`Sweep::drive`]).
 fn plan_units<S: Substrate>(subs: &[Option<S>], width: usize) -> Vec<Unit> {
     let width = width.max(1);
     let mut units = Vec::new();
@@ -266,7 +266,7 @@ fn run_stripe<S: Substrate>(
         if batch.observe_slab(sim.state()).is_err() {
             // A monitoring error mid-stripe: rerun every lane on the
             // scalar path so per-cell results (successes *and* the
-            // failing cell's error) match `Sweep::run` exactly.
+            // failing cell's error) match each cell's own run exactly.
             return lanes_idx
                 .iter()
                 .map(|&i| run_scalar_cell(config, budget, built(subs, i), i))
@@ -314,7 +314,7 @@ fn run_stripe<S: Substrate>(
     let ticking = tick_started.elapsed();
 
     // Per-lane timing: the stripe's wall-clock split evenly across its
-    // lanes, so `SweepStats` totals stay comparable to the scalar paths.
+    // lanes, so `SweepStats` totals stay comparable to scalar cells'.
     let lane_timing = RunTiming {
         setup: setup / width as u32,
         ticking: ticking / width as u32,
@@ -361,365 +361,226 @@ fn run_stripe<S: Substrate>(
         .collect()
 }
 
+/// One finished cell, as the driver hands it to a sweep shape's fold.
+#[derive(Debug)]
+pub(crate) struct Finished {
+    /// The cell's index in the sweep's grid.
+    pub(crate) cell: usize,
+    /// The report and its timing, or why the cell failed.
+    pub(crate) result: Result<(RunReport, RunTiming), Failure>,
+    /// Retry attempts the cell consumed (0 unless quarantined with
+    /// retries).
+    pub(crate) retries: u32,
+}
+
+/// Why a finished cell has no report.
+#[derive(Debug)]
+pub(crate) enum Failure {
+    /// No quarantine: the error aborts the sweep (the earliest cell's
+    /// error wins).
+    Abort(ExperimentError),
+    /// Quarantined, with provenance.
+    Quarantined(CellFailure),
+}
+
+/// Renders a caught panic payload for [`FailureReason::Panic`].
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_owned()
+    }
+}
+
 impl<C: Sync> Sweep<C> {
-    /// [`Sweep::run`] on the **batched** engine: cells sharing a suite
-    /// template are grouped into lock-step stripes of up to `width`
-    /// runs, each tick feeding every lane's observed frame to one
-    /// [`MonitorSuiteBatch`] pass (see the [module docs](self)).
-    /// Reports are bit-identical to the scalar paths, in cell order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first cell's [`ExperimentError`], by cell order.
-    pub fn run_batched<S, F>(&self, build: F, width: usize) -> Result<SweepReport, ExperimentError>
-    where
-        S: Substrate + Sync,
-        F: Fn(&C, u64) -> S + Sync,
-    {
-        self.run_batched_timed(build, width)
-            .map(|(report, _)| report)
-    }
-
-    /// [`Sweep::run_batched`] plus the aggregated [`SweepStats`]
-    /// (stripe wall-clock split evenly across its lanes).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first cell's [`ExperimentError`], by cell order.
-    pub fn run_batched_timed<S, F>(
+    /// The one sweep driver (see the [module docs](self)): builds every
+    /// `pending` cell, plans stripes of up to `width` lanes, runs the
+    /// units in parallel, and folds each finished cell into a
+    /// per-worker accumulator (`fold`), merged at join (`merge`). A
+    /// fold that keeps no report holds O(workers × width) of them at
+    /// most.
+    pub(crate) fn drive<S, F, A>(
         &self,
-        build: F,
+        build: &F,
         width: usize,
-    ) -> Result<(SweepReport, SweepStats), ExperimentError>
+        quarantine: Option<Quarantine>,
+        pending: impl Fn(usize) -> bool,
+        fold: impl Fn(A, Finished) -> A + Sync,
+        merge: impl Fn(A, A) -> A,
+    ) -> A
     where
         S: Substrate + Sync,
         F: Fn(&C, u64) -> S + Sync,
+        A: Default + Send,
     {
-        if let Some(q) = self.quarantine {
-            let subs = self.build_all_guarded(&build);
-            let units = plan_units_with_unbuilt(&subs, width);
-            let per_unit: Vec<Vec<(usize, GuardedOutcome)>> = units
-                .into_par_iter()
-                .map(|unit| self.run_unit_guarded(q, &subs, &unit, &build))
-                .collect();
-            let mut slots: Vec<Option<GuardedOutcome>> = (0..subs.len()).map(|_| None).collect();
-            for (i, outcome) in per_unit.into_iter().flatten() {
-                slots[i] = Some(outcome);
-            }
-            let results: Vec<GuardedOutcome> = slots
-                .into_iter()
-                .map(|slot| slot.expect("every cell is planned into exactly one unit"))
-                .collect();
-            return Ok(Self::collect_guarded(results));
-        }
-        let subs = self.build_all(&build);
-        let units = plan_units(&subs, width);
-        let per_unit: Vec<Vec<CellOutcome>> = units
-            .into_par_iter()
-            .map(|unit| run_unit(self.config, &subs, &unit))
-            .collect();
-        let mut slots: Vec<Option<(Result<RunReport, ExperimentError>, RunTiming)>> =
-            (0..subs.len()).map(|_| None).collect();
-        for (i, result, timing) in per_unit.into_iter().flatten() {
-            slots[i] = Some((result, timing));
-        }
-        let results: Vec<_> = slots
-            .into_iter()
-            .map(|slot| slot.expect("every cell is planned into exactly one unit"))
-            .collect();
-        Self::collect_reports(results)
-    }
-
-    /// [`Sweep::run_aggregate`] on the **batched** engine: stripes run
-    /// in parallel, and every lane's report folds into a per-worker
-    /// partial aggregate the moment its stripe completes — no report
-    /// outlives its stripe, so memory is O(workers × width) regardless
-    /// of grid size. The aggregate is identical to every other sweep
-    /// path (pinned by the workspace's regression tests); this is the
-    /// engine behind `repro --grid` and `repro --mega-grid`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first cell's [`ExperimentError`], by cell order.
-    pub fn run_aggregate_batched<S, F>(
-        &self,
-        build: F,
-        width: usize,
-    ) -> Result<(SweepAggregate, SweepStats), ExperimentError>
-    where
-        S: Substrate + Sync,
-        F: Fn(&C, u64) -> S + Sync,
-    {
-        if let Some(q) = self.quarantine {
-            let subs = self.build_all_guarded(&build);
-            let units = plan_units_with_unbuilt(&subs, width);
-            let partial = units
-                .into_par_iter()
-                .map_init(
-                    || (),
-                    |(), unit| self.run_unit_guarded(q, &subs, &unit, &build),
-                )
-                .fold(Partial::default, |acc: Partial, outcomes| {
-                    outcomes
-                        .into_iter()
-                        .fold(acc, |acc, (_, outcome)| acc.absorbed_guarded(outcome))
-                })
-                .reduce(Partial::default, Partial::merged);
-            return partial.finish();
-        }
-        let subs = self.build_all(&build);
-        let units = plan_units(&subs, width);
-        let partial = units
-            .into_par_iter()
-            // `map_init` only for its `fold` hook — stripes carry no
-            // per-worker pooled state (scalar fallbacks build their own
-            // `RunContext`).
-            .map_init(|| (), |(), unit| run_unit(self.config, &subs, &unit))
-            .fold(Partial::default, |acc: Partial, outcomes| {
-                outcomes.into_iter().fold(acc, |acc, (i, result, timing)| {
-                    acc.absorbed(i, (result, timing))
-                })
-            })
-            .reduce(Partial::default, Partial::merged);
-        partial.finish()
-    }
-
-    /// [`Sweep::run_aggregate_batched`] with durable progress: every
-    /// finished cell (healthy or quarantined) is appended to `journal`
-    /// the moment its unit completes, and cells the journal already
-    /// marks done are **skipped** — their contributions replay from the
-    /// journal's records instead of re-running. Interrupt the process
-    /// at any point, reopen the journal ([`SweepJournal::open`] — torn
-    /// tails are truncated), and call this again: the final aggregate
-    /// is bit-identical to an uninterrupted run, because per-cell seeds
-    /// are deterministic ([`cell_seed`]) and every aggregate total is a
-    /// commutative sum over per-cell deltas.
-    ///
-    /// Fault isolation is always on here (the sweep's
-    /// [`Quarantine`] if installed, else the default policy): a sweep
-    /// durable enough to checkpoint should not abort on one bad cell.
-    /// The returned [`SweepStats`] covers only the cells run by *this*
-    /// call — resumed cells contribute no timing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExperimentError::Journal`] if the journal does not
-    /// describe this sweep (seed, cell count, or timing policy
-    /// mismatch) or on journal I/O failure.
-    pub fn run_aggregate_batched_checkpointed<S, F>(
-        &self,
-        build: F,
-        width: usize,
-        journal: &mut SweepJournal,
-    ) -> Result<(SweepAggregate, SweepStats), ExperimentError>
-    where
-        S: Substrate + Sync,
-        F: Fn(&C, u64) -> S + Sync,
-    {
-        if journal.base_seed() != self.base_seed
-            || journal.cells() != self.cells.len()
-            || journal.config() != self.config
-        {
-            return Err(ExperimentError::Journal(format!(
-                "journal describes a different sweep: journal has seed {} / {} cells / {:?}, \
-                 this sweep has seed {} / {} cells / {:?}",
-                journal.base_seed(),
-                journal.cells(),
-                journal.config(),
-                self.base_seed,
-                self.cells.len(),
-                self.config,
-            )));
-        }
-        let q = self.quarantine.unwrap_or_default();
-        // Completed cells are `None` (skip); incomplete cells build
-        // under `catch_unwind` like the guarded path.
+        // Cells must be inspected — table, template, duration — before
+        // they can be grouped into stripes; building a substrate is the
+        // cheap part of a run (simulators and suites are built per
+        // unit). Under a quarantine, a cell whose build panics is left
+        // `None` and planned onto the guarded scalar rung, which
+        // rebuilds, retries and quarantines it.
+        let mut unbuilt = Vec::new();
         let subs: Vec<Option<S>> = self
             .cells
             .iter()
             .enumerate()
             .map(|(i, cell)| {
-                if journal.is_completed(i) {
-                    None
-                } else {
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        build(cell, cell_seed(self.base_seed, i))
-                    }))
-                    .ok()
+                if !pending(i) {
+                    return None;
                 }
+                let seed = cell_seed(self.base_seed, i);
+                let sub = match quarantine {
+                    None => Some(build(cell, seed)),
+                    Some(_) => catch_unwind(AssertUnwindSafe(|| build(cell, seed))).ok(),
+                };
+                if sub.is_none() {
+                    unbuilt.push(Unit::Scalar(i));
+                }
+                sub
             })
             .collect();
         let mut units = plan_units(&subs, width);
-        for (i, sub) in subs.iter().enumerate() {
-            if sub.is_none() && !journal.is_completed(i) {
-                units.push(Unit::Scalar(i));
-            }
-        }
-        // Workers funnel records through one mutex; the first append
-        // error latches and surfaces after the join (remaining cells
-        // still run — they are simply no longer durable).
-        let sink = Mutex::new((journal, None::<ExperimentError>));
-        let stats = units
+        units.extend(unbuilt);
+        units
             .into_par_iter()
+            // `map_init` only for its `fold` hook — units carry no
+            // per-worker state (scalar cells build their own
+            // `RunContext`).
             .map_init(
                 || (),
-                |(), unit| {
-                    let outcomes = self.run_unit_guarded(q, &subs, &unit, &build);
-                    let mut stats = SweepStats::default();
-                    let mut records = Vec::with_capacity(outcomes.len());
-                    for (i, (result, retries)) in outcomes {
-                        match result {
-                            Ok((report, timing)) => {
-                                stats.absorb(timing);
-                                records.push(JournalRecord::Completed(CellDelta::from_report(
-                                    i, retries, &report,
-                                )));
-                            }
-                            Err(failure) => records.push(JournalRecord::Quarantined(failure)),
-                        }
-                    }
-                    let mut guard = sink.lock().unwrap_or_else(|e| e.into_inner());
-                    for record in records {
-                        if guard.1.is_some() {
-                            break;
-                        }
-                        if let Err(e) = guard.0.append(record) {
-                            guard.1 = Some(e);
-                        }
-                    }
-                    stats
-                },
+                |(), unit| self.run_unit(quarantine, &subs, &unit, build),
             )
-            .fold(SweepStats::default, |mut a, b| {
-                a.merge(b);
-                a
-            })
-            .reduce(SweepStats::default, |mut a, b| {
-                a.merge(b);
-                a
-            });
-        let (journal, error) = sink.into_inner().unwrap_or_else(|e| e.into_inner());
-        if let Some(e) = error {
-            return Err(e);
-        }
-        journal.sync()?;
-        Ok((journal.partial().finish(), stats))
+            .fold(A::default, |acc, cells| cells.into_iter().fold(acc, &fold))
+            .reduce(A::default, merge)
     }
 
-    /// Builds every cell's substrate up front (cells must be inspected
-    /// — table, template, duration — before they can be grouped into
-    /// stripes). Substrate construction is the cheap, amortized part of
-    /// a run; simulators and suites are still built per stripe. Every
-    /// slot is `Some` — the `Option` is the planner's shared currency
-    /// with the guarded and checkpoint-resume paths, which skip cells.
-    pub(crate) fn build_all<S, F>(&self, build: &F) -> Vec<Option<S>>
-    where
-        S: Substrate,
-        F: Fn(&C, u64) -> S,
-    {
-        self.cells
-            .iter()
-            .enumerate()
-            .map(|(i, cell)| Some(build(cell, cell_seed(self.base_seed, i))))
-            .collect()
-    }
-
-    /// [`Sweep::build_all`] under `catch_unwind`: a cell whose *build*
-    /// panics becomes `None` and is later quarantined through the
-    /// guarded scalar ladder (which retries the build per policy).
-    fn build_all_guarded<S, F>(&self, build: &F) -> Vec<Option<S>>
-    where
-        S: Substrate,
-        F: Fn(&C, u64) -> S,
-    {
-        self.cells
-            .iter()
-            .enumerate()
-            .map(|(i, cell)| {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    build(cell, cell_seed(self.base_seed, i))
-                }))
-                .ok()
-            })
-            .collect()
-    }
-
-    /// Executes one planned unit with fault isolation. Healthy stripe
-    /// lanes keep their (bit-identical) batched reports; any failing
-    /// lane — and, after a panic, the whole stripe — re-runs the full
-    /// guarded scalar ladder so provenance and retries match
-    /// [`Sweep::run_cell_quarantined`] exactly.
-    fn run_unit_guarded<S, F>(
+    /// Runs one planned unit — the one place the quarantine policy is
+    /// read. Without a quarantine a failing cell's error is its outcome.
+    /// With one, every failing lane — and, after a panic, every lane of
+    /// its stripe — reruns on the guarded scalar rung, so provenance and
+    /// retries never depend on which unit a cell was planned into.
+    fn run_unit<S, F>(
         &self,
-        q: Quarantine,
+        quarantine: Option<Quarantine>,
         subs: &[Option<S>],
         unit: &Unit,
         build: &F,
-    ) -> Vec<(usize, GuardedOutcome)>
+    ) -> Vec<Finished>
     where
         S: Substrate + Sync,
         F: Fn(&C, u64) -> S + Sync,
     {
-        let guarded_scalar = |i: usize| {
-            (
-                i,
-                self.run_cell_quarantined(q, &mut RunContext::new(), i, build),
-            )
-        };
-        match unit {
-            Unit::Scalar(i) => vec![guarded_scalar(*i)],
-            Unit::Stripe(lanes) => {
-                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let outcomes = match (unit, quarantine) {
+            (Unit::Scalar(i), None) => {
+                vec![run_scalar_cell(self.config, None, built(subs, *i), *i)]
+            }
+            (Unit::Scalar(i), Some(q)) => return vec![self.run_guarded(q, *i, build)],
+            (Unit::Stripe(lanes), None) => run_stripe(self.config, None, subs, lanes),
+            (Unit::Stripe(lanes), Some(q)) => {
+                match catch_unwind(AssertUnwindSafe(|| {
                     run_stripe(self.config, q.tick_budget, subs, lanes)
-                }));
-                match caught {
-                    Ok(outcomes) => outcomes
-                        .into_iter()
-                        .map(|(i, result, timing)| match result {
-                            Ok(report) => (i, (Ok((report, timing)), 0)),
-                            Err(_) => guarded_scalar(i),
-                        })
-                        .collect(),
-                    // A panic anywhere in the stripe: every lane re-runs
-                    // guarded-scalar. The faulty cell is quarantined with
-                    // its own panic payload; stripe-mates reproduce their
-                    // healthy reports bit-identically.
-                    Err(_) => lanes.iter().map(|&i| guarded_scalar(i)).collect(),
+                })) {
+                    Ok(outcomes) => outcomes,
+                    // The faulty cell is quarantined with its own panic
+                    // payload; stripe-mates reproduce their healthy
+                    // reports bit-identically.
+                    Err(_) => {
+                        return lanes
+                            .iter()
+                            .map(|&i| self.run_guarded(q, i, build))
+                            .collect()
+                    }
                 }
             }
+        };
+        outcomes
+            .into_iter()
+            .map(|(cell, result, timing)| match (result, quarantine) {
+                (Ok(report), _) => Finished {
+                    cell,
+                    result: Ok((report, timing)),
+                    retries: 0,
+                },
+                (Err(e), None) => Finished {
+                    cell,
+                    result: Err(Failure::Abort(e)),
+                    retries: 0,
+                },
+                (Err(_), Some(q)) => self.run_guarded(q, cell, build),
+            })
+            .collect()
+    }
+
+    /// The guarded scalar rung: the cell rebuilt and run alone under
+    /// `catch_unwind`. A tick-budget trip is quarantined as
+    /// [`FailureReason::TickBudgetExceeded`] and never retried — the
+    /// harness is deterministic, so a runaway run stays runaway; panics
+    /// and errors are retried per the quarantine's
+    /// [`RetryPolicy`](crate::RetryPolicy). A healthy cell's report is
+    /// bit-identical to an unguarded run's.
+    fn run_guarded<S, F>(&self, q: Quarantine, cell: usize, build: &F) -> Finished
+    where
+        S: Substrate,
+        F: Fn(&C, u64) -> S,
+    {
+        let mut attempt = 0u32;
+        loop {
+            let seed = if q.retry.reseed {
+                retry_seed(self.base_seed, cell, attempt)
+            } else {
+                cell_seed(self.base_seed, cell)
+            };
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                let substrate = build(&self.cells[cell], seed);
+                Experiment::new(&substrate)
+                    .with_config(self.config)
+                    .with_tick_budget(q.tick_budget)
+                    .run_in(&mut RunContext::new())
+            }));
+            let reason = match caught {
+                Ok(Ok(ok)) => {
+                    return Finished {
+                        cell,
+                        result: Ok(ok),
+                        retries: attempt,
+                    }
+                }
+                Ok(Err(ExperimentError::TickBudget { budget })) => {
+                    FailureReason::TickBudgetExceeded { budget }
+                }
+                Ok(Err(e)) => FailureReason::Error {
+                    message: e.to_string(),
+                },
+                Err(payload) => FailureReason::Panic {
+                    message: panic_message(payload.as_ref()),
+                },
+            };
+            let deterministic = matches!(reason, FailureReason::TickBudgetExceeded { .. });
+            if deterministic || attempt >= q.retry.attempts {
+                return Finished {
+                    cell,
+                    result: Err(Failure::Quarantined(CellFailure {
+                        cell,
+                        seed,
+                        retries: attempt,
+                        reason,
+                    })),
+                    retries: attempt,
+                };
+            }
+            attempt += 1;
         }
     }
-}
-
-/// Executes one planned unit.
-fn run_unit<S: Substrate>(
-    config: ExperimentConfig,
-    subs: &[Option<S>],
-    unit: &Unit,
-) -> Vec<CellOutcome> {
-    match unit {
-        Unit::Scalar(i) => vec![run_scalar_cell(config, None, built(subs, *i), *i)],
-        Unit::Stripe(lanes) => run_stripe(config, None, subs, lanes),
-    }
-}
-
-/// [`plan_units`] plus explicit scalar units for unbuilt (`None`) cells,
-/// so the guarded runner can rebuild and quarantine them with
-/// provenance. Only the guarded paths use this — on a checkpoint resume
-/// `None` means "already completed, skip", not "rebuild".
-fn plan_units_with_unbuilt<S: Substrate>(subs: &[Option<S>], width: usize) -> Vec<Unit> {
-    let mut units = plan_units(subs, width);
-    for (i, sub) in subs.iter().enumerate() {
-        if sub.is_none() {
-            units.push(Unit::Scalar(i));
-        }
-    }
-    units
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::SweepJournal;
+    use crate::sweep::tests::{aggregate_of, per_cell};
+    use crate::sweep::{RetryPolicy, SweepAggregate};
     use esafe_logic::{parse, EvalError, Frame, SignalId, SignalTable};
     use esafe_monitor::{Location, MonitorSuite, SuiteTemplate};
     use esafe_sim::{SimTime, Subsystem};
@@ -874,12 +735,12 @@ mod tests {
     #[test]
     fn batched_sweep_matches_scalar_sweep_bit_for_bit() {
         let family = RampFamily::new();
-        let sweep = Sweep::new(mixed_slopes()).with_base_seed(11);
         let build = |slope: &f64, _seed: u64| family.substrate(*slope);
-        let scalar = sweep.run_serial(build).unwrap();
+        let scalar = per_cell(&mixed_slopes(), 11, build).unwrap();
+        let sweep = Sweep::new(mixed_slopes()).with_base_seed(11);
         for width in [2, 3, 8, 64] {
-            let batched = sweep.run_batched(build, width).unwrap();
-            assert_eq!(batched, scalar, "width {width} diverged from scalar");
+            let (batched, _) = sweep.run(build, width).unwrap();
+            assert_eq!(batched.runs, scalar, "width {width} diverged from scalar");
         }
     }
 
@@ -892,10 +753,11 @@ mod tests {
         let family = RampFamily::new();
         // One stripe: the fast lane dies first, the slow lanes run the
         // full schedule.
-        let sweep = Sweep::new(vec![4.0, 0.2, 1.0, 0.4]).with_base_seed(3);
+        let slopes = vec![4.0, 0.2, 1.0, 0.4];
         let build = |slope: &f64, _seed: u64| family.substrate(*slope);
-        let scalar = sweep.run_serial(build).unwrap();
-        let batched = sweep.run_batched(build, 4).unwrap();
+        let scalar = per_cell(&slopes, 3, build).unwrap();
+        let sweep = Sweep::new(slopes).with_base_seed(3);
+        let (batched, _) = sweep.run(build, 4).unwrap();
         assert!(
             batched.runs[0].terminated_early,
             "the fast lane must terminate early"
@@ -908,18 +770,18 @@ mod tests {
             batched.runs[0].ticks, batched.runs[2].ticks,
             "lanes must terminate at different ticks"
         );
-        assert_eq!(batched, scalar);
+        assert_eq!(batched.runs, scalar);
     }
 
     #[test]
     fn batched_aggregate_matches_scalar_aggregate() {
         let family = RampFamily::new();
-        let sweep = Sweep::new(mixed_slopes()).with_base_seed(7);
         let build = |slope: &f64, _seed: u64| family.substrate(*slope);
-        let (scalar, scalar_stats) = sweep.run_aggregate(build).unwrap();
-        let (batched, stats) = sweep.run_aggregate_batched(build, 4).unwrap();
+        let scalar = aggregate_of(per_cell(&mixed_slopes(), 7, build).unwrap());
+        let sweep = Sweep::new(mixed_slopes()).with_base_seed(7);
+        let (batched, stats) = sweep.run_aggregate(build, 4).unwrap();
         assert_eq!(batched, scalar);
-        assert_eq!(stats.runs(), scalar_stats.runs());
+        assert_eq!(stats.runs(), mixed_slopes().len());
         assert_eq!(stats.suites_compiled, 0, "stripes never recompile");
     }
 
@@ -927,15 +789,15 @@ mod tests {
     fn template_less_cells_fall_back_to_the_scalar_path() {
         // RampCell with template stripped: still correct, just scalar.
         let family = RampFamily::new();
-        let sweep = Sweep::new(vec![2.0, 1.0, 0.5]).with_base_seed(5);
+        let slopes = vec![2.0, 1.0, 0.5];
         let strip = |slope: &f64, _seed: u64| {
             let mut cell = family.substrate(*slope);
             cell.template = None;
             cell
         };
-        let batched = sweep.run_batched(strip, 4).unwrap();
-        let scalar = sweep.run_serial(strip).unwrap();
-        assert_eq!(batched, scalar);
+        let scalar = per_cell(&slopes, 5, strip).unwrap();
+        let (batched, _) = Sweep::new(slopes).with_base_seed(5).run(strip, 4).unwrap();
+        assert_eq!(batched.runs, scalar);
     }
 
     #[test]
@@ -944,12 +806,12 @@ mod tests {
         let build = |slope: &f64, _seed: u64| family.substrate(*slope);
         let sweep = Sweep::new(vec![1.0, 2.0]).with_base_seed(9);
         assert_eq!(
-            sweep.run_batched(build, 1).unwrap(),
-            sweep.run_serial(build).unwrap()
+            sweep.run(build, 1).unwrap().0.runs,
+            per_cell(&[1.0, 2.0], 9, build).unwrap()
         );
         let empty = Sweep::new(Vec::<f64>::new());
-        assert_eq!(empty.run_batched(build, 8).unwrap().runs.len(), 0);
-        let (agg, stats) = empty.run_aggregate_batched(build, 8).unwrap();
+        assert_eq!(empty.run(build, 8).unwrap().0.runs.len(), 0);
+        let (agg, stats) = empty.run_aggregate(build, 8).unwrap();
         assert_eq!(agg, SweepAggregate::default());
         assert_eq!(stats.runs(), 0);
     }
@@ -973,10 +835,10 @@ mod tests {
             x,
             template: Arc::new(suite.template()),
         };
-        let sweep = Sweep::new(vec![1.0, 2.0, 3.0]).with_base_seed(1);
+        let slopes = vec![1.0, 2.0, 3.0];
         let build = |slope: &f64, _seed: u64| broken.substrate(*slope);
-        let batched = sweep.run_batched(build, 4);
-        let scalar = sweep.run_serial(build);
+        let scalar = per_cell(&slopes, 1, build);
+        let batched = Sweep::new(slopes).with_base_seed(1).run(build, 4);
         match (batched, scalar) {
             (Err(a), Err(b)) => assert_eq!(format!("{a}"), format!("{b}")),
             (a, b) => panic!("both paths must fail: {a:?} vs {b:?}"),
@@ -1005,14 +867,14 @@ mod tests {
                 family.substrate(*slope)
             }
         };
-        let sweep = Sweep::new(slopes.clone()).with_base_seed(base);
-        let baseline = sweep.run_serial(healthy).unwrap();
-        let mut expected = baseline.runs.clone();
+        let mut expected = per_cell(&slopes, base, healthy).unwrap();
         expected.remove(victim);
-        let guarded = sweep.clone().with_quarantine(Quarantine::default());
+        let guarded = Sweep::new(slopes.clone())
+            .with_base_seed(base)
+            .with_quarantine(Quarantine::default());
 
         for width in [1, 2, 3, 5, 8, 16, 33, 64] {
-            let report = guarded.run_batched(poisoned, width).unwrap();
+            let (report, _) = guarded.run(poisoned, width).unwrap();
             assert_eq!(
                 report.runs, expected,
                 "width {width}: stripe-mates diverged"
@@ -1029,8 +891,60 @@ mod tests {
                 failure.reason
             );
             // The streaming-aggregate form of the same width agrees.
-            let (agg, _) = guarded.run_aggregate_batched(poisoned, width).unwrap();
+            let (agg, _) = guarded.run_aggregate(poisoned, width).unwrap();
             assert_eq!(agg, report.aggregate(), "width {width} aggregate diverged");
+        }
+    }
+
+    /// The stripe's own tick budget: a templated stripe under a
+    /// quarantine stops at the budget, and exactly the lanes still live
+    /// then — the cells whose solo run outlives the budget — are
+    /// quarantined, never retried, while lanes that retired in time keep
+    /// their reports. Slope 1.5 retires at tick 44, one tick inside.
+    #[test]
+    fn stripe_tick_budget_quarantines_exactly_the_runs_that_outlive_it() {
+        use crate::sweep::FailureReason;
+
+        let family = RampFamily::new();
+        let build = |slope: &f64, _seed: u64| family.substrate(*slope);
+        let slopes = mixed_slopes();
+        let solo = per_cell(&slopes, 23, build).unwrap();
+        let outlive: Vec<usize> = (0..slopes.len()).filter(|&i| solo[i].ticks > 45).collect();
+        assert!(
+            !outlive.is_empty() && outlive.len() < slopes.len(),
+            "the budget must split the grid"
+        );
+        let survivors: Vec<RunReport> = solo
+            .into_iter()
+            .enumerate()
+            .filter(|(i, _)| !outlive.contains(i))
+            .map(|(_, run)| run)
+            .collect();
+        let sweep = Sweep::new(slopes)
+            .with_base_seed(23)
+            .with_quarantine(Quarantine {
+                tick_budget: Some(45),
+                retry: RetryPolicy {
+                    attempts: 2,
+                    reseed: true,
+                },
+            });
+        for width in [1, 2, 4, 16] {
+            let (report, _) = sweep.run(build, width).unwrap();
+            let quarantined: Vec<usize> = report.quarantined.iter().map(|f| f.cell).collect();
+            assert_eq!(quarantined, outlive, "width {width}");
+            for failure in &report.quarantined {
+                assert_eq!(
+                    failure.reason,
+                    FailureReason::TickBudgetExceeded { budget: 45 },
+                    "width {width}"
+                );
+                assert_eq!(failure.retries, 0, "width {width}");
+            }
+            assert_eq!(report.retries, 0, "width {width}");
+            assert_eq!(report.runs, survivors, "width {width}");
+            let (agg, _) = sweep.run_aggregate(build, width).unwrap();
+            assert_eq!(agg, report.aggregate(), "width {width}");
         }
     }
 
@@ -1054,15 +968,15 @@ mod tests {
         let build = |slope: &f64, _seed: u64| family.substrate(*slope);
         let slopes = mixed_slopes();
         let cells = slopes.len();
+        let reference = aggregate_of(per_cell(&slopes, 17, build).unwrap());
         let sweep = Sweep::new(slopes).with_base_seed(17);
-        let (reference, _) = sweep.run_aggregate_batched(build, 4).unwrap();
 
         // An uninterrupted checkpointed run matches the plain aggregate.
         let full_path = temp_journal("full");
         let mut journal =
             SweepJournal::create(&full_path, 17, cells, ExperimentConfig::default()).unwrap();
         let (agg, stats) = sweep
-            .run_aggregate_batched_checkpointed(build, 4, &mut journal)
+            .run_aggregate_checkpointed(build, 4, &mut journal)
             .unwrap();
         assert_eq!(agg, reference);
         assert_eq!(stats.runs(), cells);
@@ -1085,7 +999,7 @@ mod tests {
             let mut resumed = SweepJournal::open(&cut_path).unwrap();
             assert_eq!(resumed.recovered_records(), 3, "{name}");
             let (resumed_agg, resumed_stats) = sweep
-                .run_aggregate_batched_checkpointed(build, 4, &mut resumed)
+                .run_aggregate_checkpointed(build, 4, &mut resumed)
                 .unwrap();
             assert_eq!(
                 resumed_agg, reference,
@@ -1102,7 +1016,7 @@ mod tests {
             // reproduces the aggregate, purely from records.
             let mut done = SweepJournal::open(&cut_path).unwrap();
             let (replayed, replay_stats) = sweep
-                .run_aggregate_batched_checkpointed(build, 4, &mut done)
+                .run_aggregate_checkpointed(build, 4, &mut done)
                 .unwrap();
             assert_eq!(replayed, reference, "{name}");
             assert_eq!(replay_stats.runs(), 0, "{name}");
@@ -1130,7 +1044,7 @@ mod tests {
             SweepJournal::create(&path, 5, slopes.len(), ExperimentConfig::default()).unwrap();
         // Checkpointed runs quarantine by default — no explicit policy.
         let (agg, _) = sweep
-            .run_aggregate_batched_checkpointed(poisoned, 2, &mut journal)
+            .run_aggregate_checkpointed(poisoned, 2, &mut journal)
             .unwrap();
         assert_eq!(agg.quarantined.len(), 1);
         assert_eq!(agg.quarantined[0].cell, 2);
@@ -1139,7 +1053,7 @@ mod tests {
 
         let mut reopened = SweepJournal::open(&path).unwrap();
         let (replayed, stats) = sweep
-            .run_aggregate_batched_checkpointed(poisoned, 2, &mut reopened)
+            .run_aggregate_checkpointed(poisoned, 2, &mut reopened)
             .unwrap();
         assert_eq!(replayed, agg, "provenance must survive the journal");
         assert_eq!(stats.runs(), 0);
@@ -1155,7 +1069,7 @@ mod tests {
         // Wrong seed and wrong cell count.
         let mut journal = SweepJournal::create(&path, 99, 7, ExperimentConfig::default()).unwrap();
         let err = sweep
-            .run_aggregate_batched_checkpointed(build, 4, &mut journal)
+            .run_aggregate_checkpointed(build, 4, &mut journal)
             .unwrap_err();
         assert!(
             format!("{err}").contains("different sweep"),

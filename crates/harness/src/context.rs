@@ -1,10 +1,11 @@
-//! Pooled per-worker run state and run timing.
+//! Pooled run state and run timing.
 //!
-//! A sweep used to rebuild everything per cell: recompile the ~dozens of
-//! goal formulas into a fresh [`MonitorSuite`], allocate a fresh
-//! observed-scratch [`Frame`], fresh interval trackers. All of that is
-//! invariant across the cells of one substrate family, so each sweep
-//! worker now owns one [`RunContext`] reused from cell to cell:
+//! Much of a run's setup is invariant across the cells of one substrate
+//! family: the ~dozens of goal formulas compiled into a
+//! [`MonitorSuite`], the observed-scratch [`Frame`], the interval
+//! trackers. A caller that runs many cells one after another on one
+//! thread — the serial recording sweeps, a benchmark loop — owns one
+//! [`RunContext`] and passes it to every run:
 //!
 //! * the **observed scratch frame** is kept and [`Frame::clear`]ed
 //!   between runs (a `memset` instead of an allocation);
@@ -13,10 +14,10 @@
 //!   (a `memcpy` of temporal cells instead of re-instantiation).
 //!
 //! Reuse never changes results: a cleared frame and a reset suite are
-//! observationally identical to fresh ones, so `Sweep::run` (per-worker
-//! contexts, arbitrary cell interleaving) stays bit-identical to
-//! `Sweep::run_serial` (one context, cell order) — pinned by the
-//! workspace's determinism and golden tests.
+//! observationally identical to fresh ones, so a pooled run is
+//! bit-identical to `Experiment::run` — pinned by the experiment tests.
+//! Parallel sweeps do not pool: their stripes instantiate one batched
+//! suite per stripe, and their scalar cells start from a fresh context.
 //!
 //! [`RunTiming`] is the per-run instrumentation the pooled path exposes:
 //! where the run's wall-clock went (setup vs ticking) and how its suite

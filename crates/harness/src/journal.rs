@@ -46,6 +46,7 @@
 use crate::crc::crc32;
 use crate::experiment::{ExperimentConfig, ExperimentError, RunReport};
 use crate::sweep::{AggregateBuilder, CellFailure, FailureReason};
+use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -395,8 +396,9 @@ pub struct SweepJournal {
     base_seed: u64,
     cells: usize,
     config: ExperimentConfig,
-    completed: Vec<bool>,
-    completed_count: usize,
+    /// Cells already done, sized by the records read or appended — never
+    /// by the header's cell count, which a hostile file can inflate.
+    completed: HashSet<usize>,
     records: usize,
     recovered_records: usize,
     partial: AggregateBuilder,
@@ -447,8 +449,7 @@ impl SweepJournal {
             base_seed,
             cells,
             config,
-            completed: vec![false; cells],
-            completed_count: 0,
+            completed: HashSet::new(),
             records: 0,
             recovered_records: 0,
             partial: AggregateBuilder::new(),
@@ -514,8 +515,7 @@ impl SweepJournal {
             base_seed,
             cells,
             config,
-            completed: vec![false; cells],
-            completed_count: 0,
+            completed: HashSet::new(),
             records: 0,
             recovered_records: 0,
             partial: AggregateBuilder::new(),
@@ -549,16 +549,13 @@ impl SweepJournal {
     }
 
     /// Folds one replayed or freshly appended record into the in-memory
-    /// state (bitmap + partial aggregate). Duplicate records for an
-    /// already-completed cell are ignored — first write wins, so a
+    /// state (completed set + partial aggregate). Duplicate records for
+    /// an already-completed cell are ignored — first write wins, so a
     /// replay can never double-count.
     fn apply(&mut self, record: JournalRecord) {
-        let cell = record.cell();
-        if self.completed[cell] {
+        if !self.completed.insert(record.cell()) {
             return;
         }
-        self.completed[cell] = true;
-        self.completed_count += 1;
         self.records += 1;
         match record {
             JournalRecord::Completed(delta) => self.partial.absorb_delta(&delta),
@@ -642,12 +639,12 @@ impl SweepJournal {
 
     /// How many cells are already done (completed or quarantined).
     pub fn completed_cells(&self) -> usize {
-        self.completed_count
+        self.completed.len()
     }
 
     /// Whether a cell is already done (completed or quarantined).
     pub fn is_completed(&self, cell: usize) -> bool {
-        self.completed.get(cell).copied().unwrap_or(false)
+        self.completed.contains(&cell)
     }
 
     /// A clone of the partial aggregate accumulated from this journal's

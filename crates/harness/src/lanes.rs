@@ -6,7 +6,7 @@
 //! owns which lane is a separate question, and this module answers it
 //! once for both usage shapes:
 //!
-//! * **static stripes** ([`Sweep::run_batched`](crate::Sweep::run_batched)):
+//! * **static stripes** (the [sweep driver](crate::batch)):
 //!   every lane is claimed at stripe setup and released as its run
 //!   retires; the stripe's tick loop keys "is this lane still running?"
 //!   off the allocator instead of per-lane flags;

@@ -18,21 +18,22 @@
 //!   with different tick periods (1 ms vehicle, 10 ms elevator) share one
 //!   run loop;
 //! * [`RunReport`] — the substrate-independent outcome of one run;
-//! * [`Sweep`] — a rayon-parallel fan-out of experiment cells (scenario ×
-//!   defect grids, seed batches) with deterministic per-cell seeds and
-//!   order-independent aggregation, so the parallel path is
-//!   bit-identical to the serial one. [`Sweep::run_aggregate`] is the
-//!   streaming form: per-worker partial aggregates
-//!   ([`AggregateBuilder`]) folded as reports are produced and merged
-//!   at join — O(workers) memory for arbitrarily large grids;
-//! * [`RunContext`] — per-worker pooled run state (observed scratch
-//!   frame, template-instantiated monitor suite) reused across the cells
-//!   a sweep worker executes. Substrate families expose a compile-once
-//!   [`SuiteTemplate`](esafe_monitor::SuiteTemplate) through
-//!   [`Substrate::suite_template`], so a sweep compiles each goal
-//!   formula once, not once per cell; [`Sweep::run_timed`] reports the
-//!   resulting setup/ticking split and amortization counters
-//!   ([`SweepStats`]);
+//! * [`Sweep`] — a parallel fan-out of experiment cells (scenario ×
+//!   defect grids, seed batches) with deterministic per-cell seeds. One
+//!   striped driver runs every sweep: cells sharing a compile-once
+//!   [`SuiteTemplate`](esafe_monitor::SuiteTemplate)
+//!   ([`Substrate::suite_template`]) tick in lock-step stripes through
+//!   the batched engines, and each cell's report is bit-identical to
+//!   running it alone through [`Experiment`]. The driver folds finished
+//!   cells into one of three shapes: every report ([`Sweep::run`]), a
+//!   streaming aggregate ([`Sweep::run_aggregate`], per-worker partials
+//!   via [`AggregateBuilder`] — O(workers × width) memory for
+//!   arbitrarily large grids), or journal appends
+//!   ([`Sweep::run_aggregate_checkpointed`]); each also reports its
+//!   setup/ticking split and suite counters ([`SweepStats`]);
+//! * [`RunContext`] — pooled run state (observed scratch frame,
+//!   template-instantiated monitor suite) reused across runs executed
+//!   one after another on one thread, as the serial recording sweeps do;
 //! * [`Quarantine`] / [`SweepJournal`] — fault isolation and durable
 //!   checkpoint/resume for fleet-scale sweeps: with a quarantine
 //!   installed a panicking, erroring, or runaway cell is recorded as a

@@ -1,27 +1,37 @@
-//! Batch-parallel experiment sweeps over a grid of configurations.
+//! Experiment sweeps over a grid of configurations.
 //!
-//! Two execution shapes share one cell runner:
+//! One driver runs every sweep (see [`batch`](crate::batch)): it builds
+//! each cell's substrate, groups same-template cells into lock-step
+//! stripes of up to `width` lanes, runs the stripes and scalar singles
+//! in parallel, and folds each finished cell into one of three shapes:
 //!
-//! * **collect-all** ([`Sweep::run`] / [`Sweep::run_serial`] and their
-//!   `_timed` variants) — every [`RunReport`] is kept, in cell order.
-//!   This is the explicit API for tests, goldens, and callers that need
-//!   per-run detail (violation tables, figure series); memory is O(cells).
-//! * **streaming** ([`Sweep::run_aggregate`] /
-//!   [`Sweep::run_aggregate_serial`]) — each worker folds the reports it
-//!   produces into a per-worker partial [`SweepAggregate`]
-//!   ([`AggregateBuilder`]), merged once at join. No report outlives its
-//!   cell, so memory is O(workers) and grid size is bounded by time, not
-//!   RAM — the path behind `repro --grid` and 10⁵+-cell sweeps.
+//! * [`Sweep::run`] — every [`RunReport`], in cell
+//!   order: the shape for tests, goldens, and callers that need per-run
+//!   detail (violation tables, figure series); memory is O(cells);
+//! * [`Sweep::run_aggregate`] — a streaming [`SweepAggregate`]: each
+//!   worker folds the cells it finishes into a partial
+//!   ([`AggregateBuilder`]), merged once at join, so memory is
+//!   O(workers × width) and grid size is bounded by time, not RAM;
+//! * [`Sweep::run_aggregate_checkpointed`] — the streaming aggregate
+//!   plus one [`SweepJournal`] append per finished cell, so an
+//!   interrupted sweep resumes bit-identically.
 //!
-//! Both shapes produce the identical aggregate (every total is a
-//! commutative sum), which the workspace's regression tests pin.
+//! Every cell's report is bit-identical to running that cell alone
+//! through [`Experiment`](crate::Experiment) with its [`cell_seed`] —
+//! the reference the sweep tests take their expected reports from —
+//! and every aggregate total is a commutative sum, so the three shapes
+//! agree. The recording sweeps
+//! ([`Sweep::run_aggregate_recorded`], [`Sweep::run_aggregate_rescored`])
+//! live with the trace corpus and run their cells serially.
 
-use crate::context::{RunContext, RunTiming, SuiteProvenance};
-use crate::experiment::{Experiment, ExperimentConfig, ExperimentError, RunReport};
+use crate::batch::{Failure, Finished};
+use crate::context::{RunTiming, SuiteProvenance};
+use crate::experiment::{ExperimentConfig, ExperimentError, RunReport};
+use crate::journal::{CellDelta, JournalRecord, SweepJournal};
 use crate::substrate::Substrate;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Deterministic per-cell seed: a splitmix64 mix of the sweep's base
@@ -125,29 +135,14 @@ pub struct Quarantine {
     pub retry: RetryPolicy,
 }
 
-/// Renders a caught panic payload for [`FailureReason::Panic`].
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
-
-/// One guarded cell outcome: the successful report and its timing, or
-/// the final attempt's failure — plus the retries consumed either way.
-pub(crate) type GuardedOutcome = (Result<(RunReport, RunTiming), CellFailure>, u32);
-
 /// A grid of experiment cells to fan across cores.
 ///
 /// A cell is any description of one run — a `(Scenario, DefectSet)`
 /// pair, a fault configuration, a seed index. The sweep builds a
-/// [`Substrate`] per cell via the caller's factory, runs each under the
-/// shared [`ExperimentConfig`], and returns reports in cell order, so
-/// [`Sweep::run`] (rayon-parallel) and [`Sweep::run_serial`] produce
-/// identical results.
+/// [`Substrate`] per cell via the caller's factory and runs each under
+/// the shared [`ExperimentConfig`]; every cell's report is
+/// bit-identical to running that cell alone through
+/// [`Experiment`](crate::Experiment) with its [`cell_seed`].
 #[derive(Debug, Clone)]
 pub struct Sweep<C> {
     pub(crate) cells: Vec<C>,
@@ -181,7 +176,7 @@ impl<C: Sync> Sweep<C> {
 
     /// Installs a fault-isolation policy: failing cells are quarantined
     /// as [`CellFailure`]s in the result instead of aborting the sweep.
-    /// Off by default — without a quarantine every run path keeps the
+    /// Off by default — without a quarantine every run shape keeps the
     /// documented earliest-cell-error semantics unchanged.
     pub fn with_quarantine(mut self, quarantine: Quarantine) -> Self {
         self.quarantine = Some(quarantine);
@@ -193,312 +188,184 @@ impl<C: Sync> Sweep<C> {
         &self.cells
     }
 
-    /// Runs every cell in parallel across the available cores.
+    /// Runs every cell and keeps every report, in cell order, plus the
+    /// sweep's [`SweepStats`] — where the wall-clock went (setup vs
+    /// ticking, summed over all workers) and how each suite was
+    /// obtained.
     ///
     /// `build` receives each cell and its deterministic seed
-    /// ([`cell_seed`]) and returns the substrate to run. Each worker
-    /// thread owns one pooled [`RunContext`] reused across the cells it
-    /// executes (scratch frame, template-instantiated suite); pooling is
-    /// observationally invisible, so reports come back in cell order,
-    /// bit-identical to [`Sweep::run_serial`]. On error, the failure of
-    /// the earliest cell is returned regardless of scheduling.
+    /// ([`cell_seed`]) and returns the substrate to run; cells sharing
+    /// a suite template tick in lock-step stripes of up to `width`
+    /// lanes (see [`batch`](crate::batch)). Memory is O(cells): this is
+    /// the shape for tests, goldens, and callers that need per-run
+    /// detail (violation tables, figure series).
     ///
     /// # Errors
     ///
-    /// Returns the first cell's [`ExperimentError`], by cell order.
-    pub fn run<S, F>(&self, build: F) -> Result<SweepReport, ExperimentError>
-    where
-        S: Substrate,
-        F: Fn(&C, u64) -> S + Sync,
-    {
-        self.run_timed(build).map(|(report, _)| report)
-    }
-
-    /// [`Sweep::run`] plus the sweep's aggregated [`SweepStats`] —
-    /// where the wall-clock went (setup vs ticking, summed over all
-    /// workers) and how many suites were compiled, template-instantiated,
-    /// or reused from a worker's pool.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first cell's [`ExperimentError`], by cell order.
-    pub fn run_timed<S, F>(&self, build: F) -> Result<(SweepReport, SweepStats), ExperimentError>
-    where
-        S: Substrate,
-        F: Fn(&C, u64) -> S + Sync,
-    {
-        let indices: Vec<usize> = (0..self.cells.len()).collect();
-        if let Some(q) = self.quarantine {
-            let results: Vec<GuardedOutcome> = indices
-                .into_par_iter()
-                .map_init(RunContext::new, |ctx, i| {
-                    self.run_cell_quarantined(q, ctx, i, &build)
-                })
-                .collect();
-            return Ok(Self::collect_guarded(results));
-        }
-        let results: Vec<(Result<RunReport, ExperimentError>, RunTiming)> = indices
-            .into_par_iter()
-            .map_init(RunContext::new, |ctx, i| self.run_cell(ctx, i, &build))
-            .collect();
-        Self::collect_reports(results)
-    }
-
-    /// Runs every cell sequentially on the calling thread — the reference
-    /// path the parallel runner must match bit for bit. One pooled
-    /// [`RunContext`] serves every cell, in cell order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first cell's [`ExperimentError`], by cell order.
-    pub fn run_serial<S, F>(&self, build: F) -> Result<SweepReport, ExperimentError>
-    where
-        S: Substrate,
-        F: Fn(&C, u64) -> S,
-    {
-        self.run_serial_timed(build).map(|(report, _)| report)
-    }
-
-    /// [`Sweep::run_serial`] plus the aggregated [`SweepStats`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first cell's [`ExperimentError`], by cell order.
-    pub fn run_serial_timed<S, F>(
+    /// Without a quarantine, returns the earliest failing cell's
+    /// [`ExperimentError`], by cell order, regardless of scheduling.
+    pub fn run<S, F>(
         &self,
         build: F,
+        width: usize,
     ) -> Result<(SweepReport, SweepStats), ExperimentError>
     where
-        S: Substrate,
-        F: Fn(&C, u64) -> S,
-    {
-        let mut ctx = RunContext::new();
-        if let Some(q) = self.quarantine {
-            let results: Vec<GuardedOutcome> = (0..self.cells.len())
-                .map(|i| self.run_cell_quarantined(q, &mut ctx, i, &build))
-                .collect();
-            return Ok(Self::collect_guarded(results));
-        }
-        let results: Vec<(Result<RunReport, ExperimentError>, RunTiming)> = (0..self.cells.len())
-            .map(|i| self.run_cell(&mut ctx, i, &build))
-            .collect();
-        Self::collect_reports(results)
-    }
-
-    /// Runs every cell in parallel, folding each report into a
-    /// per-worker partial aggregate the moment it is produced — no
-    /// report is retained, so memory is O(workers) regardless of grid
-    /// size. The partials merge at join into the same
-    /// [`SweepAggregate`] the collect-all paths compute (every total is
-    /// a commutative sum), with the same pooled-context amortization.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first cell's [`ExperimentError`], by cell order —
-    /// identical to [`Sweep::run`] regardless of scheduling.
-    pub fn run_aggregate<S, F>(
-        &self,
-        build: F,
-    ) -> Result<(SweepAggregate, SweepStats), ExperimentError>
-    where
-        S: Substrate,
+        S: Substrate + Sync,
         F: Fn(&C, u64) -> S + Sync,
     {
-        let indices: Vec<usize> = (0..self.cells.len()).collect();
-        if let Some(q) = self.quarantine {
-            let partial = indices
-                .into_par_iter()
-                .map_init(RunContext::new, |ctx, i| {
-                    self.run_cell_quarantined(q, ctx, i, &build)
-                })
-                .fold(Partial::default, |acc: Partial, outcome| {
-                    acc.absorbed_guarded(outcome)
-                })
-                .reduce(Partial::default, Partial::merged);
-            return partial.finish();
-        }
-        let partial = indices
-            .into_par_iter()
-            .map_init(RunContext::new, |ctx, i| (i, self.run_cell(ctx, i, &build)))
-            .fold(Partial::default, |acc: Partial, (i, outcome)| {
-                acc.absorbed(i, outcome)
-            })
-            .reduce(Partial::default, Partial::merged);
-        partial.finish()
-    }
-
-    /// [`Sweep::run_aggregate`] on the calling thread: one pooled
-    /// context, one accumulator, cells in order — the reference the
-    /// parallel reducer must match exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first cell's [`ExperimentError`], by cell order.
-    pub fn run_aggregate_serial<S, F>(
-        &self,
-        build: F,
-    ) -> Result<(SweepAggregate, SweepStats), ExperimentError>
-    where
-        S: Substrate,
-        F: Fn(&C, u64) -> S,
-    {
-        let mut ctx = RunContext::new();
-        let mut partial = Partial::default();
-        if let Some(q) = self.quarantine {
-            for i in 0..self.cells.len() {
-                partial =
-                    partial.absorbed_guarded(self.run_cell_quarantined(q, &mut ctx, i, &build));
-            }
-            return partial.finish();
-        }
-        for i in 0..self.cells.len() {
-            partial = partial.absorbed(i, self.run_cell(&mut ctx, i, &build));
-        }
-        partial.finish()
-    }
-
-    pub(crate) fn run_cell<S, F>(
-        &self,
-        ctx: &mut RunContext,
-        index: usize,
-        build: &F,
-    ) -> (Result<RunReport, ExperimentError>, RunTiming)
-    where
-        S: Substrate,
-        F: Fn(&C, u64) -> S,
-    {
-        let substrate = build(&self.cells[index], cell_seed(self.base_seed, index));
-        match Experiment::new(&substrate)
-            .with_config(self.config)
-            .run_in(ctx)
-        {
-            Ok((report, timing)) => (Ok(report), timing),
-            Err(e) => (Err(e), RunTiming::default()),
-        }
-    }
-
-    /// One fault-isolated cell: `catch_unwind` around build + run,
-    /// tick-budget trips translated to
-    /// [`FailureReason::TickBudgetExceeded`], panics and errors retried
-    /// per the quarantine's [`RetryPolicy`]. A healthy cell's report is
-    /// bit-identical to the unguarded [`Sweep::run_cell`]'s — the guard
-    /// only changes what happens to failures.
-    pub(crate) fn run_cell_quarantined<S, F>(
-        &self,
-        q: Quarantine,
-        ctx: &mut RunContext,
-        index: usize,
-        build: &F,
-    ) -> GuardedOutcome
-    where
-        S: Substrate,
-        F: Fn(&C, u64) -> S,
-    {
-        let mut attempt = 0u32;
-        loop {
-            let seed = if q.retry.reseed {
-                retry_seed(self.base_seed, index, attempt)
-            } else {
-                cell_seed(self.base_seed, index)
-            };
-            match self.attempt_cell(q, ctx, index, seed, build) {
-                Ok(ok) => return (Ok(ok), attempt),
-                Err(reason) => {
-                    let deterministic = matches!(reason, FailureReason::TickBudgetExceeded { .. });
-                    if !deterministic && attempt < q.retry.attempts {
-                        attempt += 1;
-                        continue;
-                    }
-                    return (
-                        Err(CellFailure {
-                            cell: index,
-                            seed,
-                            retries: attempt,
-                            reason,
-                        }),
-                        attempt,
-                    );
-                }
-            }
-        }
-    }
-
-    fn attempt_cell<S, F>(
-        &self,
-        q: Quarantine,
-        ctx: &mut RunContext,
-        index: usize,
-        seed: u64,
-        build: &F,
-    ) -> Result<(RunReport, RunTiming), FailureReason>
-    where
-        S: Substrate,
-        F: Fn(&C, u64) -> S,
-    {
-        // `AssertUnwindSafe`: on a caught panic the context (the only
-        // mutable state crossing the boundary) is discarded and rebuilt,
-        // so no torn pooled state can leak into a later run.
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let substrate = build(&self.cells[index], seed);
-            Experiment::new(&substrate)
-                .with_config(self.config)
-                .with_tick_budget(q.tick_budget)
-                .run_in(ctx)
-        }));
-        match caught {
-            Ok(Ok(ok)) => Ok(ok),
-            Ok(Err(ExperimentError::TickBudget { budget })) => {
-                Err(FailureReason::TickBudgetExceeded { budget })
-            }
-            Ok(Err(e)) => Err(FailureReason::Error {
-                message: e.to_string(),
-            }),
-            Err(payload) => {
-                *ctx = RunContext::new();
-                Err(FailureReason::Panic {
-                    message: panic_message(payload.as_ref()),
-                })
-            }
-        }
-    }
-
-    pub(crate) fn collect_reports(
-        results: Vec<(Result<RunReport, ExperimentError>, RunTiming)>,
-    ) -> Result<(SweepReport, SweepStats), ExperimentError> {
-        let mut runs = Vec::with_capacity(results.len());
-        let mut stats = SweepStats::default();
-        for (result, timing) in results {
-            runs.push(result?);
-            stats.absorb(timing);
-        }
-        Ok((
-            SweepReport {
-                runs,
-                ..SweepReport::default()
+        let mut finished = self.drive(
+            &build,
+            width,
+            self.quarantine,
+            |_| true,
+            |mut all: Vec<Finished>, cell| {
+                all.push(cell);
+                all
             },
-            stats,
-        ))
-    }
-
-    /// Assembles a guarded sweep's results: healthy reports in cell
-    /// order, quarantined cells sorted by index, retries summed.
-    /// [`SweepStats`] covers healthy runs only — a quarantined cell
-    /// produced no meaningful timing.
-    pub(crate) fn collect_guarded(results: Vec<GuardedOutcome>) -> (SweepReport, SweepStats) {
+            |mut a, b| {
+                a.extend(b);
+                a
+            },
+        );
+        finished.sort_unstable_by_key(|f| f.cell);
         let mut report = SweepReport::default();
         let mut stats = SweepStats::default();
-        for (result, retries) in results {
-            report.retries += retries as usize;
-            match result {
+        for f in finished {
+            report.retries += f.retries as usize;
+            match f.result {
                 Ok((run, timing)) => {
                     report.runs.push(run);
                     stats.absorb(timing);
                 }
-                Err(failure) => report.quarantined.push(failure),
+                Err(Failure::Quarantined(failure)) => report.quarantined.push(failure),
+                Err(Failure::Abort(e)) => return Err(e),
             }
         }
-        report.quarantined.sort_by_key(|f| f.cell);
-        (report, stats)
+        Ok((report, stats))
+    }
+
+    /// Runs every cell as a **streaming reduction**: each worker folds
+    /// the cells it finishes into a partial aggregate the moment their
+    /// stripe completes, and the partials merge at join. No report
+    /// outlives its stripe, so memory is O(workers × width) regardless
+    /// of grid size — the engine behind `repro --grid` and
+    /// `repro --mega-grid`. The aggregate equals
+    /// `run(..).aggregate()` (every total is a commutative sum).
+    ///
+    /// # Errors
+    ///
+    /// Without a quarantine, returns the earliest failing cell's
+    /// [`ExperimentError`], by cell order — identical to [`Sweep::run`].
+    pub fn run_aggregate<S, F>(
+        &self,
+        build: F,
+        width: usize,
+    ) -> Result<(SweepAggregate, SweepStats), ExperimentError>
+    where
+        S: Substrate + Sync,
+        F: Fn(&C, u64) -> S + Sync,
+    {
+        self.drive(
+            &build,
+            width,
+            self.quarantine,
+            |_| true,
+            Partial::absorbed,
+            Partial::merged,
+        )
+        .finish()
+    }
+
+    /// [`Sweep::run_aggregate`] with durable progress: every finished
+    /// cell (healthy or quarantined) is appended to `journal` as it
+    /// completes, and cells the journal already marks done are
+    /// **skipped** — their contributions replay from the journal's
+    /// records instead of re-running. Interrupt the process at any
+    /// point, reopen the journal ([`SweepJournal::open`] — torn tails
+    /// are truncated), and call this again: the final aggregate is
+    /// bit-identical to an uninterrupted run, because per-cell seeds
+    /// are deterministic ([`cell_seed`]) and every aggregate total is a
+    /// commutative sum over per-cell deltas.
+    ///
+    /// Fault isolation is always on here (the sweep's [`Quarantine`] if
+    /// installed, else the default policy): a sweep durable enough to
+    /// checkpoint should not abort on one bad cell. The returned
+    /// [`SweepStats`] covers only the cells run by *this* call —
+    /// resumed cells contribute no timing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExperimentError::Journal`] if the journal does not
+    /// describe this sweep (seed, cell count, or timing policy
+    /// mismatch) or on journal I/O failure; the first failed append
+    /// latches, and the remaining cells still run without being
+    /// journaled.
+    pub fn run_aggregate_checkpointed<S, F>(
+        &self,
+        build: F,
+        width: usize,
+        journal: &mut SweepJournal,
+    ) -> Result<(SweepAggregate, SweepStats), ExperimentError>
+    where
+        S: Substrate + Sync,
+        F: Fn(&C, u64) -> S + Sync,
+    {
+        if journal.base_seed() != self.base_seed
+            || journal.cells() != self.cells.len()
+            || journal.config() != self.config
+        {
+            return Err(ExperimentError::Journal(format!(
+                "journal describes a different sweep: journal has seed {} / {} cells / {:?}, \
+                 this sweep has seed {} / {} cells / {:?}",
+                journal.base_seed(),
+                journal.cells(),
+                journal.config(),
+                self.base_seed,
+                self.cells.len(),
+                self.config,
+            )));
+        }
+        let pending: Vec<bool> = (0..self.cells.len())
+            .map(|i| !journal.is_completed(i))
+            .collect();
+        // Workers funnel records through one mutex; the first error
+        // latches and surfaces after the join.
+        let sink = Mutex::new((journal, None::<ExperimentError>));
+        let stats = self.drive(
+            &build,
+            width,
+            Some(self.quarantine.unwrap_or_default()),
+            |i| pending[i],
+            |mut stats: SweepStats, f: Finished| {
+                let record = match f.result {
+                    Ok((report, timing)) => {
+                        stats.absorb(timing);
+                        Ok(JournalRecord::Completed(CellDelta::from_report(
+                            f.cell, f.retries, &report,
+                        )))
+                    }
+                    Err(Failure::Quarantined(failure)) => Ok(JournalRecord::Quarantined(failure)),
+                    Err(Failure::Abort(e)) => Err(e),
+                };
+                let mut guard = sink.lock().unwrap_or_else(|e| e.into_inner());
+                if guard.1.is_none() {
+                    if let Err(e) = record.and_then(|record| guard.0.append(record)) {
+                        guard.1 = Some(e);
+                    }
+                }
+                stats
+            },
+            |mut a, b| {
+                a.merge(b);
+                a
+            },
+        );
+        let (journal, error) = sink.into_inner().unwrap_or_else(|e| e.into_inner());
+        if let Some(e) = error {
+            return Err(e);
+        }
+        journal.sync()?;
+        Ok((journal.partial().finish(), stats))
     }
 }
 
@@ -507,49 +374,36 @@ impl<C: Sync> Sweep<C> {
 /// is commutative, so the reduction order across workers cannot change
 /// the result.
 #[derive(Debug, Default)]
-pub(crate) struct Partial {
+struct Partial {
     aggregate: AggregateBuilder,
     stats: SweepStats,
     error: Option<(usize, ExperimentError)>,
 }
 
 impl Partial {
-    /// Folds one cell's outcome in, keeping the earliest error by cell
-    /// index.
-    pub(crate) fn absorbed(
-        mut self,
-        index: usize,
-        (result, timing): (Result<RunReport, ExperimentError>, RunTiming),
-    ) -> Partial {
-        self.stats.absorb(timing);
-        match result {
-            Ok(report) => self.aggregate.absorb(&report),
-            Err(e) => {
-                if self.error.as_ref().is_none_or(|(j, _)| index < *j) {
-                    self.error = Some((index, e));
+    /// Folds one finished cell in: healthy reports and quarantined
+    /// failures land in the aggregate (failed attempts contribute no
+    /// timing), and an unquarantined error is kept if it is the
+    /// earliest by cell index.
+    fn absorbed(mut self, f: Finished) -> Partial {
+        self.aggregate.add_retries(f.retries as usize);
+        match f.result {
+            Ok((report, timing)) => {
+                self.stats.absorb(timing);
+                self.aggregate.absorb(&report);
+            }
+            Err(Failure::Quarantined(failure)) => self.aggregate.absorb_failure(failure),
+            Err(Failure::Abort(e)) => {
+                if self.error.as_ref().is_none_or(|(j, _)| f.cell < *j) {
+                    self.error = Some((f.cell, e));
                 }
             }
         }
         self
     }
 
-    /// Folds one guarded cell's outcome in: healthy reports and
-    /// quarantined failures both land in the aggregate (a guarded sweep
-    /// never carries an error), failed attempts contribute no timing.
-    pub(crate) fn absorbed_guarded(mut self, (result, retries): GuardedOutcome) -> Partial {
-        self.aggregate.add_retries(retries as usize);
-        match result {
-            Ok((report, timing)) => {
-                self.stats.absorb(timing);
-                self.aggregate.absorb(&report);
-            }
-            Err(failure) => self.aggregate.absorb_failure(failure),
-        }
-        self
-    }
-
     /// Merges two workers' partials.
-    pub(crate) fn merged(mut self, other: Partial) -> Partial {
+    fn merged(mut self, other: Partial) -> Partial {
         self.aggregate.merge(other.aggregate);
         self.stats.merge(other.stats);
         self.error = match (self.error, other.error) {
@@ -559,7 +413,7 @@ impl Partial {
         self
     }
 
-    pub(crate) fn finish(self) -> Result<(SweepAggregate, SweepStats), ExperimentError> {
+    fn finish(self) -> Result<(SweepAggregate, SweepStats), ExperimentError> {
         match self.error {
             Some((_, e)) => Err(e),
             None => Ok((self.aggregate.finish(), self.stats)),
@@ -611,9 +465,9 @@ impl AggregateBuilder {
 
     /// Folds one journaled cell delta in — the checkpoint-resume
     /// mirror of [`AggregateBuilder::absorb`]: replaying a
-    /// [`CellDelta`](crate::journal::CellDelta) extracted from a report
+    /// [`CellDelta`] extracted from a report
     /// adds exactly what absorbing the report itself would have.
-    pub fn absorb_delta(&mut self, delta: &crate::journal::CellDelta) {
+    pub fn absorb_delta(&mut self, delta: &CellDelta) {
         self.runs += 1;
         self.terminated_early += usize::from(delta.terminated_early);
         self.terminal_events += usize::from(delta.terminal_event);
@@ -672,7 +526,8 @@ impl AggregateBuilder {
 
 /// Aggregated timing/amortization counters of one sweep. Durations are
 /// summed across workers (CPU-time-like, not wall-clock: on N busy
-/// cores the sum exceeds elapsed time).
+/// cores the sum exceeds elapsed time). A stripe's time is split evenly
+/// over its lanes, each counted as one instantiated suite.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
     /// Total per-run setup (suite acquisition, simulator build, scratch
@@ -683,11 +538,14 @@ pub struct SweepStats {
     /// Runs whose suite was compiled from scratch (no template).
     pub suites_compiled: usize,
     /// Runs whose suite was instantiated from a [`SuiteTemplate`]
-    /// (first use of a template on a worker).
+    /// (every striped lane, and every templated scalar cell).
     ///
     /// [`SuiteTemplate`]: esafe_monitor::SuiteTemplate
     pub suites_instantiated: usize,
-    /// Runs that reset and reused a worker's pooled suite.
+    /// Runs that reset and reused a pooled suite (the serial recording
+    /// sweeps, which run every cell on one [`RunContext`]).
+    ///
+    /// [`RunContext`]: crate::RunContext
     pub suites_reused: usize,
 }
 
@@ -780,8 +638,9 @@ pub struct SweepAggregate {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::{Experiment, DEFAULT_BATCH_WIDTH};
     use esafe_logic::{parse, EvalError, Frame, SignalId, SignalTable};
     use esafe_monitor::{Location, MonitorSuite};
     use esafe_sim::{SimTime, Simulator, Subsystem};
@@ -853,13 +712,40 @@ mod tests {
         }
     }
 
+    /// The reference every sweep test compares against: each cell run
+    /// alone through [`Experiment`] under the sweep's seed and the
+    /// default config.
+    pub(crate) fn per_cell<C, S: Substrate>(
+        cells: &[C],
+        base: u64,
+        build: impl Fn(&C, u64) -> S,
+    ) -> Result<Vec<RunReport>, ExperimentError> {
+        cells
+            .iter()
+            .enumerate()
+            .map(|(i, cell)| Experiment::new(&build(cell, cell_seed(base, i))).run())
+            .collect()
+    }
+
+    pub(crate) fn aggregate_of(runs: Vec<RunReport>) -> SweepAggregate {
+        SweepReport {
+            runs,
+            ..SweepReport::default()
+        }
+        .aggregate()
+    }
+
     #[test]
-    fn parallel_matches_serial_exactly() {
-        let sweep = Sweep::new((0..16).collect::<Vec<u64>>()).with_base_seed(99);
-        let parallel = sweep.run(build).unwrap();
-        let serial = sweep.run_serial(build).unwrap();
-        assert_eq!(parallel, serial);
-        assert_eq!(parallel.aggregate(), serial.aggregate());
+    fn sweep_matches_per_cell_experiments_exactly() {
+        let cells: Vec<u64> = (0..16).collect();
+        let expected = per_cell(&cells, 99, build).unwrap();
+        let sweep = Sweep::new(cells).with_base_seed(99);
+        for width in [1, 4] {
+            let (report, _) = sweep.run(build, width).unwrap();
+            assert_eq!(report.runs, expected, "width {width}");
+            assert!(report.quarantined.is_empty());
+            assert_eq!(report.aggregate(), aggregate_of(expected.clone()));
+        }
     }
 
     #[test]
@@ -877,7 +763,7 @@ mod tests {
     #[test]
     fn aggregate_counts_are_order_independent() {
         let sweep = Sweep::new(vec![1u64, 4, 2, 3]);
-        let report = sweep.run_serial(build).unwrap();
+        let (report, _) = sweep.run(build, DEFAULT_BATCH_WIDTH).unwrap();
         let mut reversed = report.clone();
         reversed.runs.reverse();
         assert_eq!(report.aggregate(), reversed.aggregate());
@@ -891,42 +777,37 @@ mod tests {
 
     #[test]
     fn timed_runs_report_stats_and_match_untimed_reports() {
-        let sweep = Sweep::new((0..8).collect::<Vec<u64>>()).with_base_seed(5);
-        let (timed, stats) = sweep.run_timed(build).unwrap();
-        assert_eq!(timed, sweep.run(build).unwrap());
-        assert_eq!(timed, sweep.run_serial(build).unwrap());
+        let cells: Vec<u64> = (0..8).collect();
+        let expected = per_cell(&cells, 5, build).unwrap();
+        let sweep = Sweep::new(cells).with_base_seed(5);
+        let (report, stats) = sweep.run(build, 4).unwrap();
+        assert_eq!(report.runs, expected);
         // EmitSubstrate has no template: every suite is compiled.
         assert_eq!(stats.runs(), 8);
         assert_eq!(stats.suites_compiled, 8);
         assert_eq!(stats.suites_instantiated + stats.suites_reused, 0);
-        let (_, serial_stats) = sweep.run_serial_timed(build).unwrap();
-        assert_eq!(serial_stats.runs(), 8);
+        let (_, aggregate_stats) = sweep.run_aggregate(build, 4).unwrap();
+        assert_eq!(aggregate_stats.runs(), 8);
+        assert_eq!(aggregate_stats.suites_compiled, 8);
     }
 
     #[test]
     fn streaming_aggregate_matches_collect_all() {
-        let sweep = Sweep::new((0..64).collect::<Vec<u64>>()).with_base_seed(13);
-        let collected = sweep.run_timed(build).unwrap();
-        let (streamed, streamed_stats) = sweep.run_aggregate(build).unwrap();
-        let (serial_streamed, serial_stats) = sweep.run_aggregate_serial(build).unwrap();
-        assert_eq!(streamed, collected.0.aggregate());
-        assert_eq!(serial_streamed, collected.0.aggregate());
+        let cells: Vec<u64> = (0..64).collect();
+        let expected = aggregate_of(per_cell(&cells, 13, build).unwrap());
+        let sweep = Sweep::new(cells).with_base_seed(13);
+        let (collected, collected_stats) = sweep.run(build, 8).unwrap();
+        let (streamed, streamed_stats) = sweep.run_aggregate(build, 8).unwrap();
+        assert_eq!(streamed, expected);
+        assert_eq!(collected.aggregate(), expected);
         assert_eq!(streamed_stats.runs(), 64);
-        assert_eq!(serial_stats.runs(), 64);
-        assert_eq!(
-            streamed_stats.suites_compiled
-                + streamed_stats.suites_instantiated
-                + streamed_stats.suites_reused,
-            collected.1.suites_compiled
-                + collected.1.suites_instantiated
-                + collected.1.suites_reused
-        );
+        assert_eq!(collected_stats.runs(), 64);
     }
 
     #[test]
     fn streaming_aggregate_over_an_empty_sweep_is_empty() {
         let sweep = Sweep::new(Vec::<u64>::new());
-        let (agg, stats) = sweep.run_aggregate(build).unwrap();
+        let (agg, stats) = sweep.run_aggregate(build, DEFAULT_BATCH_WIDTH).unwrap();
         assert_eq!(agg, SweepAggregate::default());
         assert_eq!(stats.runs(), 0);
     }
@@ -978,53 +859,52 @@ mod tests {
     #[test]
     fn streaming_reports_the_earliest_cell_error() {
         // Every cell fails with a MissingVar from a monitor named after
-        // its own label; the streaming path must surface cell 0's error,
-        // exactly like the collect-all path, regardless of scheduling.
-        let sweep = Sweep::new((0..8).collect::<Vec<u64>>()).with_base_seed(3);
-        let collected = sweep.run(build_broken);
-        let streamed = sweep.run_aggregate(build_broken).map(|(a, _)| a);
+        // its own label; the streaming shape must surface cell 0's
+        // error, exactly like the collect-all shape and the per-cell
+        // reference, regardless of scheduling.
+        let cells: Vec<u64> = (0..8).collect();
+        let expected = per_cell(&cells, 3, build_broken).unwrap_err();
+        let sweep = Sweep::new(cells).with_base_seed(3);
+        let collected = sweep.run(build_broken, 4).map(|_| ());
+        let streamed = sweep.run_aggregate(build_broken, 4).map(|_| ());
         match (collected, streamed) {
             (Err(a), Err(b)) => {
-                assert!(format!("{a}").contains("cell-0"), "collect path: {a}");
+                assert!(format!("{a}").contains("cell-0"), "collect shape: {a}");
+                assert_eq!(a, expected);
                 assert_eq!(format!("{a}"), format!("{b}"));
             }
-            (a, b) => panic!("expected both paths to fail: {a:?} vs {b:?}"),
+            (a, b) => panic!("expected both shapes to fail: {a:?} vs {b:?}"),
         }
     }
 
     #[test]
     fn labels_are_addressable() {
         let sweep = Sweep::new(vec![2u64]);
-        let report = sweep.run_serial(build).unwrap();
+        let (report, _) = sweep.run(build, 1).unwrap();
         let label = &report.runs[0].label;
         assert!(report.for_label(label).is_some());
         assert!(report.for_label("nope").is_none());
     }
 
     /// The golden earliest-cell-error contract, quarantine OFF (the
-    /// default): every run path — parallel, serial, batched, and all
-    /// three streaming-aggregate forms — surfaces cell 0's error with
-    /// an identical rendering, regardless of scheduling.
+    /// default): both run shapes, at widths 1 and 4, surface cell 0's
+    /// error with the rendering cell 0's own run gives, regardless of
+    /// scheduling.
     #[test]
     fn every_run_path_reports_the_earliest_cell_error_identically() {
-        let sweep = Sweep::new((0..8).collect::<Vec<u64>>()).with_base_seed(3);
-        let renderings: Vec<String> = [
-            sweep.run(build_broken).err(),
-            sweep.run_serial(build_broken).err(),
-            sweep.run_batched(build_broken, 4).err(),
-            sweep.run_aggregate(build_broken).map(|_| ()).err(),
-            sweep.run_aggregate_serial(build_broken).map(|_| ()).err(),
-            sweep
-                .run_aggregate_batched(build_broken, 4)
-                .map(|_| ())
-                .err(),
-        ]
-        .into_iter()
-        .map(|e| format!("{}", e.expect("every path must fail")))
-        .collect();
-        assert!(renderings[0].contains("cell-0"), "{}", renderings[0]);
-        for (i, rendering) in renderings.iter().enumerate() {
-            assert_eq!(rendering, &renderings[0], "path {i} diverged");
+        let cells: Vec<u64> = (0..8).collect();
+        let expected = format!("{}", per_cell(&cells, 3, build_broken).unwrap_err());
+        assert!(expected.contains("cell-0"), "{expected}");
+        let sweep = Sweep::new(cells).with_base_seed(3);
+        for width in [1, 4] {
+            let renderings = [
+                sweep.run(build_broken, width).map(|_| ()).err(),
+                sweep.run_aggregate(build_broken, width).map(|_| ()).err(),
+            ];
+            for (i, rendering) in renderings.into_iter().enumerate() {
+                let rendering = format!("{}", rendering.expect("every shape must fail"));
+                assert_eq!(rendering, expected, "width {width}, shape {i} diverged");
+            }
         }
     }
 
@@ -1039,38 +919,36 @@ mod tests {
     #[test]
     fn quarantine_isolates_a_panicking_cell_with_provenance() {
         let base = 31u64;
-        let sweep = Sweep::new((0..6).collect::<Vec<u64>>()).with_base_seed(base);
-        let baseline = sweep.run_serial(build).unwrap();
-        let guarded = sweep.clone().with_quarantine(Quarantine::default());
-
-        let report = guarded.run(build_panicky).unwrap();
-        let serial = guarded.run_serial(build_panicky).unwrap();
-        assert_eq!(report, serial, "guarded parallel must match guarded serial");
-
-        // Every healthy cell's report is bit-identical to the
-        // all-healthy sweep; only the panicking cell is missing.
-        let mut expected = baseline.runs.clone();
+        let cells: Vec<u64> = (0..6).collect();
+        // Every healthy cell's report is bit-identical to its own run;
+        // only the panicking cell is missing.
+        let mut expected = per_cell(&cells, base, build).unwrap();
         expected.remove(2);
-        assert_eq!(report.runs, expected);
-        assert_eq!(report.retries, 0);
-        assert_eq!(
-            report.quarantined,
-            vec![CellFailure {
-                cell: 2,
-                seed: cell_seed(base, 2),
-                retries: 0,
-                reason: FailureReason::Panic {
-                    message: "cell 2 exploded during build".to_owned(),
-                },
-            }]
-        );
+        let guarded = Sweep::new(cells)
+            .with_base_seed(base)
+            .with_quarantine(Quarantine::default());
 
-        // The streaming-aggregate paths carry the same provenance.
-        let (agg, _) = guarded.run_aggregate(build_panicky).unwrap();
-        let (agg_serial, _) = guarded.run_aggregate_serial(build_panicky).unwrap();
-        assert_eq!(agg, report.aggregate());
-        assert_eq!(agg_serial, agg);
-        assert_eq!(agg.quarantined, report.quarantined);
+        for width in [1, 4] {
+            let (report, _) = guarded.run(build_panicky, width).unwrap();
+            assert_eq!(report.runs, expected, "width {width}");
+            assert_eq!(report.retries, 0);
+            assert_eq!(
+                report.quarantined,
+                vec![CellFailure {
+                    cell: 2,
+                    seed: cell_seed(base, 2),
+                    retries: 0,
+                    reason: FailureReason::Panic {
+                        message: "cell 2 exploded during build".to_owned(),
+                    },
+                }]
+            );
+
+            // The streaming-aggregate shape carries the same provenance.
+            let (agg, _) = guarded.run_aggregate(build_panicky, width).unwrap();
+            assert_eq!(agg, report.aggregate());
+            assert_eq!(agg.quarantined, report.quarantined);
+        }
     }
 
     #[test]
@@ -1094,12 +972,14 @@ mod tests {
                     reseed: true,
                 },
             });
-        let report = sweep.run_serial(flaky).unwrap();
+        let (report, _) = sweep.run(flaky, 4).unwrap();
         assert!(report.quarantined.is_empty());
         assert_eq!(report.retries, 4, "each cell burned one retry");
         for (i, run) in report.runs.iter().enumerate() {
             let reseeded = retry_seed(base, i, 1);
             assert_eq!(run.label, format!("cell-{i}-seed-{reseeded:016x}"));
+            let alone = Experiment::new(&build(&(i as u64), reseeded)).run();
+            assert_eq!(run, &alone.unwrap(), "cell {i}");
         }
         assert_eq!(report.aggregate().retries, 4);
     }
@@ -1119,7 +999,7 @@ mod tests {
                     reseed: true,
                 },
             });
-        let report = sweep.run_serial(always_panics).unwrap();
+        let (report, _) = sweep.run(always_panics, 1).unwrap();
         assert!(report.runs.is_empty());
         assert_eq!(report.retries, 2);
         assert_eq!(
@@ -1144,7 +1024,7 @@ mod tests {
                     reseed: false,
                 },
             });
-        let report = fixed.run_serial(always_panics).unwrap();
+        let (report, _) = fixed.run(always_panics, 1).unwrap();
         assert_eq!(report.quarantined[0].seed, cell_seed(base, 0));
         assert_eq!(report.quarantined[0].retries, 1);
     }
@@ -1163,7 +1043,7 @@ mod tests {
                     reseed: true,
                 },
             });
-        let report = sweep.run_serial(build).unwrap();
+        let (report, _) = sweep.run(build, 4).unwrap();
         assert!(report.runs.is_empty());
         assert_eq!(report.retries, 0, "deterministic trips are not retried");
         assert_eq!(report.quarantined.len(), 3);
@@ -1176,16 +1056,14 @@ mod tests {
             );
         }
         // A budget covering the schedule changes nothing.
-        let roomy = Sweep::new((0..3).collect::<Vec<u64>>())
+        let cells: Vec<u64> = (0..3).collect();
+        let expected = per_cell(&cells, 9, build).unwrap();
+        let roomy = Sweep::new(cells)
             .with_base_seed(9)
             .with_quarantine(Quarantine {
                 tick_budget: Some(20),
                 retry: RetryPolicy::default(),
             });
-        let unguarded = Sweep::new((0..3).collect::<Vec<u64>>()).with_base_seed(9);
-        assert_eq!(
-            roomy.run_serial(build).unwrap().runs,
-            unguarded.run_serial(build).unwrap().runs
-        );
+        assert_eq!(roomy.run(build, 4).unwrap().0.runs, expected);
     }
 }

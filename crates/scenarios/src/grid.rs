@@ -3,8 +3,9 @@
 //! A [`GridCell`] names one (scenario, defect configuration) pair; the
 //! grid builders produce cell vectors for [`esafe_harness::Sweep`] to
 //! fan across cores. Because every vehicle run is fully deterministic,
-//! the parallel sweep is bit-identical to the serial one — which the
-//! workspace's determinism tests pin.
+//! each cell's report in a sweep is bit-identical to running that cell
+//! alone through [`esafe_harness::Experiment`] — which the workspace's
+//! determinism tests pin.
 
 use crate::catalog;
 use crate::runner;
@@ -62,7 +63,7 @@ pub fn full_grid() -> Vec<GridCell> {
 }
 
 /// The substrate for one grid cell, self-compiling its monitors per run
-/// (the per-run-compile reference path the template-backed sweep is
+/// (the per-run-compile reference the template-backed sweep is
 /// golden-tested against; vehicle runs are deterministic, so the
 /// per-cell seed is unused).
 pub fn build_cell(cell: &GridCell, _seed: u64) -> VehicleSubstrate {
@@ -85,57 +86,28 @@ pub fn sweep(grid: Vec<GridCell>) -> Sweep<GridCell> {
     Sweep::new(grid).with_config(runner::thesis_config())
 }
 
-/// Runs a grid in parallel across cores on the **batched** engine:
-/// suite compilation amortized through one [`VehicleFamily`] built for
-/// the whole sweep, and same-template cells grouped into lock-step
-/// stripes whose monitors evaluate through one slab-of-lanes pass per
-/// tick ([`Sweep::run_batched`]). Reports are bit-identical to the
-/// scalar paths — pinned against [`run_serial`] and the per-run-compile
-/// reference by the workspace's golden sweep tests.
+/// Runs a grid in parallel across cores, keeping every report in cell
+/// order, plus the sweep's [`SweepStats`] (setup/tick split, suite
+/// amortization counters): suite compilation amortized through one
+/// [`VehicleFamily`] built for the whole sweep, and cells striped
+/// [`DEFAULT_BATCH_WIDTH`] at a time ([`Sweep::run`]).
 ///
 /// # Errors
 ///
 /// Returns the first failing cell's [`ExperimentError`].
-pub fn run_parallel(grid: Vec<GridCell>) -> Result<SweepReport, ExperimentError> {
-    run_parallel_timed(grid).map(|(report, _)| report)
-}
-
-/// [`run_parallel`] plus the sweep's [`SweepStats`] (setup/tick split,
-/// suite amortization counters) for the benchmark trajectory.
-///
-/// # Errors
-///
-/// Returns the first failing cell's [`ExperimentError`].
-pub fn run_parallel_timed(
-    grid: Vec<GridCell>,
-) -> Result<(SweepReport, SweepStats), ExperimentError> {
+pub fn run_parallel(grid: Vec<GridCell>) -> Result<(SweepReport, SweepStats), ExperimentError> {
     let family = VehicleFamily::default();
-    sweep(grid).run_batched_timed(
+    sweep(grid).run(
         |cell, seed| build_cell_in(&family, cell, seed),
         DEFAULT_BATCH_WIDTH,
     )
 }
 
-/// Runs a grid serially (the reference the parallel path must match),
-/// on the same family-amortized path as [`run_parallel`].
-///
-/// # Errors
-///
-/// Returns the first failing cell's [`ExperimentError`].
-pub fn run_serial(grid: Vec<GridCell>) -> Result<SweepReport, ExperimentError> {
-    let family = VehicleFamily::default();
-    sweep(grid).run_serial(|cell, seed| build_cell_in(&family, cell, seed))
-}
-
-/// Runs a grid in parallel as a **batched streaming reduction**: cells
-/// group into lock-step stripes (one batched monitor pass per tick for
-/// a whole stripe), and every stripe's reports fold into a per-worker
-/// partial aggregate the moment the stripe completes, so no report is
-/// retained and memory stays O(workers × stripe width) no matter how
-/// many cells the grid holds. The aggregate is identical to
-/// `run_parallel(..).aggregate()` (pinned by the workspace's regression
-/// tests); use the collect-all paths when per-run detail is needed.
-/// This is the engine behind `repro --grid` and `repro --mega-grid`.
+/// [`run_parallel`] as a **streaming reduction** ([`Sweep::run_aggregate`]):
+/// every stripe's reports fold into a per-worker partial aggregate the
+/// moment the stripe completes, so no report is retained and memory
+/// stays O(workers × stripe width) no matter how many cells the grid
+/// holds. This is the engine behind `repro --grid`.
 ///
 /// # Errors
 ///
@@ -144,7 +116,7 @@ pub fn run_parallel_aggregate(
     grid: Vec<GridCell>,
 ) -> Result<(SweepAggregate, SweepStats), ExperimentError> {
     let family = VehicleFamily::default();
-    sweep(grid).run_aggregate_batched(
+    sweep(grid).run_aggregate(
         |cell, seed| build_cell_in(&family, cell, seed),
         DEFAULT_BATCH_WIDTH,
     )
@@ -153,6 +125,7 @@ pub fn run_parallel_aggregate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use esafe_harness::{cell_seed, Experiment, RunReport};
 
     #[test]
     fn full_grid_is_scenarios_times_configs() {
@@ -163,10 +136,27 @@ mod tests {
         assert_eq!(grid[14].scenario, 2);
     }
 
+    /// Each cell run alone through [`Experiment`] under the thesis
+    /// timing policy — the reference every grid sweep must reproduce.
+    fn per_cell(
+        grid: &[GridCell],
+        build: impl Fn(&GridCell, u64) -> VehicleSubstrate,
+    ) -> Vec<RunReport> {
+        grid.iter()
+            .enumerate()
+            .map(|(i, cell)| {
+                Experiment::new(&build(cell, cell_seed(0, i)))
+                    .with_config(runner::thesis_config())
+                    .run()
+                    .unwrap()
+            })
+            .collect()
+    }
+
     #[test]
     fn family_grid_matches_per_run_compile_grid() {
-        // The template-amortized sweep (the production path) against the
-        // reference sweep that recompiles every cell's suite.
+        // The template-amortized sweep (the production path) against
+        // per-cell runs that recompile every cell's suite.
         let grid = cells(
             &[1, 2],
             &[
@@ -174,17 +164,20 @@ mod tests {
                 ("thesis (all)".to_owned(), DefectSet::thesis()),
             ],
         );
-        let (amortized, stats) = run_parallel_timed(grid.clone()).unwrap();
-        let reference = sweep(grid).run(build_cell).unwrap();
-        assert_eq!(amortized, reference, "template path must be bit-identical");
+        let (amortized, stats) = run_parallel(grid.clone()).unwrap();
+        let reference = per_cell(&grid, build_cell);
+        assert_eq!(
+            amortized.runs, reference,
+            "template path must be bit-identical"
+        );
         assert_eq!(stats.suites_compiled, 0, "no cell may recompile the suite");
         assert_eq!(stats.suites_instantiated + stats.suites_reused, 4);
     }
 
     #[test]
-    fn parallel_grid_matches_serial_grid() {
+    fn parallel_grid_matches_per_cell_runs() {
         // A small but representative slice: two early-terminating
-        // scenarios × three configs, parallel vs serial.
+        // scenarios × three configs, the sweep vs each cell run alone.
         let configs = vec![
             ("none".to_owned(), DefectSet::none()),
             ("thesis (all)".to_owned(), DefectSet::thesis()),
@@ -197,10 +190,15 @@ mod tests {
             ),
         ];
         let grid = cells(&[1, 2], &configs);
-        let parallel = run_parallel(grid.clone()).unwrap();
-        let serial = run_serial(grid).unwrap();
-        assert_eq!(parallel, serial, "rayon path must be bit-identical");
-        assert_eq!(parallel.aggregate(), serial.aggregate());
+        let (parallel, _) = run_parallel(grid.clone()).unwrap();
+        let family = VehicleFamily::default();
+        let reference = per_cell(&grid, |cell, seed| build_cell_in(&family, cell, seed));
+        assert_eq!(parallel.runs, reference, "the sweep must be bit-identical");
+        let reference = SweepReport {
+            runs: reference,
+            ..SweepReport::default()
+        };
+        assert_eq!(parallel.aggregate(), reference.aggregate());
         assert_eq!(parallel.runs.len(), 6);
     }
 }

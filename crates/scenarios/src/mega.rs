@@ -159,8 +159,7 @@ pub fn run_mega_aggregate(
     width: usize,
 ) -> Result<(SweepAggregate, SweepStats), ExperimentError> {
     let family = VehicleFamily::default();
-    mega_sweep(cells)
-        .run_aggregate_batched(|cell, seed| build_mega_cell_in(&family, cell, seed), width)
+    mega_sweep(cells).run_aggregate(|cell, seed| build_mega_cell_in(&family, cell, seed), width)
 }
 
 /// Creates a fresh checkpoint journal describing a mega sweep over
@@ -199,7 +198,7 @@ pub fn run_mega_aggregate_checkpointed(
     let family = VehicleFamily::default();
     mega_sweep(cells)
         .with_quarantine(Quarantine::default())
-        .run_aggregate_batched_checkpointed(
+        .run_aggregate_checkpointed(
             |cell, seed| build_mega_cell_in(&family, cell, seed),
             width,
             journal,
@@ -209,7 +208,29 @@ pub fn run_mega_aggregate_checkpointed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esafe_harness::Substrate;
+    use esafe_harness::{cell_seed, Experiment, Substrate, SweepReport};
+
+    /// Each cell run alone through [`Experiment`] under the thesis
+    /// timing policy, aggregated — the reference every mega sweep must
+    /// reproduce.
+    fn per_cell_aggregate(cells: &[MegaCell]) -> SweepAggregate {
+        let family = VehicleFamily::default();
+        let runs = cells
+            .iter()
+            .enumerate()
+            .map(|(i, cell)| {
+                Experiment::new(&build_mega_cell_in(&family, cell, cell_seed(0, i)))
+                    .with_config(runner::thesis_config())
+                    .run()
+                    .unwrap()
+            })
+            .collect();
+        SweepReport {
+            runs,
+            ..SweepReport::default()
+        }
+        .aggregate()
+    }
 
     #[test]
     fn default_mega_grid_opens_at_least_ten_thousand_cells() {
@@ -241,11 +262,7 @@ mod tests {
         ];
         let cells = mega_cells(&[6.0, 30.0], &[0.0, 3.0], &[0.12, 0.33], &configs);
         assert_eq!(cells.len(), 16);
-        let family = VehicleFamily::default();
-        let build = |cell: &MegaCell, seed: u64| build_mega_cell_in(&family, cell, seed);
-        let (scalar, _) = mega_sweep(cells.clone())
-            .run_aggregate_serial(build)
-            .unwrap();
+        let scalar = per_cell_aggregate(&cells);
         let (batched, stats) = run_mega_aggregate(cells, 4).unwrap();
         assert_eq!(batched, scalar, "batched mega sweep diverged from scalar");
         assert_eq!(stats.runs(), 16);
@@ -259,7 +276,7 @@ mod tests {
             "long clean headways must survive"
         );
         // Sanity: a mega substrate runs the advertised schedule.
-        let sub = build_mega_cell_in(&family, &mega_grid()[0], 0);
+        let sub = build_mega_cell_in(&VehicleFamily::default(), &mega_grid()[0], 0);
         assert_eq!(sub.duration_ms(), (MEGA_DURATION_S * 1000.0) as u64);
     }
 
@@ -271,7 +288,7 @@ mod tests {
         ];
         let cells = mega_cells(&[6.0, 30.0], &[0.0], &[0.12, 0.33], &configs);
         assert_eq!(cells.len(), 8);
-        let (reference, _) = run_mega_aggregate(cells.clone(), 2).unwrap();
+        let reference = per_cell_aggregate(&cells);
 
         let mut path = std::env::temp_dir();
         path.push(format!("esafe-mega-journal-{}", std::process::id()));

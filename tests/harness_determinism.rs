@@ -1,17 +1,46 @@
 //! Cross-crate determinism: the harness must produce byte-identical
-//! reports for identical configurations on both substrates, and the
-//! rayon-parallel sweep path must match the serial reference exactly.
+//! reports for identical configurations on both substrates, and every
+//! sweep must reproduce, cell for cell, what each cell's own
+//! `Experiment` run reports.
 
 use emergent_safety::elevator::faults::ElevatorFaults;
 use emergent_safety::elevator::{ElevatorFamily, ElevatorSubstrate};
-use emergent_safety::harness::{Experiment, RunReport, Sweep};
+use emergent_safety::harness::{
+    cell_seed, Experiment, ExperimentConfig, RunReport, Substrate, Sweep, SweepReport,
+    DEFAULT_BATCH_WIDTH,
+};
 use emergent_safety::scenarios::{catalog, grid, runner};
 use emergent_safety::vehicle::config::DefectSet;
+use emergent_safety::vehicle::VehicleFamily;
 
 /// Serializes a report with the series stripped (the `#[serde(skip)]`
 /// field), then byte-compares — the strongest equality serde can see.
 fn json(report: &RunReport) -> String {
     serde_json::to_string(report).expect("report serializes")
+}
+
+/// The reference every sweep here must reproduce: each cell run alone
+/// through `Experiment` with its cell seed, collected into a report.
+fn per_cell<C, S: Substrate>(
+    cells: &[C],
+    base: u64,
+    config: ExperimentConfig,
+    build: impl Fn(&C, u64) -> S,
+) -> SweepReport {
+    let runs = cells
+        .iter()
+        .enumerate()
+        .map(|(i, cell)| {
+            Experiment::new(&build(cell, cell_seed(base, i)))
+                .with_config(config)
+                .run()
+                .unwrap()
+        })
+        .collect();
+    SweepReport {
+        runs,
+        ..SweepReport::default()
+    }
 }
 
 #[test]
@@ -40,7 +69,7 @@ fn elevator_runs_are_byte_identical_per_seed() {
 }
 
 #[test]
-fn vehicle_grid_parallel_matches_serial_over_eight_cells() {
+fn vehicle_grid_sweep_matches_per_cell_runs_over_eight_cells() {
     let configs = vec![
         ("none".to_owned(), DefectSet::none()),
         ("thesis (all)".to_owned(), DefectSet::thesis()),
@@ -61,10 +90,16 @@ fn vehicle_grid_parallel_matches_serial_over_eight_cells() {
     ];
     let cells = grid::cells(&[1, 2], &configs);
     assert_eq!(cells.len(), 8);
-    let parallel = grid::run_parallel(cells.clone()).unwrap();
-    let serial = grid::run_serial(cells).unwrap();
-    assert_eq!(parallel.aggregate(), serial.aggregate());
-    assert_eq!(parallel, serial, "every report must match, in cell order");
+    let (parallel, _) = grid::run_parallel(cells.clone()).unwrap();
+    let family = VehicleFamily::default();
+    let reference = per_cell(&cells, 0, runner::thesis_config(), |cell, seed| {
+        grid::build_cell_in(&family, cell, seed)
+    });
+    assert_eq!(parallel.aggregate(), reference.aggregate());
+    assert_eq!(
+        parallel, reference,
+        "every report must match, in cell order"
+    );
     // The sweep must actually exercise the defect structure: the thesis
     // cells collide, the fixed cells stay clean.
     assert!(
@@ -80,15 +115,16 @@ fn vehicle_grid_parallel_matches_serial_over_eight_cells() {
 }
 
 #[test]
-fn elevator_seed_sweep_parallel_matches_serial_over_eight_cells() {
-    let sweep = Sweep::new((0..8u64).collect::<Vec<_>>()).with_base_seed(2009);
+fn elevator_seed_sweep_matches_per_cell_runs_over_eight_cells() {
+    let cells: Vec<u64> = (0..8).collect();
     let build = |_cell: &u64, seed: u64| {
         ElevatorSubstrate::new(ElevatorFaults::none(), seed).with_ticks(1500)
     };
-    let parallel = sweep.run(build).unwrap();
-    let serial = sweep.run_serial(build).unwrap();
-    assert_eq!(parallel.aggregate(), serial.aggregate());
-    assert_eq!(parallel, serial);
+    let reference = per_cell(&cells, 2009, ExperimentConfig::default(), build);
+    let sweep = Sweep::new(cells).with_base_seed(2009);
+    let (parallel, _) = sweep.run(build, DEFAULT_BATCH_WIDTH).unwrap();
+    assert_eq!(parallel.aggregate(), reference.aggregate());
+    assert_eq!(parallel, reference);
     // Deterministic per-cell seeds give every cell distinct traffic.
     let labels: std::collections::BTreeSet<&String> =
         parallel.runs.iter().map(|r| &r.label).collect();
@@ -97,10 +133,10 @@ fn elevator_seed_sweep_parallel_matches_serial_over_eight_cells() {
 
 #[test]
 fn elevator_family_sweep_matches_standalone_sweep_on_both_paths() {
-    // The template/pooled path (family-derived substrates) against
-    // per-cell compilation, parallel and serial — all four runs must be
-    // byte-identical.
-    let sweep = Sweep::new((0..6u64).collect::<Vec<_>>()).with_base_seed(1977);
+    // The template path (family-derived substrates), striped and
+    // scalar, against per-cell runs that compile every suite afresh —
+    // every report must be byte-identical.
+    let cells: Vec<u64> = (0..6).collect();
     let family = ElevatorFamily::default();
     let fault = ElevatorFaults {
         drive_ignores_door: true,
@@ -108,11 +144,13 @@ fn elevator_family_sweep_matches_standalone_sweep_on_both_paths() {
     };
     let in_family = |_cell: &u64, seed: u64| family.substrate(fault, seed).with_ticks(1200);
     let standalone = |_cell: &u64, seed: u64| ElevatorSubstrate::new(fault, seed).with_ticks(1200);
-    let (family_parallel, stats) = sweep.run_timed(in_family).unwrap();
-    let family_serial = sweep.run_serial(in_family).unwrap();
-    let reference = sweep.run(standalone).unwrap();
-    assert_eq!(family_parallel, family_serial);
-    assert_eq!(family_parallel, reference);
-    assert_eq!(stats.suites_compiled, 0, "family cells must not recompile");
-    assert_eq!(stats.suites_instantiated + stats.suites_reused, 6);
+    let reference = per_cell(&cells, 1977, ExperimentConfig::default(), standalone);
+    let sweep = Sweep::new(cells).with_base_seed(1977);
+    // Width 8 runs the six cells as one stripe, width 1 as scalar cells.
+    for width in [DEFAULT_BATCH_WIDTH, 1] {
+        let (family_sweep, stats) = sweep.run(in_family, width).unwrap();
+        assert_eq!(family_sweep, reference, "width {width}");
+        assert_eq!(stats.suites_compiled, 0, "family cells must not recompile");
+        assert_eq!(stats.suites_instantiated + stats.suites_reused, 6);
+    }
 }

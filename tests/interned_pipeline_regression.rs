@@ -10,8 +10,8 @@
 
 use emergent_safety::elevator::faults::ElevatorFaults;
 use emergent_safety::elevator::ElevatorSubstrate;
-use emergent_safety::harness::{Experiment, ExperimentConfig};
-use emergent_safety::scenarios::{catalog, grid, runner};
+use emergent_safety::harness::{cell_seed, Experiment, ExperimentConfig, SweepReport};
+use emergent_safety::scenarios::{catalog, grid, runner, GridCell};
 use emergent_safety::vehicle::config::DefectSet;
 
 #[test]
@@ -31,28 +31,42 @@ fn vehicle_scenario1_thesis_matches_seed_pipeline() {
     );
 }
 
+/// The per-run-compile reference: every cell run alone through
+/// `Experiment` on a standalone substrate that authors its suite goal
+/// by goal and compiles it afresh (`grid::build_cell`).
+fn per_run_compile(cells: &[GridCell]) -> SweepReport {
+    let runs = cells
+        .iter()
+        .enumerate()
+        .map(|(i, cell)| {
+            Experiment::new(&grid::build_cell(cell, cell_seed(0, i)))
+                .with_config(runner::thesis_config())
+                .run()
+                .unwrap()
+        })
+        .collect();
+    SweepReport {
+        runs,
+        ..SweepReport::default()
+    }
+}
+
 /// The fused sweep engine (compile-once suite template whose
 /// instantiations evaluate the whole 49-monitor suite as one
-/// deduplicated DAG, per-worker pooled run contexts — the production
-/// `repro --grid` path) against the per-run-compile reference, whose
-/// standalone substrates author their suite goal by goal and compile it
-/// afresh every run: the whole `SweepReport` must be bit-identical,
-/// through actual JSON text, for a grid slice that includes
-/// early-terminating, colliding, and clean cells. This is the
-/// template-vs-per-run-compile sweep golden.
+/// deduplicated DAG, striped through the batched engines — the
+/// production `repro --grid` path) against the per-run-compile
+/// reference: the whole `SweepReport` must be bit-identical, through
+/// actual JSON text, for a grid slice that includes early-terminating,
+/// colliding, and clean cells. This is the template-vs-per-run-compile
+/// sweep golden.
 #[test]
 fn fused_template_sweep_matches_per_monitor_compile_sweep() {
     let cells = grid::cells(&[1, 2, 10], &grid::ablation_configs());
     assert_eq!(cells.len(), 42);
-    // Reference: every cell builds a standalone substrate and recompiles
-    // its monitor suite from the goal tables (`grid::build_cell`),
-    // serially.
-    let reference = grid::sweep(cells.clone())
-        .run_serial(grid::build_cell)
-        .unwrap();
-    // Production: one family, fused template-instantiated suites, pooled
-    // worker contexts, rayon-parallel.
-    let fused = grid::run_parallel(cells).unwrap();
+    let reference = per_run_compile(&cells);
+    // Production: one family, fused template-instantiated suites,
+    // stripes run in parallel.
+    let (fused, _) = grid::run_parallel(cells).unwrap();
     assert_eq!(
         serde_json::to_string_pretty(&fused).unwrap(),
         serde_json::to_string_pretty(&reference).unwrap(),
@@ -64,8 +78,9 @@ fn fused_template_sweep_matches_per_monitor_compile_sweep() {
 
 /// The streaming sweep reducer (per-worker partial aggregates folded as
 /// reports are produced, merged at join — memory O(workers)) against
-/// the collect-all path, over a grid enlarged beyond the golden slice
-/// by replicating its scenarios: the aggregates must be identical.
+/// the collect-all shape and the per-run-compile reference, over a grid
+/// enlarged beyond the golden slice by replicating its scenarios: the
+/// aggregates must be identical.
 #[test]
 fn streaming_sweep_aggregate_matches_collect_all_on_enlarged_grid() {
     // 6 scenario entries × 14 configurations = 84 cells — twice the
@@ -73,12 +88,14 @@ fn streaming_sweep_aggregate_matches_collect_all_on_enlarged_grid() {
     // beyond one-report-per-key.
     let cells = grid::cells(&[1, 1, 2, 2, 10, 10], &grid::ablation_configs());
     assert_eq!(cells.len(), 84);
-    let collected = grid::run_parallel(cells.clone()).unwrap().aggregate();
+    let reference = per_run_compile(&cells).aggregate();
+    let collected = grid::run_parallel(cells.clone()).unwrap().0.aggregate();
     let (streamed, stats) = grid::run_parallel_aggregate(cells).unwrap();
     assert_eq!(
         streamed, collected,
         "streaming reduction diverged from collect-then-aggregate"
     );
+    assert_eq!(streamed, reference, "the sweep diverged from per-cell runs");
     assert_eq!(streamed.runs, 84);
     assert_eq!(stats.runs(), 84);
     assert_eq!(stats.suites_compiled, 0, "family sweeps never recompile");

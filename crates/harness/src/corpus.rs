@@ -9,36 +9,32 @@
 //! directory holding:
 //!
 //! ```text
-//! corpus.bin      header (32 bytes, written atomically: temp + fsync + rename)
-//!                   [0..8)   magic  b"ESAFECRP"
-//!                   [8..12)  format version       u32 LE
+//! corpus.bin      header (32 bytes: magic b"ESAFECRP", version, 2 fields, CRC-32)
 //!                   [12..20) post_terminal_ms     u64 LE
 //!                   [20..28) correlation_window   u64 LE
-//!                   [28..32) CRC-32 of [0..28)    u32 LE
-//!                 records, each (same framing as the sweep journal):
-//!                   [0..4)   payload length       u32 LE  (≤ MAX_CORPUS_RECORD_BYTES)
-//!                   [4..8)   CRC-32 of payload    u32 LE
-//!                   [8..)    payload — tag byte then a codec body:
+//!                 records, one frame each (payload ≤ MAX_CORPUS_RECORD_BYTES):
+//!                   payload — tag byte then a codec body:
 //!                            1 = signal table   (esafe_logic::corpus::encode_table)
 //!                            2 = symbol block   (encode_sym_block; flushed *before*
 //!                                                the run that introduced the symbols)
 //!                            3 = archived run   (encode_run: metadata + one
 //!                                                contiguous encoded column per signal)
-//! MANIFEST.bin    commit marker, written atomically at finish(): the
-//!                 committed data length, run/tick/dictionary/table
-//!                 totals, the per-run record index, and a trailing
-//!                 CRC-32 over all of it.
+//! MANIFEST.bin    commit marker, published at finish(): a header
+//!                 (magic b"ESAFECMF") whose fields are the committed
+//!                 data length, the run/tick/dictionary/table totals,
+//!                 then each run's frame offset and tick count.
 //! ```
 //!
-//! Durability follows the [`SweepJournal`](crate::journal) idiom
-//! exactly: appends are buffered writes, `finish` fsyncs the data file
-//! and then publishes the manifest via temp + fsync + rename. Opening
-//! a corpus *with* a valid manifest is strict — any defect inside the
-//! committed region is a typed error, never a silent truncation.
-//! Opening one *without* a manifest (a recording killed mid-sweep)
-//! scans front to back and keeps every complete record, dropping the
-//! torn tail: recovery costs the interrupted run, never a wrong
-//! replay.
+//! [`crate::record`] lays out each header's magic, version and
+//! checksum and each record's `[len][crc]` frame, publishes headers and
+//! manifests atomically, and appends one unbuffered write per record.
+//! `finish` fsyncs the data file and then publishes the manifest.
+//! Opening scans the data file once and keeps every record up to the
+//! first defect. Without a manifest (a recording killed mid-sweep) that
+//! prefix is the corpus: recovery costs the interrupted run, never a
+//! wrong replay. With one, any defect before the committed length is a
+//! typed error, never a silent truncation, and the scanned totals must
+//! equal the committed ones.
 //!
 //! Replay ([`replay_corpus`]) groups archived runs by signal table,
 //! compiles the requested goal suite once per group, and streams
@@ -50,19 +46,26 @@
 //!
 //! [`MonitorSuiteBatch::observe_slab`]: esafe_monitor::MonitorSuiteBatch::observe_slab
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::context::RunContext;
-use crate::crc::crc32;
 use crate::experiment::{Experiment, ExperimentConfig, ExperimentError, RunReport};
+use crate::record::{
+    header_len, publish, Format, FormatError, IoError, RecordFile, FRAME_OVERHEAD,
+};
 use crate::substrate::Substrate;
 use crate::sweep::{AggregateBuilder, Sweep, SweepAggregate, SweepStats};
 use esafe_logic::corpus::{
     decode_run_meta, decode_run_trace, decode_sym_block, decode_table, encode_run,
     encode_sym_block, encode_table, RunDecoder, RunMeta, SymDict,
 };
-use esafe_logic::{FrameBatch, FrameTrace, SignalTable};
+use esafe_logic::{EvalError, FrameBatch, FrameTrace, SignalTable};
+use esafe_monitor::{BatchMonitorError, MonitorError};
 use rayon::prelude::*;
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
+use std::fmt;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -78,13 +81,27 @@ pub const CORPUS_VERSION: u32 = 1;
 
 /// Corpus data-file header length in bytes (see the [module
 /// docs](self)).
-pub const CORPUS_HEADER_BYTES: usize = 32;
+pub const CORPUS_HEADER_BYTES: usize = header_len(2);
 
-/// The largest record payload the decoder will buffer, checked against
-/// the length prefix *before* the payload allocation. An archived run
-/// is the big case: a 20 s vehicle run encodes to a few megabytes at
-/// worst.
+/// The largest record payload, refused by the writer and checked
+/// against the length prefix *before* the payload allocation. An
+/// archived run is the big case: a 20 s vehicle run encodes to a few
+/// megabytes at worst.
 pub const MAX_CORPUS_RECORD_BYTES: usize = 1 << 26;
+
+/// The data file's record format.
+pub const DATA_FORMAT: Format = Format {
+    magic: CORPUS_MAGIC,
+    version: CORPUS_VERSION,
+    max_payload: MAX_CORPUS_RECORD_BYTES,
+};
+
+/// The manifest's format: a header alone, no frames.
+pub const MANIFEST_FORMAT: Format = Format {
+    magic: MANIFEST_MAGIC,
+    version: CORPUS_VERSION,
+    max_payload: 0,
+};
 
 /// The data file inside a corpus directory.
 pub const CORPUS_DATA_FILE: &str = "corpus.bin";
@@ -99,45 +116,106 @@ pub const TAG_SYMS: u8 = 2;
 /// Record payload tag: one archived run.
 pub const TAG_RUN: u8 = 3;
 
+/// Why a goal suite for replay could not be built.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SuiteError {
+    /// No suite is registered under this name.
+    Unknown(String),
+    /// The suite has no goals for the substrate of this name.
+    NoSubstrate(String),
+    /// A goal formula failed to compile against the table.
+    Compile(EvalError),
+}
+
+impl fmt::Display for SuiteError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SuiteError::Unknown(name) => write!(f, "unknown suite `{name}`"),
+            SuiteError::NoSubstrate(name) => write!(f, "no suite for substrate `{name}`"),
+            SuiteError::Compile(e) => write!(f, "a goal failed to compile: {e}"),
+        }
+    }
+}
+
 /// An error raised while writing, opening, or replaying a corpus.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CorpusError {
     /// A filesystem operation failed.
-    Io {
-        /// What the corpus was doing (e.g. `"create corpus.bin"`).
-        context: String,
-        /// The underlying error's message.
-        message: String,
+    Io(IoError),
+    /// [`TraceCorpusWriter::create`] found a corpus in this directory.
+    Exists(PathBuf),
+    /// The data file's header is missing or invalid.
+    Header(FormatError),
+    /// The manifest is invalid, or longer than any manifest of its data
+    /// file can be ([`FormatError::Length`]).
+    Manifest(FormatError),
+    /// The manifest's totals differ from the ones the data file holds.
+    Totals {
+        /// The manifest's totals.
+        committed: CorpusStats,
+        /// The totals the scan of the data file found.
+        scanned: CorpusStats,
     },
-    /// The data-file header is missing, malformed, or mismatched.
-    Header(String),
-    /// The manifest is malformed or contradicts the data file.
-    Manifest(String),
-    /// A committed record region failed validation.
-    Corrupt(String),
+    /// The manifest's index entry for this run differs from the run.
+    Index(usize),
+    /// A defect inside a committed region, or an archived run that
+    /// fails to decode.
+    Corrupt {
+        /// Where the defective frame starts in `corpus.bin`.
+        at: u64,
+        /// What is wrong with it.
+        error: FormatError,
+    },
+    /// The writer refused a record over [`MAX_CORPUS_RECORD_BYTES`].
+    Record(FormatError),
     /// A run offered for recording carried no frame trace.
     MissingTrace {
         /// The traceless run's label.
         label: String,
     },
+    /// A sweep's timing policy differs from the corpus's.
+    Config {
+        /// The sweep's policy.
+        sweep: ExperimentConfig,
+        /// The policy the corpus records under.
+        corpus: ExperimentConfig,
+    },
     /// A live run failed while recording a sweep into a corpus.
     Run(ExperimentError),
-    /// Replay failed (suite construction or batched observation).
-    Replay(String),
+    /// The goal suite for replay could not be built.
+    Suite(SuiteError),
+    /// Batched replay failed to observe a slab.
+    Observe(BatchMonitorError),
+    /// Live re-scoring failed to replay a recorded trace.
+    Rescore(MonitorError),
+    /// Replay was asked for stripes of zero lanes.
+    ZeroWidth,
 }
 
-impl std::fmt::Display for CorpusError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for CorpusError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CorpusError::Io { context, message } => write!(f, "corpus I/O ({context}): {message}"),
-            CorpusError::Header(msg) => write!(f, "corpus header: {msg}"),
-            CorpusError::Manifest(msg) => write!(f, "corpus manifest: {msg}"),
-            CorpusError::Corrupt(msg) => write!(f, "corpus corrupt: {msg}"),
+            CorpusError::Io(e) => write!(f, "corpus I/O: {e}"),
+            CorpusError::Exists(dir) => write!(f, "a corpus exists at {}", dir.display()),
+            CorpusError::Header(e) => write!(f, "corpus header: {e}"),
+            CorpusError::Manifest(e) => write!(f, "corpus manifest: {e}"),
+            CorpusError::Totals { committed, scanned } => {
+                write!(f, "manifest totals {committed:?}, data file {scanned:?}")
+            }
+            CorpusError::Index(run) => write!(f, "manifest index entry {run} is wrong"),
+            CorpusError::Corrupt { at, error } => write!(f, "corpus record at byte {at}: {error}"),
+            CorpusError::Record(e) => write!(f, "corpus record refused: {e}"),
             CorpusError::MissingTrace { label } => {
                 write!(f, "run `{label}` has no frame trace to record")
             }
+            CorpusError::Config { sweep, corpus } => {
+                write!(f, "sweep policy {sweep:?}, corpus policy {corpus:?}")
+            }
             CorpusError::Run(e) => write!(f, "recorded run failed: {e}"),
-            CorpusError::Replay(msg) => write!(f, "corpus replay: {msg}"),
+            CorpusError::Suite(e) => write!(f, "replay suite: {e}"),
+            CorpusError::Observe(e) => write!(f, "batched observe failed: {e}"),
+            CorpusError::Rescore(e) => write!(f, "live re-score failed: {e}"),
+            CorpusError::ZeroWidth => write!(f, "replay stripe width must be ≥ 1"),
         }
     }
 }
@@ -150,81 +228,16 @@ impl From<ExperimentError> for CorpusError {
     }
 }
 
-fn io_err(context: &str, e: std::io::Error) -> CorpusError {
-    CorpusError::Io {
-        context: context.to_owned(),
-        message: e.to_string(),
-    }
-}
-
-// --- record framing ----------------------------------------------------
-
-/// Frames a record: `[len][crc][tag + body]`, same shape as the sweep
-/// journal's records.
-pub fn encode_corpus_record(tag: u8, body: &[u8]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(body.len() + 9);
-    payload.push(tag);
-    payload.extend_from_slice(body);
-    let mut out = Vec::with_capacity(payload.len() + 8);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
-}
-
-/// The outcome of decoding one record frame from a byte prefix.
-#[derive(Debug)]
-pub enum CorpusDecodeOutcome<'a> {
-    /// A complete, checksum-valid record: its tag, its body (the
-    /// payload after the tag byte), and the total bytes consumed.
-    Record {
-        /// The payload's tag byte.
-        tag: u8,
-        /// The payload after the tag byte, borrowed from the input.
-        body: &'a [u8],
-        /// Total frame length consumed from the input.
-        consumed: usize,
-    },
-    /// The prefix ends before the record does (a torn tail).
-    Incomplete,
-    /// The frame is invalid: oversized length, checksum mismatch, or an
-    /// empty payload.
-    Corrupt(String),
-}
-
-/// Decodes one record frame from the front of `bytes` without
-/// allocating — the body borrows the input.
-pub fn decode_corpus_record(bytes: &[u8]) -> CorpusDecodeOutcome<'_> {
-    if bytes.len() < 8 {
-        return CorpusDecodeOutcome::Incomplete;
-    }
-    let len = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")) as usize;
-    if len > MAX_CORPUS_RECORD_BYTES {
-        return CorpusDecodeOutcome::Corrupt(format!(
-            "record length {len} exceeds the {MAX_CORPUS_RECORD_BYTES}-byte budget"
-        ));
-    }
-    if len == 0 {
-        return CorpusDecodeOutcome::Corrupt("empty record payload".to_owned());
-    }
-    let crc = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    let Some(payload) = bytes.get(8..8 + len) else {
-        return CorpusDecodeOutcome::Incomplete;
-    };
-    if crc32(payload) != crc {
-        return CorpusDecodeOutcome::Corrupt("record checksum mismatch".to_owned());
-    }
-    CorpusDecodeOutcome::Record {
-        tag: payload[0],
-        body: &payload[1..],
-        consumed: 8 + len,
+impl From<IoError> for CorpusError {
+    fn from(e: IoError) -> Self {
+        CorpusError::Io(e)
     }
 }
 
 // --- stats -------------------------------------------------------------
 
-/// Whole-corpus totals, as written (writer side) or as recovered
-/// (reader side).
+/// Whole-corpus totals, as written (writer side), committed (manifest)
+/// or recovered (reader side).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CorpusStats {
     /// Archived runs.
@@ -247,35 +260,12 @@ pub struct CorpusStats {
 #[derive(Debug)]
 pub struct TraceCorpusWriter {
     dir: PathBuf,
-    file: BufWriter<File>,
+    file: RecordFile,
     config: ExperimentConfig,
     dict: SymDict,
     tables: Vec<Arc<SignalTable>>,
-    data_bytes: u64,
-    index: Vec<(u64, u64)>,
-    total_ticks: u64,
-}
-
-fn encode_corpus_header(config: ExperimentConfig) -> [u8; CORPUS_HEADER_BYTES] {
-    let mut h = [0u8; CORPUS_HEADER_BYTES];
-    h[0..8].copy_from_slice(&CORPUS_MAGIC);
-    h[8..12].copy_from_slice(&CORPUS_VERSION.to_le_bytes());
-    h[12..20].copy_from_slice(&config.post_terminal_ms.to_le_bytes());
-    h[20..28].copy_from_slice(&config.correlation_window_ms.to_le_bytes());
-    let crc = crc32(&h[0..28]);
-    h[28..32].copy_from_slice(&crc.to_le_bytes());
-    h
-}
-
-/// Writes `bytes` at `path` atomically: temp file in the same
-/// directory, fsync, rename.
-fn write_atomically(path: &Path, bytes: &[u8], context: &str) -> Result<(), CorpusError> {
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    let mut f = File::create(&tmp).map_err(|e| io_err(context, e))?;
-    f.write_all(bytes).map_err(|e| io_err(context, e))?;
-    f.sync_all().map_err(|e| io_err(context, e))?;
-    drop(f);
-    std::fs::rename(&tmp, path).map_err(|e| io_err(context, e))
+    /// Each run's frame offset and tick count.
+    index: Vec<[u64; 2]>,
 }
 
 impl TraceCorpusWriter {
@@ -285,33 +275,25 @@ impl TraceCorpusWriter {
     ///
     /// # Errors
     ///
-    /// Fails if the directory already holds a corpus data file or
-    /// manifest, or on I/O failure.
+    /// [`CorpusError::Exists`] if the directory already holds a corpus
+    /// data file or manifest, or [`CorpusError::Io`].
     pub fn create(dir: impl AsRef<Path>, config: ExperimentConfig) -> Result<Self, CorpusError> {
         let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir).map_err(|e| io_err("create corpus directory", e))?;
+        std::fs::create_dir_all(&dir).map_err(IoError::at("create", &dir))?;
         let data = dir.join(CORPUS_DATA_FILE);
-        let manifest = dir.join(CORPUS_MANIFEST_FILE);
-        if data.exists() || manifest.exists() {
-            return Err(CorpusError::Header(format!(
-                "refusing to overwrite an existing corpus at {}",
-                dir.display()
-            )));
+        if data.exists() || dir.join(CORPUS_MANIFEST_FILE).exists() {
+            return Err(CorpusError::Exists(dir));
         }
-        write_atomically(&data, &encode_corpus_header(config), "create corpus.bin")?;
-        let file = OpenOptions::new()
-            .append(true)
-            .open(&data)
-            .map_err(|e| io_err("open corpus.bin for append", e))?;
+        let header =
+            DATA_FORMAT.encode_header(&[config.post_terminal_ms, config.correlation_window_ms]);
+        let file = RecordFile::create(&data, &header)?;
         Ok(TraceCorpusWriter {
             dir,
-            file: BufWriter::new(file),
+            file,
             config,
             dict: SymDict::new(),
             tables: Vec::new(),
-            data_bytes: CORPUS_HEADER_BYTES as u64,
             index: Vec::new(),
-            total_ticks: 0,
         })
     }
 
@@ -320,34 +302,26 @@ impl TraceCorpusWriter {
         self.config
     }
 
-    /// Archived runs so far.
-    pub fn runs(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Archived ticks so far.
-    pub fn ticks(&self) -> u64 {
-        self.total_ticks
-    }
-
-    /// Bytes appended so far (header included).
-    pub fn data_bytes(&self) -> u64 {
-        self.data_bytes
+    /// Totals so far: what [`finish`](TraceCorpusWriter::finish)
+    /// commits.
+    pub fn stats(&self) -> CorpusStats {
+        CorpusStats {
+            runs: self.index.len(),
+            ticks: self.index.iter().map(|[_, ticks]| ticks).sum(),
+            data_bytes: self.file.size(),
+            dict_len: self.dict.len(),
+            tables: self.tables.len(),
+        }
     }
 
     fn append_record(&mut self, tag: u8, body: &[u8]) -> Result<(), CorpusError> {
-        if body.len() + 1 > MAX_CORPUS_RECORD_BYTES {
-            return Err(CorpusError::Corrupt(format!(
-                "record of {} bytes exceeds the {MAX_CORPUS_RECORD_BYTES}-byte budget",
-                body.len() + 1
-            )));
-        }
-        let frame = encode_corpus_record(tag, body);
-        self.file
-            .write_all(&frame)
-            .map_err(|e| io_err("append corpus record", e))?;
-        self.data_bytes += frame.len() as u64;
-        Ok(())
+        let mut payload = Vec::with_capacity(1 + body.len());
+        payload.push(tag);
+        payload.extend_from_slice(body);
+        let frame = DATA_FORMAT
+            .encode_frame(&payload)
+            .map_err(CorpusError::Record)?;
+        Ok(self.file.append(&frame)?)
     }
 
     fn table_ref(&mut self, table: &Arc<SignalTable>) -> Result<u32, CorpusError> {
@@ -365,7 +339,8 @@ impl TraceCorpusWriter {
     ///
     /// # Errors
     ///
-    /// Fails on I/O failure or an oversized record.
+    /// [`CorpusError::Io`], or [`CorpusError::Record`] for a record
+    /// over the budget.
     pub fn append_trace(
         &mut self,
         trace: &FrameTrace,
@@ -390,10 +365,9 @@ impl TraceCorpusWriter {
             let block = encode_sym_block(self.dict.texts_from(watermark));
             self.append_record(TAG_SYMS, &block)?;
         }
-        let offset = self.data_bytes;
+        let offset = self.file.size();
         self.append_record(TAG_RUN, &body)?;
-        self.index.push((offset, meta.ticks));
-        self.total_ticks += meta.ticks;
+        self.index.push([offset, meta.ticks]);
         Ok(())
     }
 
@@ -421,53 +395,28 @@ impl TraceCorpusWriter {
         )
     }
 
-    fn encode_manifest(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(52 + self.index.len() * 16 + 4);
-        out.extend_from_slice(&MANIFEST_MAGIC);
-        out.extend_from_slice(&CORPUS_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.data_bytes.to_le_bytes());
-        out.extend_from_slice(&(self.index.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.total_ticks.to_le_bytes());
-        out.extend_from_slice(&(self.dict.len() as u64).to_le_bytes());
-        out.extend_from_slice(&(self.tables.len() as u64).to_le_bytes());
-        for &(offset, ticks) in &self.index {
-            out.extend_from_slice(&offset.to_le_bytes());
-            out.extend_from_slice(&ticks.to_le_bytes());
-        }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
-    }
-
-    /// Commits the corpus: flushes and fsyncs the data file, then
-    /// publishes the manifest atomically. Until this succeeds the
-    /// corpus opens in recovery mode (complete runs only).
+    /// Commits the corpus: fsyncs the data file, then publishes the
+    /// manifest atomically. Until this succeeds the corpus opens in
+    /// recovery mode (complete runs only).
     ///
     /// # Errors
     ///
-    /// Fails on I/O failure; the data file keeps whatever made it to
+    /// [`CorpusError::Io`]; the data file keeps whatever made it to
     /// disk and remains recoverable.
-    pub fn finish(mut self) -> Result<CorpusStats, CorpusError> {
-        self.file
-            .flush()
-            .map_err(|e| io_err("flush corpus.bin", e))?;
-        self.file
-            .get_ref()
-            .sync_all()
-            .map_err(|e| io_err("fsync corpus.bin", e))?;
-        let manifest = self.encode_manifest();
-        write_atomically(
-            &self.dir.join(CORPUS_MANIFEST_FILE),
-            &manifest,
-            "publish MANIFEST.bin",
-        )?;
-        Ok(CorpusStats {
-            runs: self.index.len(),
-            ticks: self.total_ticks,
-            data_bytes: self.data_bytes,
-            dict_len: self.dict.len(),
-            tables: self.tables.len(),
-        })
+    pub fn finish(self) -> Result<CorpusStats, CorpusError> {
+        self.file.sync()?;
+        let stats = self.stats();
+        let mut fields = vec![
+            stats.data_bytes,
+            stats.runs as u64,
+            stats.ticks,
+            stats.dict_len as u64,
+            stats.tables as u64,
+        ];
+        fields.extend_from_slice(self.index.as_flattened());
+        let manifest = MANIFEST_FORMAT.encode_header(&fields);
+        publish(&self.dir.join(CORPUS_MANIFEST_FILE), &manifest)?;
+        Ok(stats)
     }
 }
 
@@ -481,9 +430,9 @@ impl<C: Sync> Sweep<C> {
     ///
     /// # Errors
     ///
-    /// Fails if the writer's pinned timing policy differs from the
-    /// sweep's, on the first failing cell, or on corpus I/O failure.
-    /// Cells already archived stay in the corpus (it remains
+    /// [`CorpusError::Config`] if the writer's pinned timing policy
+    /// differs from the sweep's, the first failing cell, or corpus I/O
+    /// failure. Cells already archived stay in the corpus (it remains
     /// recoverable).
     pub fn run_aggregate_recorded<S, F>(
         &self,
@@ -495,11 +444,10 @@ impl<C: Sync> Sweep<C> {
         F: Fn(&C, u64) -> S,
     {
         if writer.config() != self.config {
-            return Err(CorpusError::Header(format!(
-                "sweep timing policy {:?} differs from the corpus header's {:?}",
-                self.config,
-                writer.config()
-            )));
+            return Err(CorpusError::Config {
+                sweep: self.config,
+                corpus: writer.config(),
+            });
         }
         let mut ctx = RunContext::new();
         let mut agg = AggregateBuilder::new();
@@ -529,7 +477,7 @@ impl<C: Sync> Sweep<C> {
     /// # Errors
     ///
     /// Fails on the first failing cell, a run recorded without a trace,
-    /// or a suite/replay failure.
+    /// a suite failure, or [`CorpusError::Rescore`].
     pub fn run_aggregate_rescored<S, F, G>(
         &self,
         build: F,
@@ -570,9 +518,7 @@ impl<C: Sync> Sweep<C> {
                 }
             };
             let suite = &mut suites[at].1;
-            suite
-                .replay(&trace)
-                .map_err(|e| CorpusError::Replay(format!("live re-score failed: {e}")))?;
+            suite.replay(&trace).map_err(CorpusError::Rescore)?;
             let window = self.config.correlation_window_ms.div_ceil(report.dt_millis);
             report.correlation = suite.correlate(window);
             report.violations = suite.take_violations();
@@ -584,11 +530,25 @@ impl<C: Sync> Sweep<C> {
 
 // --- reader ------------------------------------------------------------
 
-/// One archived run's location and metadata inside an open corpus.
+/// One archived run inside an open corpus: its metadata, its table
+/// (resolved and checked at open) and where its bytes are.
 #[derive(Debug, Clone)]
 struct ArchivedRun {
     meta: RunMeta,
+    table: Arc<SignalTable>,
+    /// Where the run's frame starts in the data file.
+    at: u64,
     body: Range<usize>,
+}
+
+impl ArchivedRun {
+    /// The error for a run whose columns do not decode.
+    fn corrupt(&self) -> CorpusError {
+        CorpusError::Corrupt {
+            at: self.at,
+            error: FormatError::Malformed,
+        }
+    }
 }
 
 /// A read-only view of a corpus: the whole data file in one buffer,
@@ -601,62 +561,49 @@ pub struct TraceCorpusReader {
     dict: SymDict,
     tables: Vec<Arc<SignalTable>>,
     runs: Vec<ArchivedRun>,
-    total_ticks: u64,
+    stats: CorpusStats,
     recovered: bool,
-    data_bytes: u64,
 }
 
-struct Manifest {
-    data_bytes: u64,
-    runs: u64,
-    ticks: u64,
-    dict_len: u64,
-    tables: u64,
-    index: Vec<(u64, u64)>,
-}
+/// A manifest's committed totals and each run's frame offset and
+/// tick count.
+type Committed = (CorpusStats, Vec<[u64; 2]>);
 
-fn parse_manifest(bytes: &[u8]) -> Result<Manifest, String> {
-    if bytes.len() < 56 {
-        return Err(format!("manifest too short ({} bytes)", bytes.len()));
+/// The committed totals and per-run index of the manifest at `path`,
+/// or `None` if there is none. A manifest is read only if it is no
+/// longer than one of a `data_len`-byte data file can be: every run
+/// takes a frame of at least `FRAME_OVERHEAD + 1` bytes.
+fn read_manifest(path: &Path, data_len: usize) -> Result<Option<Committed>, CorpusError> {
+    if !path.exists() {
+        return Ok(None);
     }
-    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    let crc = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-    if crc32(body) != crc {
-        return Err("manifest checksum mismatch".to_owned());
+    let max_runs = data_len.saturating_sub(CORPUS_HEADER_BYTES) / (FRAME_OVERHEAD + 1);
+    let max = header_len(5) as u64 + 16 * max_runs as u64;
+    let len = std::fs::metadata(path)
+        .map_err(IoError::at("stat", path))?
+        .len();
+    if len > max {
+        return Err(CorpusError::Manifest(FormatError::Length { len, max }));
     }
-    if body[0..8] != MANIFEST_MAGIC {
-        return Err("bad manifest magic".to_owned());
-    }
-    let version = u32::from_le_bytes(body[8..12].try_into().expect("4 bytes"));
-    if version != CORPUS_VERSION {
-        return Err(format!(
-            "manifest version {version} (this build reads {CORPUS_VERSION})"
-        ));
-    }
-    let u64_at = |at: usize| u64::from_le_bytes(body[at..at + 8].try_into().expect("8 bytes"));
-    let data_bytes = u64_at(12);
-    let runs = u64_at(20);
-    let ticks = u64_at(28);
-    let dict_len = u64_at(36);
-    let tables = u64_at(44);
-    let index_bytes = body.len() - 52;
-    if runs.checked_mul(16) != Some(index_bytes as u64) {
-        return Err(format!(
-            "manifest index holds {index_bytes} bytes for {runs} runs"
-        ));
-    }
-    let mut index = Vec::with_capacity(runs as usize);
-    for i in 0..runs as usize {
-        index.push((u64_at(52 + i * 16), u64_at(52 + i * 16 + 8)));
-    }
-    Ok(Manifest {
-        data_bytes,
-        runs,
-        ticks,
-        dict_len,
-        tables,
-        index,
-    })
+    let bytes = std::fs::read(path).map_err(IoError::at("read", path))?;
+    let parse = || {
+        let mut m = MANIFEST_FORMAT.decode_header(&bytes, bytes.len())?;
+        let committed = CorpusStats {
+            data_bytes: m.u64()?,
+            runs: m.usize()?,
+            ticks: m.u64()?,
+            dict_len: m.usize()?,
+            tables: m.usize()?,
+        };
+        if Some(m.remaining()) != committed.runs.checked_mul(16) {
+            return Err(FormatError::Malformed);
+        }
+        let index = (0..committed.runs)
+            .map(|_| m.u64s())
+            .collect::<Result<_, _>>()?;
+        Ok(Some((committed, index)))
+    };
+    parse().map_err(CorpusError::Manifest)
 }
 
 impl TraceCorpusReader {
@@ -671,184 +618,89 @@ impl TraceCorpusReader {
     ///
     /// [`CorpusError::Io`] if the data file is unreadable,
     /// [`CorpusError::Header`] on a damaged header,
-    /// [`CorpusError::Manifest`] on a garbage or contradicted manifest,
-    /// [`CorpusError::Corrupt`] on damage inside a committed region.
+    /// [`CorpusError::Manifest`] on a garbage or oversized manifest,
+    /// [`CorpusError::Totals`] or [`CorpusError::Index`] when the
+    /// manifest contradicts the data file, and [`CorpusError::Corrupt`]
+    /// on damage inside a committed region.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, CorpusError> {
         let dir = dir.as_ref();
-        let bytes =
-            std::fs::read(dir.join(CORPUS_DATA_FILE)).map_err(|e| io_err("read corpus.bin", e))?;
-        if bytes.len() < CORPUS_HEADER_BYTES {
-            return Err(CorpusError::Header(format!(
-                "truncated header ({} bytes)",
-                bytes.len()
-            )));
-        }
-        if bytes[0..8] != CORPUS_MAGIC {
-            return Err(CorpusError::Header("bad magic".to_owned()));
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        if version != CORPUS_VERSION {
-            return Err(CorpusError::Header(format!(
-                "format version {version} (this build reads {CORPUS_VERSION})"
-            )));
-        }
-        let crc = u32::from_le_bytes(bytes[28..32].try_into().expect("4 bytes"));
-        if crc32(&bytes[0..28]) != crc {
-            return Err(CorpusError::Header("header checksum mismatch".to_owned()));
-        }
-        let config = ExperimentConfig {
-            post_terminal_ms: u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")),
-            correlation_window_ms: u64::from_le_bytes(bytes[20..28].try_into().expect("8 bytes")),
-        };
-
-        let manifest_path = dir.join(CORPUS_MANIFEST_FILE);
-        let manifest = if manifest_path.exists() {
-            let mbytes =
-                std::fs::read(&manifest_path).map_err(|e| io_err("read MANIFEST.bin", e))?;
-            Some(parse_manifest(&mbytes).map_err(CorpusError::Manifest)?)
-        } else {
-            None
-        };
-
-        let limit = match &manifest {
-            Some(m) => {
-                let committed = usize::try_from(m.data_bytes)
-                    .map_err(|_| CorpusError::Manifest("absurd committed length".to_owned()))?;
-                if committed < CORPUS_HEADER_BYTES {
-                    return Err(CorpusError::Manifest(format!(
-                        "committed length {committed} is shorter than the header"
-                    )));
-                }
-                if bytes.len() < committed {
-                    return Err(CorpusError::Manifest(format!(
-                        "data file holds {} bytes but the manifest committed {committed}",
-                        bytes.len()
-                    )));
-                }
-                committed
-            }
-            None => bytes.len(),
-        };
-        let strict = manifest.is_some();
+        let path = dir.join(CORPUS_DATA_FILE);
+        let bytes = std::fs::read(&path).map_err(IoError::at("read", &path))?;
+        let [post_terminal_ms, correlation_window_ms] = DATA_FORMAT
+            .decode_header(&bytes, CORPUS_HEADER_BYTES)
+            .and_then(|mut fields| fields.u64s())
+            .map_err(CorpusError::Header)?;
+        let manifest = read_manifest(&dir.join(CORPUS_MANIFEST_FILE), bytes.len())?;
+        // A committed corpus is read up to its committed length only.
+        let limit = manifest.as_ref().map_or(bytes.len(), |(committed, _)| {
+            committed.data_bytes.min(bytes.len() as u64) as usize
+        });
 
         let mut dict = SymDict::new();
         let mut tables: Vec<Arc<SignalTable>> = Vec::new();
         let mut runs: Vec<ArchivedRun> = Vec::new();
-        let mut total_ticks = 0u64;
-        let mut at = CORPUS_HEADER_BYTES;
-        let mut scanned = at as u64;
-        'scan: while at < limit {
-            match decode_corpus_record(&bytes[at..limit]) {
-                CorpusDecodeOutcome::Record {
-                    tag,
-                    body,
-                    consumed,
-                } => {
-                    let body_start = at + 9;
-                    let fail = |what: String| -> Result<(), CorpusError> {
-                        if strict {
-                            Err(CorpusError::Corrupt(format!("record at byte {at}: {what}")))
-                        } else {
-                            Ok(())
-                        }
-                    };
-                    match tag {
-                        TAG_TABLE => match decode_table(body) {
-                            Some(table) => tables.push(table),
-                            None => {
-                                fail("malformed signal table".to_owned())?;
-                                break 'scan;
-                            }
-                        },
-                        TAG_SYMS => match decode_sym_block(body) {
-                            Some(texts) => {
-                                for t in texts {
-                                    dict.push(t);
-                                }
-                            }
-                            None => {
-                                fail("malformed symbol block".to_owned())?;
-                                break 'scan;
-                            }
-                        },
-                        TAG_RUN => match decode_run_meta(body) {
-                            Some(meta) if (meta.table_ref as usize) < tables.len() => {
-                                total_ticks += meta.ticks;
-                                runs.push(ArchivedRun {
-                                    meta,
-                                    body: body_start..body_start + body.len(),
-                                });
-                            }
-                            Some(meta) => {
-                                fail(format!("run references unknown table {}", meta.table_ref))?;
-                                break 'scan;
-                            }
-                            None => {
-                                fail("malformed run metadata".to_owned())?;
-                                break 'scan;
-                            }
-                        },
-                        other => {
-                            fail(format!("unknown record tag {other}"))?;
-                            break 'scan;
-                        }
+        let mut ticks = 0u64;
+        let (end, defect) =
+            DATA_FORMAT.scan(&bytes[..limit], CORPUS_HEADER_BYTES, |at, payload| {
+                let malformed = FormatError::Malformed;
+                let (&tag, body) = payload.split_first().ok_or(malformed)?;
+                match tag {
+                    TAG_TABLE => tables.push(decode_table(body).ok_or(malformed)?),
+                    TAG_SYMS => decode_sym_block(body)
+                        .ok_or(malformed)?
+                        .into_iter()
+                        .for_each(|text| dict.push(text)),
+                    TAG_RUN => {
+                        let meta = decode_run_meta(body).ok_or(malformed)?;
+                        let table = tables.get(meta.table_ref as usize).ok_or(malformed)?;
+                        ticks = ticks.checked_add(meta.ticks).ok_or(malformed)?;
+                        let start = at + FRAME_OVERHEAD + 1;
+                        runs.push(ArchivedRun {
+                            table: Arc::clone(table),
+                            at: at as u64,
+                            body: start..start + body.len(),
+                            meta,
+                        });
                     }
-                    at += consumed;
-                    scanned = at as u64;
+                    _ => return Err(malformed),
                 }
-                CorpusDecodeOutcome::Incomplete => {
-                    if strict {
-                        return Err(CorpusError::Corrupt(format!(
-                            "committed region ends with a torn record at byte {at}"
-                        )));
-                    }
-                    break;
-                }
-                CorpusDecodeOutcome::Corrupt(msg) => {
-                    if strict {
-                        return Err(CorpusError::Corrupt(format!("record at byte {at}: {msg}")));
-                    }
-                    break;
-                }
+                Ok(())
+            });
+        let stats = CorpusStats {
+            runs: runs.len(),
+            ticks,
+            data_bytes: end as u64,
+            dict_len: dict.len(),
+            tables: tables.len(),
+        };
+        let recovered = manifest.is_none();
+        if let Some((committed, index)) = manifest {
+            if let Some(error) = defect {
+                let at = end as u64;
+                return Err(CorpusError::Corrupt { at, error });
+            }
+            if committed != stats {
+                let scanned = stats;
+                return Err(CorpusError::Totals { committed, scanned });
+            }
+            let differs = |(&[at, ticks], run): (&[u64; 2], &ArchivedRun)| {
+                at != run.at || ticks != run.meta.ticks
+            };
+            if let Some(run) = index.iter().zip(&runs).position(differs) {
+                return Err(CorpusError::Index(run));
             }
         }
-
-        if let Some(m) = &manifest {
-            if runs.len() as u64 != m.runs
-                || total_ticks != m.ticks
-                || dict.len() as u64 != m.dict_len
-                || tables.len() as u64 != m.tables
-            {
-                return Err(CorpusError::Manifest(format!(
-                    "totals diverge from the data file: manifest says {} runs / {} ticks / {} symbols / {} tables, scan found {} / {} / {} / {}",
-                    m.runs,
-                    m.ticks,
-                    m.dict_len,
-                    m.tables,
-                    runs.len(),
-                    total_ticks,
-                    dict.len(),
-                    tables.len()
-                )));
-            }
-            for (i, (&(offset, ticks), run)) in m.index.iter().zip(&runs).enumerate() {
-                if ticks != run.meta.ticks || offset != run.body.start as u64 - 9 {
-                    return Err(CorpusError::Manifest(format!(
-                        "index entry {i} does not match the data file"
-                    )));
-                }
-            }
-        }
-
         Ok(TraceCorpusReader {
             bytes,
-            config,
+            config: ExperimentConfig {
+                post_terminal_ms,
+                correlation_window_ms,
+            },
             dict,
             tables,
             runs,
-            total_ticks,
-            recovered: manifest.is_none(),
-            data_bytes: scanned,
+            stats,
+            recovered,
         })
     }
 
@@ -875,13 +727,7 @@ impl TraceCorpusReader {
 
     /// Whole-corpus totals.
     pub fn stats(&self) -> CorpusStats {
-        CorpusStats {
-            runs: self.runs.len(),
-            ticks: self.total_ticks,
-            data_bytes: self.data_bytes,
-            dict_len: self.dict.len(),
-            tables: self.tables.len(),
-        }
+        self.stats
     }
 
     /// Run `i`'s metadata.
@@ -915,12 +761,9 @@ impl TraceCorpusReader {
     /// Panics if `i` is out of range.
     pub fn decode_trace(&self, i: usize) -> Result<FrameTrace, CorpusError> {
         let run = &self.runs[i];
-        let table = self.table(run.meta.table_ref).expect("validated at open");
-        decode_run_trace(&self.bytes[run.body.clone()], table, &self.dict)
+        decode_run_trace(&self.bytes[run.body.clone()], &run.table, &self.dict)
             .map(|(_, trace)| trace)
-            .ok_or_else(|| {
-                CorpusError::Corrupt(format!("run {i} (`{}`) failed to decode", run.meta.label))
-            })
+            .ok_or_else(|| run.corrupt())
     }
 
     /// A streaming decoder over run `i`, borrowing the corpus buffer —
@@ -935,12 +778,9 @@ impl TraceCorpusReader {
     /// Panics if `i` is out of range.
     pub fn decoder(&self, i: usize) -> Result<RunDecoder<'_>, CorpusError> {
         let run = &self.runs[i];
-        let table = self.table(run.meta.table_ref).expect("validated at open");
-        RunDecoder::new(&self.bytes[run.body.clone()], table, &self.dict)
+        RunDecoder::new(&self.bytes[run.body.clone()], &run.table, &self.dict)
             .map(|(_, dec)| dec)
-            .ok_or_else(|| {
-                CorpusError::Corrupt(format!("run {i} (`{}`) failed to open", run.meta.label))
-            })
+            .ok_or_else(|| run.corrupt())
     }
 }
 
@@ -977,8 +817,9 @@ pub struct CorpusReplay {
 ///
 /// # Errors
 ///
-/// Fails on suite construction failure, undecodable runs, or a batched
-/// observation error.
+/// Fails on suite construction failure, [`CorpusError::ZeroWidth`],
+/// undecodable runs ([`CorpusError::Corrupt`]), or a batched
+/// observation error ([`CorpusError::Observe`]).
 pub fn replay_corpus<F>(
     reader: &TraceCorpusReader,
     width: usize,
@@ -1024,17 +865,19 @@ where
     G: FnMut(usize, RunReport),
 {
     if width == 0 {
-        return Err(CorpusError::Replay("stripe width must be ≥ 1".to_owned()));
+        return Err(CorpusError::ZeroWidth);
     }
     // Group runs by (table, substrate) preserving corpus order: one
     // compiled suite per group, shared by every stripe in it.
-    let mut groups: Vec<((u32, &str), Vec<usize>)> = Vec::new();
-    for i in 0..reader.len() {
-        let meta = reader.meta(i);
-        let key = (meta.table_ref, meta.substrate.as_str());
-        match groups.iter_mut().find(|(k, _)| *k == key) {
+    let mut groups: Vec<(&ArchivedRun, Vec<usize>)> = Vec::new();
+    for (i, run) in reader.runs.iter().enumerate() {
+        let key = (run.meta.table_ref, &run.meta.substrate);
+        match groups
+            .iter_mut()
+            .find(|(first, _)| (first.meta.table_ref, &first.meta.substrate) == key)
+        {
             Some((_, members)) => members.push(i),
-            None => groups.push((key, vec![i])),
+            None => groups.push((run, vec![i])),
         }
     }
 
@@ -1045,9 +888,9 @@ where
     // aggregation, making the whole replay bit-deterministic.
     let mut templates = Vec::with_capacity(groups.len());
     let mut stripes: Vec<(usize, Vec<usize>)> = Vec::new();
-    for ((table_ref, substrate), members) in groups {
-        let table = reader.table(table_ref).expect("validated at open");
-        templates.push((table, suite_for(substrate, table)?.template()));
+    for (first, members) in groups {
+        let suite = suite_for(&first.meta.substrate, &first.table)?;
+        templates.push((&first.table, suite.template()));
         for chunk in members.chunks(width) {
             stripes.push((templates.len() - 1, chunk.to_vec()));
         }
@@ -1108,18 +951,10 @@ fn replay_stripe(
         for (lane, dec) in decoders.iter_mut().enumerate() {
             if t < lens[lane] {
                 dec.write_tick(&mut slab, lane, reader.dict())
-                    .ok_or_else(|| {
-                        CorpusError::Corrupt(format!(
-                            "run {} (`{}`) failed to decode at tick {t}",
-                            chunk[lane],
-                            reader.meta(chunk[lane]).label
-                        ))
-                    })?;
+                    .ok_or_else(|| reader.runs[chunk[lane]].corrupt())?;
             }
         }
-        batch
-            .observe_slab(&slab)
-            .map_err(|e| CorpusError::Replay(format!("batched observe failed: {e}")))?;
+        batch.observe_slab(&slab).map_err(CorpusError::Observe)?;
         for (lane, &len) in lens.iter().enumerate() {
             if t + 1 == len {
                 batch.retire_lane(lane);
@@ -1225,7 +1060,7 @@ mod tests {
         write_corpus(&dir, &[2]);
         assert!(matches!(
             TraceCorpusWriter::create(&dir, ExperimentConfig::default()),
-            Err(CorpusError::Header(_))
+            Err(CorpusError::Exists(_))
         ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1258,7 +1093,7 @@ mod tests {
         bytes[mid] ^= 0x40;
         std::fs::write(&data, &bytes).unwrap();
         match TraceCorpusReader::open(&dir) {
-            Err(CorpusError::Corrupt(_)) | Err(CorpusError::Manifest(_)) => {}
+            Err(CorpusError::Corrupt { .. } | CorpusError::Totals { .. }) => {}
             other => panic!("expected a typed corruption error, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1273,6 +1108,25 @@ mod tests {
             TraceCorpusReader::open(&dir),
             Err(CorpusError::Manifest(_))
         ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_oversized_manifest_is_refused_before_it_is_read() {
+        let dir = temp_dir("huge-manifest");
+        write_corpus(&dir, &[]);
+        let manifest = std::fs::OpenOptions::new()
+            .write(true)
+            .open(dir.join(CORPUS_MANIFEST_FILE))
+            .unwrap();
+        manifest.set_len(64 << 20).unwrap();
+        drop(manifest);
+        match TraceCorpusReader::open(&dir) {
+            Err(CorpusError::Manifest(FormatError::Length { len, max })) => {
+                assert_eq!((len, max), (64 << 20, header_len(5) as u64));
+            }
+            other => panic!("expected the manifest size error, got {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,6 +1,7 @@
 //! CRC-32 (IEEE 802.3, the zlib polynomial) for the harness's on-disk
-//! records: the sweep journal and the trace corpus both frame every
-//! record as `[len][crc][payload]` with this checksum.
+//! records: the durable-record layer ([`crate::record`]) under the sweep
+//! journal and the trace corpus checks every header and every
+//! `[len][crc][payload]` frame with this checksum.
 //!
 //! Opening a corpus checks every byte of `corpus.bin`, so the checksum
 //! runs at archive scale (tens of megabytes per open) and is

@@ -1,6 +1,7 @@
 //! The generic simulate → observe → correlate experiment loop.
 
 use crate::context::{RunContext, RunTiming};
+use crate::journal::JournalError;
 use crate::substrate::Substrate;
 use esafe_logic::{EvalError, Frame, FrameTrace};
 use esafe_monitor::{CorrelationReport, MonitorError, ViolationInterval};
@@ -48,10 +49,8 @@ pub enum ExperimentError {
         budget: u64,
     },
     /// A sweep checkpoint journal failed — an I/O error, a corrupt
-    /// header, or a journal that does not describe this sweep. Carried
-    /// as a rendered message so [`ExperimentError`] stays `Clone` +
-    /// `PartialEq` for the error-ordering contracts.
-    Journal(String),
+    /// header, or a journal that does not describe this sweep.
+    Journal(JournalError),
 }
 
 impl fmt::Display for ExperimentError {
@@ -62,7 +61,7 @@ impl fmt::Display for ExperimentError {
             ExperimentError::TickBudget { budget } => {
                 write!(f, "run exceeded its watchdog tick budget of {budget} ticks")
             }
-            ExperimentError::Journal(msg) => write!(f, "sweep journal failed: {msg}"),
+            ExperimentError::Journal(e) => write!(f, "sweep journal failed: {e}"),
         }
     }
 }
@@ -72,7 +71,8 @@ impl std::error::Error for ExperimentError {
         match self {
             ExperimentError::Compile(e) => Some(e),
             ExperimentError::Monitor(e) => Some(e),
-            ExperimentError::TickBudget { .. } | ExperimentError::Journal(_) => None,
+            ExperimentError::Journal(e) => Some(e),
+            ExperimentError::TickBudget { .. } => None,
         }
     }
 }
@@ -80,6 +80,12 @@ impl std::error::Error for ExperimentError {
 impl From<EvalError> for ExperimentError {
     fn from(e: EvalError) -> Self {
         ExperimentError::Compile(e)
+    }
+}
+
+impl From<JournalError> for ExperimentError {
+    fn from(e: JournalError) -> Self {
+        ExperimentError::Journal(e)
     }
 }
 

@@ -14,41 +14,43 @@
 //! The journal is a single append-only file:
 //!
 //! ```text
-//! header (48 bytes, written atomically: temp + fsync + rename)
-//!   [0..8)    magic  b"ESAFEJNL"
-//!   [8..12)   format version      u32 LE
+//! header (48 bytes: magic b"ESAFEJNL", version, 4 fields, CRC-32)
 //!   [12..20)  sweep base seed     u64 LE
 //!   [20..28)  sweep cell count    u64 LE
 //!   [28..36)  post_terminal_ms    u64 LE
 //!   [36..44)  correlation_window  u64 LE
-//!   [44..48)  CRC-32 of [0..44)   u32 LE
-//! records, each:
-//!   [0..4)    payload length      u32 LE   (≤ MAX_RECORD_BYTES)
-//!   [4..8)    CRC-32 of payload   u32 LE
-//!   [8..)     payload — tag byte then fields (see [`JournalRecord`])
+//! records, one frame each (payload ≤ MAX_RECORD_BYTES):
+//!   payload — tag byte then fields (see [`JournalRecord`])
 //! ```
 //!
-//! Appends are plain buffered writes (no per-record fsync): a
-//! `SIGKILL`ed process loses at most the page cache the OS hadn't
-//! flushed, and anything it *had* written — including a torn final
+//! [`crate::record`] lays out the header's magic, version and checksum
+//! and each record's `[len][crc]` frame.
+//!
+//! Appends are unbuffered writes, one per record, with no per-record
+//! fsync: a `SIGKILL`ed process loses only what it had not yet handed
+//! to the OS, and anything it *had* written — including a torn final
 //! record — is handled by recovery. [`SweepJournal::open`] validates
 //! the header, scans records front to back, and **truncates** the file
-//! at the first short, corrupt, or undecodable record: a torn tail
-//! costs re-running the cells it described, never a wrong aggregate.
+//! at the first short, corrupt, or undecodable record, or at a record
+//! naming a cell outside the sweep: a torn tail costs re-running the
+//! cells it described, never a wrong aggregate.
 //!
-//! Every multi-byte integer is little-endian; every length field is
-//! validated against an explicit budget *before* any allocation it
-//! sizes (mirroring the TCP codec's hostile-input discipline in
-//! `esafe-serve`).
+//! The header codec, the framing, the atomic publish, the scan and the
+//! truncation are [`crate::record`]'s; this module owns the header's
+//! fields, the [`JournalRecord`] payload and first-write-wins replay.
 //!
 //! [`cell_seed`]: crate::sweep::cell_seed
 
-use crate::crc::crc32;
-use crate::experiment::{ExperimentConfig, ExperimentError, RunReport};
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
+use crate::experiment::{ExperimentConfig, RunReport};
+use crate::record::{Cursor, Decoded, Format, FormatError, IoError, RecordFile};
 use crate::sweep::{AggregateBuilder, CellFailure, FailureReason};
 use std::collections::HashSet;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every journal file.
@@ -58,13 +60,20 @@ pub const JOURNAL_MAGIC: [u8; 8] = *b"ESAFEJNL";
 pub const JOURNAL_VERSION: u32 = 1;
 
 /// Header length in bytes (see the [module docs](self)).
-pub const HEADER_BYTES: usize = 48;
+pub const HEADER_BYTES: usize = crate::record::header_len(4);
 
-/// The largest record payload the decoder will buffer, checked against
-/// the length prefix *before* the payload allocation. Generous: a
-/// record is one cell's counters plus monitor-id strings or one panic
+/// The largest record payload, refused on append and checked against
+/// the length prefix on read *before* the payload allocation. Generous:
+/// a record is one cell's counters plus monitor-id strings or one panic
 /// message.
 pub const MAX_RECORD_BYTES: usize = 1 << 24;
+
+/// The journal's record format.
+pub const FORMAT: Format = Format {
+    magic: JOURNAL_MAGIC,
+    version: JOURNAL_VERSION,
+    max_payload: MAX_RECORD_BYTES,
+};
 
 const TAG_COMPLETED: u8 = 1;
 const TAG_QUARANTINED: u8 = 2;
@@ -72,6 +81,76 @@ const TAG_QUARANTINED: u8 = 2;
 const REASON_PANIC: u8 = 1;
 const REASON_ERROR: u8 = 2;
 const REASON_TICK_BUDGET: u8 = 3;
+
+/// The sweep a journal checkpoints, as its header records it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SweepHeader {
+    /// The sweep's base seed.
+    pub base_seed: u64,
+    /// The sweep's cell count.
+    pub cells: usize,
+    /// The sweep's timing policy.
+    pub config: ExperimentConfig,
+}
+
+/// A sweep journal could not be created, opened or appended to.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JournalError {
+    /// [`SweepJournal::create`] found a file at its path already.
+    Exists(PathBuf),
+    /// A filesystem operation failed.
+    Io(IoError),
+    /// The header is not a valid journal header.
+    Header(FormatError),
+    /// The header names more cells than this platform can index.
+    CellCount(u64),
+    /// A record names a cell outside the sweep.
+    CellOutOfRange {
+        /// The record's cell.
+        cell: usize,
+        /// The sweep's cell count.
+        cells: usize,
+    },
+    /// The record format refuses the record: its payload is over
+    /// [`MAX_RECORD_BYTES`].
+    Record(FormatError),
+    /// The journal checkpoints a different sweep.
+    OtherSweep {
+        /// What the journal's header records.
+        journal: SweepHeader,
+        /// The sweep asked to resume from it.
+        sweep: SweepHeader,
+    },
+}
+
+impl fmt::Display for JournalError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JournalError::Exists(path) => write!(f, "{} already exists", path.display()),
+            JournalError::Io(e) => write!(f, "{e}"),
+            JournalError::Header(e) => write!(f, "header: {e}"),
+            JournalError::CellCount(n) => write!(f, "{n} cells overflow this platform"),
+            JournalError::CellOutOfRange { cell, cells } => {
+                write!(f, "cell {cell} not in 0..{cells}")
+            }
+            JournalError::Record(e) => write!(f, "record refused: {e}"),
+            JournalError::OtherSweep { journal, sweep } => {
+                write!(
+                    f,
+                    "journal of a different sweep: {journal:?}, not {sweep:?}"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for JournalError {}
+
+impl From<IoError> for JournalError {
+    fn from(e: IoError) -> Self {
+        JournalError::Io(e)
+    }
+}
 
 /// One completed cell's contribution to the sweep aggregate — exactly
 /// the quantities [`AggregateBuilder::absorb`] extracts from a
@@ -146,17 +225,9 @@ impl JournalRecord {
     }
 }
 
-/// Outcome of decoding the record at the front of a byte buffer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodeOutcome {
-    /// A full record decoded, consuming this many bytes.
-    Record(JournalRecord, usize),
-    /// The buffer ends mid-record — a torn tail, not corruption.
-    Incomplete,
-    /// The bytes at the front are not a valid record (bad length, CRC
-    /// mismatch, unknown tag, malformed payload).
-    Corrupt(String),
-}
+/// What decoding the record at the front of a byte buffer found: the
+/// record and the bytes its frame took, a torn tail, or corruption.
+pub type DecodeOutcome = Decoded<JournalRecord>;
 
 fn put_u32(out: &mut Vec<u8>, x: u32) {
     out.extend_from_slice(&x.to_le_bytes());
@@ -169,60 +240,6 @@ fn put_u64(out: &mut Vec<u8>, x: u64) {
 fn put_str(out: &mut Vec<u8>, s: &str) {
     put_u32(out, s.len() as u32);
     out.extend_from_slice(s.as_bytes());
-}
-
-/// Bounds-checked front-to-back reader over a record payload.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, at: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.at.checked_add(n)?;
-        if end > self.bytes.len() {
-            return None;
-        }
-        let slice = &self.bytes[self.at..end];
-        self.at = end;
-        Some(slice)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    fn bool(&mut self) -> Option<bool> {
-        match self.u8()? {
-            0 => Some(false),
-            1 => Some(true),
-            _ => None,
-        }
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-    }
-
-    fn string(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).ok()
-    }
-
-    fn done(&self) -> bool {
-        self.at == self.bytes.len()
-    }
 }
 
 fn encode_payload(record: &JournalRecord) -> Vec<u8> {
@@ -267,47 +284,39 @@ fn encode_payload(record: &JournalRecord) -> Vec<u8> {
     out
 }
 
-fn decode_payload(payload: &[u8]) -> Option<JournalRecord> {
+fn decode_payload(payload: &[u8]) -> Result<JournalRecord, FormatError> {
     let mut c = Cursor::new(payload);
     let record = match c.u8()? {
         TAG_COMPLETED => {
-            let cell = usize::try_from(c.u64()?).ok()?;
-            let retries = c.u32()?;
-            let terminated_early = c.bool()?;
-            let terminal_event = c.bool()?;
-            let hits = c.u64()?;
-            let false_negatives = c.u64()?;
-            let false_positives = c.u64()?;
+            let mut delta = CellDelta {
+                cell: c.usize()?,
+                retries: c.u32()?,
+                terminated_early: c.bool()?,
+                terminal_event: c.bool()?,
+                hits: c.u64()?,
+                false_negatives: c.u64()?,
+                false_positives: c.u64()?,
+                violations: Vec::new(),
+            };
             let count = c.u32()? as usize;
             // The count sizes nothing directly (items are read one by
             // one and each read is bounds-checked), but reject counts
             // the remaining bytes cannot possibly hold so a hostile
             // count cannot reserve absurd capacity.
             if count > payload.len() {
-                return None;
+                return Err(FormatError::Malformed);
             }
-            let mut violations = Vec::with_capacity(count);
+            delta.violations.reserve_exact(count);
             for _ in 0..count {
-                let id = c.string()?;
-                let n = c.u64()?;
-                violations.push((id, n));
+                delta.violations.push((c.string()?, c.u64()?));
             }
-            JournalRecord::Completed(CellDelta {
-                cell,
-                retries,
-                terminated_early,
-                terminal_event,
-                hits,
-                false_negatives,
-                false_positives,
-                violations,
-            })
+            JournalRecord::Completed(delta)
         }
-        TAG_QUARANTINED => {
-            let cell = usize::try_from(c.u64()?).ok()?;
-            let seed = c.u64()?;
-            let retries = c.u32()?;
-            let reason = match c.u8()? {
+        TAG_QUARANTINED => JournalRecord::Quarantined(CellFailure {
+            cell: c.usize()?,
+            seed: c.u64()?,
+            retries: c.u32()?,
+            reason: match c.u8()? {
                 REASON_PANIC => FailureReason::Panic {
                     message: c.string()?,
                 },
@@ -315,75 +324,35 @@ fn decode_payload(payload: &[u8]) -> Option<JournalRecord> {
                     message: c.string()?,
                 },
                 REASON_TICK_BUDGET => FailureReason::TickBudgetExceeded { budget: c.u64()? },
-                _ => return None,
-            };
-            JournalRecord::Quarantined(CellFailure {
-                cell,
-                seed,
-                retries,
-                reason,
-            })
-        }
-        _ => return None,
+                _ => return Err(FormatError::Malformed),
+            },
+        }),
+        _ => return Err(FormatError::Malformed),
     };
-    c.done().then_some(record)
+    match c.remaining() {
+        0 => Ok(record),
+        _ => Err(FormatError::Malformed),
+    }
 }
 
-/// Encodes one record in its on-disk framing:
-/// `[len u32][crc32 u32][payload]`.
-pub fn encode_record(record: &JournalRecord) -> Vec<u8> {
-    let payload = encode_payload(record);
-    let mut out = Vec::with_capacity(payload.len() + 8);
-    put_u32(&mut out, payload.len() as u32);
-    put_u32(&mut out, crc32(&payload));
-    out.extend_from_slice(&payload);
-    out
+/// Encodes one record in its on-disk framing (see [`crate::record`]).
+///
+/// # Errors
+///
+/// [`JournalError::Record`] when the payload is over
+/// [`MAX_RECORD_BYTES`], as a long panic message can make it: the
+/// reader would stop at the record and drop every one after it.
+pub fn encode_record(record: &JournalRecord) -> Result<Vec<u8>, JournalError> {
+    FORMAT
+        .encode_frame(&encode_payload(record))
+        .map_err(JournalError::Record)
 }
 
 /// Decodes the record at the front of `bytes`. Never panics on
-/// arbitrary input: truncation is [`DecodeOutcome::Incomplete`],
-/// everything else invalid is [`DecodeOutcome::Corrupt`].
+/// arbitrary input: truncation is [`Decoded::Incomplete`], everything
+/// else invalid is [`Decoded::Corrupt`].
 pub fn decode_record(bytes: &[u8]) -> DecodeOutcome {
-    if bytes.len() < 8 {
-        return DecodeOutcome::Incomplete;
-    }
-    let len = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
-    if len > MAX_RECORD_BYTES {
-        return DecodeOutcome::Corrupt(format!(
-            "record length {len} exceeds the {MAX_RECORD_BYTES}-byte budget"
-        ));
-    }
-    let expected_crc = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    let Some(payload) = bytes.get(8..8 + len) else {
-        return DecodeOutcome::Incomplete;
-    };
-    let actual = crc32(payload);
-    if actual != expected_crc {
-        return DecodeOutcome::Corrupt(format!(
-            "record CRC mismatch: stored {expected_crc:08x}, computed {actual:08x}"
-        ));
-    }
-    match decode_payload(payload) {
-        Some(record) => DecodeOutcome::Record(record, 8 + len),
-        None => DecodeOutcome::Corrupt("malformed record payload".to_owned()),
-    }
-}
-
-fn encode_header(base_seed: u64, cells: u64, config: ExperimentConfig) -> [u8; HEADER_BYTES] {
-    let mut out = [0u8; HEADER_BYTES];
-    out[0..8].copy_from_slice(&JOURNAL_MAGIC);
-    out[8..12].copy_from_slice(&JOURNAL_VERSION.to_le_bytes());
-    out[12..20].copy_from_slice(&base_seed.to_le_bytes());
-    out[20..28].copy_from_slice(&cells.to_le_bytes());
-    out[28..36].copy_from_slice(&config.post_terminal_ms.to_le_bytes());
-    out[36..44].copy_from_slice(&config.correlation_window_ms.to_le_bytes());
-    let crc = crc32(&out[0..44]);
-    out[44..48].copy_from_slice(&crc.to_le_bytes());
-    out
-}
-
-fn journal_err(context: &str, detail: impl std::fmt::Display) -> ExperimentError {
-    ExperimentError::Journal(format!("{context}: {detail}"))
+    FORMAT.decode_frame(bytes).and_then(decode_payload)
 }
 
 /// An append-only, checksummed, crash-recoverable checkpoint of one
@@ -391,11 +360,8 @@ fn journal_err(context: &str, detail: impl std::fmt::Display) -> ExperimentError
 /// recovery contract.
 #[derive(Debug)]
 pub struct SweepJournal {
-    file: File,
-    path: PathBuf,
-    base_seed: u64,
-    cells: usize,
-    config: ExperimentConfig,
+    file: RecordFile,
+    header: SweepHeader,
     /// Cells already done, sized by the records read or appended — never
     /// by the header's cell count, which a hostile file can inflate.
     completed: HashSet<usize>,
@@ -406,54 +372,51 @@ pub struct SweepJournal {
 
 impl SweepJournal {
     /// Creates a fresh journal for a sweep of `cells` cells under
-    /// `base_seed` and `config`. The header is written atomically
-    /// (temp file + fsync + rename), so a journal either exists with a
-    /// valid header or not at all.
+    /// `base_seed` and `config`. The header is published atomically, so
+    /// a journal either exists with a valid header or not at all.
     ///
     /// # Errors
     ///
-    /// Fails if `path` already exists (resuming an existing journal is
-    /// [`SweepJournal::open`]'s job — refusing to overwrite is what
-    /// makes `--checkpoint` restart-safe) or on I/O failure.
+    /// [`JournalError::Exists`] if `path` already exists (resuming an
+    /// existing journal is [`SweepJournal::open`]'s job — refusing to
+    /// overwrite is what makes `--checkpoint` restart-safe), or
+    /// [`JournalError::Io`].
     pub fn create(
         path: impl AsRef<Path>,
         base_seed: u64,
         cells: usize,
         config: ExperimentConfig,
-    ) -> Result<Self, ExperimentError> {
-        let path = path.as_ref().to_path_buf();
+    ) -> Result<Self, JournalError> {
+        let path = path.as_ref();
         if path.exists() {
-            return Err(journal_err(
-                "create",
-                format!(
-                    "{} already exists (use resume to continue it)",
-                    path.display()
-                ),
-            ));
+            return Err(JournalError::Exists(path.to_path_buf()));
         }
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = File::create(&tmp).map_err(|e| journal_err("create temp", e))?;
-            f.write_all(&encode_header(base_seed, cells as u64, config))
-                .map_err(|e| journal_err("write header", e))?;
-            f.sync_all().map_err(|e| journal_err("sync header", e))?;
-        }
-        std::fs::rename(&tmp, &path).map_err(|e| journal_err("commit header", e))?;
-        let file = OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .map_err(|e| journal_err("open journal", e))?;
-        Ok(SweepJournal {
-            file,
-            path,
+        let header = FORMAT.encode_header(&[
             base_seed,
-            cells,
-            config,
+            cells as u64,
+            config.post_terminal_ms,
+            config.correlation_window_ms,
+        ]);
+        let file = RecordFile::create(path, &header)?;
+        Ok(SweepJournal::new(
+            file,
+            SweepHeader {
+                base_seed,
+                cells,
+                config,
+            },
+        ))
+    }
+
+    fn new(file: RecordFile, header: SweepHeader) -> Self {
+        SweepJournal {
+            file,
+            header,
             completed: HashSet::new(),
             records: 0,
             recovered_records: 0,
             partial: AggregateBuilder::new(),
-        })
+        }
     }
 
     /// Opens an existing journal, validates the header, replays every
@@ -462,89 +425,44 @@ impl SweepJournal {
     ///
     /// # Errors
     ///
-    /// Fails if the file is missing, the header is invalid, or I/O
-    /// fails. A damaged record *tail* is not an error — it is truncated
-    /// and its cells will re-run.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, ExperimentError> {
-        let path = path.as_ref().to_path_buf();
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&path)
-            .map_err(|e| journal_err("open journal", e))?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)
-            .map_err(|e| journal_err("read journal", e))?;
-        if bytes.len() < HEADER_BYTES {
-            return Err(journal_err(
-                "header",
-                "file shorter than the journal header",
-            ));
-        }
-        if bytes[0..8] != JOURNAL_MAGIC {
-            return Err(journal_err("header", "bad magic (not a sweep journal)"));
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if version != JOURNAL_VERSION {
-            return Err(journal_err(
-                "header",
-                format!(
-                    "unsupported journal version {version} (this build reads {JOURNAL_VERSION})"
-                ),
-            ));
-        }
-        let stored_crc = u32::from_le_bytes(bytes[44..48].try_into().unwrap());
-        let actual_crc = crc32(&bytes[0..44]);
-        if stored_crc != actual_crc {
-            return Err(journal_err(
-                "header",
-                format!("CRC mismatch: stored {stored_crc:08x}, computed {actual_crc:08x}"),
-            ));
-        }
-        let base_seed = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
-        let cells = usize::try_from(u64::from_le_bytes(bytes[20..28].try_into().unwrap()))
-            .map_err(|_| journal_err("header", "cell count overflows this platform"))?;
-        let config = ExperimentConfig {
-            post_terminal_ms: u64::from_le_bytes(bytes[28..36].try_into().unwrap()),
-            correlation_window_ms: u64::from_le_bytes(bytes[36..44].try_into().unwrap()),
-        };
-
-        let mut journal = SweepJournal {
-            file: File::open(&path).map_err(|e| journal_err("open journal", e))?,
-            path: path.clone(),
-            base_seed,
-            cells,
-            config,
-            completed: HashSet::new(),
-            records: 0,
-            recovered_records: 0,
-            partial: AggregateBuilder::new(),
-        };
-
-        // Replay records front to back; stop (and truncate) at the
-        // first torn or corrupt one.
-        // `Incomplete` with no bytes left is the clean end of the
-        // journal; a short or corrupt decode is a tail to cut.
-        let mut at = HEADER_BYTES;
-        while let DecodeOutcome::Record(record, consumed) = decode_record(&bytes[at..]) {
+    /// [`JournalError::Io`] if the file is missing or I/O fails,
+    /// [`JournalError::Header`] or [`JournalError::CellCount`] if the
+    /// header is invalid. A damaged record *tail* is not an error — it
+    /// is truncated and its cells will re-run.
+    pub fn open(path: impl AsRef<Path>) -> Result<Self, JournalError> {
+        let path = path.as_ref();
+        let bytes = std::fs::read(path).map_err(IoError::at("read", path))?;
+        let [base_seed, cells, post_terminal_ms, correlation_window_ms] = FORMAT
+            .decode_header(&bytes, HEADER_BYTES)
+            .and_then(|mut fields| fields.u64s())
+            .map_err(JournalError::Header)?;
+        let cells = usize::try_from(cells).map_err(|_| JournalError::CellCount(cells))?;
+        let mut replayed = Vec::new();
+        let (end, _) = FORMAT.scan(&bytes, HEADER_BYTES, |_, payload| {
+            let record = decode_payload(payload)?;
             if record.cell() >= cells {
-                break;
+                return Err(FormatError::Malformed);
             }
+            replayed.push(record);
+            Ok(())
+        });
+        let config = ExperimentConfig {
+            post_terminal_ms,
+            correlation_window_ms,
+        };
+        let file = RecordFile::reopen(path, end as u64)?;
+        let mut journal = SweepJournal::new(
+            file,
+            SweepHeader {
+                base_seed,
+                cells,
+                config,
+            },
+        );
+        for record in replayed {
             journal.apply(record);
-            at += consumed;
         }
-        if at < bytes.len() {
-            file.set_len(at as u64)
-                .map_err(|e| journal_err("truncate torn tail", e))?;
-            file.sync_all()
-                .map_err(|e| journal_err("sync truncation", e))?;
-        }
-        drop(file);
         journal.recovered_records = journal.records;
-        journal.file = OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .map_err(|e| journal_err("reopen journal", e))?;
         Ok(journal)
     }
 
@@ -566,28 +484,21 @@ impl SweepJournal {
         }
     }
 
-    /// Appends one record durably (buffered write; see the [module
-    /// docs](self) for the crash-safety contract) and folds it into the
-    /// in-memory state.
+    /// Appends one record durably (one unbuffered write; see the
+    /// [module docs](self) for the crash-safety contract) and folds it
+    /// into the in-memory state.
     ///
     /// # Errors
     ///
-    /// Fails on I/O failure or if the record names a cell outside the
-    /// sweep.
-    pub fn append(&mut self, record: JournalRecord) -> Result<(), ExperimentError> {
-        if record.cell() >= self.cells {
-            return Err(journal_err(
-                "append",
-                format!(
-                    "record cell {} outside the sweep's {} cells",
-                    record.cell(),
-                    self.cells
-                ),
-            ));
+    /// [`JournalError::CellOutOfRange`] if the record names a cell
+    /// outside the sweep, [`JournalError::Record`] if it is over the
+    /// budget (nothing is written for either), or [`JournalError::Io`].
+    pub fn append(&mut self, record: JournalRecord) -> Result<(), JournalError> {
+        let (cell, cells) = (record.cell(), self.header.cells);
+        if cell >= cells {
+            return Err(JournalError::CellOutOfRange { cell, cells });
         }
-        self.file
-            .write_all(&encode_record(&record))
-            .map_err(|e| journal_err("append record", e))?;
+        self.file.append(&encode_record(&record)?)?;
         self.apply(record);
         Ok(())
     }
@@ -599,31 +510,14 @@ impl SweepJournal {
     ///
     /// # Errors
     ///
-    /// Fails on I/O failure.
-    pub fn sync(&mut self) -> Result<(), ExperimentError> {
-        self.file
-            .sync_all()
-            .map_err(|e| journal_err("sync journal", e))
+    /// [`JournalError::Io`].
+    pub fn sync(&mut self) -> Result<(), JournalError> {
+        Ok(self.file.sync()?)
     }
 
-    /// The journal file's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The sweep base seed recorded in the header.
-    pub fn base_seed(&self) -> u64 {
-        self.base_seed
-    }
-
-    /// The sweep cell count recorded in the header.
-    pub fn cells(&self) -> usize {
-        self.cells
-    }
-
-    /// The experiment timing policy recorded in the header.
-    pub fn config(&self) -> ExperimentConfig {
-        self.config
+    /// The sweep the header records.
+    pub fn header(&self) -> SweepHeader {
+        self.header
     }
 
     /// Total intact records (replayed + appended this session).
@@ -658,6 +552,7 @@ impl SweepJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
 
     fn delta(cell: usize) -> CellDelta {
         CellDelta {
@@ -710,7 +605,7 @@ mod tests {
                 },
             }),
         ] {
-            let bytes = encode_record(&record);
+            let bytes = encode_record(&record).unwrap();
             match decode_record(&bytes) {
                 DecodeOutcome::Record(back, consumed) => {
                     assert_eq!(back, record);
@@ -722,7 +617,7 @@ mod tests {
             let DecodeOutcome::Record(back, _) = decode_record(&bytes) else {
                 unreachable!()
             };
-            assert_eq!(encode_record(&back), bytes);
+            assert_eq!(encode_record(&back).unwrap(), bytes);
         }
     }
 
@@ -744,8 +639,12 @@ mod tests {
         drop(journal);
 
         let reopened = SweepJournal::open(&path).unwrap();
-        assert_eq!(reopened.base_seed(), 42);
-        assert_eq!(reopened.cells(), 10);
+        let header = SweepHeader {
+            base_seed: 42,
+            cells: 10,
+            config,
+        };
+        assert_eq!(reopened.header(), header);
         assert_eq!(reopened.records(), 3);
         assert_eq!(reopened.recovered_records(), 3);
         assert_eq!(reopened.completed_cells(), 3);
@@ -824,9 +723,37 @@ mod tests {
     }
 
     #[test]
+    fn an_oversized_record_is_refused_and_later_cells_survive() {
+        let path = temp_path("oversized");
+        let mut journal = SweepJournal::create(&path, 3, 4, ExperimentConfig::default()).unwrap();
+        journal.append(JournalRecord::Completed(delta(0))).unwrap();
+        let len_before = std::fs::metadata(&path).unwrap().len();
+        let huge = JournalRecord::Quarantined(CellFailure {
+            reason: FailureReason::Panic {
+                message: "x".repeat(MAX_RECORD_BYTES + 1),
+            },
+            ..failure(1)
+        });
+        assert!(matches!(
+            journal.append(huge),
+            Err(JournalError::Record(FormatError::Length { .. }))
+        ));
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), len_before);
+        journal.append(JournalRecord::Completed(delta(2))).unwrap();
+        assert_eq!(journal.records(), 2);
+        drop(journal);
+
+        let reopened = SweepJournal::open(&path).unwrap();
+        assert_eq!(reopened.records(), 2);
+        assert!(reopened.is_completed(0) && reopened.is_completed(2));
+        assert!(!reopened.is_completed(1), "the refused cell must re-run");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn decode_record_survives_truncation_at_every_boundary() {
         let record = JournalRecord::Completed(delta(5));
-        let bytes = encode_record(&record);
+        let bytes = encode_record(&record).unwrap();
         for cut in 0..bytes.len() {
             match decode_record(&bytes[..cut]) {
                 DecodeOutcome::Incomplete | DecodeOutcome::Corrupt(_) => {}

@@ -39,7 +39,15 @@
 //!   installed a panicking, erroring, or runaway cell is recorded as a
 //!   typed [`CellFailure`] (with retry policy) instead of aborting the
 //!   run, and a journal persists completed cells so an interrupted
-//!   sweep resumes bit-identically, skipping work already done.
+//!   sweep resumes bit-identically, skipping work already done;
+//! * [`TraceCorpusWriter`] / [`TraceCorpusReader`] — on-disk archives
+//!   of recorded runs, re-monitored offline under new goal suites
+//!   ([`replay_corpus`]);
+//! * [`record`] — the one durable-record layer under the journal and
+//!   the corpus: the header and `[len][crc][payload]` frame codecs,
+//!   atomic publish, append-only files and the recovery scan. Both
+//!   formats report typed errors ([`JournalError`], [`CorpusError`])
+//!   built on its [`FormatError`](record::FormatError).
 //!
 //! A substrate constructs its [`SignalTable`](esafe_logic::SignalTable)
 //! **once**; the experiment loop, every sweep cell, every compiled
@@ -106,6 +114,7 @@ pub mod crc;
 pub mod experiment;
 pub mod journal;
 pub mod lanes;
+pub mod record;
 pub mod substrate;
 pub mod sweep;
 
@@ -116,7 +125,7 @@ pub use corpus::{
     TraceCorpusReader, TraceCorpusWriter, DEFAULT_REPLAY_WIDTH,
 };
 pub use experiment::{Experiment, ExperimentConfig, ExperimentError, RunReport};
-pub use journal::{CellDelta, JournalRecord, SweepJournal};
+pub use journal::{CellDelta, JournalError, JournalRecord, SweepHeader, SweepJournal};
 pub use lanes::LaneAllocator;
 pub use substrate::Substrate;
 pub use sweep::{

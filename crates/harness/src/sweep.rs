@@ -27,7 +27,7 @@
 use crate::batch::{Failure, Finished};
 use crate::context::{RunTiming, SuiteProvenance};
 use crate::experiment::{ExperimentConfig, ExperimentError, RunReport};
-use crate::journal::{CellDelta, JournalRecord, SweepJournal};
+use crate::journal::{CellDelta, JournalError, JournalRecord, SweepHeader, SweepJournal};
 use crate::substrate::Substrate;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -310,20 +310,14 @@ impl<C: Sync> Sweep<C> {
         S: Substrate + Sync,
         F: Fn(&C, u64) -> S + Sync,
     {
-        if journal.base_seed() != self.base_seed
-            || journal.cells() != self.cells.len()
-            || journal.config() != self.config
-        {
-            return Err(ExperimentError::Journal(format!(
-                "journal describes a different sweep: journal has seed {} / {} cells / {:?}, \
-                 this sweep has seed {} / {} cells / {:?}",
-                journal.base_seed(),
-                journal.cells(),
-                journal.config(),
-                self.base_seed,
-                self.cells.len(),
-                self.config,
-            )));
+        let sweep = SweepHeader {
+            base_seed: self.base_seed,
+            cells: self.cells.len(),
+            config: self.config,
+        };
+        if journal.header() != sweep {
+            let journal = journal.header();
+            return Err(JournalError::OtherSweep { journal, sweep }.into());
         }
         let pending: Vec<bool> = (0..self.cells.len())
             .map(|i| !journal.is_completed(i))
@@ -349,7 +343,9 @@ impl<C: Sync> Sweep<C> {
                 };
                 let mut guard = sink.lock().unwrap_or_else(|e| e.into_inner());
                 if guard.1.is_none() {
-                    if let Err(e) = record.and_then(|record| guard.0.append(record)) {
+                    if let Err(e) = record
+                        .and_then(|record| guard.0.append(record).map_err(ExperimentError::Journal))
+                    {
                         guard.1 = Some(e);
                     }
                 }

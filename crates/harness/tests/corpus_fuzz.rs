@@ -11,6 +11,7 @@ use esafe_harness::corpus::{
     CorpusError, TraceCorpusReader, TraceCorpusWriter, CORPUS_DATA_FILE, CORPUS_HEADER_BYTES,
     CORPUS_MANIFEST_FILE,
 };
+use esafe_harness::record::FormatError;
 use esafe_harness::ExperimentConfig;
 use esafe_logic::corpus::{decode_run_trace, encode_run, RunMeta, SymDict};
 use esafe_logic::{FrameBatch, FrameTrace, RunDecoder, SignalKind, SignalTable, Value};
@@ -288,7 +289,9 @@ proptest! {
                     }
                 }
                 // Only a header-short prefix may refuse to open.
-                Err(CorpusError::Header(_)) => prop_assert!(cut < CORPUS_HEADER_BYTES),
+                Err(CorpusError::Header(FormatError::Truncated)) => {
+                    prop_assert!(cut < CORPUS_HEADER_BYTES)
+                }
                 Err(other) => panic!("unexpected error at cut {cut}: {other}"),
             }
         }
@@ -333,7 +336,11 @@ proptest! {
         std::fs::write(&data, &bytes).unwrap();
         match TraceCorpusReader::open(&dir) {
             Err(
-                CorpusError::Header(_) | CorpusError::Manifest(_) | CorpusError::Corrupt(_),
+                CorpusError::Header(_)
+                | CorpusError::Manifest(_)
+                | CorpusError::Corrupt { .. }
+                | CorpusError::Totals { .. }
+                | CorpusError::Index(_),
             ) => {}
             Ok(_) => panic!("corruption at byte {at} went undetected"),
             Err(other) => panic!("unexpected error kind: {other}"),

@@ -1,11 +1,13 @@
 //! The CRC-32 behind every journal and corpus record, and the on-disk
 //! bytes it guards: known answers, agreement with a bit-serial
 //! reference at every start alignment, and byte-for-byte pins of a
-//! tiny corpus (`corpus.bin` + `MANIFEST.bin`) and one journal record
-//! frame.
+//! tiny corpus (`corpus.bin` + `MANIFEST.bin`), one journal header and
+//! one journal record frame.
 //!
-//! The pinned files under `tests/golden/` were written with a
-//! bit-serial CRC-32 like the reference below. They are never
+//! The tiny corpus and the journal record under `tests/golden/` were
+//! written with a bit-serial CRC-32 like the reference below, and the
+//! journal header by `SweepJournal::create` before the journal and the
+//! corpus shared one record layer. They are never
 //! regenerated while `CORPUS_VERSION` and `JOURNAL_VERSION` stay 1:
 //! archives and journals already on disk must keep opening, and the
 //! writers must keep producing the same bytes.
@@ -15,7 +17,7 @@ use esafe_harness::corpus::{
 };
 use esafe_harness::crc::crc32;
 use esafe_harness::journal::{decode_record, encode_record, DecodeOutcome, JournalRecord};
-use esafe_harness::{CellDelta, ExperimentConfig};
+use esafe_harness::{CellDelta, ExperimentConfig, SweepHeader, SweepJournal};
 use esafe_logic::{FrameTrace, SignalTable, Value};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -25,6 +27,7 @@ const PINNED_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/tiny
 const PINNED_CORPUS: &[u8] = include_bytes!("golden/tiny_corpus/corpus.bin");
 const PINNED_MANIFEST: &[u8] = include_bytes!("golden/tiny_corpus/MANIFEST.bin");
 const PINNED_JOURNAL_RECORD: &[u8] = include_bytes!("golden/journal_record.bin");
+const PINNED_JOURNAL_HEADER: &[u8] = include_bytes!("golden/journal_header.bin");
 
 /// The bit-serial CRC-32 (reflected 0xedb88320, init and xorout
 /// `!0`) — the reference the table-driven kernel must equal.
@@ -190,7 +193,7 @@ fn the_pinned_corpus_opens_strictly_and_decodes_to_its_traces() {
 #[test]
 fn the_journal_record_frame_matches_the_pinned_bytes() {
     let record = pinned_journal_record();
-    assert_eq!(encode_record(&record), PINNED_JOURNAL_RECORD);
+    assert_eq!(encode_record(&record).unwrap(), PINNED_JOURNAL_RECORD);
     match decode_record(PINNED_JOURNAL_RECORD) {
         DecodeOutcome::Record(back, consumed) => {
             assert_eq!(back, record);
@@ -198,4 +201,27 @@ fn the_journal_record_frame_matches_the_pinned_bytes() {
         }
         other => panic!("the pinned frame must decode, got {other:?}"),
     }
+}
+
+/// The header `SweepJournal::create` writes for the full mega-grid's
+/// shape (base seed 2009, 10 752 cells, default timing policy), and
+/// the sweep `open` reads back from those pinned bytes.
+#[test]
+fn the_journal_header_matches_the_pinned_bytes() {
+    let path = temp_dir("journal-header").with_extension("journal");
+    let _ = std::fs::remove_file(&path);
+    let header = SweepHeader {
+        base_seed: 2009,
+        cells: 10_752,
+        config: ExperimentConfig::default(),
+    };
+    drop(SweepJournal::create(&path, header.base_seed, header.cells, header.config).unwrap());
+    assert_eq!(std::fs::read(&path).unwrap(), PINNED_JOURNAL_HEADER);
+
+    std::fs::write(&path, PINNED_JOURNAL_HEADER).unwrap();
+    let journal = SweepJournal::open(&path).unwrap();
+    assert_eq!(journal.header(), header);
+    assert_eq!(journal.records(), 0);
+    drop(journal);
+    std::fs::remove_file(&path).unwrap();
 }

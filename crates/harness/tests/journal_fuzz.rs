@@ -87,12 +87,12 @@ proptest! {
         violations in proptest::collection::vec((0u8..8, 0u64..u64::MAX), 0..6),
     ) {
         let record = JournalRecord::Completed(delta_from(cell, flags, counts, &violations));
-        let bytes = encode_record(&record);
+        let bytes = encode_record(&record).unwrap();
         match decode_record(&bytes) {
             DecodeOutcome::Record(back, consumed) => {
                 prop_assert_eq!(&back, &record);
                 prop_assert_eq!(consumed, bytes.len());
-                prop_assert_eq!(encode_record(&back), bytes);
+                prop_assert_eq!(encode_record(&back).unwrap(), bytes);
             }
             other => panic!("round trip failed: {other:?}"),
         }
@@ -109,12 +109,12 @@ proptest! {
         detail in 0u64..u64::MAX,
     ) {
         let record = JournalRecord::Quarantined(failure_from(cell, seed, retries, which, detail));
-        let bytes = encode_record(&record);
+        let bytes = encode_record(&record).unwrap();
         match decode_record(&bytes) {
             DecodeOutcome::Record(back, consumed) => {
                 prop_assert_eq!(&back, &record);
                 prop_assert_eq!(consumed, bytes.len());
-                prop_assert_eq!(encode_record(&back), bytes);
+                prop_assert_eq!(encode_record(&back).unwrap(), bytes);
             }
             other => panic!("round trip failed: {other:?}"),
         }
@@ -131,7 +131,7 @@ proptest! {
         violations in proptest::collection::vec((0u8..8, 0u64..u64::MAX), 0..4),
     ) {
         let record = JournalRecord::Completed(delta_from(cell, flags, counts, &violations));
-        let bytes = encode_record(&record);
+        let bytes = encode_record(&record).unwrap();
         for cut in 0..bytes.len() {
             match decode_record(&bytes[..cut]) {
                 DecodeOutcome::Incomplete | DecodeOutcome::Corrupt(_) => {}

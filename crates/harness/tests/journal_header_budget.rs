@@ -45,6 +45,7 @@ fn record(cell: usize) -> Vec<u8> {
         false_positives: 0,
         violations: vec![("G".to_owned(), 1)],
     }))
+    .unwrap()
 }
 
 fn temp_path(name: &str) -> PathBuf {

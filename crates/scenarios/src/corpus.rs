@@ -27,7 +27,7 @@
 
 use crate::{grid, mega, runner};
 use esafe_elevator::ElevatorParams;
-use esafe_harness::corpus::CorpusStats;
+use esafe_harness::corpus::{CorpusStats, SuiteError};
 use esafe_harness::{
     replay_corpus, CorpusError, CorpusReplay, SweepAggregate, SweepStats, TraceCorpusReader,
     TraceCorpusWriter,
@@ -71,39 +71,32 @@ pub fn strict_elevator_params() -> ElevatorParams {
 ///
 /// # Errors
 ///
-/// [`CorpusError::Replay`] for an unknown suite or substrate name, or
+/// [`CorpusError::Suite`] for an unknown suite or substrate name, or
 /// a formula that fails to compile against the table.
 pub fn suite_for(
     suite: &str,
     substrate: &str,
     table: &Arc<SignalTable>,
 ) -> Result<MonitorSuite, CorpusError> {
-    let compile_err = |e: esafe_logic::EvalError| {
-        CorpusError::Replay(format!("suite `{suite}` failed to compile: {e}"))
-    };
-    match (suite, substrate) {
+    let built = match (suite, substrate) {
         ("thesis", "vehicle") => {
-            esafe_vehicle::goals::build_suite(table, &VehicleParams::default()).map_err(compile_err)
+            esafe_vehicle::goals::build_suite(table, &VehicleParams::default())
         }
-        ("strict", "vehicle") => {
-            esafe_vehicle::goals::build_suite(table, &strict_vehicle_params()).map_err(compile_err)
-        }
+        ("strict", "vehicle") => esafe_vehicle::goals::build_suite(table, &strict_vehicle_params()),
         ("thesis", "elevator") => {
             esafe_elevator::goals::build_suite(table, &ElevatorParams::default())
-                .map_err(compile_err)
         }
         ("strict", "elevator") => {
             esafe_elevator::goals::build_suite(table, &strict_elevator_params())
-                .map_err(compile_err)
         }
-        ("thesis" | "strict", other) => Err(CorpusError::Replay(format!(
-            "no registered suite for substrate `{other}`"
-        ))),
-        (other, _) => Err(CorpusError::Replay(format!(
-            "unknown suite `{other}` (registered: {})",
-            SUITE_NAMES.join(", ")
-        ))),
-    }
+        ("thesis" | "strict", other) => {
+            return Err(CorpusError::Suite(SuiteError::NoSubstrate(
+                other.to_owned(),
+            )))
+        }
+        (other, _) => return Err(CorpusError::Suite(SuiteError::Unknown(other.to_owned()))),
+    };
+    built.map_err(|e| CorpusError::Suite(SuiteError::Compile(e)))
 }
 
 /// Records a scenario × defect grid into a fresh corpus at `dir`,
@@ -214,11 +207,11 @@ mod tests {
         assert!(suite_for("strict", "vehicle", family.table()).is_ok());
         assert!(matches!(
             suite_for("lenient", "vehicle", family.table()),
-            Err(CorpusError::Replay(_))
+            Err(CorpusError::Suite(SuiteError::Unknown(name))) if name == "lenient"
         ));
         assert!(matches!(
             suite_for("thesis", "submarine", family.table()),
-            Err(CorpusError::Replay(_))
+            Err(CorpusError::Suite(SuiteError::NoSubstrate(name))) if name == "submarine"
         ));
     }
 

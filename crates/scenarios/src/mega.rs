@@ -29,7 +29,9 @@
 //! resumes bit-identically.
 
 use crate::runner;
-use esafe_harness::{ExperimentError, Quarantine, Sweep, SweepAggregate, SweepJournal, SweepStats};
+use esafe_harness::{
+    ExperimentError, JournalError, Quarantine, Sweep, SweepAggregate, SweepJournal, SweepStats,
+};
 use esafe_vehicle::config::DefectSet;
 use esafe_vehicle::driver::DriverAction;
 use esafe_vehicle::dynamics::{Scene, SceneObject};
@@ -174,7 +176,7 @@ pub fn run_mega_aggregate(
 pub fn create_mega_journal(
     path: impl AsRef<std::path::Path>,
     cells: &[MegaCell],
-) -> Result<SweepJournal, ExperimentError> {
+) -> Result<SweepJournal, JournalError> {
     SweepJournal::create(path, 0, cells.len(), runner::thesis_config())
 }
 

@@ -12,7 +12,7 @@
 
 use emergent_safety::elevator::faults::ElevatorFaults;
 use emergent_safety::elevator::{ElevatorFamily, ElevatorParams};
-use emergent_safety::harness::corpus::replay_corpus_reports;
+use emergent_safety::harness::corpus::{replay_corpus_reports, SuiteError};
 use emergent_safety::harness::{CorpusError, Sweep, TraceCorpusReader, TraceCorpusWriter};
 use emergent_safety::logic::SignalTable;
 use emergent_safety::monitor::MonitorSuite;
@@ -75,7 +75,7 @@ fn fuzzed_suite(
     vehicle_scale: f64,
     elevator_scale: f64,
 ) -> Result<MonitorSuite, CorpusError> {
-    let compile = |e: emergent_safety::logic::EvalError| CorpusError::Replay(e.to_string());
+    let compile = |e| CorpusError::Suite(SuiteError::Compile(e));
     match substrate {
         "vehicle" => {
             let d = VehicleParams::default();
@@ -95,8 +95,8 @@ fn fuzzed_suite(
             };
             emergent_safety::elevator::goals::build_suite(table, &params).map_err(compile)
         }
-        other => Err(CorpusError::Replay(format!(
-            "unexpected substrate `{other}`"
+        other => Err(CorpusError::Suite(SuiteError::NoSubstrate(
+            other.to_owned(),
         ))),
     }
 }

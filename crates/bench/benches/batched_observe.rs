@@ -14,15 +14,13 @@
 //!   moves to the next node. Criterion reports the **raw per-pass**
 //!   time, which covers N runs — divide by N before comparing against
 //!   `scalar_per_run` (so batched wins whenever `per_pass < N ×
-//!   per_run`). Batched at or below scalar per run is the acceptance
-//!   criterion of the mega-grid workload; `repro --mega-grid` prints
-//!   the already-normalized comparison.
+//!   per_run`). Batched at or below scalar per run is what makes wide
+//!   mega-grid stripes pay.
 //!
 //! The observed frames are a real recorded run (scenario 1, clean
 //! system), pre-materialized per lane
 //! ([`esafe_bench::recorded_clean_frames`] /
-//! [`esafe_bench::replicate_lanes`] — the same harness the
-//! calibrations use) and copied into one lane-major
+//! [`esafe_bench::replicate_lanes`]) and copied into one lane-major
 //! [`FrameBatch`](esafe_logic::FrameBatch) stripe per tick, so the
 //! timed loop is monitoring only.
 //!

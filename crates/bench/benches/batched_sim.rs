@@ -15,7 +15,7 @@
 //!   time, which covers N runs — divide by N before comparing against
 //!   `scalar_per_run` (batched wins whenever `per_pass < N × per_run`).
 //!
-//! Widths 1–128 bracket the mega-grid calibration's candidate set; the
+//! Widths 1–128 run up to the mega-grid's stripe width of 128; the
 //! width-1 point prices the batch engine's fixed overhead against the
 //! scalar baseline.
 //!

@@ -19,8 +19,7 @@
 //!
 //! Each decode or replay iteration covers the whole corpus (printed
 //! below as runs × ticks); divide by total ticks for the ns/tick/run
-//! figure the acceptance bound in `repro --replay-corpus --json`
-//! reports against `BENCH_megagrid.json`.
+//! figure. End to end, replay speed is perfbench's `corpus` workload.
 //!
 //! [`FrameBatch`]: esafe_logic::FrameBatch
 //! [`TraceCorpusReader::open`]: esafe_harness::TraceCorpusReader::open

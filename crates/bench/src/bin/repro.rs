@@ -6,21 +6,20 @@
 //! repro --figure 5.1..5.15
 //! repro --ablation [scenario]
 //! repro --grid                 # full scenario × defect sweep, in parallel
-//! repro --grid --json <path>   # …plus a machine-readable timing summary
+//! repro --grid --json <path>   # …plus its machine-readable summary
 //! repro --mega-grid            # ≥10⁴-cell scenario-parameter sweep (batched)
-//! repro --mega-grid --json <path>  # …plus the schema-v6 summary
+//! repro --mega-grid --json <path>  # …plus its summary
 //! repro --mega-grid --subset <n>   # only the grid's first n cells
-//! repro --mega-grid --width <w>    # force the stripe width (skip calibration)
 //! repro --mega-grid --checkpoint <path> [--resume]  # durable journal; resume
 //!                                  # an interrupted sweep bit-identically
 //! repro --serve-bench          # 1000-stream fleet through the monitor service
-//! repro --serve-bench --json <path>  # …plus the serve-bench-v2 summary
+//! repro --serve-bench --json <path>  # …plus its summary
 //! repro --serve-bench --faulty <pct> [--json <path>]  # hostile fleet: pct% faulty streams
 //! repro --grid --record-corpus <dir> [--subset <n>]       # archive the sweep's
 //!                                  # traces into an on-disk columnar corpus
 //! repro --mega-grid --record-corpus <dir> [--subset <n>]  # same, mega cells
-//! repro --replay-corpus <dir> [--suite <name>] [--width <w>]  # re-monitor the
-//!                                  # archive with a registered suite, zero simulation
+//! repro --replay-corpus <dir> [--suite <name>]  # re-monitor the archive
+//!                                  # with a registered suite, zero simulation
 //! repro --grid --suite <name> [--subset <n>]  # live reference for the same suite
 //! repro --all                  # everything, in thesis order
 //! repro --json <scenario>      # dump a scenario's figure series as JSON
@@ -28,23 +27,23 @@
 //!
 //! Flags are order-insensitive: `repro --json out.json --mega-grid`
 //! and `repro --mega-grid --json out.json` are the same invocation.
+//! `repro` times nothing: `perfbench/` measures every workload.
 
 use esafe_bench::{
-    ablation, batch_calibration, corpus_summary_json, figure_map, full_grid_timed,
-    full_mega_checkpointed, grid_summary_json, mega_cells_subset, mega_summary_json,
-    mega_timed_over, observe_calibration, record_corpus_timed, replay_corpus_timed, serve_bench,
-    serve_summary_json, suite_reference_timed, thesis_run, MegaCheckpointInfo,
+    ablation, figure_map, grid_summary, mega_cells_subset, mega_summary, record_corpus_summary,
+    replay_corpus_summary, serve_bench, suite_reference_summary, thesis_run,
 };
 use esafe_core::render;
 use esafe_elevator::ElevatorParams;
+use esafe_scenarios::mega::MEGA_WIDTH;
 use esafe_scenarios::tables;
 use esafe_vehicle::config::VehicleParams;
 
 const USAGE: &str = "usage: repro --table <id> | --figure <id> | --ablation [n] \
      | --grid [--suite <name> | --record-corpus <dir>] [--subset <n>] [--json <path>] \
-     | --mega-grid [--subset <n>] [--width <w>] [--checkpoint <path> [--resume]] \
+     | --mega-grid [--subset <n>] [--checkpoint <path> [--resume]] \
        [--record-corpus <dir>] [--json <path>] \
-     | --replay-corpus <dir> [--suite <name>] [--width <w>] [--json <path>] \
+     | --replay-corpus <dir> [--suite <name>] [--json <path>] \
      | --serve-bench [--faulty <pct>] [--json <path>] \
      | --json <n> | --all";
 
@@ -69,7 +68,6 @@ struct Cli {
     checkpoint: Option<String>,
     resume: bool,
     subset: Option<usize>,
-    width: Option<usize>,
     record_corpus: Option<String>,
     suite: Option<String>,
 }
@@ -78,6 +76,15 @@ fn usage_error(message: &str) -> ! {
     eprintln!("{message}");
     eprintln!("{USAGE}");
     std::process::exit(2);
+}
+
+/// Parses a thesis scenario number, 1–10; anything else is a usage
+/// error naming `what` took it.
+fn scenario_number(what: &str, raw: &str) -> u8 {
+    match raw.parse() {
+        Ok(n @ 1..=10) => n,
+        _ => usage_error(&format!("{what} wants a scenario number 1–10, got `{raw}`")),
+    }
 }
 
 /// Parses flags in any order. Every flag may appear at most once; a
@@ -90,7 +97,6 @@ fn parse_cli(args: &[String]) -> Cli {
         checkpoint: None,
         resume: false,
         subset: None,
-        width: None,
         record_corpus: None,
         suite: None,
     };
@@ -130,7 +136,7 @@ fn parse_cli(args: &[String]) -> Cli {
                 let scenario = match args.get(i + 1) {
                     Some(v) if !v.starts_with("--") => {
                         i += 1;
-                        v.parse().unwrap_or(3)
+                        scenario_number("`--ablation`", v)
                     }
                     _ => 3,
                 };
@@ -185,14 +191,6 @@ fn parse_cli(args: &[String]) -> Cli {
                 cli.suite = Some(value(i).to_owned());
                 i += 2;
             }
-            "--width" => {
-                let w = parsed(i);
-                if w == 0 {
-                    usage_error("`--width` wants a stripe width >= 1");
-                }
-                cli.width = Some(w);
-                i += 2;
-            }
             other => usage_error(&format!("unknown argument `{other}`")),
         }
     }
@@ -217,9 +215,6 @@ fn main() {
     }
     if cli.subset.is_some() && !(mega || grid) {
         usage_error("`--subset` only applies to --grid and --mega-grid");
-    }
-    if cli.width.is_some() && !(mega || replay) {
-        usage_error("`--width` only applies to --mega-grid and --replay-corpus");
     }
     if cli.resume && cli.checkpoint.is_none() {
         usage_error("`--resume` wants a `--checkpoint <path>` to resume from");
@@ -257,7 +252,6 @@ fn main() {
         Some(Command::ReplayCorpus(dir)) => print_replay_corpus(
             dir,
             cli.suite.as_deref().unwrap_or("thesis"),
-            cli.width.unwrap_or(esafe_harness::DEFAULT_REPLAY_WIDTH),
             cli.json.as_deref(),
         ),
         Some(Command::ServeBench) => {
@@ -267,10 +261,7 @@ fn main() {
         None => match &cli.json {
             // Bare `--json <n>` dumps a scenario's figure series.
             Some(raw) => {
-                let n: u8 = raw
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("bare `--json` wants a scenario number"));
-                let report = thesis_run(n);
+                let report = thesis_run(scenario_number("bare `--json`", raw));
                 println!("{}", tables::series_json(&report).expect("serializable"));
             }
             None => usage_error("no command given"),
@@ -278,77 +269,44 @@ fn main() {
     }
 }
 
+/// Writes a summary as pretty JSON to `path`.
+fn write_json(path: &str, summary: &impl serde::Serialize) {
+    let json = serde_json::to_string_pretty(summary).expect("summaries serialize");
+    std::fs::write(path, json).unwrap_or_else(|e| panic!("cannot write `{path}`: {e}"));
+    println!("summary written to {path}");
+}
+
 /// Runs the ≥10⁴-cell scenario-parameter mega grid (or its `--subset`
-/// prefix): calibrate the stripe width on live mega-cell stripes (sim +
-/// observe) unless `--width` forces one, stream the space through the
-/// batched striped engine with O(workers × width) memory — durably
-/// journaled under `--checkpoint`, resuming bit-identically under
-/// `--resume` — and (with `--json`) write the schema-v6
-/// `BENCH_megagrid.json` summary.
+/// prefix) through the batched striped engine at width [`MEGA_WIDTH`]
+/// with O(workers × width) memory — durably journaled under
+/// `--checkpoint`, resuming bit-identically under `--resume` — and
+/// (with `--json`) writes its summary.
 fn print_mega_grid(cli: &Cli) {
     let cells = mega_cells_subset(cli.subset);
-    let cell_count = cells.len();
-    let (width, calibration) = match cli.width {
-        Some(w) => {
-            println!("stripe width forced to {w} (--width given, calibration skipped)");
-            (w, None)
-        }
-        None => {
-            let calibration = batch_calibration();
-            println!(
-                "batch-width calibration over {} live mega-cell ticks (sim + 49-monitor fused observe):",
-                calibration.ticks
-            );
-            println!(
-                "  scalar    {:>8.1} ns/tick/run",
-                calibration.scalar_ns_per_tick_per_run
-            );
-            for point in &calibration.widths {
-                println!(
-                    "  width {:>3} {:>8.1} ns/tick/run  (sim {:.1} + observe {:.1})",
-                    point.width,
-                    point.ns_per_tick_per_run,
-                    point.sim_ns_per_tick_per_run,
-                    point.observe_ns_per_tick_per_run
-                );
-            }
-            let width = calibration.best_width();
-            println!("selected stripe width: {width}");
-            (width, Some(calibration))
-        }
-    };
-
-    let started = std::time::Instant::now();
-    let (aggregate, stats, checkpoint): (_, _, Option<MegaCheckpointInfo>) = match &cli.checkpoint {
-        Some(path) => {
-            let (aggregate, stats, _, info) =
-                full_mega_checkpointed(cells, width, path, cli.resume).unwrap_or_else(|e| {
-                    eprintln!("checkpointed mega grid failed: {e}");
-                    std::process::exit(1);
-                });
-            (aggregate, stats, Some(info))
-        }
-        None => {
-            let (aggregate, stats) = mega_timed_over(cells, width);
-            (aggregate, stats, None)
-        }
-    };
-    let wall = started.elapsed();
+    println!(
+        "mega grid: {} cells at stripe width {MEGA_WIDTH}",
+        cells.len()
+    );
+    let summary = mega_summary(cells, cli.checkpoint.as_deref(), cli.resume).unwrap_or_else(|e| {
+        eprintln!("mega grid failed: {e}");
+        std::process::exit(1);
+    });
+    let aggregate = &summary.aggregate;
     println!(
         "Mega grid: {} cells swept, {} runs ({} early terminations, {} collisions)",
-        cell_count, aggregate.runs, aggregate.terminated_early, aggregate.terminal_events
+        summary.cells, aggregate.runs, aggregate.terminated_early, aggregate.terminal_events
     );
     println!(
         "Classification totals: {} hits, {} false negatives, {} false positives",
         aggregate.hits, aggregate.false_negatives, aggregate.false_positives
     );
-    if let Some(info) = &checkpoint {
-        match &info.resumed_from {
+    if cli.checkpoint.is_some() {
+        match &summary.resumed_from {
             Some(journal) => println!(
                 "checkpoint: resumed {} completed cells from {journal}; {} records journaled",
-                info.resumed_cells, info.journal_records
+                summary.resumed_cells, summary.journal_records
             ),
-            None => println!("checkpoint: {} records journaled", info.journal_records),
+            None => println!("checkpoint: {} records journaled", summary.journal_records),
         }
     }
     if !aggregate.quarantined.is_empty() || aggregate.retries > 0 {
@@ -365,53 +323,33 @@ fn print_mega_grid(cli: &Cli) {
         }
     }
     println!(
-        "wall clock: {:.3} s ({:.2} ms/run); worker time: {:.3} s setup + {:.3} s ticking",
-        wall.as_secs_f64(),
-        wall.as_secs_f64() * 1000.0 / aggregate.runs.max(1) as f64,
-        stats.setup.as_secs_f64(),
-        stats.ticking.as_secs_f64()
-    );
-    println!(
         "suites: {} compiled, {} instantiated, {} reused",
-        stats.suites_compiled, stats.suites_instantiated, stats.suites_reused
+        summary.suite_compiles, summary.suite_instantiations, summary.suite_reuses
     );
     if let Some(path) = &cli.json {
-        let json = mega_summary_json(
-            &aggregate,
-            wall,
-            &stats,
-            calibration.as_ref(),
-            cell_count,
-            width,
-            checkpoint.as_ref(),
-        )
-        .expect("summary serializes");
-        std::fs::write(path, json).unwrap_or_else(|e| panic!("cannot write `{path}`: {e}"));
-        println!("summary written to {path}");
+        write_json(path, &summary);
     }
 }
 
 /// Records a grid or mega-grid cell prefix into a fresh on-disk trace
 /// corpus: every run executes serially with frame recording on, its
 /// columns archived as it finishes, and the commit manifest published
-/// atomically at the end. With `--json`, writes the schema-v7
-/// `corpus-record` summary.
+/// atomically at the end. With `--json`, writes its summary.
 fn print_record_corpus(dir: &str, mega: bool, subset: Option<usize>, json_path: Option<&str>) {
     let workload = if mega { "--mega-grid" } else { "--grid" };
     match subset {
         Some(n) => println!("recording the first {n} {workload} cells into corpus {dir}"),
         None => println!("recording the full {workload} sweep into corpus {dir}"),
     }
-    let summary = record_corpus_timed(dir, mega, subset).unwrap_or_else(|e| {
+    let summary = record_corpus_summary(dir, mega, subset).unwrap_or_else(|e| {
         eprintln!("corpus recording failed: {e}");
         std::process::exit(1);
     });
     println!(
-        "archived {} runs / {} ticks in {:.3} s: {} bytes ({:.2} bytes/tick), \
+        "archived {} runs / {} ticks: {} bytes ({:.2} bytes/tick), \
          {} dictionary symbols, {} signal tables",
         summary.corpus_runs,
         summary.corpus_ticks,
-        summary.wall_clock_ms / 1000.0,
         summary.corpus_bytes,
         summary.bytes_per_tick,
         summary.dict_entries,
@@ -425,19 +363,20 @@ fn print_record_corpus(dir: &str, mega: bool, subset: Option<usize>, json_path: 
         summary.aggregate.false_positives
     );
     if let Some(path) = json_path {
-        let json = corpus_summary_json(&summary).expect("summary serializes");
-        std::fs::write(path, json).unwrap_or_else(|e| panic!("cannot write `{path}`: {e}"));
-        println!("summary written to {path}");
+        write_json(path, &summary);
     }
 }
 
 /// Re-monitors an archived corpus with a registered goal suite —
-/// including one the corpus was never recorded with — at batched-
-/// observe speed with zero simulation. With `--json`, writes the
-/// schema-v7 `corpus-replay` summary.
-fn print_replay_corpus(dir: &str, suite: &str, width: usize, json_path: Option<&str>) {
-    println!("replaying corpus {dir} with suite `{suite}` at stripe width {width}");
-    let summary = replay_corpus_timed(dir, suite, width).unwrap_or_else(|e| {
+/// including one the corpus was never recorded with — through the
+/// batched observer with zero simulation. With `--json`, writes its
+/// summary.
+fn print_replay_corpus(dir: &str, suite: &str, json_path: Option<&str>) {
+    println!(
+        "replaying corpus {dir} with suite `{suite}` at stripe width {}",
+        esafe_harness::DEFAULT_REPLAY_WIDTH
+    );
+    let summary = replay_corpus_summary(dir, suite).unwrap_or_else(|e| {
         eprintln!("corpus replay failed: {e}");
         std::process::exit(1);
     });
@@ -448,13 +387,8 @@ fn print_replay_corpus(dir: &str, suite: &str, width: usize, json_path: Option<&
         );
     }
     println!(
-        "re-monitored {} runs / {} ticks in {:.3} s \
-         (open {:.1} ms + replay engine {:.1} ns/tick/run)",
-        summary.corpus_runs,
-        summary.corpus_ticks,
-        summary.wall_clock_ms / 1000.0,
-        summary.open_ms,
-        summary.replay_ns_per_tick_per_run
+        "re-monitored {} runs / {} ticks",
+        summary.corpus_runs, summary.corpus_ticks
     );
     println!(
         "replay aggregate: {} runs, {} hits, {} false negatives, {} false positives, \
@@ -471,41 +405,34 @@ fn print_replay_corpus(dir: &str, suite: &str, width: usize, json_path: Option<&
         println!("{id:<24} {count}");
     }
     if let Some(path) = json_path {
-        let json = corpus_summary_json(&summary).expect("summary serializes");
-        std::fs::write(path, json).unwrap_or_else(|e| panic!("cannot write `{path}`: {e}"));
-        println!("summary written to {path}");
+        write_json(path, &summary);
     }
 }
 
 /// Runs a grid cell prefix live and scores the recorded runs with a
 /// registered suite — the reference a `--replay-corpus --suite` run
-/// over the same cells is pinned against. With `--json`, writes the
-/// schema-v7 `suite-reference` summary.
+/// over the same cells is pinned against. With `--json`, writes its
+/// summary.
 fn print_suite_reference(suite: &str, subset: Option<usize>, json_path: Option<&str>) {
     match subset {
         Some(n) => println!("live reference: first {n} grid cells scored with suite `{suite}`"),
         None => println!("live reference: full grid scored with suite `{suite}`"),
     }
-    let summary = suite_reference_timed(subset, suite).unwrap_or_else(|e| {
+    let summary = suite_reference_summary(subset, suite).unwrap_or_else(|e| {
         eprintln!("live suite reference failed: {e}");
         std::process::exit(1);
     });
     println!(
-        "scored {} cells in {:.3} s",
+        "reference aggregate over {} cells: {} runs, {} hits, {} false negatives, \
+         {} false positives",
         summary.cells,
-        summary.wall_clock_ms / 1000.0
-    );
-    println!(
-        "reference aggregate: {} runs, {} hits, {} false negatives, {} false positives",
         summary.aggregate.runs,
         summary.aggregate.hits,
         summary.aggregate.false_negatives,
         summary.aggregate.false_positives
     );
     if let Some(path) = json_path {
-        let json = corpus_summary_json(&summary).expect("summary serializes");
-        std::fs::write(path, json).unwrap_or_else(|e| panic!("cannot write `{path}`: {e}"));
-        println!("summary written to {path}");
+        write_json(path, &summary);
     }
 }
 
@@ -522,13 +449,13 @@ fn parse_pct(raw: &str) -> u32 {
     pct
 }
 
-/// Runs the fleet-service benchmark: 1000 concurrent replayed elevator
+/// Runs the fleet-service drill: 1000 concurrent replayed elevator
 /// streams held live on one `esafe-serve` shard worker (2000 streams
 /// total — every close is immediately replaced), and (with `json_path`)
-/// writes the serve-bench-v2 `BENCH_serve.json` summary. With
-/// `faulty_pct > 0`, that share of the fleet misbehaves under seeded
-/// fault plans (stalls, disconnects, corrupt frames, shuffled ticks)
-/// and the degradation counters show how the service coped.
+/// writes its summary. With `faulty_pct > 0`, that share of the fleet
+/// misbehaves under seeded fault plans (stalls, disconnects, corrupt
+/// frames, shuffled ticks) and the degradation counters show how the
+/// service coped.
 fn print_serve_bench(json_path: Option<&str>, faulty_pct: u32) {
     const CONCURRENT: usize = 1000;
     const TOTAL: usize = 2000;
@@ -539,13 +466,8 @@ fn print_serve_bench(json_path: Option<&str>, faulty_pct: u32) {
     );
     let summary = serve_bench(CONCURRENT, TOTAL, TICKS_PER_STREAM, faulty_pct);
     println!(
-        "monitored {} stream-ticks x {} monitors in {:.3} s",
-        summary.stream_ticks, summary.monitors, summary.wall_clock_s
-    );
-    println!(
-        "throughput: {:.0} stream-ticks/s ({:.1} ns/stream-tick); \
-         {} violation intervals reported",
-        summary.stream_ticks_per_s, summary.ns_per_stream_tick, summary.violation_intervals
+        "monitored {} stream-ticks x {} monitors; {} violation intervals reported",
+        summary.stream_ticks, summary.monitors, summary.violation_intervals
     );
     if faulty_pct > 0 {
         println!(
@@ -560,22 +482,21 @@ fn print_serve_bench(json_path: Option<&str>, faulty_pct: u32) {
         );
     }
     if let Some(path) = json_path {
-        let json = serve_summary_json(&summary).expect("summary serializes");
-        std::fs::write(path, json).unwrap_or_else(|e| panic!("cannot write `{path}`: {e}"));
-        println!("summary written to {path}");
+        write_json(path, &summary);
     }
 }
 
 /// Runs the full 10-scenario × 14-configuration grid in parallel —
 /// streaming each worker's reports into a partial aggregate, so memory
 /// stays O(workers) however large the grid — and prints the
-/// order-independent aggregate. With `json_path`, also writes the
-/// machine-readable timing/result summary so future changes have a
-/// benchmark trajectory to compare against.
+/// order-independent aggregate. With `json_path`, also writes its
+/// summary, whose aggregate `BENCH_grid.json` pins.
 fn print_grid(json_path: Option<&str>) {
-    let started = std::time::Instant::now();
-    let (aggregate, stats) = full_grid_timed();
-    let wall = started.elapsed();
+    let summary = grid_summary().unwrap_or_else(|e| {
+        eprintln!("grid failed: {e}");
+        std::process::exit(1);
+    });
+    let aggregate = &summary.aggregate;
     println!(
         "Full evaluation grid: {} runs ({} early terminations, {} collisions)",
         aggregate.runs, aggregate.terminated_early, aggregate.terminal_events
@@ -588,31 +509,18 @@ fn print_grid(json_path: Option<&str>) {
     for (id, count) in &aggregate.violations_by_monitor {
         println!("{id:<10} {count}");
     }
-    println!("wall clock: {:.3} s", wall.as_secs_f64());
     println!(
-        "worker time: {:.3} s setup + {:.3} s ticking; suites: {} compiled, \
-         {} instantiated, {} reused",
-        stats.setup.as_secs_f64(),
-        stats.ticking.as_secs_f64(),
-        stats.suites_compiled,
-        stats.suites_instantiated,
-        stats.suites_reused
-    );
-    let calibration = observe_calibration();
-    println!(
-        "fused observe: {:.0} ns/tick over {} monitors; CSE: {} -> {} nodes \
-         ({:.2}x shared)",
-        calibration.observe_ns_per_tick,
-        calibration.monitors,
-        calibration.cse_source_nodes,
-        calibration.cse_unique_nodes,
-        calibration.cse_source_nodes as f64 / calibration.cse_unique_nodes as f64
+        "suites: {} compiled, {} instantiated, {} reused; fused vehicle suite: \
+         CSE {} -> {} nodes ({:.2}x shared)",
+        summary.suite_compiles,
+        summary.suite_instantiations,
+        summary.suite_reuses,
+        summary.cse_source_nodes,
+        summary.cse_unique_nodes,
+        summary.cse_source_nodes as f64 / summary.cse_unique_nodes as f64
     );
     if let Some(path) = json_path {
-        let json =
-            grid_summary_json(&aggregate, wall, &stats, &calibration).expect("summary serializes");
-        std::fs::write(path, json).unwrap_or_else(|e| panic!("cannot write `{path}`: {e}"));
-        println!("summary written to {path}");
+        write_json(path, &summary);
     }
 }
 
@@ -682,20 +590,15 @@ fn print_table(id: &str) {
                 Some((name, rows)) => {
                     println!("{}", render::catalog_markdown(name, rows));
                 }
-                None => eprintln!("no appendix table {b} (b1..b13)"),
+                None => usage_error(&format!("no appendix table `{b}` (b1..b13)")),
             }
         }
         // Tables D.1–D.11: per-scenario violations.
         d if d.starts_with('d') => {
-            let n: u8 = d[1..].parse().unwrap_or(0);
-            if (1..=10).contains(&n) {
-                let report = thesis_run(n);
-                print!("{}", tables::violation_table(&report));
-            } else {
-                eprintln!("no violation table {d} (d1..d10)");
-            }
+            let report = thesis_run(scenario_number("`--table d`", &d[1..]));
+            print!("{}", tables::violation_table(&report));
         }
-        other => eprintln!("unknown table id `{other}`"),
+        other => usage_error(&format!("unknown table id `{other}`")),
     }
 }
 
@@ -717,8 +620,7 @@ fn print_figure(id: &str) {
         return;
     }
     let Some((scenario, signals)) = figure_map(id) else {
-        eprintln!("unknown figure id `{id}` (5.1..5.15)");
-        return;
+        usage_error(&format!("unknown figure id `{id}` (5.1..5.15)"));
     };
     println!("Figure {id} (from scenario {scenario}):");
     let report = thesis_run(scenario);

@@ -41,7 +41,7 @@
 //!   A stripe honours the quarantine's tick budget itself; the lanes
 //!   still live when it elapses fail exactly where a scalar run would.
 
-use crate::context::{RunContext, RunTiming, SuiteProvenance};
+use crate::context::{RunContext, SuiteProvenance};
 use crate::experiment::{Experiment, ExperimentConfig, ExperimentError, RunReport};
 use crate::lanes::LaneAllocator;
 use crate::substrate::Substrate;
@@ -53,12 +53,11 @@ use rayon::prelude::*;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Default stripe width for batched sweeps: wide enough to amortize the
-/// per-node decode across many lanes, narrow enough that a grid still
-/// splits into more stripes than cores. (The mega-grid reproduction
-/// calibrates its width empirically; see `esafe-bench`.)
+/// per-node decode across many lanes, narrow enough that the 140-cell
+/// thesis grid still splits into more stripes than cores. Sweeps of
+/// thousands of cells pass a wider one (the mega-grid runs at 128).
 pub const DEFAULT_BATCH_WIDTH: usize = 8;
 
 /// One schedulable piece of a sweep: a lock-step stripe of
@@ -130,7 +129,7 @@ struct Lane<'s> {
     terminated_early: bool,
 }
 
-type CellOutcome = (usize, Result<RunReport, ExperimentError>, RunTiming);
+type CellOutcome = (usize, Result<(RunReport, SuiteProvenance), ExperimentError>);
 
 /// A planned cell's substrate. Planning only emits units over built
 /// (`Some`) cells, so the lookup cannot fail for a planned index.
@@ -149,14 +148,11 @@ fn run_scalar_cell<S: Substrate>(
     substrate: &S,
     index: usize,
 ) -> CellOutcome {
-    match Experiment::new(substrate)
+    let result = Experiment::new(substrate)
         .with_config(config)
         .with_tick_budget(budget)
-        .run_in(&mut RunContext::new())
-    {
-        Ok((report, timing)) => (index, Ok(report), timing),
-        Err(e) => (index, Err(e), RunTiming::default()),
-    }
+        .run_in(&mut RunContext::new());
+    (index, result)
 }
 
 /// Runs one stripe: one [`SimulatorBatch`] advancing every lane through
@@ -175,7 +171,6 @@ fn run_stripe<S: Substrate>(
     lanes_idx: &[usize],
 ) -> Vec<CellOutcome> {
     let width = lanes_idx.len();
-    let setup_started = Instant::now();
     let template = built(subs, lanes_idx[0])
         .suite_template()
         .expect("planned stripes carry a template");
@@ -244,12 +239,10 @@ fn run_stripe<S: Substrate>(
     let mut observed = table.frame();
     let scheduled_ticks = built(subs, lanes_idx[0]).duration_ms().div_ceil(dt);
     let post_terminal_ticks = config.post_terminal_ms.div_ceil(dt);
-    let setup = setup_started.elapsed();
 
     // Whether the quarantine's tick budget elapsed with lanes still
     // live; those lanes fail exactly where a scalar guarded run would.
     let mut budget_tripped = false;
-    let tick_started = Instant::now();
     for tick in 1..=scheduled_ticks {
         if let Some(b) = budget {
             if tick > b {
@@ -311,15 +304,7 @@ fn run_stripe<S: Substrate>(
         }
     }
     batch.finish();
-    let ticking = tick_started.elapsed();
 
-    // Per-lane timing: the stripe's wall-clock split evenly across its
-    // lanes, so `SweepStats` totals stay comparable to scalar cells'.
-    let lane_timing = RunTiming {
-        setup: setup / width as u32,
-        ticking: ticking / width as u32,
-        suite: SuiteProvenance::Instantiated,
-    };
     let window_ticks = config.correlation_window_ms.div_ceil(dt);
     lanes
         .into_iter()
@@ -328,11 +313,7 @@ fn run_stripe<S: Substrate>(
             let index = lanes_idx[l];
             if budget_tripped && occupancy.is_claimed(l) {
                 let budget = budget.expect("budget trips only when armed");
-                return (
-                    index,
-                    Err(ExperimentError::TickBudget { budget }),
-                    RunTiming::default(),
-                );
+                return (index, Err(ExperimentError::TickBudget { budget }));
             }
             let substrate = built(subs, index);
             let correlation = batch.correlate_lane(l, window_ticks);
@@ -356,7 +337,9 @@ fn run_stripe<S: Substrate>(
                 series,
                 trace: None,
             };
-            (index, Ok(report), lane_timing)
+            // Every lane's suite is a row of the stripe's one
+            // template-instantiated batch.
+            (index, Ok((report, SuiteProvenance::Instantiated)))
         })
         .collect()
 }
@@ -366,8 +349,9 @@ fn run_stripe<S: Substrate>(
 pub(crate) struct Finished {
     /// The cell's index in the sweep's grid.
     pub(crate) cell: usize,
-    /// The report and its timing, or why the cell failed.
-    pub(crate) result: Result<(RunReport, RunTiming), Failure>,
+    /// The report and how its suite was obtained, or why the cell
+    /// failed.
+    pub(crate) result: Result<(RunReport, SuiteProvenance), Failure>,
     /// Retry attempts the cell consumed (0 unless quarantined with
     /// retries).
     pub(crate) retries: u32,
@@ -497,10 +481,10 @@ impl<C: Sync> Sweep<C> {
         };
         outcomes
             .into_iter()
-            .map(|(cell, result, timing)| match (result, quarantine) {
-                (Ok(report), _) => Finished {
+            .map(|(cell, result)| match (result, quarantine) {
+                (Ok(ok), _) => Finished {
                     cell,
-                    result: Ok((report, timing)),
+                    result: Ok(ok),
                     retries: 0,
                 },
                 (Err(e), None) => Finished {

@@ -1,4 +1,4 @@
-//! Pooled run state and run timing.
+//! Pooled run state and suite provenance.
 //!
 //! Much of a run's setup is invariant across the cells of one substrate
 //! family: the ~dozens of goal formulas compiled into a
@@ -19,24 +19,20 @@
 //! Parallel sweeps do not pool: their stripes instantiate one batched
 //! suite per stripe, and their scalar cells start from a fresh context.
 //!
-//! [`RunTiming`] is the per-run instrumentation the pooled path exposes:
-//! where the run's wall-clock went (setup vs ticking) and how its suite
-//! was obtained, aggregated by `Sweep` into `SweepStats` for the
-//! benchmark trajectory (`repro --grid --json`).
+//! [`SuiteProvenance`] is what a run reports of its own setup: how its
+//! suite was obtained, counted by `Sweep` into `SweepStats`.
 
 use crate::substrate::Substrate;
 use esafe_logic::{EvalError, Frame};
 use esafe_monitor::{MonitorSuite, SuiteTemplate};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// How a run obtained its monitor suite — the amortization ladder, from
 /// most expensive to cheapest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SuiteProvenance {
     /// Compiled from scratch via [`Substrate::build_monitors`] (no
     /// template available).
-    #[default]
     Compiled,
     /// Instantiated from the substrate's [`SuiteTemplate`] (first run of
     /// a template on this worker).
@@ -44,18 +40,6 @@ pub enum SuiteProvenance {
     /// A pooled suite from a previous run of the same template, reset in
     /// place.
     Reused,
-}
-
-/// Wall-clock breakdown of one monitored run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RunTiming {
-    /// Building the run: suite (compile/instantiate/reset), simulator,
-    /// scratch frames.
-    pub setup: Duration,
-    /// The tick loop: simulate, observe, monitor, sample.
-    pub ticking: Duration,
-    /// How the monitor suite was obtained.
-    pub suite: SuiteProvenance,
 }
 
 /// Per-worker state reused across the runs executed on one thread. See

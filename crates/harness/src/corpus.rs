@@ -454,11 +454,11 @@ impl<C: Sync> Sweep<C> {
         let mut stats = SweepStats::default();
         for (index, cell) in self.cells.iter().enumerate() {
             let substrate = build(cell, crate::sweep::cell_seed(self.base_seed, index));
-            let (report, timing) = Experiment::new(&substrate)
+            let (report, provenance) = Experiment::new(&substrate)
                 .with_config(self.config)
                 .with_frame_recording(true)
                 .run_in(&mut ctx)?;
-            stats.absorb(timing);
+            stats.absorb(provenance);
             writer.append_run(&report)?;
             agg.absorb(&report);
         }
@@ -497,11 +497,11 @@ impl<C: Sync> Sweep<C> {
             Vec::new();
         for (index, cell) in self.cells.iter().enumerate() {
             let substrate = build(cell, crate::sweep::cell_seed(self.base_seed, index));
-            let (mut report, timing) = Experiment::new(&substrate)
+            let (mut report, provenance) = Experiment::new(&substrate)
                 .with_config(self.config)
                 .with_frame_recording(true)
                 .run_in(&mut ctx)?;
-            stats.absorb(timing);
+            stats.absorb(provenance);
             let trace = report
                 .trace
                 .take()

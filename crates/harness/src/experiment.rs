@@ -1,6 +1,6 @@
 //! The generic simulate → observe → correlate experiment loop.
 
-use crate::context::{RunContext, RunTiming};
+use crate::context::{RunContext, SuiteProvenance};
 use crate::journal::JournalError;
 use crate::substrate::Substrate;
 use esafe_logic::{EvalError, Frame, FrameTrace};
@@ -8,7 +8,6 @@ use esafe_monitor::{CorrelationReport, MonitorError, ViolationInterval};
 use esafe_sim::SeriesLog;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::time::Instant;
 
 /// Timing policy of an experiment, expressed in **milliseconds** so the
 /// same configuration applies to substrates with different tick periods.
@@ -237,7 +236,7 @@ impl<'a, S: Substrate> Experiment<'a, S> {
 
     /// Runs the experiment against a pooled [`RunContext`], reusing the
     /// context's scratch frame and (for template-backed substrates) its
-    /// monitor suite, and reporting where the run's wall-clock went.
+    /// monitor suite, and reporting how the run obtained its suite.
     /// Reuse is observationally invisible: the report is bit-identical
     /// to [`Experiment::run`]'s.
     ///
@@ -245,7 +244,10 @@ impl<'a, S: Substrate> Experiment<'a, S> {
     ///
     /// Returns [`ExperimentError`] if a goal formula fails to compile or
     /// references a missing signal.
-    pub fn run_in(&self, ctx: &mut RunContext) -> Result<(RunReport, RunTiming), ExperimentError> {
+    pub fn run_in(
+        &self,
+        ctx: &mut RunContext,
+    ) -> Result<(RunReport, SuiteProvenance), ExperimentError> {
         self.run_in_with(ctx, |_, _, _| {})
     }
 
@@ -267,9 +269,8 @@ impl<'a, S: Substrate> Experiment<'a, S> {
         &self,
         ctx: &mut RunContext,
         mut inspect: impl FnMut(u64, &Frame, &Frame),
-    ) -> Result<(RunReport, RunTiming), ExperimentError> {
+    ) -> Result<(RunReport, SuiteProvenance), ExperimentError> {
         let substrate = self.substrate;
-        let setup_started = Instant::now();
         let (mut suite, provenance) = ctx.take_suite(substrate)?;
         let mut sim = substrate.build_simulator();
         let mut observed = ctx.take_observed(substrate);
@@ -307,9 +308,7 @@ impl<'a, S: Substrate> Experiment<'a, S> {
         let mut terminal_tick: Option<u64> = None;
         let mut terminal_event: Option<String> = None;
         let mut terminated_early = false;
-        let setup = setup_started.elapsed();
 
-        let tick_started = Instant::now();
         for tick in 1..=scheduled_ticks {
             if let Some(budget) = self.tick_budget {
                 if tick > budget {
@@ -353,7 +352,6 @@ impl<'a, S: Substrate> Experiment<'a, S> {
             }
         }
         suite.finish();
-        let ticking = tick_started.elapsed();
 
         for (buffer, &id) in buffers.into_iter().zip(tracked) {
             series.append_points(substrate.signal_table().name(id), buffer);
@@ -378,12 +376,7 @@ impl<'a, S: Substrate> Experiment<'a, S> {
             trace,
         };
         ctx.put_back(observed, suite, substrate.suite_template());
-        let timing = RunTiming {
-            setup,
-            ticking,
-            suite: provenance,
-        };
-        Ok((report, timing))
+        Ok((report, provenance))
     }
 }
 
@@ -394,7 +387,6 @@ mod tests {
     use esafe_monitor::{Location, MonitorSuite};
     use esafe_sim::{SimTime, Simulator, Subsystem};
     use std::sync::Arc;
-    use std::time::Duration;
 
     /// A ramp that climbs by one per tick.
     struct Ramp {
@@ -572,7 +564,6 @@ mod tests {
 
     #[test]
     fn pooled_template_runs_match_fresh_compiled_runs() {
-        use crate::context::SuiteProvenance;
         let compiled = RampSubstrate::new(5.0, 10_000);
         let reference = Experiment::new(&compiled).run().unwrap();
 
@@ -580,27 +571,21 @@ mod tests {
         let mut ctx = RunContext::new();
         let (first, t1) = Experiment::new(&templated).run_in(&mut ctx).unwrap();
         let (second, t2) = Experiment::new(&templated).run_in(&mut ctx).unwrap();
-        assert_eq!(t1.suite, SuiteProvenance::Instantiated);
-        assert_eq!(
-            t2.suite,
-            SuiteProvenance::Reused,
-            "worker pool must kick in"
-        );
+        assert_eq!(t1, SuiteProvenance::Instantiated);
+        assert_eq!(t2, SuiteProvenance::Reused, "worker pool must kick in");
         assert_eq!(first, reference, "template path must match compile path");
         assert_eq!(second, reference, "pooled reuse must be invisible");
     }
 
     #[test]
     fn run_in_reports_compiled_provenance_without_a_template() {
-        use crate::context::SuiteProvenance;
         let substrate = RampSubstrate::new(5.0, 10_000);
         let mut ctx = RunContext::new();
         let (a, ta) = Experiment::new(&substrate).run_in(&mut ctx).unwrap();
         let (b, tb) = Experiment::new(&substrate).run_in(&mut ctx).unwrap();
-        assert_eq!(ta.suite, SuiteProvenance::Compiled);
-        assert_eq!(tb.suite, SuiteProvenance::Compiled);
+        assert_eq!(ta, SuiteProvenance::Compiled);
+        assert_eq!(tb, SuiteProvenance::Compiled);
         assert_eq!(a, b, "frame pooling alone must be invisible too");
-        assert!(ta.setup + ta.ticking > Duration::ZERO);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //!   via [`AggregateBuilder`] — O(workers × width) memory for
 //!   arbitrarily large grids), or journal appends
 //!   ([`Sweep::run_aggregate_checkpointed`]); each also reports its
-//!   setup/ticking split and suite counters ([`SweepStats`]);
+//!   suite counters ([`SweepStats`]);
 //! * [`RunContext`] — pooled run state (observed scratch frame,
 //!   template-instantiated monitor suite) reused across runs executed
 //!   one after another on one thread, as the serial recording sweeps do;
@@ -119,7 +119,7 @@ pub mod substrate;
 pub mod sweep;
 
 pub use batch::DEFAULT_BATCH_WIDTH;
-pub use context::{RunContext, RunTiming, SuiteProvenance};
+pub use context::{RunContext, SuiteProvenance};
 pub use corpus::{
     replay_corpus, replay_corpus_reports, CorpusError, CorpusReplay, CorpusStats,
     TraceCorpusReader, TraceCorpusWriter, DEFAULT_REPLAY_WIDTH,

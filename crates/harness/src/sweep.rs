@@ -25,14 +25,13 @@
 //! live with the trace corpus and run their cells serially.
 
 use crate::batch::{Failure, Finished};
-use crate::context::{RunTiming, SuiteProvenance};
+use crate::context::SuiteProvenance;
 use crate::experiment::{ExperimentConfig, ExperimentError, RunReport};
 use crate::journal::{CellDelta, JournalError, JournalRecord, SweepHeader, SweepJournal};
 use crate::substrate::Substrate;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// Deterministic per-cell seed: a splitmix64 mix of the sweep's base
 /// seed and the cell index, so cell N gets the same seed no matter how
@@ -189,9 +188,7 @@ impl<C: Sync> Sweep<C> {
     }
 
     /// Runs every cell and keeps every report, in cell order, plus the
-    /// sweep's [`SweepStats`] — where the wall-clock went (setup vs
-    /// ticking, summed over all workers) and how each suite was
-    /// obtained.
+    /// sweep's [`SweepStats`] — how each run obtained its suite.
     ///
     /// `build` receives each cell and its deterministic seed
     /// ([`cell_seed`]) and returns the substrate to run; cells sharing
@@ -233,9 +230,9 @@ impl<C: Sync> Sweep<C> {
         for f in finished {
             report.retries += f.retries as usize;
             match f.result {
-                Ok((run, timing)) => {
+                Ok((run, provenance)) => {
                     report.runs.push(run);
-                    stats.absorb(timing);
+                    stats.absorb(provenance);
                 }
                 Err(Failure::Quarantined(failure)) => report.quarantined.push(failure),
                 Err(Failure::Abort(e)) => return Err(e),
@@ -291,7 +288,7 @@ impl<C: Sync> Sweep<C> {
     /// installed, else the default policy): a sweep durable enough to
     /// checkpoint should not abort on one bad cell. The returned
     /// [`SweepStats`] covers only the cells run by *this* call —
-    /// resumed cells contribute no timing.
+    /// resumed cells are not counted.
     ///
     /// # Errors
     ///
@@ -332,8 +329,8 @@ impl<C: Sync> Sweep<C> {
             |i| pending[i],
             |mut stats: SweepStats, f: Finished| {
                 let record = match f.result {
-                    Ok((report, timing)) => {
-                        stats.absorb(timing);
+                    Ok((report, provenance)) => {
+                        stats.absorb(provenance);
                         Ok(JournalRecord::Completed(CellDelta::from_report(
                             f.cell, f.retries, &report,
                         )))
@@ -365,8 +362,8 @@ impl<C: Sync> Sweep<C> {
     }
 }
 
-/// One worker's streaming fold state: the partial aggregate, the timing
-/// totals, and the earliest failing cell seen so far. Merging partials
+/// One worker's streaming fold state: the partial aggregate, the suite
+/// counters, and the earliest failing cell seen so far. Merging partials
 /// is commutative, so the reduction order across workers cannot change
 /// the result.
 #[derive(Debug, Default)]
@@ -378,14 +375,14 @@ struct Partial {
 
 impl Partial {
     /// Folds one finished cell in: healthy reports and quarantined
-    /// failures land in the aggregate (failed attempts contribute no
-    /// timing), and an unquarantined error is kept if it is the
-    /// earliest by cell index.
+    /// failures land in the aggregate (only healthy reports count in
+    /// the suite counters), and an unquarantined error is kept if it is
+    /// the earliest by cell index.
     fn absorbed(mut self, f: Finished) -> Partial {
         self.aggregate.add_retries(f.retries as usize);
         match f.result {
-            Ok((report, timing)) => {
-                self.stats.absorb(timing);
+            Ok((report, provenance)) => {
+                self.stats.absorb(provenance);
                 self.aggregate.absorb(&report);
             }
             Err(Failure::Quarantined(failure)) => self.aggregate.absorb_failure(failure),
@@ -520,17 +517,12 @@ impl AggregateBuilder {
     }
 }
 
-/// Aggregated timing/amortization counters of one sweep. Durations are
-/// summed across workers (CPU-time-like, not wall-clock: on N busy
-/// cores the sum exceeds elapsed time). A stripe's time is split evenly
-/// over its lanes, each counted as one instantiated suite.
+/// The amortization counters of one sweep: how each healthy run
+/// obtained its monitor suite, summed across workers. Every striped
+/// lane counts as one instantiated suite. Sweeps keep no clocks; the
+/// repository's benchmark (`perfbench/`) times them from outside.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
-    /// Total per-run setup (suite acquisition, simulator build, scratch
-    /// frames).
-    pub setup: Duration,
-    /// Total tick-loop time (simulate, observe, monitor, sample).
-    pub ticking: Duration,
     /// Runs whose suite was compiled from scratch (no template).
     pub suites_compiled: usize,
     /// Runs whose suite was instantiated from a [`SuiteTemplate`]
@@ -546,11 +538,9 @@ pub struct SweepStats {
 }
 
 impl SweepStats {
-    /// Folds one run's timing into the totals.
-    pub(crate) fn absorb(&mut self, timing: RunTiming) {
-        self.setup += timing.setup;
-        self.ticking += timing.ticking;
-        match timing.suite {
+    /// Counts one run's suite.
+    pub(crate) fn absorb(&mut self, provenance: SuiteProvenance) {
+        match provenance {
             SuiteProvenance::Compiled => self.suites_compiled += 1,
             SuiteProvenance::Instantiated => self.suites_instantiated += 1,
             SuiteProvenance::Reused => self.suites_reused += 1,
@@ -559,8 +549,6 @@ impl SweepStats {
 
     /// Merges another sweep's (or worker's) totals in.
     pub fn merge(&mut self, other: SweepStats) {
-        self.setup += other.setup;
-        self.ticking += other.ticking;
         self.suites_compiled += other.suites_compiled;
         self.suites_instantiated += other.suites_instantiated;
         self.suites_reused += other.suites_reused;

@@ -87,8 +87,8 @@ pub fn sweep(grid: Vec<GridCell>) -> Sweep<GridCell> {
 }
 
 /// Runs a grid in parallel across cores, keeping every report in cell
-/// order, plus the sweep's [`SweepStats`] (setup/tick split, suite
-/// amortization counters): suite compilation amortized through one
+/// order, plus the sweep's [`SweepStats`] (suite amortization
+/// counters): suite compilation amortized through one
 /// [`VehicleFamily`] built for the whole sweep, and cells striped
 /// [`DEFAULT_BATCH_WIDTH`] at a time ([`Sweep::run`]).
 ///

@@ -22,8 +22,8 @@
 //! The default space ([`mega_grid`]) is 12 × 8 × 8 × 14 = **10 752
 //! monitored runs**, swept through the batched striped engine with
 //! O(workers × stripe width) memory ([`run_mega_aggregate`]) — the
-//! `repro --mega-grid` workload, summarized in `BENCH_megagrid.json`
-//! (schema v6). [`run_mega_aggregate_checkpointed`] is the durable
+//! `repro --mega-grid` workload, whose aggregate `BENCH_mega.json`
+//! pins. [`run_mega_aggregate_checkpointed`] is the durable
 //! form behind `repro --mega-grid --checkpoint`: fault-isolated cells
 //! plus a crash-recoverable [`SweepJournal`] so an interrupted sweep
 //! resumes bit-identically.
@@ -146,6 +146,10 @@ pub fn build_mega_cell_in(family: &VehicleFamily, cell: &MegaCell, _seed: u64) -
 pub fn mega_sweep(cells: Vec<MegaCell>) -> Sweep<MegaCell> {
     Sweep::new(cells).with_config(runner::thesis_config())
 }
+
+/// Stripe width of the `repro --mega-grid` sweep and of perfbench's
+/// `mega` workload: wide stripes amortize each stripe's fixed costs.
+pub const MEGA_WIDTH: usize = 128;
 
 /// Runs a mega grid as a **batched streaming reduction** with the given
 /// stripe width: one [`VehicleFamily`] compiled for the whole sweep,

@@ -47,6 +47,11 @@
 //! shard without dropping a single stream, and every verdict is
 //! attributed to the generation that produced it.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::report::{
     EvictReason, ReportEvent, ShardId, StreamEviction, StreamId, StreamSummary, StreamViolations,
     ViolationReport,
@@ -443,11 +448,11 @@ impl ShardCore {
 
     /// Binds queued connections to free lanes, oldest first.
     fn admit_pending(&mut self) {
-        while !self.pending.is_empty() {
+        while let Some(pending) = self.pending.pop_front() {
             let Some(lane) = self.lanes.claim() else {
+                self.pending.push_front(pending);
                 break;
             };
-            let pending = self.pending.pop_front().expect("checked non-empty");
             self.active.batch.reclaim_lane(lane);
             self.active.occupied += 1;
             self.streams[lane] = Some(LaneStream {
@@ -460,9 +465,12 @@ impl ShardCore {
     }
 
     /// Ends the stream on `lane` cleanly: closes out the lane and emits
-    /// the stream's [`StreamSummary`].
+    /// the stream's [`StreamSummary`]. An unbound lane has nothing to
+    /// end.
     fn retire(&mut self, lane: usize) {
-        let (stream, ticks, violations) = self.close_lane(lane);
+        let Some((stream, ticks, violations)) = self.close_lane(lane) else {
+            return;
+        };
         self.events.push(ReportEvent::StreamClosed(StreamSummary {
             stream: stream.id,
             shard: self.shard,
@@ -479,9 +487,11 @@ impl ShardCore {
     /// observed tick) but emitting [`ReportEvent::StreamEvicted`] with
     /// the reason as provenance. Dropping the boxed source closes the
     /// transport, so the producer observes the eviction as a
-    /// disconnect.
+    /// disconnect. An unbound lane has nothing to evict.
     fn evict(&mut self, lane: usize, reason: EvictReason) {
-        let (stream, ticks, violations) = self.close_lane(lane);
+        let Some((stream, ticks, violations)) = self.close_lane(lane) else {
+            return;
+        };
         self.events.push(ReportEvent::StreamEvicted(StreamEviction {
             stream: stream.id,
             shard: self.shard,
@@ -496,18 +506,19 @@ impl ShardCore {
     /// The shared lane close-out: retires the lane in its generation's
     /// batch (closing open intervals at the stream's true end), drains
     /// its violations, and releases the lane for reuse. Returns the
-    /// unbound stream and its final record.
-    fn close_lane(&mut self, lane: usize) -> (LaneStream, u64, StreamViolations) {
-        let stream = self.streams[lane]
-            .take()
-            .expect("close_lane needs a bound lane");
+    /// unbound stream and its final record. Callers close bound lanes
+    /// only; debug builds check it, and release builds return `None`
+    /// for an unbound lane.
+    fn close_lane(&mut self, lane: usize) -> Option<(LaneStream, u64, StreamViolations)> {
+        debug_assert!(self.streams[lane].is_some(), "lane {lane} closed unbound");
+        let stream = self.streams[lane].take()?;
         let slot = self.slot_mut(stream.generation);
         slot.batch.retire_lane(lane);
         let ticks = slot.batch.steps_observed(lane);
         let violations = slot.batch.take_violations_lane(lane);
         slot.occupied -= 1;
         self.lanes.release(lane);
-        (stream, ticks, violations)
+        Some((stream, ticks, violations))
     }
 
     /// Unloads `generation` if it is draining and its last stream just
@@ -519,8 +530,11 @@ impl ShardCore {
         let idx = self
             .draining
             .iter()
-            .position(|s| s.generation == generation)
-            .expect("a non-active generation drains in the draining set");
+            .position(|s| s.generation == generation);
+        debug_assert!(idx.is_some(), "generation {generation} is not draining");
+        let Some(idx) = idx else {
+            return;
+        };
         if self.draining[idx].occupied == 0 {
             self.draining.remove(idx);
             self.events.push(ReportEvent::SuiteUnloaded {
@@ -551,25 +565,31 @@ impl ShardCore {
         }
     }
 
+    /// The slot monitoring `generation`: the active one or a draining
+    /// one. A stream binds only to the active generation, and a
+    /// generation leaves the draining set only once no stream is bound
+    /// to it, so every bound stream's generation is one of the two;
+    /// debug builds check it, release builds fall back to the active
+    /// slot.
     fn slot(&self, generation: u64) -> &SuiteSlot {
         if self.active.generation == generation {
-            &self.active
-        } else {
-            self.draining
-                .iter()
-                .find(|s| s.generation == generation)
-                .expect("a stream's generation is loaded for the stream's lifetime")
+            return &self.active;
         }
+        let draining = self.draining.iter().find(|s| s.generation == generation);
+        debug_assert!(draining.is_some(), "generation {generation} is not loaded");
+        draining.unwrap_or(&self.active)
     }
 
+    /// [`slot`](Self::slot), mutably.
     fn slot_mut(&mut self, generation: u64) -> &mut SuiteSlot {
         if self.active.generation == generation {
-            &mut self.active
-        } else {
-            self.draining
-                .iter_mut()
-                .find(|s| s.generation == generation)
-                .expect("a stream's generation is loaded for the stream's lifetime")
+            return &mut self.active;
         }
+        let draining = self
+            .draining
+            .iter_mut()
+            .find(|s| s.generation == generation);
+        debug_assert!(draining.is_some(), "generation {generation} is not loaded");
+        draining.unwrap_or(&mut self.active)
     }
 }

@@ -80,6 +80,14 @@
 //! bytes forever is evicted by the ordinary stall deadline
 //! ([`ShardConfig::stall_limit`](crate::shard::ShardConfig::stall_limit))
 //! — the wire transport needs no separate read timeout.
+//!
+//! Nothing here panics on what a socket delivers: every read of a
+//! fixed-width field is a [`DecodeError`] when the bytes run out.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use crate::service::ShardConnector;
 use crate::source::{Poll, StreamSource};
@@ -305,7 +313,7 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
 /// Any [`DecodeError`]; on error the frame's contents are unspecified.
 pub fn decode_payload(payload: &[u8], frame: &mut Frame) -> Result<(), DecodeError> {
     let mut cursor = payload;
-    let count = u32::from_be_bytes(take(&mut cursor, 4)?.try_into().expect("took 4"));
+    let count = u32::from_be_bytes(take_array(&mut cursor)?);
     if count > MAX_FRAME_SIGNALS {
         return Err(DecodeError::TooManySignals { count });
     }
@@ -314,8 +322,7 @@ pub fn decode_payload(payload: &[u8], frame: &mut Frame) -> Result<(), DecodeErr
     // the previous signal's, as `write_frame` emits ids in order.
     let mut next = 0;
     for _ in 0..count {
-        let name_len =
-            u16::from_be_bytes(take(&mut cursor, 2)?.try_into().expect("took 2")) as usize;
+        let name_len = u16::from_be_bytes(take_array(&mut cursor)?) as usize;
         if name_len > MAX_NAME_BYTES {
             return Err(DecodeError::NameTooLong { len: name_len });
         }
@@ -350,12 +357,8 @@ pub fn decode_payload(payload: &[u8], frame: &mut Frame) -> Result<(), DecodeErr
         }
         let value = match found {
             SignalKind::Bool => Value::Bool(take(&mut cursor, 1)?[0] != 0),
-            SignalKind::Int => Value::Int(i64::from_le_bytes(
-                take(&mut cursor, 8)?.try_into().expect("took 8"),
-            )),
-            SignalKind::Real => Value::Real(f64::from_bits(u64::from_le_bytes(
-                take(&mut cursor, 8)?.try_into().expect("took 8"),
-            ))),
+            SignalKind::Int => Value::Int(i64::from_le_bytes(take_array(&mut cursor)?)),
+            SignalKind::Real => Value::Real(f64::from_le_bytes(take_array(&mut cursor)?)),
             SignalKind::Sym => Value::Sym(decode_symbol(&mut cursor)?),
         };
         frame.set(id, value);
@@ -367,7 +370,7 @@ pub fn decode_payload(payload: &[u8], frame: &mut Frame) -> Result<(), DecodeErr
 /// unseen one is interned only while the alphabet is under
 /// [`MAX_WIRE_SYMBOLS`].
 fn decode_symbol(cursor: &mut &[u8]) -> Result<Sym, DecodeError> {
-    let len = u16::from_be_bytes(take(cursor, 2)?.try_into().expect("took 2")) as usize;
+    let len = u16::from_be_bytes(take_array(cursor)?) as usize;
     if len > MAX_SYMBOL_BYTES {
         return Err(DecodeError::SymbolTooLong { len });
     }
@@ -431,6 +434,15 @@ fn take<'a>(cursor: &mut &'a [u8], n: usize) -> Result<&'a [u8], DecodeError> {
     Ok(head)
 }
 
+/// [`take`] for a fixed-width field.
+fn take_array<const N: usize>(cursor: &mut &[u8]) -> Result<[u8; N], DecodeError> {
+    let (head, rest) = cursor
+        .split_first_chunk::<N>()
+        .ok_or(DecodeError::Truncated)?;
+    *cursor = rest;
+    Ok(*head)
+}
+
 /// The producing half over TCP: one [`send`](TcpFrameSender::send) per
 /// simulated tick. Dropping the sender closes the connection, ending
 /// the stream cleanly at the service.
@@ -491,9 +503,12 @@ enum WireStage {
 pub struct TcpSource {
     stream: TcpStream,
     stage: WireStage,
-    /// The accumulation buffer for the current stage (header bytes,
-    /// then payload bytes); `filled` of `buf.len()` are valid.
+    /// The length prefix of the current message.
+    header: [u8; 4],
+    /// The current message's payload, sized from its validated header.
     buf: Vec<u8>,
+    /// Bytes of the current stage's buffer (`header` or `buf`) read so
+    /// far.
     filled: usize,
 }
 
@@ -508,7 +523,8 @@ impl TcpSource {
         Ok(TcpSource {
             stream,
             stage: WireStage::Header,
-            buf: vec![0u8; 4],
+            header: [0; 4],
+            buf: Vec::new(),
             filled: 0,
         })
     }
@@ -517,8 +533,12 @@ impl TcpSource {
     /// `Some(poll)` when polling must stop (pending, end, or corrupt);
     /// `None` when the stage's buffer is complete.
     fn fill_stage(&mut self) -> Option<Poll> {
-        while self.filled < self.buf.len() {
-            match self.stream.read(&mut self.buf[self.filled..]) {
+        let target: &mut [u8] = match self.stage {
+            WireStage::Header => &mut self.header,
+            _ => &mut self.buf,
+        };
+        while self.filled < target.len() {
+            match self.stream.read(&mut target[self.filled..]) {
                 Ok(0) => {
                     return if self.filled == 0 && matches!(self.stage, WireStage::Header) {
                         self.stage = WireStage::Done;
@@ -550,8 +570,7 @@ impl StreamSource for TcpSource {
                     if let Some(poll) = self.fill_stage() {
                         return poll;
                     }
-                    let len = u32::from_be_bytes(self.buf[..4].try_into().expect("4-byte header"))
-                        as usize;
+                    let len = u32::from_be_bytes(self.header) as usize;
                     // Budget check BEFORE the attacker-sized resize.
                     if len > MAX_FRAME_BYTES {
                         self.stage = WireStage::Done;
@@ -568,8 +587,6 @@ impl StreamSource for TcpSource {
                     }
                     let decoded = decode_payload(&self.buf, frame);
                     self.stage = WireStage::Header;
-                    self.buf.clear();
-                    self.buf.resize(4, 0);
                     self.filled = 0;
                     return match decoded {
                         Ok(()) => Poll::Frame,
@@ -615,7 +632,8 @@ impl TcpAcceptor {
 ///
 /// # Errors
 ///
-/// Propagates the listener's local-address lookup failure.
+/// Propagates the listener's local-address lookup failure, or the
+/// operating system's refusal to start the thread.
 pub fn spawn_acceptor(listener: TcpListener, connector: ShardConnector) -> io::Result<TcpAcceptor> {
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
@@ -636,8 +654,7 @@ pub fn spawn_acceptor(listener: TcpListener, connector: ShardConnector) -> io::R
                     return; // shard gone; stop serving
                 }
             }
-        })
-        .expect("acceptor thread spawns");
+        })?;
     Ok(TcpAcceptor { addr, stop, join })
 }
 

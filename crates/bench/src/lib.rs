@@ -1,5 +1,4 @@
-//! Shared helpers for the reproduction binary and the criterion
-//! benchmarks.
+//! Shared helpers for the reproduction binary.
 //!
 //! Each `repro` command runs through one function here that returns a
 //! serializable summary: aggregates, counters and provenance, never a
@@ -10,10 +9,9 @@
 //! v8 dropped their timing fields.
 
 use esafe_harness::{
-    CorpusError, Experiment, ExperimentError, SweepAggregate, SweepJournal, TraceCorpusReader,
+    CorpusError, ExperimentError, SweepAggregate, SweepJournal, TraceCorpusReader,
     DEFAULT_REPLAY_WIDTH,
 };
-use esafe_logic::Frame;
 use esafe_scenarios::{catalog, grid, mega, runner, ScenarioReport};
 use esafe_vehicle::config::DefectSet;
 use esafe_vehicle::VehicleFamily;
@@ -79,37 +77,6 @@ pub fn ablation(scenario: u8) -> Vec<(String, Vec<String>)> {
             (cell.config.clone(), ids)
         })
         .collect()
-}
-
-/// Records one clean (defect-free) scenario-1 run with frame recording
-/// and materializes its first `max_ticks` observed frames over the
-/// family's table, so a timed replay loop is monitoring only — no
-/// per-tick column-to-frame assembly: the frame stream the
-/// `batched_observe` criterion bench replays.
-pub fn recorded_clean_frames(family: &VehicleFamily, max_ticks: usize) -> Vec<Frame> {
-    let cells = grid::cells(&[1], &[("none".to_owned(), DefectSet::none())]);
-    let substrate = grid::build_cell_in(family, &cells[0], 0);
-    let report = Experiment::new(&substrate)
-        .with_config(runner::thesis_config())
-        .with_frame_recording(true)
-        .run()
-        .expect("scenario formulas compile against the simulator signals");
-    let trace = report.trace.expect("frame recording enabled");
-    (0..trace.len().min(max_ticks))
-        .map(|i| {
-            let mut frame = family.table().frame();
-            trace.read_into(i, &mut frame);
-            frame
-        })
-        .collect()
-}
-
-/// Replicates recorded frames into tick-major stripe inputs:
-/// `result[t]` is the `width`-lane input at tick `t` (the same
-/// recorded frame in every lane) — the batched-replay analogue of
-/// feeding one frame to a scalar suite.
-pub fn replicate_lanes(frames: &[Frame], width: usize) -> Vec<Vec<Frame>> {
-    frames.iter().map(|f| vec![f.clone(); width]).collect()
 }
 
 /// The `repro --grid --json` summary: the thesis grid's suite counters,

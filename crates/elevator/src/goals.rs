@@ -309,14 +309,14 @@ mod tests {
             ..ElevatorFaults::none()
         };
         let substrate = ElevatorSubstrate::new(faults, 7).with_ticks(6_000);
-        let mut brake_engaged_at_end = false;
         let report = Experiment::new(&substrate)
             .with_config(WINDOW)
-            .run_with(|_tick, raw, _observed| {
-                brake_engaged_at_end =
-                    raw.get_named(model::EMERGENCY_BRAKE) == Some(Value::Bool(true));
-            })
+            .with_frame_recording(true)
+            .run()
             .unwrap();
+        let trace = report.trace.as_ref().expect("frames recorded");
+        let brake = trace.table().id(model::EMERGENCY_BRAKE).unwrap();
+        let brake_engaged_at_end = trace.get(trace.len() - 1, brake) == Some(Value::Bool(true));
         let row = report.correlation.for_goal("hoistway").unwrap();
         assert_eq!(
             row.goal_violations, 0,
@@ -361,23 +361,22 @@ mod tests {
             ..ElevatorFaults::none()
         };
         let substrate = ElevatorSubstrate::new(faults, 7).with_ticks(12_000);
-        let mut physically_unsafe = false;
         let report = Experiment::new(&substrate)
-            .run_with(|_tick, raw, _observed| {
-                let open = raw
-                    .get_named(model::DOOR_POSITION)
-                    .and_then(|v| v.as_real())
-                    .unwrap_or(0.0)
-                    > 0.05;
-                let moving = !raw
-                    .get_named(model::ELEVATOR_STOPPED)
-                    .and_then(|v| v.as_bool())
-                    .unwrap_or(true);
-                if open && moving {
-                    physically_unsafe = true;
-                }
-            })
+            .with_frame_recording(true)
+            .run()
             .unwrap();
+        // The elevator observes its raw frames unchanged, so the
+        // recording holds the plant's own door and motion signals.
+        let trace = report.trace.as_ref().expect("frames recorded");
+        let column = |name| trace.column(trace.table().id(name).unwrap());
+        let physically_unsafe = column(model::DOOR_POSITION)
+            .iter()
+            .zip(column(model::ELEVATOR_STOPPED))
+            .any(|(door, stopped)| {
+                let open = door.and_then(|v| v.as_real()).unwrap_or(0.0) > 0.05;
+                let moving = !stopped.and_then(|v| v.as_bool()).unwrap_or(true);
+                open && moving
+            });
         assert!(
             physically_unsafe,
             "the lying sensor lets the car move with open doors"

@@ -174,16 +174,21 @@ mod tests {
     fn healthy_elevator_serves_calls_without_violations() {
         let substrate =
             ElevatorSubstrate::new(faults::ElevatorFaults::none(), 7).with_ticks(12_000);
-        let mut served_floors = std::collections::BTreeSet::new();
         let report = Experiment::new(&substrate)
-            .run_with(|_tick, raw, _observed| {
-                if raw.get_named(model::DOOR_CLOSED) == Some(Value::Bool(false)) {
-                    if let Some(f) = raw.get_named(model::FLOOR).and_then(|v| v.as_real()) {
-                        served_floors.insert(f as i64);
-                    }
-                }
-            })
+            .with_frame_recording(true)
+            .run()
             .unwrap();
+        // The elevator observes its raw frames unchanged, so the
+        // recording holds the plant's own signals.
+        let trace = report.trace.as_ref().expect("frames recorded");
+        let column = |name| trace.column(trace.table().id(name).expect("signal"));
+        let served_floors: std::collections::BTreeSet<i64> = column(model::DOOR_CLOSED)
+            .iter()
+            .zip(column(model::FLOOR))
+            .filter(|(closed, _)| **closed == Some(Value::Bool(false)))
+            .filter_map(|(_, floor)| floor.and_then(|v| v.as_real()))
+            .map(|f| f as i64)
+            .collect();
         assert!(
             !report.correlation.any_violations(),
             "healthy run must be clean:\n{}",
@@ -243,17 +248,15 @@ mod tests {
         let run = |seed: u64| {
             let substrate =
                 ElevatorSubstrate::new(faults::ElevatorFaults::none(), seed).with_ticks(2000);
-            let mut states = Vec::with_capacity(2000);
-            let report = Experiment::new(&substrate)
-                .run_with(|_tick, raw, _observed| states.push(raw.clone()))
-                .unwrap();
-            (report, states)
+            Experiment::new(&substrate)
+                .with_frame_recording(true)
+                .run()
+                .unwrap()
         };
-        let (report_a, states_a) = run(11);
-        let (report_b, states_b) = run(11);
-        assert_eq!(states_a, states_b, "same seed must replay every state");
-        assert_eq!(report_a, report_b, "and the identical report");
-        let (_, states_c) = run(12);
-        assert_ne!(states_a, states_c, "different seeds must diverge");
+        let (a, b, c) = (run(11), run(11), run(12));
+        assert_eq!(a.trace.as_ref().map(|t| t.len()), Some(2000));
+        assert_eq!(a.trace, b.trace, "same seed must replay every state");
+        assert_eq!(a, b, "and the identical report");
+        assert_ne!(a.trace, c.trace, "different seeds must diverge");
     }
 }

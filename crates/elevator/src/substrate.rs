@@ -209,7 +209,8 @@ impl ElevatorSubstrate {
         self
     }
 
-    /// Sets the signals to record each tick, by name.
+    /// Sets, by name, the signals whose series a run that records its
+    /// frames reports ([`RunReport::series`](esafe_harness::RunReport::series)).
     ///
     /// # Panics
     ///
@@ -393,7 +394,10 @@ mod tests {
     #[test]
     fn tracked_series_capture_the_car() {
         let substrate = ElevatorSubstrate::new(ElevatorFaults::none(), 7).with_ticks(2000);
-        let report = Experiment::new(&substrate).run().unwrap();
+        let report = Experiment::new(&substrate)
+            .with_frame_recording(true)
+            .run()
+            .unwrap();
         let positions = report.series.series(crate::model::POSITION).unwrap();
         assert_eq!(positions.len(), 2000);
     }

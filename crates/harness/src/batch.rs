@@ -12,8 +12,8 @@
 //! [`SimulatorBatch`] — every subsystem stepping all lanes of a
 //! lane-major [`FrameBatch`](esafe_logic::FrameBatch) state slab before
 //! the next subsystem runs — and feeds the slab directly to one
-//! [`MonitorSuiteBatch`] pass per tick. Monitoring, series sampling,
-//! and terminal-event checks all read the slab **in place**, and both
+//! [`MonitorSuiteBatch`] pass per tick. Monitoring and terminal-event
+//! checks both read the slab **in place**, and both
 //! engines evaluate each node/subsystem across every run in the stripe
 //! before moving on, amortizing decode and turning the inner loops into
 //! straight-line sweeps over contiguous lanes.
@@ -46,9 +46,8 @@ use crate::experiment::{Experiment, ExperimentConfig, ExperimentError, RunReport
 use crate::lanes::LaneAllocator;
 use crate::substrate::Substrate;
 use crate::sweep::{cell_seed, retry_seed, CellFailure, FailureReason, Quarantine, Sweep};
-use esafe_logic::SignalId;
 use esafe_monitor::MonitorSuiteBatch;
-use esafe_sim::{sample_point, SeriesLog, Simulator, SimulatorBatch};
+use esafe_sim::{Simulator, SimulatorBatch};
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -114,16 +113,10 @@ fn plan_units<S: Substrate>(subs: &[Option<S>], width: usize) -> Vec<Unit> {
 /// scalar experiment loop keeps per run, minus the monitor suite (which
 /// lives lane-indexed in the shared [`MonitorSuiteBatch`]) and the
 /// simulator (which lives lane-indexed in the stripe's
-/// [`SimulatorBatch`]).
-struct Lane<'s> {
-    /// The substrate's tracked signal ids, resolved once at stripe
-    /// setup rather than re-fetched per tick.
-    tracked: &'s [SignalId],
-    /// Per-tracked-signal point buffers (the indexed fast path), used
-    /// when no signal is tracked twice.
-    buffers: Vec<Vec<(f64, f64)>>,
-    buffered: bool,
-    series: SeriesLog,
+/// [`SimulatorBatch`]). A stripe records no frames, so, like an
+/// unrecorded scalar run, its reports carry no series.
+#[derive(Default)]
+struct Lane {
     terminal_tick: Option<u64>,
     terminal_event: Option<String>,
     terminated_early: bool,
@@ -156,14 +149,14 @@ fn run_scalar_cell<S: Substrate>(
 }
 
 /// Runs one stripe: one [`SimulatorBatch`] advancing every lane through
-/// lane-major state slabs, with monitors, series sampling, and terminal
-/// checks all reading the slab **in place** — no per-lane `Frame` copy
-/// anywhere in the tick loop (substrates without in-place observe
-/// overrides bridge through two stripe-owned scratch frames). Per lane,
-/// the loop reproduces the scalar experiment semantics exactly — same
-/// tick schedule, same series sampling, same terminal-event grace
-/// window, same correlation — so each cell's report is bit-identical to
-/// a scalar run of the same substrate.
+/// lane-major state slabs, with monitors and terminal checks both
+/// reading the slab **in place** — no per-lane `Frame` copy anywhere in
+/// the tick loop (substrates without in-place observe overrides bridge
+/// through two stripe-owned scratch frames). Per lane, the loop
+/// reproduces the scalar experiment semantics exactly — same tick
+/// schedule, same terminal-event grace window, same correlation — so
+/// each cell's report is bit-identical to an unrecorded scalar run of
+/// the same substrate.
 fn run_stripe<S: Substrate>(
     config: ExperimentConfig,
     budget: Option<u64>,
@@ -175,32 +168,7 @@ fn run_stripe<S: Substrate>(
         .suite_template()
         .expect("planned stripes carry a template");
     let group: Vec<&S> = lanes_idx.iter().map(|&i| built(subs, i)).collect();
-    let mut lanes: Vec<Lane<'_>> = group
-        .iter()
-        .map(|substrate| {
-            // Tracked ids are resolved once here, not per tick.
-            let tracked = substrate.tracked_signals();
-            let buffered = {
-                let mut ids: Vec<_> = tracked.to_vec();
-                ids.sort_unstable();
-                ids.dedup();
-                ids.len() == tracked.len()
-            };
-            Lane {
-                tracked,
-                buffers: if buffered {
-                    tracked.iter().map(|_| Vec::new()).collect()
-                } else {
-                    Vec::new()
-                },
-                buffered,
-                series: SeriesLog::new(),
-                terminal_tick: None,
-                terminal_event: None,
-                terminated_early: false,
-            }
-        })
-        .collect();
+    let mut lanes: Vec<Lane> = (0..width).map(|_| Lane::default()).collect();
     // A stripe is the static case of the shared lane-occupancy
     // abstraction (see [`LaneAllocator`]): every lane is claimed up
     // front and released as its run retires.
@@ -232,7 +200,7 @@ fn run_stripe<S: Substrate>(
     let dt = sim.dt_millis();
 
     let mut batch: MonitorSuiteBatch = template.instantiate_batch(width);
-    let table = Arc::clone(built(subs, lanes_idx[0]).signal_table());
+    let table = built(subs, lanes_idx[0]).signal_table();
     // Stripe-owned scratch frames for substrates whose observe /
     // terminal check still runs per lane over a copied frame.
     let mut raw = table.frame();
@@ -269,21 +237,6 @@ fn run_stripe<S: Substrate>(
             if !occupancy.is_claimed(l) {
                 continue;
             }
-            let t = sim.lane_seconds(l);
-            if lane.buffered {
-                for (buffer, &id) in lane.buffers.iter_mut().zip(lane.tracked) {
-                    if let Some(x) = sample_point(sim.state().get(id, l)) {
-                        buffer.push((t, x));
-                    }
-                }
-            } else {
-                for &id in lane.tracked {
-                    // Same rule as `SeriesLog::sample`, reading the slab.
-                    if let Some(x) = sample_point(sim.state().get(id, l)) {
-                        lane.series.push(table.name(id), t, x);
-                    }
-                }
-            }
             if lane.terminal_tick.is_none() {
                 if let Some(event) = group[l].terminal_event_lane(sim.state(), l, &mut raw) {
                     lane.terminal_tick = Some(tick);
@@ -318,10 +271,6 @@ fn run_stripe<S: Substrate>(
             let substrate = built(subs, index);
             let correlation = batch.correlate_lane(l, window_ticks);
             let violations = batch.take_violations_lane(l);
-            let mut series = lane.series;
-            for (buffer, &id) in lane.buffers.into_iter().zip(lane.tracked) {
-                series.append_points(substrate.signal_table().name(id), buffer);
-            }
             let report = RunReport {
                 substrate: substrate.name().to_owned(),
                 label: substrate.label(),
@@ -334,8 +283,7 @@ fn run_stripe<S: Substrate>(
                 terminal_event: lane.terminal_event,
                 violations,
                 correlation,
-                series,
-                trace: None,
+                ..RunReport::default()
             };
             // Every lane's suite is a row of the stripe's one
             // template-instantiated batch.
@@ -621,7 +569,6 @@ mod tests {
                 x: self.x,
                 slope,
                 template: Some(Arc::clone(&self.template)),
-                tracked: vec![self.x],
                 panic_at: None,
             }
         }
@@ -658,7 +605,6 @@ mod tests {
         x: SignalId,
         slope: f64,
         template: Option<Arc<SuiteTemplate>>,
-        tracked: Vec<SignalId>,
         panic_at: Option<f64>,
     }
 
@@ -704,9 +650,6 @@ mod tests {
         fn terminal_event(&self, observed: &Frame) -> Option<&'static str> {
             (observed.real_or(self.x, 0.0) >= 50.0).then_some("limit")
         }
-        fn tracked_signals(&self) -> &[SignalId] {
-            &self.tracked
-        }
     }
 
     /// Slopes chosen so lanes terminate at different ticks: slope 2.0
@@ -730,8 +673,8 @@ mod tests {
 
     /// The early-termination-inside-a-stripe regression: a lane that
     /// hits its terminal event mid-stripe (slope 4.0 terminates at tick
-    /// ~13 of 60) must leave every surviving lane's verdicts, series,
-    /// and violation intervals bit-identical to scalar execution.
+    /// ~13 of 60) must leave every surviving lane's verdicts and
+    /// violation intervals bit-identical to scalar execution.
     #[test]
     fn early_termination_mid_stripe_leaves_survivors_bit_identical() {
         let family = RampFamily::new();

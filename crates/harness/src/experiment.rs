@@ -3,7 +3,7 @@
 use crate::context::{RunContext, SuiteProvenance};
 use crate::journal::JournalError;
 use crate::substrate::Substrate;
-use esafe_logic::{EvalError, Frame, FrameTrace};
+use esafe_logic::{EvalError, FrameTrace};
 use esafe_monitor::{CorrelationReport, MonitorError, ViolationInterval};
 use esafe_sim::SeriesLog;
 use serde::{Deserialize, Serialize};
@@ -96,9 +96,9 @@ impl From<MonitorError> for ExperimentError {
 
 /// The substrate-independent outcome of one monitored run.
 ///
-/// The recorded [`SeriesLog`] is skipped during serialization (figure
-/// series run to hundreds of kilobytes); a deserialized report carries an
-/// empty log, and everything else round-trips.
+/// The series and the frame recording are skipped during serialization
+/// (figure series run to hundreds of kilobytes); a deserialized report
+/// carries neither, and everything else round-trips.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {
     /// The substrate family (e.g. `"vehicle"`).
@@ -123,7 +123,10 @@ pub struct RunReport {
     pub violations: Vec<(String, Vec<ViolationInterval>)>,
     /// Hit / false-positive / false-negative classification.
     pub correlation: CorrelationReport,
-    /// Recorded figure series (not serialized).
+    /// The series of the substrate's
+    /// [`tracked_signals`](Substrate::tracked_signals), read from the
+    /// frame recording after the run (not serialized). Empty unless the
+    /// run recorded frames ([`Experiment::with_frame_recording`]).
     #[serde(skip)]
     pub series: SeriesLog,
     /// The full observed-frame recording, when the experiment ran with
@@ -156,7 +159,7 @@ impl RunReport {
 /// Owns the tick loop the substrates used to hand-roll: advance the
 /// simulator (whose subsystems already observe the *previous* tick's
 /// snapshot — the thesis's one-tick observation delay), derive the
-/// observed state, feed every monitor, sample tracked series, and apply
+/// observed state, record it if asked, feed every monitor, and apply
 /// early termination after a terminal event.
 #[derive(Debug)]
 pub struct Experiment<'a, S: Substrate> {
@@ -201,7 +204,8 @@ impl<'a, S: Substrate> Experiment<'a, S> {
     /// run costs ~one `Frame` memcpy per tick and holds every sample in
     /// memory. Switch it on to re-monitor the run offline with new goal
     /// suites — no re-simulation — via `MonitorSuite::replay` or
-    /// [`FrameTrace::replay_expr`].
+    /// [`FrameTrace::replay_expr`], and to read the figure series of the
+    /// substrate's tracked signals ([`RunReport::series`]).
     pub fn with_frame_recording(mut self, record: bool) -> Self {
         self.record_frames = record;
         self
@@ -214,23 +218,7 @@ impl<'a, S: Substrate> Experiment<'a, S> {
     /// Returns [`ExperimentError`] if a goal formula fails to compile or
     /// references a missing signal.
     pub fn run(&self) -> Result<RunReport, ExperimentError> {
-        self.run_with(|_, _, _| {})
-    }
-
-    /// Runs the experiment, handing every `(tick, raw, observed)` frame
-    /// pair to `inspect` as it is produced — for callers that need
-    /// per-tick measurements beyond the monitors (physical-safety oracles
-    /// in tests, live dashboards).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExperimentError`] if a goal formula fails to compile or
-    /// references a missing signal.
-    pub fn run_with(
-        &self,
-        inspect: impl FnMut(u64, &Frame, &Frame),
-    ) -> Result<RunReport, ExperimentError> {
-        self.run_in_with(&mut RunContext::new(), inspect)
+        self.run_in(&mut RunContext::new())
             .map(|(report, _)| report)
     }
 
@@ -240,6 +228,13 @@ impl<'a, S: Substrate> Experiment<'a, S> {
     /// Reuse is observationally invisible: the report is bit-identical
     /// to [`Experiment::run`]'s.
     ///
+    /// This is the one experiment loop. Each tick the substrate's
+    /// [`observe`](Substrate::observe) derivation writes into one
+    /// scratch `observed` frame in place, which the recording (when on)
+    /// and the monitors read; the loop samples nothing else. A recorded
+    /// run's [`RunReport::series`] is read from the recording once,
+    /// after the run.
+    ///
     /// # Errors
     ///
     /// Returns [`ExperimentError`] if a goal formula fails to compile or
@@ -247,28 +242,6 @@ impl<'a, S: Substrate> Experiment<'a, S> {
     pub fn run_in(
         &self,
         ctx: &mut RunContext,
-    ) -> Result<(RunReport, SuiteProvenance), ExperimentError> {
-        self.run_in_with(ctx, |_, _, _| {})
-    }
-
-    /// [`Experiment::run_in`] with a per-tick `inspect` hook — the one
-    /// loop every run entry point funnels into.
-    ///
-    /// The loop owns one scratch `observed` frame (taken from the
-    /// context, or allocated once before the first tick); each tick the
-    /// substrate's [`observe`](Substrate::observe) derivation writes
-    /// into it in place, and tracked signals buffer into plain `Vec`s,
-    /// so the steady-state loop performs zero allocations beyond series
-    /// growth.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExperimentError`] if a goal formula fails to compile or
-    /// references a missing signal.
-    pub fn run_in_with(
-        &self,
-        ctx: &mut RunContext,
-        mut inspect: impl FnMut(u64, &Frame, &Frame),
     ) -> Result<(RunReport, SuiteProvenance), ExperimentError> {
         let substrate = self.substrate;
         let (mut suite, provenance) = ctx.take_suite(substrate)?;
@@ -278,24 +251,6 @@ impl<'a, S: Substrate> Experiment<'a, S> {
         let dt = sim.dt_millis();
         let scheduled_ticks = substrate.duration_ms().div_ceil(dt);
         let post_terminal_ticks = self.config.post_terminal_ms.div_ceil(dt);
-
-        // Tracked signals buffer into one Vec per slot (indexed push, no
-        // per-tick map lookup) unless a signal is tracked twice, where
-        // only tick-interleaved sampling reproduces the historical
-        // series layout.
-        let tracked = substrate.tracked_signals();
-        let buffered = {
-            let mut ids: Vec<_> = tracked.to_vec();
-            ids.sort_unstable();
-            ids.dedup();
-            ids.len() == tracked.len()
-        };
-        let mut series = SeriesLog::new();
-        let mut buffers: Vec<Vec<(f64, f64)>> = if buffered {
-            tracked.iter().map(|_| Vec::new()).collect()
-        } else {
-            Vec::new()
-        };
 
         let mut trace = self.record_frames.then(|| {
             FrameTrace::with_capacity(
@@ -324,19 +279,6 @@ impl<'a, S: Substrate> Experiment<'a, S> {
                 trace.push(&observed);
             }
             suite.observe(&observed)?;
-            let t = sim.seconds();
-            if buffered {
-                for (buffer, &id) in buffers.iter_mut().zip(tracked) {
-                    if let Some(x) = esafe_sim::sample_point(observed.get(id)) {
-                        buffer.push((t, x));
-                    }
-                }
-            } else {
-                for &id in tracked {
-                    series.sample(&observed, id, t);
-                }
-            }
-            inspect(tick, sim.state(), &observed);
 
             if terminal_tick.is_none() {
                 if let Some(event) = substrate.terminal_event(&observed) {
@@ -353,13 +295,13 @@ impl<'a, S: Substrate> Experiment<'a, S> {
         }
         suite.finish();
 
-        for (buffer, &id) in buffers.into_iter().zip(tracked) {
-            series.append_points(substrate.signal_table().name(id), buffer);
-        }
-
         let window_ticks = self.config.correlation_window_ms.div_ceil(dt);
         let correlation = suite.correlate(window_ticks);
         let violations = suite.take_violations();
+        let series = trace
+            .as_ref()
+            .map(|trace| SeriesLog::from_recording(trace, substrate.tracked_signals()))
+            .unwrap_or_default();
         let report = RunReport {
             substrate: substrate.name().to_owned(),
             label: substrate.label(),
@@ -383,7 +325,7 @@ impl<'a, S: Substrate> Experiment<'a, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esafe_logic::{parse, SignalId, SignalTable};
+    use esafe_logic::{parse, Frame, SignalId, SignalTable};
     use esafe_monitor::{Location, MonitorSuite};
     use esafe_sim::{SimTime, Simulator, Subsystem};
     use std::sync::Arc;
@@ -496,25 +438,22 @@ mod tests {
     #[test]
     fn series_are_sampled_from_observed_states() {
         let substrate = RampSubstrate::new(1e9, 50);
-        let report = Experiment::new(&substrate).run().unwrap();
+        let unrecorded = Experiment::new(&substrate).run().unwrap();
+        assert_eq!(
+            unrecorded.series,
+            SeriesLog::default(),
+            "no recording, no series"
+        );
+        let report = Experiment::new(&substrate)
+            .with_frame_recording(true)
+            .run()
+            .unwrap();
+        // The state after tick k is timed at the simulator clock of tick
+        // k, one tick later than the recording's own sample time.
         let xs = report.series.series("x").unwrap();
         assert_eq!(xs.len(), 5);
         assert_eq!(xs[0], (0.01, 1.0));
         assert_eq!(xs[4], (0.05, 5.0));
-    }
-
-    #[test]
-    fn inspect_sees_every_tick() {
-        let substrate = RampSubstrate::new(1e9, 100);
-        let mut seen = 0;
-        Experiment::new(&substrate)
-            .run_with(|tick, raw, observed| {
-                seen += 1;
-                assert_eq!(tick, seen);
-                assert_eq!(raw.get(substrate.x), observed.get(substrate.x));
-            })
-            .unwrap();
-        assert_eq!(seen, 10);
     }
 
     /// A ramp substrate carrying a prebuilt suite template, as a family
@@ -608,9 +547,12 @@ mod tests {
         let x = substrate.table.id("x").unwrap();
         assert_eq!(trace.get(0, x), Some(esafe_logic::Value::Real(1.0)));
         assert_eq!(trace.get(4, x), Some(esafe_logic::Value::Real(5.0)));
-        // Everything but the trace matches the unrecorded run.
+        // Everything but the trace and the series read from it matches
+        // the unrecorded run.
+        assert!(recorded.series.series("x").is_some());
         let stripped = RunReport {
             trace: None,
+            series: SeriesLog::default(),
             ..recorded.clone()
         };
         assert_eq!(stripped, unrecorded, "recording must not change the run");
@@ -672,14 +614,19 @@ mod tests {
     #[test]
     fn reports_round_trip_through_serde_json_without_the_series() {
         let substrate = RampSubstrate::new(5.0, 10_000);
-        let report = Experiment::new(&substrate).run().unwrap();
+        let report = Experiment::new(&substrate)
+            .with_frame_recording(true)
+            .run()
+            .unwrap();
         assert!(report.series.series("x").is_some());
         // Through actual JSON text — the same path repro.rs uses.
         let json = serde_json::to_string(&report).unwrap();
         let back: RunReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.series, SeriesLog::default(), "series is skipped");
+        assert!(back.trace.is_none(), "the recording is skipped");
         let stripped = RunReport {
             series: SeriesLog::default(),
+            trace: None,
             ..report
         };
         assert_eq!(back, stripped);

@@ -6,8 +6,9 @@
 //! experiment shape: assemble a deterministic fixed-step [`Simulator`],
 //! attach a hierarchical [`MonitorSuite`], step the loop with one-tick
 //! observation delay, derive probe signals, watch for terminal events
-//! (collisions), record figure series, and classify detections into
-//! hits / false positives / false negatives. This crate owns that shape
+//! (collisions), record the observed frames when asked (the one run
+//! history, which figure series are read from), and classify detections
+//! into hits / false positives / false negatives. This crate owns that shape
 //! once:
 //!
 //! * [`Substrate`] — what a composite system must provide to be run:
@@ -51,7 +52,7 @@
 //!
 //! A substrate constructs its [`SignalTable`](esafe_logic::SignalTable)
 //! **once**; the experiment loop, every sweep cell, every compiled
-//! monitor, and every series sample share it. Per-tick data flows as
+//! monitor, and every frame recording share it. Per-tick data flows as
 //! [`Frame`](esafe_logic::Frame)s — dense, id-indexed, `Copy`-slot
 //! samples — so the loop holds zero per-tick `String` allocations.
 //!

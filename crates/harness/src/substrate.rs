@@ -17,11 +17,11 @@ use std::sync::Arc;
 ///
 /// The substrate owns its [`SignalTable`]: the namespace is built **once**
 /// (at substrate construction) and shared by every simulator, monitor
-/// suite, sweep cell, and series sample derived from it. All per-tick
-/// interfaces below — [`Substrate::observe`],
-/// [`Substrate::terminal_event`], [`Substrate::tracked_signals`] — speak
-/// [`SignalId`]-indexed [`Frame`]s, keeping the experiment loop free of
-/// string lookups and allocation.
+/// suite, sweep cell, and frame recording derived from it. The per-tick
+/// interfaces below — [`Substrate::observe`] and
+/// [`Substrate::terminal_event`] — speak [`SignalId`]-indexed
+/// [`Frame`]s, keeping the experiment loop free of string lookups and
+/// allocation.
 pub trait Substrate {
     /// The substrate family name (e.g. `"vehicle"`, `"elevator"`).
     fn name(&self) -> &str;
@@ -81,8 +81,8 @@ pub trait Substrate {
         None
     }
 
-    /// Derives the observed frame the monitors and series sampling see
-    /// from the raw simulator frame, writing into the loop-owned
+    /// Derives the observed frame the monitors and the frame recording
+    /// see from the raw simulator frame, writing into the loop-owned
     /// `observed` scratch frame. The default copies the raw frame (the
     /// elevator's monitors read plant signals directly); the vehicle
     /// substrate overrides this to add its probe derivation on top.
@@ -92,8 +92,8 @@ pub trait Substrate {
 
     /// [`Substrate::observe`] for one lane of a batched simulator's
     /// state slab, **in place**: derived signals are written directly
-    /// into the lane, which monitors and series sampling then read
-    /// without any per-lane `Frame` copy. The default bridges through
+    /// into the lane, which the monitors then read without any per-lane
+    /// `Frame` copy. The default bridges through
     /// the loop-owned `raw`/`observed` scratch frames and the scalar
     /// [`Substrate::observe`], so it is correct for every substrate.
     ///
@@ -135,10 +135,14 @@ pub trait Substrate {
         self.terminal_event(scratch)
     }
 
-    /// Signals to record into the report's [`SeriesLog`] each tick,
-    /// resolved to ids at substrate construction.
+    /// Signals whose series a run that records its frames
+    /// ([`Experiment::with_frame_recording`]) reports in
+    /// [`RunReport::series`], resolved to ids at substrate construction.
+    /// The series are read from the recording once, after the run; no
+    /// tick loop samples them.
     ///
-    /// [`SeriesLog`]: esafe_sim::SeriesLog
+    /// [`Experiment::with_frame_recording`]: crate::Experiment::with_frame_recording
+    /// [`RunReport::series`]: crate::RunReport::series
     fn tracked_signals(&self) -> &[SignalId] {
         &[]
     }

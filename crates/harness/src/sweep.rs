@@ -7,7 +7,7 @@
 //!
 //! * [`Sweep::run`] — every [`RunReport`], in cell
 //!   order: the shape for tests, goldens, and callers that need per-run
-//!   detail (violation tables, figure series); memory is O(cells);
+//!   detail (violation tables); memory is O(cells);
 //! * [`Sweep::run_aggregate`] — a streaming [`SweepAggregate`]: each
 //!   worker folds the cells it finishes into a partial
 //!   ([`AggregateBuilder`]), merged once at join, so memory is
@@ -195,7 +195,8 @@ impl<C: Sync> Sweep<C> {
     /// a suite template tick in lock-step stripes of up to `width`
     /// lanes (see [`batch`](crate::batch)). Memory is O(cells): this is
     /// the shape for tests, goldens, and callers that need per-run
-    /// detail (violation tables, figure series).
+    /// detail (violation tables). Sweep cells record no frames, so their
+    /// reports carry no figure series.
     ///
     /// # Errors
     ///

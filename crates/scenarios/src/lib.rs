@@ -6,8 +6,9 @@
 //! * [`runner`] — lifts a scenario × [`DefectSet`](esafe_vehicle::config::DefectSet) cell into a
 //!   [`esafe_vehicle::substrate::VehicleSubstrate`] and executes it
 //!   through the generic [`esafe_harness::Experiment`] loop, monitoring
-//!   all 49 goal/subgoal monitors and recording the figure time series
-//!   (grids of cells run in parallel via [`esafe_harness::Sweep`]);
+//!   all 49 goal/subgoal monitors; a single scenario run records its
+//!   frames and reads the figure time series from them (grids of cells
+//!   run in parallel via [`esafe_harness::Sweep`] and track nothing);
 //! * [`tables`] — renders the per-scenario violation tables (D.1–D.11),
 //!   the Table 5.3 monitoring matrix, and the figure series;
 //! * [`grid`] — the 140-cell scenario × defect evaluation grid, swept on

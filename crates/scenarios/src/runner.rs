@@ -4,8 +4,13 @@
 //! [`Scenario`] into a [`VehicleSubstrate`] and runs it through the
 //! substrate-generic [`esafe_harness::Experiment`] loop, which owns the
 //! tick schedule (derived from the simulator's own tick period), the
-//! early-termination grace window, series sampling, and the
+//! early-termination grace window, and the
 //! hit/false-positive/false-negative correlation.
+//!
+//! Only [`run`], the figure path, tracks signals: it records the run's
+//! frames and reads the scenario's figure series from that recording.
+//! The substrates [`substrate`] and [`substrate_in`] build for sweep
+//! cells track nothing.
 
 use crate::catalog::Scenario;
 use esafe_harness::{Experiment, ExperimentConfig, ExperimentError, RunReport};
@@ -45,7 +50,8 @@ pub struct ScenarioReport {
     pub violations: Vec<(String, Vec<ViolationInterval>)>,
     /// Hit / false-positive / false-negative classification.
     pub correlation: CorrelationReport,
-    /// Recorded figure series.
+    /// The figure series, read from the run's frame recording (not
+    /// serialized).
     #[serde(skip)]
     pub series: SeriesLog,
 }
@@ -109,21 +115,22 @@ pub fn substrate_in(
 fn configure(substrate: VehicleSubstrate, scenario: &Scenario) -> VehicleSubstrate {
     substrate
         .with_duration_s(scenario.duration_s)
-        .with_tracked(scenario.figure_signals.iter().copied())
         .with_label(format!("scenario-{}", scenario.number))
 }
 
 /// Runs a scenario under the given defect configuration through the
-/// generic experiment harness.
+/// generic experiment harness, recording its frames so the report
+/// carries the scenario's figure series.
 ///
 /// # Errors
 ///
 /// Returns [`ExperimentError`] if a goal formula fails to compile or
 /// references a missing signal (a programming error caught by tests).
 pub fn run(scenario: &Scenario, defects: DefectSet) -> Result<ScenarioReport, ExperimentError> {
-    let substrate = substrate(scenario, defects);
+    let substrate = substrate(scenario, defects).with_tracked(scenario.figure_signals.iter());
     let report = Experiment::new(&substrate)
         .with_config(thesis_config())
+        .with_frame_recording(true)
         .run()?;
     Ok(ScenarioReport::from_run(scenario.number, defects, report))
 }

@@ -11,8 +11,8 @@
 //!   one, matching the thesis's rule that monitored values are known one
 //!   state late;
 //! * actuation plumbing: [`FirstOrderLag`], [`RateLimiter`], [`DelayLine`];
-//! * [`SeriesLog`] for recording the time series behind the thesis's
-//!   figures.
+//! * [`SeriesLog`], the time series behind the thesis's figures, read
+//!   from a run's frame recording.
 //!
 //! The blackboard *is* an [`esafe_logic::Frame`] over the simulator's
 //! [`SignalTable`] — the signal set is declared once at build time, and
@@ -308,12 +308,12 @@ impl DelayLine {
     }
 }
 
-/// Records named time series for figure reproduction.
+/// Named time series for figure reproduction.
 ///
-/// Series are keyed by signal *name* (reports and figure tooling stay
-/// name-addressable), but per-tick sampling goes through
-/// [`SeriesLog::sample`] with a resolved [`SignalId`] — a map lookup of an
-/// existing key plus a `Vec` push, no per-tick `String` allocation.
+/// A run's series come from its frame recording, after the run
+/// ([`SeriesLog::from_recording`]): the tick loops record frames and
+/// never sample. Series are keyed by signal *name*, so reports and
+/// figure tooling stay name-addressable.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SeriesLog {
     series: BTreeMap<String, Vec<(f64, f64)>>,
@@ -326,8 +326,7 @@ impl SeriesLog {
     }
 
     /// Appends a `(time, value)` point to the named series. The name is
-    /// only copied when its series is first created, so steady-state
-    /// sampling allocates nothing but the point itself.
+    /// only copied when its series is first created.
     pub fn push(&mut self, name: &str, time_s: f64, value: f64) {
         if let Some(points) = self.series.get_mut(name) {
             points.push((time_s, value));
@@ -336,41 +335,34 @@ impl SeriesLog {
         }
     }
 
-    /// Samples a numeric or boolean signal from a frame into the series
-    /// named after the signal (booleans record as 0/1). Unset or symbolic
-    /// signals are skipped.
-    pub fn sample(&mut self, frame: &Frame, id: SignalId, time_s: f64) {
-        if let Some(x) = sample_point(frame.get(id)) {
-            self.push(frame.table().name(id), time_s, x);
-        }
-    }
-
-    /// Samples a signal's full column from a recorded [`FrameTrace`] into
-    /// the series named after the signal, timed by the trace's own tick
-    /// period — the batch analogue of calling [`SeriesLog::sample`] once
-    /// per recorded frame, but a single pass over one contiguous column
-    /// instead of a map lookup per sample.
+    /// The series of the signals `ids` in a run's frame recording, one
+    /// per signal name, each point read through [`sample_point`]. A
+    /// recording holds the state after tick `k` at sample `k - 1`, so
+    /// sample `i` is timed at the simulator clock of tick `i + 1`
+    /// ([`Simulator::seconds`]), not at [`FrameTrace::time_s`]`(i)`. A
+    /// signal with no numeric sample has no series, and a signal listed
+    /// twice has one.
     ///
-    /// [`FrameTrace`]: esafe_logic::FrameTrace
-    pub fn sample_trace(&mut self, trace: &esafe_logic::FrameTrace, id: SignalId) {
-        let column = trace.column(id);
-        let mut points: Vec<(f64, f64)> = Vec::with_capacity(column.len());
-        for (i, slot) in column.iter().enumerate() {
-            if let Some(x) = sample_point(*slot) {
-                points.push((trace.time_s(i), x));
+    /// [`FrameTrace::time_s`]: esafe_logic::FrameTrace::time_s
+    pub fn from_recording(trace: &esafe_logic::FrameTrace, ids: &[SignalId]) -> Self {
+        let mut log = SeriesLog::new();
+        for &id in ids {
+            let points: Vec<(f64, f64)> = trace
+                .column(id)
+                .iter()
+                .enumerate()
+                .filter_map(|(i, slot)| sample_point(*slot).map(|x| (trace.time_s(i + 1), x)))
+                .collect();
+            if !points.is_empty() {
+                log.series.insert(trace.table().name(id).to_owned(), points);
             }
         }
-        if points.is_empty() {
-            return;
-        }
-        self.append_points(trace.table().name(id), points);
+        log
     }
 
     /// Appends a batch of pre-collected points to the named series
-    /// (creating it if absent). The experiment loop buffers each tracked
-    /// signal's points in a plain `Vec` during the run — an indexed push
-    /// per tick instead of a map lookup — and lands them here once;
-    /// empty batches are skipped so no empty series appears.
+    /// (creating it if absent); empty batches are skipped so no empty
+    /// series appears.
     pub fn append_points(&mut self, name: &str, points: Vec<(f64, f64)>) {
         if points.is_empty() {
             return;
@@ -407,10 +399,7 @@ impl SeriesLog {
 }
 
 /// How a slot value becomes a figure point: booleans as 0/1, numerics
-/// as themselves, symbolic or unset slots skipped — the one sampling
-/// rule shared by live runs ([`SeriesLog::sample`]), trace replay
-/// ([`SeriesLog::sample_trace`]), and the experiment loop's buffered
-/// sampling.
+/// as themselves, symbolic or unset slots skipped.
 #[inline]
 pub fn sample_point(value: Option<Value>) -> Option<f64> {
     match value {
@@ -565,21 +554,32 @@ mod tests {
             }
             trace.push(&frame);
         }
-        // Reference: sample each frame live at the trace's own times.
+        // Reference: each recorded frame sampled as the live loop saw
+        // it, at the simulator clock of the tick that produced it.
         let mut live = SeriesLog::new();
         let mut scratch = table.frame();
         for i in 0..trace.len() {
             trace.read_into(i, &mut scratch);
-            live.sample(&scratch, speed, trace.time_s(i));
-            live.sample(&scratch, flag, trace.time_s(i));
+            let t = SimTime {
+                tick: i as u64 + 1,
+                dt_millis: 10,
+            }
+            .seconds();
+            for id in [speed, flag] {
+                if let Some(x) = sample_point(scratch.get(id)) {
+                    live.push(table.name(id), t, x);
+                }
+            }
         }
-        let mut batch = SeriesLog::new();
-        batch.sample_trace(&trace, speed);
-        batch.sample_trace(&trace, flag);
-        assert_eq!(batch, live, "trace sampling must match live sampling");
-        assert_eq!(batch.series("speed").unwrap().len(), 4);
+        let recorded = SeriesLog::from_recording(&trace, &[speed, flag, speed]);
+        assert_eq!(recorded, live, "recording must match live sampling");
+        assert_eq!(recorded.series("speed").unwrap().len(), 4);
+        assert_eq!(recorded.series("speed").unwrap()[0], (0.01, 0.0));
         // `flag` is unset for the first two samples, then latches true.
-        assert_eq!(batch.series("flag").unwrap(), &[(0.02, 1.0), (0.03, 1.0)]);
+        assert_eq!(
+            recorded.series("flag").unwrap(),
+            &[(0.03, 1.0), (0.04, 1.0)]
+        );
     }
 
     #[test]
@@ -592,11 +592,12 @@ mod tests {
         let mut frame = table.frame();
         frame.set(flag, true);
         frame.set(cmd, Value::sym("GO"));
-        let mut log = SeriesLog::new();
-        log.sample(&frame, flag, 0.5);
-        log.sample(&frame, cmd, 0.5); // symbolic: skipped
-        log.sample(&frame, none, 0.5); // unset: skipped
+        let mut trace = esafe_logic::FrameTrace::new(&table, 500);
+        trace.push(&frame);
+        // Symbolic and unset signals are skipped.
+        let log = SeriesLog::from_recording(&trace, &[flag, cmd, none]);
         assert_eq!(log.series("flag").unwrap(), &[(0.5, 1.0)]);
         assert!(log.series("cmd").is_none());
+        assert_eq!(log.names().collect::<Vec<_>>(), ["flag"]);
     }
 }

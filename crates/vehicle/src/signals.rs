@@ -320,8 +320,8 @@ impl VehicleSigs {
 }
 
 /// Builds the vehicle's shared signal table and id set — the one
-/// namespace every simulator, monitor suite, sweep cell, and series
-/// sample of a [`VehicleSubstrate`](crate::substrate::VehicleSubstrate)
+/// namespace every simulator, monitor suite, sweep cell, and frame
+/// recording of a [`VehicleSubstrate`](crate::substrate::VehicleSubstrate)
 /// indexes into.
 pub fn vehicle_table() -> (Arc<SignalTable>, VehicleSigs) {
     let mut b = SignalTable::builder();

@@ -201,8 +201,9 @@ impl VehicleSubstrate {
         self
     }
 
-    /// Sets the signals to record each tick, by name (resolved to ids
-    /// immediately).
+    /// Sets, by name (resolved to ids immediately), the signals whose
+    /// series a run that records its frames reports
+    /// ([`RunReport::series`](esafe_harness::RunReport::series)).
     ///
     /// # Panics
     ///
@@ -361,7 +362,10 @@ mod tests {
     fn thesis_defects_collide_and_are_localized() {
         let substrate = VehicleSubstrate::new(DefectSet::thesis(), parked_ahead(), creep_script())
             .with_tracked(["host.speed"]);
-        let report = Experiment::new(&substrate).run().unwrap();
+        let report = Experiment::new(&substrate)
+            .with_frame_recording(true)
+            .run()
+            .unwrap();
         assert_eq!(report.terminal_event.as_deref(), Some("collision"));
         assert!(report.terminated_early);
         assert!(!report.violations_for("4B:PA").is_empty());

@@ -2,7 +2,7 @@
 """The committed benchmark points, BENCH_<workload>.json: record, gate, drift.
 
     python3 scripts/bench_point.py record <workload>
-    python3 scripts/bench_point.py gate <workload> <perfbench log>
+    python3 scripts/bench_point.py gate <workload> <perfbench log>...
     python3 scripts/bench_point.py drift <grid|mega> <repro summary>
 
 Run from the repository root. The workloads are the four BENCHMARK.json
@@ -17,10 +17,12 @@ record  runs the command BENCHMARK.json names K = 5 times at seed 1,
         first runs `repro --grid/--mega-grid --json` and keeps that
         aggregate; the grid's is written before perfbench starts,
         because perfbench checks every grid pass against it.
-gate    compares one perfbench run against the committed point. The run
-        must be correct with no failed operation. Its ticks_per_s must
-        lie within the tolerance of the committed median: for grid and
-        mega the step fails outside it, for serve and corpus it warns.
+gate    compares one or more perfbench runs against the committed point.
+        Every run must be correct with no failed operation. The median
+        of their ticks_per_s must lie within the tolerance of the
+        committed median: for grid and mega the step fails outside it,
+        for serve and corpus it warns. CI passes three runs for grid
+        and mega, whose gate is hard, and one for serve and corpus.
         The tolerance is three quartile distances over the median, but
         at least the metric's BENCHMARK.json bound and at most 30%;
         GRID_GATE_TOLERANCE / MEGA_GATE_TOLERANCE override it.
@@ -180,28 +182,32 @@ def tolerance(workload, committed):
     return min(MAX_TOLERANCE, max(bound, spread))
 
 
-def gate(workload, log):
+def gate(workload, logs):
     with open(point_path(workload)) as f:
         point = json.load(f)
-    with open(log) as f:
-        lines = f.read().splitlines()
-    last = json.loads(lines[-1]) if lines else {}
-    if last.get("correct") is not True or last.get("failed") != 0:
-        print(f"::error title=Benchmark {workload}::the run was not correct "
-              f"(\"correct\": {last.get('correct')}, \"failed\": {last.get('failed')})")
-        sys.exit(1)
+    runs = []
+    for log in logs:
+        with open(log) as f:
+            lines = f.read().splitlines()
+        last = json.loads(lines[-1]) if lines else {}
+        if last.get("correct") is not True or last.get("failed") != 0:
+            print(f"::error title=Benchmark {workload}::{log}: the run was not correct "
+                  f"(\"correct\": {last.get('correct')}, \"failed\": {last.get('failed')})")
+            sys.exit(1)
+        runs.append(last["metrics"])
     for name, committed in point["metrics"].items():
-        got = last["metrics"][name]["value"]
+        got = statistics.median(m[name]["value"] for m in runs)
         print(f"{workload} {name}: committed median {committed['median']:.6g} "
               f"(q1 {committed['q1']:.6g}, q3 {committed['q3']:.6g}, k {point['k']}) "
-              f"-> this run {got:.6g} ({got / committed['median']:.2f}x)")
+              f"-> median of {len(runs)} run(s) {got:.6g} ({got / committed['median']:.2f}x)")
     committed = point["metrics"][GATED]
-    ratio = last["metrics"][GATED]["value"] / committed["median"]
+    ratio = statistics.median(m[GATED]["value"] for m in runs) / committed["median"]
     tol = tolerance(workload, committed)
     if abs(ratio - 1) <= tol:
         print(f"{workload} {GATED} within ±{tol:.0%} of the committed median")
         return
-    message = (f"{GATED} is {ratio:.2f}x the committed {point_path(workload)} median "
+    message = (f"the median {GATED} of {len(runs)} run(s) is {ratio:.2f}x the committed "
+               f"{point_path(workload)} median "
                f"(tolerance ±{tol:.0%}). If the change is intentional, refresh the point "
                f"with `python3 scripts/bench_point.py record {workload}`")
     if workload in HARD_GATES:
@@ -231,8 +237,8 @@ def main(argv):
     command, workload, rest = argv[0], argv[1], argv[2:]
     if command == "record" and not rest:
         record(workload)
-    elif command == "gate" and len(rest) == 1:
-        gate(workload, rest[0])
+    elif command == "gate" and rest:
+        gate(workload, rest)
     elif command == "drift" and len(rest) == 1 and workload in REPRO_COMMAND:
         drift(workload, rest[0])
     else:

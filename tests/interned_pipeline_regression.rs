@@ -72,7 +72,7 @@ fn fused_template_sweep_matches_per_monitor_compile_sweep() {
         serde_json::to_string_pretty(&reference).unwrap(),
         "template sweep diverged from the per-run-compile pipeline"
     );
-    assert_eq!(fused, reference, "series must match too");
+    assert_eq!(fused, reference, "reports must match field for field");
     assert_eq!(fused.aggregate(), reference.aggregate());
 }
 

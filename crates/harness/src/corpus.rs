@@ -835,6 +835,11 @@ where
 /// per-run report (violations, correlation, flags) in corpus order —
 /// the per-run equivalence-testing hook.
 ///
+/// A replayed report's `ticks`, `end_time_s`, `terminated_early` and
+/// `terminal_event` equal the live run's. The archive stores no
+/// schedule, so its `scheduled_ticks` is the recorded tick count, which
+/// falls short of the live run's schedule when the run ended early.
+///
 /// # Errors
 ///
 /// As [`replay_corpus`].
@@ -975,7 +980,8 @@ fn replay_stripe(
             dt_millis: meta.dt_millis,
             scheduled_ticks: meta.ticks,
             ticks: meta.ticks,
-            end_time_s: (meta.ticks.saturating_sub(1) * meta.dt_millis) as f64 / 1000.0,
+            // The simulator clock after the last recorded tick.
+            end_time_s: (meta.ticks * meta.dt_millis) as f64 / 1000.0,
             terminated_early: meta.terminated_early,
             terminal_event: meta.terminal_event.clone(),
             violations,

@@ -109,11 +109,14 @@ pub struct RunReport {
     pub config: ExperimentConfig,
     /// Simulator tick period, ms.
     pub dt_millis: u64,
-    /// Ticks the run was scheduled for.
+    /// Ticks the run was scheduled for. A report replayed from a trace
+    /// corpus carries the recorded tick count here: the archive stores
+    /// no schedule.
     pub scheduled_ticks: u64,
     /// Ticks actually executed.
     pub ticks: u64,
-    /// Wall-clock end of the run, s.
+    /// Simulated end of the run, s: the simulator clock after its last
+    /// executed tick (`ticks × dt_millis`).
     pub end_time_s: f64,
     /// Whether the run aborted before its schedule.
     pub terminated_early: bool,

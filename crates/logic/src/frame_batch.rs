@@ -1,9 +1,9 @@
 //! Lane-major batched frames: `B` runs' signal samples in one slab.
 //!
 //! A [`FrameBatch`] stores one contiguous row per [`SignalId`] — slot
-//! `sig.index() * lanes + lane` — which is exactly the layout
-//! [`FusedSuiteBatch`](crate::FusedSuiteBatch) evaluates its node slab
-//! in. A striped sweep keeps its whole batch of simulator states in two
+//! `sig.index() * lanes + lane` — which
+//! [`FusedSuiteBatch`](crate::FusedSuiteBatch) sweeps row by row into
+//! its bit rows, one bit per lane. A striped sweep keeps its whole batch of simulator states in two
 //! such slabs (double-buffered) and both the batched simulator and the
 //! batched monitor walk them signal-row by signal-row, so advancing `B`
 //! runs costs straight-line lane loops instead of `B` scattered

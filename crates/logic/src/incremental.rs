@@ -6,21 +6,20 @@
 //! structurally identical subexpression — stateless atoms and temporal
 //! subtrees alike, since all monitors of a suite observe the same frame
 //! stream — is one node. Compilation resolves every variable reference
-//! against a shared [`SignalTable`] **once**, so the per-tick loop is
-//! pure slot access: no string lookups, no allocation, O(#nodes) time
-//! and memory independent of trace length.
+//! against a shared [`SignalTable`] **once**, and lowers every
+//! signal-vs-literal comparison into a pre-decoded test, so the per-tick
+//! loop is pure slot access: no string lookups, no allocation, O(#nodes)
+//! time and memory independent of trace length.
 //!
-//! The program runs at two widths, sharing one compile, one home for
-//! temporal semantics (`Cell`) and one error policy:
+//! The program runs as **one bit-sliced pass at every width**.
+//! [`FusedSuiteBatch`] keeps each node's value for `lanes` runs as
+//! `⌈lanes/64⌉` `u64` words (lane `l` is bit `l % 64` of word `l / 64`)
+//! and evaluates the boolean combinators and most temporal operators as
+//! one word operation per 64 lanes. [`FusedSuite`] is its one-lane case
+//! over a [`Frame`], whose slots already have the one-lane layout, so
+//! temporal semantics and the error policy each have one home.
 //!
-//! * [`FusedSuite`] reads one [`Frame`] per tick — one forward pass
-//!   over the topologically ordered nodes into a value slab, then one
-//!   slab read per monitor verdict;
-//! * [`FusedSuiteBatch`] reads one lane-major [`FrameBatch`] per tick —
-//!   the same pass stepping every lane (run) through each node before
-//!   moving to the next.
-//!
-//! Both evaluate every node on every tick, so every signal the suite
+//! Every node is evaluated on every tick, so every signal the suite
 //! reads ([`FusedSuiteProgram::reads`]) must be set in every frame.
 //! Verdicts are property-tested against the semantics of record,
 //! [`eval_trace`](crate::eval::eval_trace) over the [`monitor_form`]
@@ -43,7 +42,7 @@ use crate::eval;
 use crate::expr::{CmpOp, Expr, Operand};
 use crate::frame_batch::FrameBatch;
 use crate::signal::{Frame, SignalId, SignalTable};
-use crate::value::Value;
+use crate::value::{Sym, Value};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -135,155 +134,6 @@ impl Slot {
             }),
         }
     }
-
-    /// This operand as a whole lane row of `src`.
-    #[inline]
-    fn operand_row<'a>(&self, src: &'a FrameBatch) -> LaneOperand<'a> {
-        match self {
-            Slot::Lit(v) => LaneOperand::Lit(*v),
-            Slot::Sig(id) => LaneOperand::Row(src.row(*id)),
-        }
-    }
-}
-
-/// A [`Cmp`](FusedNode::Cmp) operand resolved for row-sweep evaluation:
-/// a signal's lane-major row, or a literal broadcast to every lane.
-enum LaneOperand<'a> {
-    Row(&'a [Option<Value>]),
-    Lit(Value),
-}
-
-impl LaneOperand<'_> {
-    #[inline]
-    fn get(&self, lane: usize) -> Option<Value> {
-        match self {
-            LaneOperand::Row(r) => r[lane],
-            LaneOperand::Lit(v) => Some(*v),
-        }
-    }
-}
-
-/// Sweeps an ordering comparison of one signal row against a fixed
-/// numeric bound (`f` closes over the bound and the operator). Returns
-/// `false` when any lane's slot is unset or non-numeric, so the caller
-/// reruns the per-lane path for exact error attribution.
-#[inline]
-fn num_rows(out: &mut [bool], row: &[Option<Value>], f: impl Fn(f64) -> bool) -> bool {
-    let mut ok = true;
-    for (out, x) in out.iter_mut().zip(row) {
-        match x {
-            Some(Value::Real(x)) => *out = f(*x),
-            Some(Value::Int(i)) => *out = f(*i as f64),
-            _ => ok = false,
-        }
-    }
-    ok
-}
-
-/// Sweeps `==`/`!=` of one signal row against a fixed numeric literal,
-/// mirroring [`Value::num_eq`]: numeric slots compare as reals, and a
-/// non-numeric slot never equals a numeric literal. Returns `false` on
-/// any unset slot.
-#[inline]
-fn num_eq_rows(out: &mut [bool], row: &[Option<Value>], y: f64, want_eq: bool) -> bool {
-    let mut ok = true;
-    for (out, x) in out.iter_mut().zip(row) {
-        *out = match x {
-            Some(Value::Real(x)) => (*x == y) == want_eq,
-            Some(Value::Int(i)) => (*i as f64 == y) == want_eq,
-            Some(_) => !want_eq,
-            None => {
-                ok = false;
-                false
-            }
-        };
-    }
-    ok
-}
-
-/// Sweeps `==`/`!=` of one signal row against a fixed symbol —
-/// [`Value::num_eq`]'s variant-equality fallback, specialized: interned
-/// symbols compare by id, and any non-symbol slot differs. Returns
-/// `false` on any unset slot.
-#[inline]
-fn sym_eq_rows(out: &mut [bool], row: &[Option<Value>], s: crate::Sym, want_eq: bool) -> bool {
-    let mut ok = true;
-    for (out, x) in out.iter_mut().zip(row) {
-        *out = match x {
-            Some(Value::Sym(t)) => (*t == s) == want_eq,
-            Some(_) => !want_eq,
-            None => {
-                ok = false;
-                false
-            }
-        };
-    }
-    ok
-}
-
-/// [`sym_eq_rows`] for a fixed boolean literal.
-#[inline]
-fn bool_eq_rows(out: &mut [bool], row: &[Option<Value>], b: bool, want_eq: bool) -> bool {
-    let mut ok = true;
-    for (out, x) in out.iter_mut().zip(row) {
-        *out = match x {
-            Some(Value::Bool(t)) => (*t == b) == want_eq,
-            Some(_) => !want_eq,
-            None => {
-                ok = false;
-                false
-            }
-        };
-    }
-    ok
-}
-
-/// One [`Cmp`](FusedNode::Cmp) node swept across whole lane rows.
-/// Signal-vs-literal dominates compiled suites (probed magnitudes
-/// against thresholds, sources against symbols), so those shapes get
-/// dedicated branch-light sweeps; anything else runs the generic
-/// comparator lane by lane, still row-addressed. Returns `false` when
-/// any lane's slot is unset, mistyped, or incomparable — callers then
-/// rerun the per-lane path, which attributes the error exactly.
-fn cmp_rows(out: &mut [bool], a: &LaneOperand, op: CmpOp, b: &LaneOperand) -> bool {
-    match (a, b) {
-        (LaneOperand::Row(r), LaneOperand::Lit(lit)) => {
-            if let Some(y) = lit.as_real() {
-                match op {
-                    CmpOp::Eq => num_eq_rows(out, r, y, true),
-                    CmpOp::Ne => num_eq_rows(out, r, y, false),
-                    CmpOp::Lt => num_rows(out, r, |x| x < y),
-                    CmpOp::Le => num_rows(out, r, |x| x <= y),
-                    CmpOp::Gt => num_rows(out, r, |x| x > y),
-                    CmpOp::Ge => num_rows(out, r, |x| x >= y),
-                }
-            } else {
-                match (op, lit) {
-                    (CmpOp::Eq, Value::Sym(s)) => sym_eq_rows(out, r, *s, true),
-                    (CmpOp::Ne, Value::Sym(s)) => sym_eq_rows(out, r, *s, false),
-                    (CmpOp::Eq, Value::Bool(v)) => bool_eq_rows(out, r, *v, true),
-                    (CmpOp::Ne, Value::Bool(v)) => bool_eq_rows(out, r, *v, false),
-                    // Ordering against a non-numeric literal is
-                    // incomparable in every lane — let the per-lane
-                    // path raise it.
-                    _ => false,
-                }
-            }
-        }
-        _ => {
-            let mut ok = true;
-            for (l, out) in out.iter_mut().enumerate() {
-                match (a.get(l), b.get(l)) {
-                    (Some(x), Some(y)) => match eval::compare_values(&x, op, &y) {
-                        Ok(v) => *out = v,
-                        Err(_) => ok = false,
-                    },
-                    _ => ok = false,
-                }
-            }
-            ok
-        }
-    }
 }
 
 fn resolve(name: &str, table: &SignalTable) -> Result<SignalId, EvalError> {
@@ -292,7 +142,7 @@ fn resolve(name: &str, table: &SignalTable) -> Result<SignalId, EvalError> {
     })
 }
 
-/// A [`Var`](FusedNode::Var) node's reading of one sample slot: the
+/// A [`Var`](Leaf::Var) node's reading of one sample slot: the
 /// boolean it holds, or the error naming the signal.
 #[inline]
 fn slot_bool(
@@ -314,162 +164,253 @@ fn slot_bool(
     }
 }
 
-/// The per-lane [`Var`](FusedNode::Var) evaluation with exact error
-/// semantics, skipping retired lanes. The row fast path falls back here
-/// when any slot in the row is unset or mistyped, so the error names
-/// the right lane/step.
-fn var_lanes(
-    out: &mut [bool],
-    src: &FrameBatch,
-    id: SignalId,
-    active: &[bool],
-    steps: &[u64],
-    table: &SignalTable,
-) -> Result<(), (usize, EvalError)> {
-    for (l, out) in out.iter_mut().enumerate() {
-        if active[l] {
-            let step = usize::try_from(steps[l]).unwrap_or(usize::MAX);
-            *out = slot_bool(src.get(id, l), id, step, table).map_err(|e| (l, e))?;
-        }
-    }
-    Ok(())
-}
-
-/// The per-lane [`Cmp`](FusedNode::Cmp) evaluation — the exact-error
-/// counterpart of [`var_lanes`] for comparisons.
-#[allow(clippy::too_many_arguments)]
-fn cmp_lanes(
-    out: &mut [bool],
-    src: &FrameBatch,
-    lhs: &Slot,
+/// A comparison node's resolved operands, kept for the exact per-lane
+/// path.
+#[derive(Debug)]
+struct Compare {
+    lhs: Slot,
     op: CmpOp,
-    rhs: &Slot,
-    active: &[bool],
+    rhs: Slot,
+}
+
+/// A signal-vs-literal comparison's test, decoded once at compile time
+/// so the pass never re-matches operand and literal kinds. A literal on
+/// the left is mirrored to the right.
+#[derive(Debug, Clone, Copy)]
+enum Test {
+    /// `x op y` against a number, an `Int` slot read as a real
+    /// ([`Value::num_eq`] / [`Value::num_lt`]): a non-numeric slot is
+    /// unequal to `y` and unordered against it.
+    Num(CmpOp, f64),
+    /// `x == y` (`true`) or `x != y` (`false`) against a symbol, which
+    /// equals only itself.
+    Sym(bool, Sym),
+    /// `x == y` (`true`) or `x != y` (`false`) against a boolean.
+    Bool(bool, bool),
+}
+
+impl Test {
+    /// The test `lhs op rhs` lowers to over its signal, if it is a
+    /// signal-vs-literal comparison that can decide a lane without error
+    /// (an ordering against a symbol or boolean never can).
+    fn lower(lhs: Slot, op: CmpOp, rhs: Slot) -> Option<(SignalId, Test)> {
+        let (sig, op, lit) = match (lhs, rhs) {
+            (Slot::Sig(sig), Slot::Lit(lit)) => (sig, op, lit),
+            (Slot::Lit(lit), Slot::Sig(sig)) => (sig, op.flipped(), lit),
+            _ => return None,
+        };
+        let eq = match op {
+            CmpOp::Eq => true,
+            CmpOp::Ne => false,
+            _ => return Some((sig, Test::Num(op, lit.as_real()?))),
+        };
+        let test = match lit {
+            Value::Sym(y) => Test::Sym(eq, y),
+            Value::Bool(y) => Test::Bool(eq, y),
+            Value::Int(_) | Value::Real(_) => Test::Num(op, lit.as_real()?),
+        };
+        Some((sig, test))
+    }
+
+    /// Packs the test over a signal row into `out`; `false` as in
+    /// [`pack`].
+    #[inline(never)]
+    fn pack(self, out: &mut [u64], row: &[Option<Value>]) -> bool {
+        match self {
+            Test::Num(CmpOp::Lt, y) => pack(out, row, |s| num(s).map(|x| x < y)),
+            Test::Num(CmpOp::Le, y) => pack(out, row, |s| num(s).map(|x| x <= y)),
+            Test::Num(CmpOp::Gt, y) => pack(out, row, |s| num(s).map(|x| x > y)),
+            Test::Num(CmpOp::Ge, y) => pack(out, row, |s| num(s).map(|x| x >= y)),
+            Test::Num(CmpOp::Eq, y) => pack(out, row, |s| s.map(|_| num(s) == Some(y))),
+            Test::Num(CmpOp::Ne, y) => pack(out, row, |s| s.map(|_| num(s) != Some(y))),
+            Test::Sym(eq, y) => pack(out, row, |s| {
+                s.map(|v| matches!(v, Value::Sym(x) if x == y) == eq)
+            }),
+            Test::Bool(eq, y) => pack(out, row, |s| {
+                s.map(|v| matches!(v, Value::Bool(x) if x == y) == eq)
+            }),
+        }
+    }
+
+    /// The test's identity over its signal (a number by its bits), and
+    /// the identity of its complement, if it has one: the test that is
+    /// false exactly where this one is true on every set slot.
+    fn keys(self) -> (TestKey, Option<TestKey>) {
+        match self {
+            Test::Num(op, y) => {
+                let complement = match op {
+                    CmpOp::Eq => Some(CmpOp::Ne),
+                    CmpOp::Ne => Some(CmpOp::Eq),
+                    _ => None,
+                };
+                let bits = y.to_bits();
+                (
+                    TestKey::Num(op, bits),
+                    complement.map(|op| TestKey::Num(op, bits)),
+                )
+            }
+            Test::Sym(eq, y) => (TestKey::Sym(eq, y), Some(TestKey::Sym(!eq, y))),
+            Test::Bool(eq, y) => (TestKey::Bool(eq, y), Some(TestKey::Bool(!eq, y))),
+        }
+    }
+
+    /// The test's place in the leaf schedule: leaves of one kind run
+    /// back to back.
+    fn rank(self) -> u8 {
+        match self {
+            Test::Num(op, _) => 1 + op as u8,
+            Test::Sym(eq, _) => 7 + u8::from(eq),
+            Test::Bool(eq, _) => 9 + u8::from(eq),
+        }
+    }
+}
+
+/// A numeric slot as a real; `None` for unset and non-numeric slots.
+#[inline]
+fn num(slot: Option<Value>) -> Option<f64> {
+    match slot {
+        Some(Value::Real(x)) => Some(x),
+        Some(Value::Int(i)) => Some(i as f64),
+        _ => None,
+    }
+}
+
+/// A [`Test`]'s identity: [`Test`] with a number's bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum TestKey {
+    Num(CmpOp, u64),
+    Sym(bool, Sym),
+    Bool(bool, bool),
+}
+
+/// Packs `test(slot)` for every slot of a signal row into `out`, lane
+/// `l` at bit `l % 64` of word `l / 64`. Returns `false` if `test`
+/// leaves any slot undecided (unset, mistyped or unordered), so the
+/// caller reruns the per-lane path, which raises the exact error.
+#[inline]
+fn pack(
+    out: &mut [u64],
+    row: &[Option<Value>],
+    test: impl Fn(Option<Value>) -> Option<bool>,
+) -> bool {
+    let mut ok = true;
+    for (word, chunk) in out.iter_mut().zip(row.chunks(64)) {
+        // Whole groups of eight lanes build a byte with constant shifts.
+        let mut bits = 0;
+        let groups = chunk.chunks_exact(8);
+        let tail = groups.remainder();
+        for (g, group) in groups.enumerate() {
+            let group: &[Option<Value>; 8] = group.try_into().expect("a group of eight");
+            let mut byte = 0;
+            for (bit, &slot) in group.iter().enumerate() {
+                match test(slot) {
+                    Some(v) => byte |= u64::from(v) << bit,
+                    None => ok = false,
+                }
+            }
+            bits |= byte << (8 * g);
+        }
+        let base = chunk.len() - tail.len();
+        for (bit, &slot) in tail.iter().enumerate() {
+            match test(slot) {
+                Some(v) => bits |= u64::from(v) << (base + bit),
+                None => ok = false,
+            }
+        }
+        *word = bits;
+    }
+    ok
+}
+
+/// The indices of `word`'s set bits, ascending.
+#[inline]
+fn ones(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            bit
+        })
+    })
+}
+
+/// `a` where `mask` is set, `b` elsewhere.
+#[inline]
+fn select(mask: u64, a: u64, b: u64) -> u64 {
+    (a & mask) | (b & !mask)
+}
+
+/// A word of 64 copies of `b`.
+#[inline]
+fn splat(b: bool) -> u64 {
+    if b {
+        !0
+    } else {
+        0
+    }
+}
+
+/// Lane `lane`'s bit in a bit row.
+#[inline]
+fn bit(row: &[u64], lane: usize) -> bool {
+    (row[lane / 64] >> (lane % 64)) & 1 == 1
+}
+
+/// Sets lane `lane`'s bit in a bit row to `v`.
+#[inline]
+fn set_bit(row: &mut [u64], lane: usize, v: bool) {
+    let m = 1 << (lane % 64);
+    row[lane / 64] = select(m, splat(v), row[lane / 64]);
+}
+
+/// The active mask of a full batch: one set bit per lane, and the bits
+/// past `lanes` in the last word clear.
+fn full_mask(lanes: usize) -> Vec<u64> {
+    let mut mask = vec![!0; lanes.div_ceil(64)];
+    if !lanes.is_multiple_of(64) {
+        if let Some(last) = mask.last_mut() {
+            *last = (1 << (lanes % 64)) - 1;
+        }
+    }
+    mask
+}
+
+/// The per-lane evaluation of a [`Leaf`] with exact error semantics: the
+/// path a row takes when its fast test leaves a slot undecided. Every
+/// active lane, in lane order, sets its bit in `out` or fails the pass
+/// with its error; inactive lanes' bits are left as they are.
+#[cold]
+#[inline(never)]
+fn exact_lanes(
+    leaf: &Leaf,
+    cmps: &[Compare],
+    out: &mut [u64],
+    slots: &[Option<Value>],
+    active: &[u64],
     steps: &[u64],
     table: &SignalTable,
 ) -> Result<(), (usize, EvalError)> {
-    for (l, out) in out.iter_mut().enumerate() {
-        if active[l] {
-            let step = usize::try_from(steps[l]).unwrap_or(usize::MAX);
-            let get = |id| src.get(id, l);
-            let a = lhs.value(get, step, table).map_err(|e| (l, e))?;
-            let b = rhs.value(get, step, table).map_err(|e| (l, e))?;
-            *out = eval::compare_values(&a, op, &b).map_err(|e| (l, e))?;
+    let lanes = steps.len();
+    for (w, &live) in active.iter().enumerate() {
+        for b in ones(live) {
+            let lane = w * 64 + b;
+            let step = usize::try_from(steps[lane]).unwrap_or(usize::MAX);
+            let get = |id: SignalId| slots[id.index() * lanes + lane];
+            let v = match *leaf {
+                Leaf::Var(id) => slot_bool(get(id), id, step, table),
+                Leaf::Test { cmp, .. } | Leaf::Copy { cmp, .. } | Leaf::Cmp(cmp) => {
+                    let c = &cmps[cmp as usize];
+                    c.lhs.value(get, step, table).and_then(|a| {
+                        let b = c.rhs.value(get, step, table)?;
+                        eval::compare_values(&a, c.op, &b)
+                    })
+                }
+            }
+            .map_err(|e| (lane, e))?;
+            set_bit(out, lane, v);
         }
     }
     Ok(())
-}
-
-/// One temporal subformula's run state. Each variant's "empty history"
-/// value is recorded in the program's `init_cells` at compile time;
-/// reset and instantiation are slice copies.
-#[derive(Debug, Clone, Copy)]
-enum Cell {
-    /// `prev` / `became`: the child's value at the previous step.
-    Last(Option<bool>),
-    /// `once`: whether the child held at any strictly-earlier step.
-    Seen(bool),
-    /// `historically`: whether the child held at every earlier step.
-    All(bool),
-    /// `held_for`: length of the child's current true-run before now.
-    Run(u64),
-    /// `once_within`: the last step at which the child held.
-    LastTrue(Option<u64>),
-    /// `initially`: the child's value at the first step, once seen.
-    Captured(Option<bool>),
-}
-
-/// The single-step semantics of each temporal operator: advance the
-/// cell with the child's current value and return the operator's output
-/// at this step. **The one place these semantics live** — shared by the
-/// scalar pass ([`FusedSuite::observe`]) and the batched pass
-/// ([`FusedSuiteBatch::observe_slab`]), so the two widths cannot drift.
-///
-/// Each method panics (`unreachable!`) on a cell variant other than the
-/// operator's own; variants are fixed at compile time.
-impl Cell {
-    /// `prev(p)`: the child's value at the previous step.
-    #[inline]
-    fn step_prev(&mut self, cur: bool) -> bool {
-        let Cell::Last(last) = self else {
-            unreachable!("cell kind fixed at compile time");
-        };
-        let out = last.unwrap_or(false);
-        *last = Some(cur);
-        out
-    }
-
-    /// `once(p)`: whether the child held at any strictly-earlier step.
-    #[inline]
-    fn step_once(&mut self, cur: bool) -> bool {
-        let Cell::Seen(seen_true_before) = self else {
-            unreachable!("cell kind fixed at compile time");
-        };
-        let out = *seen_true_before;
-        *seen_true_before |= cur;
-        out
-    }
-
-    /// `historically(p)`: whether the child held at every earlier step.
-    #[inline]
-    fn step_historically(&mut self, cur: bool) -> bool {
-        let Cell::All(all_true_before) = self else {
-            unreachable!("cell kind fixed at compile time");
-        };
-        let out = *all_true_before;
-        *all_true_before &= cur;
-        out
-    }
-
-    /// `held_for(p, ticks)`: whether the child's current true-run
-    /// before now spans at least `ticks` steps.
-    #[inline]
-    fn step_held_for(&mut self, cur: bool, ticks: u64) -> bool {
-        let Cell::Run(run_before) = self else {
-            unreachable!("cell kind fixed at compile time");
-        };
-        let out = ticks == 0 || *run_before >= ticks;
-        *run_before = if cur { run_before.saturating_add(1) } else { 0 };
-        out
-    }
-
-    /// `once_within(p, ticks)`: whether the child held within the
-    /// previous `ticks` steps (inclusive of now's history).
-    #[inline]
-    fn step_once_within(&mut self, cur: bool, step: usize, ticks: u64) -> bool {
-        let Cell::LastTrue(last_true_step) = self else {
-            unreachable!("cell kind fixed at compile time");
-        };
-        let step_u64 = step as u64;
-        let out = last_true_step.is_some_and(|lt| step_u64.saturating_sub(lt) <= ticks);
-        if cur {
-            *last_true_step = Some(step_u64);
-        }
-        out
-    }
-
-    /// `became(p)` (`@p ≡ ●¬p ∧ p`): a false→true edge at this step.
-    #[inline]
-    fn step_became(&mut self, cur: bool) -> bool {
-        let Cell::Last(last) = self else {
-            unreachable!("cell kind fixed at compile time");
-        };
-        let out = cur && !last.unwrap_or(true);
-        *last = Some(cur);
-        out
-    }
-
-    /// `initially(p)` (`S0 ⊨ p`): the child's value at the first step.
-    #[inline]
-    fn step_initially(&mut self, cur: bool) -> bool {
-        let Cell::Captured(captured) = self else {
-            unreachable!("cell kind fixed at compile time");
-        };
-        if captured.is_none() {
-            *captured = Some(cur);
-        }
-        captured.expect("just set")
-    }
 }
 
 /// An evaluation error raised by a fused suite, attributed to the first
@@ -540,26 +481,143 @@ impl SlotKey {
     }
 }
 
-/// One node of a [`FusedSuiteProgram`]: expression shape with resolved
-/// [`Slot`]s, children referenced by slab index (always smaller than the
-/// node's own index — the node vector is topologically ordered), and
-/// temporal operators referencing their suite-level state cell.
+/// A node that reads samples: the DAG's leaves.
+#[derive(Debug)]
+enum Leaf {
+    Var(SignalId),
+    /// A signal-vs-literal comparison lowered to a [`Test`] of the
+    /// signal's row; `cmp` indexes its operands for the exact path.
+    Test {
+        sig: SignalId,
+        test: Test,
+        cmp: u32,
+    },
+    /// A comparison whose test of the same signal repeats the test of
+    /// leaf node `of` (`x <= 2` beside `x <= 2.0`), or with `invert`
+    /// complements it (`s != 'ACC'` beside `s == 'ACC'`): that node's
+    /// bits, inverted or not, when it decided every lane (which leaves
+    /// no slot unset).
+    Copy {
+        of: u32,
+        invert: bool,
+        cmp: u32,
+    },
+    /// Any other comparison, evaluated lane by lane.
+    Cmp(u32),
+}
+
+impl Leaf {
+    /// The leaf's place in the schedule: leaves of one kind run back to
+    /// back.
+    fn rank(&self) -> u8 {
+        match self {
+            Leaf::Var(_) => 0,
+            Leaf::Test { test, .. } => test.rank(),
+            Leaf::Copy { .. } => 11,
+            Leaf::Cmp(_) => 12,
+        }
+    }
+}
+
+/// A node computed from other nodes' bit rows. Children are referenced
+/// by node index, always smaller than the node's own: the nodes are
+/// topologically ordered.
+///
+/// The temporal state lives in two kinds of rows. `prev`, `once`,
+/// `historically` and `became` own one *bit row* each, and `initially`
+/// owns two (captured flag, then captured value); `held_for` owns a
+/// *lane row* of run lengths and `once_within` a lane row of last-true
+/// steps.
+#[derive(Debug)]
+enum Inner {
+    Const(bool),
+    Not(u32),
+    /// Children `arena[start..end]` of the program's child arena.
+    And(u32, u32),
+    Or(u32, u32),
+    /// `antecedent -> consequent`.
+    Implies([u32; 2]),
+    Prev {
+        child: u32,
+        bits: u32,
+    },
+    Once {
+        child: u32,
+        bits: u32,
+    },
+    Historically {
+        child: u32,
+        bits: u32,
+    },
+    Became {
+        child: u32,
+        bits: u32,
+    },
+    Initially {
+        child: u32,
+        bits: u32,
+    },
+    HeldFor {
+        child: u32,
+        ticks: u64,
+        run: u32,
+    },
+    OnceWithin {
+        child: u32,
+        ticks: u64,
+        last: u32,
+    },
+}
+
+impl Inner {
+    /// The node's children, `And`/`Or`'s read from `arena`.
+    fn children<'a>(&'a self, arena: &'a [u32]) -> &'a [u32] {
+        match self {
+            Inner::Const(_) => &[],
+            Inner::And(start, end) | Inner::Or(start, end) => {
+                &arena[*start as usize..*end as usize]
+            }
+            Inner::Implies(ab) => ab,
+            Inner::Not(child)
+            | Inner::Prev { child, .. }
+            | Inner::Once { child, .. }
+            | Inner::Historically { child, .. }
+            | Inner::Became { child, .. }
+            | Inner::Initially { child, .. }
+            | Inner::HeldFor { child, .. }
+            | Inner::OnceWithin { child, .. } => std::slice::from_ref(child),
+        }
+    }
+
+    /// The operator's place among its level's nodes in the schedule.
+    fn rank(&self) -> u8 {
+        match self {
+            Inner::Const(_) => 0,
+            Inner::Not(_) => 1,
+            Inner::And(..) => 2,
+            Inner::Or(..) => 3,
+            Inner::Implies(_) => 4,
+            Inner::Prev { .. } => 5,
+            Inner::Once { .. } => 6,
+            Inner::Historically { .. } => 7,
+            Inner::Became { .. } => 8,
+            Inner::Initially { .. } => 9,
+            Inner::HeldFor { .. } => 10,
+            Inner::OnceWithin { .. } => 11,
+        }
+    }
+
+    /// Whether the node carries temporal state.
+    fn is_temporal(&self) -> bool {
+        self.rank() >= 5
+    }
+}
+
+/// One node of a [`FusedSuiteProgram`] as compilation builds it.
 #[derive(Debug)]
 enum FusedNode {
-    Const(bool),
-    Var(SignalId),
-    Cmp { lhs: Slot, op: CmpOp, rhs: Slot },
-    Not(u32),
-    And(Box<[u32]>),
-    Or(Box<[u32]>),
-    Implies(u32, u32),
-    Prev { child: u32, cell: u32 },
-    Once { child: u32, cell: u32 },
-    Historically { child: u32, cell: u32 },
-    HeldFor { child: u32, ticks: u64, cell: u32 },
-    OnceWithin { child: u32, ticks: u64, cell: u32 },
-    Became { child: u32, cell: u32 },
-    Initially { child: u32, cell: u32 },
+    Leaf(Leaf),
+    Inner(Inner),
 }
 
 /// The compile-once fused form of a whole goal suite: every monitor's
@@ -578,10 +636,12 @@ enum FusedNode {
 /// [`eval_trace`](crate::eval::eval_trace) of each monitor's
 /// [`monitor_form`] on random suites and traces.
 ///
-/// Evaluation is a single forward pass over the topologically-ordered
-/// node vector — no recursion, no pointer chasing, no per-monitor
-/// re-walking — after which each monitor's verdict is one slab read at
-/// its root index.
+/// Evaluation is one forward pass over a schedule fixed at compile
+/// time — no recursion, no per-monitor re-walking: the leaves that read
+/// the sample first, grouped by kind, then every other node level by
+/// level (a node's level exceeds its children's), grouped by operator
+/// within a level, so that nodes of one kind run back to back. Each
+/// monitor's verdict is then one slab read at its root index.
 ///
 /// A fused program is immutable and carries no run state: one
 /// `Arc<FusedSuiteProgram>` is shared by every [`FusedSuite`] and
@@ -620,15 +680,28 @@ enum FusedNode {
 #[derive(Debug)]
 pub struct FusedSuiteProgram {
     table: Arc<SignalTable>,
-    /// Topologically ordered: every child index precedes its parent.
-    nodes: Vec<FusedNode>,
+    /// The leaves as `(node, leaf)`, by kind.
+    leaves: Vec<(u32, Leaf)>,
+    /// Every other node as `(node, op)`, by level, then operator.
+    inner: Vec<(u32, Inner)>,
+    /// The children of the `And` and `Or` nodes, in schedule order.
+    children: Vec<u32>,
     /// First monitor (root index) that demanded each node — error
     /// attribution for the fused evaluation pass.
     owners: Vec<u32>,
-    init_cells: Vec<Cell>,
+    /// The comparisons' operands, indexed by the comparison leaves.
+    cmps: Vec<Compare>,
+    /// The initial value of every lane of each temporal bit row.
+    init_bits: Vec<bool>,
+    /// Lane rows of `held_for` run lengths, each starting at zero.
+    run_rows: usize,
+    /// Lane rows of `once_within` last-true steps, each starting empty.
+    last_rows: usize,
+    /// Temporal nodes: the suite-level state cells.
+    cells: usize,
     /// One slab index per monitor, in compile order.
     roots: Vec<u32>,
-    /// Every signal a `Var` or `Cmp` node reads, ascending, once each.
+    /// Every signal a leaf reads, ascending, once each.
     reads: Box<[SignalId]>,
     /// Node count before deduplication (the sum of the standalone
     /// per-monitor tree sizes).
@@ -640,61 +713,100 @@ struct FusedBuilder<'t> {
     table: &'t SignalTable,
     nodes: Vec<FusedNode>,
     owners: Vec<u32>,
-    cells: Vec<Cell>,
+    cmps: Vec<Compare>,
+    children: Vec<u32>,
+    init_bits: Vec<bool>,
+    run_rows: usize,
+    last_rows: usize,
     interned: HashMap<NodeKey, u32>,
     source_nodes: usize,
 }
 
+/// A node, row or table index as the `u32` nodes store.
+fn index(i: usize) -> u32 {
+    u32::try_from(i).expect("fused program too large")
+}
+
 impl FusedBuilder<'_> {
     /// Interns a node: an existing structural twin is reused (its state
-    /// cell included), otherwise `make` materializes the node. Every
+    /// rows included), otherwise `make` materializes the node. Every
     /// call counts one *source* node toward the dedup ratio.
     fn intern(
         &mut self,
         key: NodeKey,
         monitor: u32,
-        make: impl FnOnce(&mut Vec<Cell>) -> FusedNode,
+        make: impl FnOnce(&mut Self) -> FusedNode,
     ) -> u32 {
         self.source_nodes += 1;
         if let Some(&idx) = self.interned.get(&key) {
             return idx;
         }
-        let idx = u32::try_from(self.nodes.len()).expect("fused program too large");
-        self.nodes.push(make(&mut self.cells));
+        let node = make(self);
+        let idx = index(self.nodes.len());
+        self.nodes.push(node);
         self.owners.push(monitor);
         self.interned.insert(key, idx);
         idx
     }
 
+    /// Interns an interior node.
+    fn inner(&mut self, key: NodeKey, monitor: u32, make: impl FnOnce(&mut Self) -> Inner) -> u32 {
+        self.intern(key, monitor, |b| FusedNode::Inner(make(b)))
+    }
+
+    /// Appends `children` to the child arena, returning their range.
+    fn arena(&mut self, children: &[u32]) -> (u32, u32) {
+        let start = index(self.children.len());
+        self.children.extend_from_slice(children);
+        (start, index(self.children.len()))
+    }
+
+    /// Allocates consecutive temporal bit rows starting at `init`'s
+    /// values, returning the first row's index.
+    fn bits(&mut self, init: &[bool]) -> u32 {
+        let at = index(self.init_bits.len());
+        self.init_bits.extend_from_slice(init);
+        at
+    }
+
     fn build(&mut self, expr: &Expr, monitor: u32) -> Result<u32, EvalError> {
         Ok(match expr {
-            Expr::Const(b) => self.intern(NodeKey::Const(*b), monitor, |_| FusedNode::Const(*b)),
+            Expr::Const(b) => self.inner(NodeKey::Const(*b), monitor, |_| Inner::Const(*b)),
             Expr::Var(v) => {
                 let id = resolve(v, self.table)?;
                 self.intern(NodeKey::Var(id.index() as u32), monitor, |_| {
-                    FusedNode::Var(id)
+                    FusedNode::Leaf(Leaf::Var(id))
                 })
             }
             Expr::Cmp { lhs, op, rhs } => {
                 let lhs = Slot::resolve(lhs, self.table)?;
                 let rhs = Slot::resolve(rhs, self.table)?;
+                let op = *op;
                 self.intern(
-                    NodeKey::Cmp(SlotKey::of(lhs), *op, SlotKey::of(rhs)),
+                    NodeKey::Cmp(SlotKey::of(lhs), op, SlotKey::of(rhs)),
                     monitor,
-                    |_| FusedNode::Cmp { lhs, op: *op, rhs },
+                    |b| {
+                        b.cmps.push(Compare { lhs, op, rhs });
+                        let cmp = index(b.cmps.len() - 1);
+                        FusedNode::Leaf(match Test::lower(lhs, op, rhs) {
+                            Some((sig, test)) => Leaf::Test { sig, test, cmp },
+                            None => Leaf::Cmp(cmp),
+                        })
+                    },
                 )
             }
             Expr::Not(e) => {
                 let c = self.build(e, monitor)?;
-                self.intern(NodeKey::Not(c), monitor, |_| FusedNode::Not(c))
+                self.inner(NodeKey::Not(c), monitor, |_| Inner::Not(c))
             }
             Expr::And(items) => {
                 let cs = items
                     .iter()
                     .map(|e| self.build(e, monitor))
                     .collect::<Result<Vec<_>, _>>()?;
-                self.intern(NodeKey::And(cs.clone()), monitor, |_| {
-                    FusedNode::And(cs.into_boxed_slice())
+                self.inner(NodeKey::And(cs.clone()), monitor, |b| {
+                    let (start, end) = b.arena(&cs);
+                    Inner::And(start, end)
                 })
             }
             Expr::Or(items) => {
@@ -702,74 +814,79 @@ impl FusedBuilder<'_> {
                     .iter()
                     .map(|e| self.build(e, monitor))
                     .collect::<Result<Vec<_>, _>>()?;
-                self.intern(NodeKey::Or(cs.clone()), monitor, |_| {
-                    FusedNode::Or(cs.into_boxed_slice())
+                self.inner(NodeKey::Or(cs.clone()), monitor, |b| {
+                    let (start, end) = b.arena(&cs);
+                    Inner::Or(start, end)
                 })
             }
             Expr::Implies(a, b) => {
                 let a = self.build(a, monitor)?;
                 let b = self.build(b, monitor)?;
-                self.intern(NodeKey::Implies(a, b), monitor, |_| {
-                    FusedNode::Implies(a, b)
-                })
+                self.inner(NodeKey::Implies(a, b), monitor, |_| Inner::Implies([a, b]))
             }
+            // Each bit row starts at the value the operator reports
+            // before its child has any history.
             Expr::Prev(e) => {
-                let c = self.build(e, monitor)?;
-                self.intern(NodeKey::Prev(c), monitor, |cells| FusedNode::Prev {
-                    child: c,
-                    cell: alloc_fused_cell(cells, Cell::Last(None)),
+                let child = self.build(e, monitor)?;
+                self.inner(NodeKey::Prev(child), monitor, |b| Inner::Prev {
+                    child,
+                    bits: b.bits(&[false]),
                 })
             }
             Expr::Once(e) => {
-                let c = self.build(e, monitor)?;
-                self.intern(NodeKey::Once(c), monitor, |cells| FusedNode::Once {
-                    child: c,
-                    cell: alloc_fused_cell(cells, Cell::Seen(false)),
+                let child = self.build(e, monitor)?;
+                self.inner(NodeKey::Once(child), monitor, |b| Inner::Once {
+                    child,
+                    bits: b.bits(&[false]),
                 })
             }
             Expr::Historically(e) => {
-                let c = self.build(e, monitor)?;
-                self.intern(NodeKey::Historically(c), monitor, |cells| {
-                    FusedNode::Historically {
-                        child: c,
-                        cell: alloc_fused_cell(cells, Cell::All(true)),
+                let child = self.build(e, monitor)?;
+                self.inner(NodeKey::Historically(child), monitor, |b| {
+                    Inner::Historically {
+                        child,
+                        bits: b.bits(&[true]),
                     }
                 })
             }
             Expr::HeldFor { expr, ticks } => {
-                let c = self.build(expr, monitor)?;
-                self.intern(NodeKey::HeldFor(c, *ticks), monitor, |cells| {
-                    FusedNode::HeldFor {
-                        child: c,
-                        ticks: *ticks,
-                        cell: alloc_fused_cell(cells, Cell::Run(0)),
+                let child = self.build(expr, monitor)?;
+                let ticks = *ticks;
+                self.inner(NodeKey::HeldFor(child, ticks), monitor, |b| {
+                    b.run_rows += 1;
+                    Inner::HeldFor {
+                        child,
+                        ticks,
+                        run: index(b.run_rows - 1),
                     }
                 })
             }
             Expr::OnceWithin { expr, ticks } => {
-                let c = self.build(expr, monitor)?;
-                self.intern(NodeKey::OnceWithin(c, *ticks), monitor, |cells| {
-                    FusedNode::OnceWithin {
-                        child: c,
-                        ticks: *ticks,
-                        cell: alloc_fused_cell(cells, Cell::LastTrue(None)),
+                let child = self.build(expr, monitor)?;
+                let ticks = *ticks;
+                self.inner(NodeKey::OnceWithin(child, ticks), monitor, |b| {
+                    b.last_rows += 1;
+                    Inner::OnceWithin {
+                        child,
+                        ticks,
+                        last: index(b.last_rows - 1),
                     }
                 })
             }
+            // `became` reads a missing previous value as true: no edge
+            // at the first step.
             Expr::Became(e) => {
-                let c = self.build(e, monitor)?;
-                self.intern(NodeKey::Became(c), monitor, |cells| FusedNode::Became {
-                    child: c,
-                    cell: alloc_fused_cell(cells, Cell::Last(None)),
+                let child = self.build(e, monitor)?;
+                self.inner(NodeKey::Became(child), monitor, |b| Inner::Became {
+                    child,
+                    bits: b.bits(&[true]),
                 })
             }
             Expr::Initially(e) => {
-                let c = self.build(e, monitor)?;
-                self.intern(NodeKey::Initially(c), monitor, |cells| {
-                    FusedNode::Initially {
-                        child: c,
-                        cell: alloc_fused_cell(cells, Cell::Captured(None)),
-                    }
+                let child = self.build(e, monitor)?;
+                self.inner(NodeKey::Initially(child), monitor, |b| Inner::Initially {
+                    child,
+                    bits: b.bits(&[false, false]),
                 })
             }
             // monitor_form has eliminated these before build runs
@@ -780,12 +897,6 @@ impl FusedBuilder<'_> {
             | Expr::Next(_) => unreachable!("monitor_form eliminates future forms"),
         })
     }
-}
-
-/// Allocates a suite-level state cell, returning its index as `u32`.
-fn alloc_fused_cell(cells: &mut Vec<Cell>, init: Cell) -> u32 {
-    cells.push(init);
-    u32::try_from(cells.len() - 1).expect("fused cell index overflow")
 }
 
 impl FusedSuiteProgram {
@@ -802,37 +913,95 @@ impl FusedSuiteProgram {
             table,
             nodes: Vec::new(),
             owners: Vec::new(),
-            cells: Vec::new(),
+            cmps: Vec::new(),
+            children: Vec::new(),
+            init_bits: Vec::new(),
+            run_rows: 0,
+            last_rows: 0,
             interned: HashMap::new(),
             source_nodes: 0,
         };
         let mut roots = Vec::with_capacity(exprs.len());
         for (monitor, expr) in exprs.iter().enumerate() {
             let rewritten = monitor_form(expr)?;
-            let monitor = u32::try_from(monitor).expect("too many monitors");
-            roots.push(b.build(&rewritten, monitor)?);
+            roots.push(b.build(&rewritten, index(monitor))?);
+        }
+        let mut leaves = Vec::new();
+        let mut inner = Vec::new();
+        let mut levels = vec![0; b.nodes.len()];
+        for (i, node) in b.nodes.into_iter().enumerate() {
+            match node {
+                FusedNode::Leaf(leaf) => leaves.push((index(i), leaf)),
+                FusedNode::Inner(op) => {
+                    let children = op.children(&b.children).iter();
+                    levels[i] = 1 + children.map(|&c| levels[c as usize]).max().unwrap_or(0);
+                    inner.push((index(i), op));
+                }
+            }
+        }
+        // A test that repeats or complements an earlier test of the same
+        // signal is computed from that test's bits.
+        let mut tests = HashMap::new();
+        for (node, leaf) in &mut leaves {
+            if let Leaf::Test { sig, test, cmp } = *leaf {
+                let (key, complement) = test.keys();
+                if let Some(&of) = tests.get(&(sig, key)) {
+                    *leaf = Leaf::Copy {
+                        of,
+                        invert: false,
+                        cmp,
+                    };
+                } else if let Some(&of) = complement.and_then(|k| tests.get(&(sig, k))) {
+                    *leaf = Leaf::Copy {
+                        of,
+                        invert: true,
+                        cmp,
+                    };
+                } else {
+                    tests.insert((sig, key), *node);
+                }
+            }
+        }
+        leaves.sort_by_key(|(node, leaf)| (leaf.rank(), *node));
+        inner.sort_by_key(|(node, op)| (levels[*node as usize], op.rank(), *node));
+        // Lay the arena out in schedule order, so the pass reads it front
+        // to back.
+        let mut children = Vec::with_capacity(b.children.len());
+        for (_, op) in &mut inner {
+            if let Inner::And(start, end) | Inner::Or(start, end) = op {
+                let at = index(children.len());
+                children.extend_from_slice(&b.children[*start as usize..*end as usize]);
+                (*start, *end) = (at, index(children.len()));
+            }
         }
         let mut reads = Vec::new();
-        for node in &b.nodes {
-            match node {
-                FusedNode::Var(id) => reads.push(*id),
-                FusedNode::Cmp { lhs, rhs, .. } => {
-                    for slot in [lhs, rhs] {
+        for (_, leaf) in &leaves {
+            match *leaf {
+                Leaf::Var(id) => reads.push(id),
+                Leaf::Test { cmp, .. } | Leaf::Copy { cmp, .. } | Leaf::Cmp(cmp) => {
+                    let c = &b.cmps[cmp as usize];
+                    for slot in [c.lhs, c.rhs] {
                         if let Slot::Sig(id) = slot {
-                            reads.push(*id);
+                            reads.push(id);
                         }
                     }
                 }
-                _ => {}
             }
         }
         reads.sort_unstable();
         reads.dedup();
+        let cells = inner.iter().filter(|(_, op)| op.is_temporal()).count();
         Ok(FusedSuiteProgram {
             table: Arc::clone(table),
-            nodes: b.nodes,
+            leaves,
+            inner,
+            children,
             owners: b.owners,
-            init_cells: b.cells,
+            cmps: b.cmps,
+            init_bits: b.init_bits,
+            run_rows: b.run_rows,
+            last_rows: b.last_rows,
+            cells,
             roots,
             reads: reads.into_boxed_slice(),
             source_nodes: b.source_nodes,
@@ -882,7 +1051,7 @@ impl FusedSuiteProgram {
     /// Number of nodes in the deduplicated DAG — the work one tick
     /// actually performs.
     pub fn unique_nodes(&self) -> usize {
-        self.nodes.len()
+        self.owners.len()
     }
 
     /// Number of nodes before deduplication (the sum of the standalone
@@ -892,53 +1061,77 @@ impl FusedSuiteProgram {
         self.source_nodes
     }
 
-    /// Every signal the program reads, ascending and once each. Both
-    /// widths evaluate every node on every tick, so each of these must
-    /// be set in every observed sample; any other signal may stay unset.
+    /// Every signal the program reads, ascending and once each. Every
+    /// node is evaluated on every tick, so each of these must be set in
+    /// every observed sample; any other signal may stay unset.
     pub fn reads(&self) -> &[SignalId] {
         &self.reads
     }
 
-    /// Number of suite-level temporal state cells an instance carries.
+    /// Number of suite-level temporal state cells (temporal nodes) an
+    /// instance carries.
     pub fn state_cells(&self) -> usize {
-        self.init_cells.len()
+        self.cells
     }
 
-    /// Materializes a fresh fused suite: two slab allocations plus a
-    /// `memcpy` of the initial cell values.
+    /// Materializes a fresh fused suite over one frame stream: a
+    /// one-lane [`FusedSuiteBatch`].
     pub fn instantiate(self: &Arc<Self>) -> FusedSuite {
         FusedSuite {
-            cells: self.init_cells.clone(),
-            slab: vec![false; self.nodes.len()],
+            batch: self.instantiate_batch(1),
+        }
+    }
+
+    /// Materializes a batch evaluator over this program with `lanes`
+    /// independent runs, every lane starting from the initial (empty
+    /// history) state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` is zero.
+    pub fn instantiate_batch(self: &Arc<Self>, lanes: usize) -> FusedSuiteBatch {
+        assert!(lanes > 0, "a batch needs at least one lane");
+        let words = lanes.div_ceil(64);
+        let mut bits = Vec::with_capacity(self.init_bits.len() * words);
+        for &init in &self.init_bits {
+            bits.extend(std::iter::repeat_n(splat(init), words));
+        }
+        FusedSuiteBatch {
+            slab: vec![0; self.unique_nodes() * words],
+            bits,
+            runs: vec![0; self.run_rows * lanes],
+            last_true: vec![None; self.last_rows * lanes],
+            steps: vec![0; lanes],
+            active: full_mask(lanes),
+            retired: 0,
             program: Arc::clone(self),
-            step: 0,
+            failed: Vec::with_capacity(self.leaves.len()),
+            lanes,
+            words,
         }
     }
 }
 
-/// The run state of one [`FusedSuiteProgram`] instance: the value slab
-/// (one `bool` per DAG node, rewritten every tick) and the suite-level
-/// temporal cells.
+/// The run state of one [`FusedSuiteProgram`] instance over one frame
+/// stream: a one-lane [`FusedSuiteBatch`], fed [`Frame`]s.
 ///
-/// [`FusedSuite::observe`] makes one forward pass over the DAG;
+/// [`FusedSuite::observe`] makes the batch's forward pass over the DAG;
 /// [`FusedSuite::verdict`] then reads any monitor's current truth in
 /// O(1). See [`FusedSuiteProgram`].
 #[derive(Debug, Clone)]
 pub struct FusedSuite {
-    program: Arc<FusedSuiteProgram>,
-    cells: Vec<Cell>,
-    slab: Vec<bool>,
-    step: u64,
+    batch: FusedSuiteBatch,
 }
 
 impl FusedSuite {
     /// The immutable fused program this suite executes.
     pub fn program(&self) -> &Arc<FusedSuiteProgram> {
-        &self.program
+        self.batch.program()
     }
 
     /// Feeds the next frame: one forward pass evaluating every DAG node
-    /// exactly once, advancing every temporal cell.
+    /// exactly once, advancing every temporal cell — the batched pass
+    /// over the frame's slots as a single lane.
     ///
     /// Every node is evaluated, short-circuited branches included, so
     /// the frame must set every signal in
@@ -956,61 +1149,13 @@ impl FusedSuite {
     /// the program was compiled against.
     pub fn observe(&mut self, frame: &Frame) -> Result<(), FusedError> {
         debug_assert!(
-            Arc::ptr_eq(frame.table(), &self.program.table),
+            Arc::ptr_eq(frame.table(), &self.batch.program.table),
             "frame and fused suite must share one signal table"
         );
-        let step = usize::try_from(self.step).unwrap_or(usize::MAX);
-        let table = &self.program.table;
-        let cells = &mut self.cells;
-        for (i, node) in self.program.nodes.iter().enumerate() {
-            let v = match node {
-                FusedNode::Const(b) => *b,
-                FusedNode::Var(id) => {
-                    slot_bool(frame.get(*id), *id, step, table).map_err(|e| FusedError {
-                        monitor: self.program.owners[i] as usize,
-                        source: e,
-                    })?
-                }
-                FusedNode::Cmp { lhs, op, rhs } => {
-                    let err = |e| FusedError {
-                        monitor: self.program.owners[i] as usize,
-                        source: e,
-                    };
-                    let get = |id| frame.get(id);
-                    let a = lhs.value(get, step, table).map_err(err)?;
-                    let b = rhs.value(get, step, table).map_err(err)?;
-                    eval::compare_values(&a, *op, &b).map_err(err)?
-                }
-                FusedNode::Not(c) => !self.slab[*c as usize],
-                FusedNode::And(cs) => cs.iter().all(|&c| self.slab[c as usize]),
-                FusedNode::Or(cs) => cs.iter().any(|&c| self.slab[c as usize]),
-                FusedNode::Implies(a, b) => !self.slab[*a as usize] | self.slab[*b as usize],
-                FusedNode::Prev { child, cell } => {
-                    cells[*cell as usize].step_prev(self.slab[*child as usize])
-                }
-                FusedNode::Once { child, cell } => {
-                    cells[*cell as usize].step_once(self.slab[*child as usize])
-                }
-                FusedNode::Historically { child, cell } => {
-                    cells[*cell as usize].step_historically(self.slab[*child as usize])
-                }
-                FusedNode::HeldFor { child, ticks, cell } => {
-                    cells[*cell as usize].step_held_for(self.slab[*child as usize], *ticks)
-                }
-                FusedNode::OnceWithin { child, ticks, cell } => {
-                    cells[*cell as usize].step_once_within(self.slab[*child as usize], step, *ticks)
-                }
-                FusedNode::Became { child, cell } => {
-                    cells[*cell as usize].step_became(self.slab[*child as usize])
-                }
-                FusedNode::Initially { child, cell } => {
-                    cells[*cell as usize].step_initially(self.slab[*child as usize])
-                }
-            };
-            self.slab[i] = v;
-        }
-        self.step += 1;
-        Ok(())
+        self.batch.pass(&frame.slots).map_err(|err| FusedError {
+            monitor: err.monitor,
+            source: err.source,
+        })
     }
 
     /// Monitor `monitor`'s verdict from the most recent
@@ -1021,19 +1166,18 @@ impl FusedSuite {
     /// Panics if `monitor` is out of range.
     #[inline]
     pub fn verdict(&self, monitor: usize) -> bool {
-        self.slab[self.program.roots[monitor] as usize]
+        self.batch.verdict(0, monitor)
     }
 
     /// Number of frames observed so far.
     pub fn steps_observed(&self) -> u64 {
-        self.step
+        self.batch.steps_observed(0)
     }
 
-    /// Clears all history, returning the suite to its initial state — a
-    /// `memcpy` of the program's initial cell values, no allocation.
+    /// Clears all history, returning the suite to its initial state
+    /// without allocating.
     pub fn reset(&mut self) {
-        self.cells.copy_from_slice(&self.program.init_cells);
-        self.step = 0;
+        self.batch.reset();
     }
 }
 
@@ -1067,28 +1211,33 @@ impl std::error::Error for BatchError {
 }
 
 /// The run state of one [`FusedSuiteProgram`] evaluated over **many runs
-/// at once** — the batch/SoA engine.
+/// at once**, bit-sliced: the one engine behind both widths.
 ///
-/// Where a [`FusedSuite`] holds one `bool` per DAG node, a batch holds a
-/// *lane row* per node: `lanes` contiguous slots, one per run
-/// (slab-of-lanes layout, `slab[node * lanes + lane]`), and likewise one
-/// lane row per temporal state cell. [`FusedSuiteBatch::observe_slab`]
-/// advances every lane by one sample of a lane-major [`FrameBatch`] in
-/// a single forward pass that steps
-/// the whole batch through each DAG node before moving to the next:
-/// the per-node inner loop is a straight-line sweep over contiguous
-/// lanes — branch-free for the boolean combinators — so evaluating one
-/// shared subexpression across N runs costs one node decode plus N slab
-/// reads, instead of N full scalar passes.
+/// Each DAG node's value across the batch is a *bit row* of
+/// `⌈lanes/64⌉` `u64` words, lane `l` at bit `l % 64` of word `l / 64`,
+/// and [`FusedSuiteBatch::observe_slab`] advances every lane by one
+/// sample of a lane-major [`FrameBatch`] in a single forward pass:
+///
+/// * the leaves (`Var` and comparison nodes) sweep the slab's contiguous
+///   signal rows, one byte per lane, and then pack each row into bits; a
+///   row holding an unset or mistyped slot reruns lane by lane, so the
+///   error names the right lane and monitor;
+/// * `Not`, `And`, `Or` and `Implies` are one word operation per 64
+///   lanes;
+/// * `prev`, `once`, `historically`, `became` and `initially` keep their
+///   history as bit rows too, updated word-wise under the active-lane
+///   mask;
+/// * `held_for` and `once_within` keep per-lane counters and visit only
+///   the active lanes.
 ///
 /// Lanes are independent runs in lock-step: each lane's verdicts are
 /// property-tested against [`eval_trace`](crate::eval::eval_trace) of
-/// the lane's own trace, including under mid-batch retirement. A run
-/// that ends early — a terminal event inside a sweep
-/// stripe — is [`retire_lane`](FusedSuiteBatch::retire_lane)d: its
-/// temporal cells and step counter freeze while the surviving lanes
-/// keep advancing, so early termination in one lane cannot perturb its
-/// neighbours.
+/// the lane's own trace, including under mid-batch retirement and at
+/// widths that cross a word. A run that ends early — a terminal event
+/// inside a sweep stripe — is [`retire_lane`](FusedSuiteBatch::retire_lane)d:
+/// its temporal state and step counter freeze bit for bit while the
+/// surviving lanes keep advancing, so early termination in one lane
+/// cannot perturb its neighbours.
 ///
 /// # Example
 ///
@@ -1119,43 +1268,26 @@ impl std::error::Error for BatchError {
 pub struct FusedSuiteBatch {
     program: Arc<FusedSuiteProgram>,
     lanes: usize,
-    /// Temporal cells, one lane row per suite-level cell:
-    /// `cells[cell * lanes + lane]`.
-    cells: Vec<Cell>,
-    /// Node values, one lane row per DAG node:
-    /// `slab[node * lanes + lane]`, rewritten every pass.
-    slab: Vec<bool>,
-    /// Per-lane frames observed so far (frozen on retirement).
+    /// Words per bit row: `⌈lanes/64⌉`.
+    words: usize,
+    /// Node values, one bit row per DAG node: `slab[node * words + w]`,
+    /// rewritten every pass.
+    slab: Vec<u64>,
+    /// Temporal bit rows: `bits[row * words + w]`.
+    bits: Vec<u64>,
+    /// `held_for` run lengths before now: `runs[row * lanes + lane]`.
+    runs: Vec<u64>,
+    /// `once_within` last steps at which the child held:
+    /// `last_true[row * lanes + lane]`.
+    last_true: Vec<Option<u64>>,
+    /// Per-lane frames observed so far (frozen while inactive).
     steps: Vec<u64>,
-    /// Per-lane liveness; retired lanes are skipped by every pass.
-    active: Vec<bool>,
+    /// Active-lane bit row; the bits past `lanes` stay clear.
+    active: Vec<u64>,
     retired: usize,
-}
-
-impl FusedSuiteProgram {
-    /// Materializes a batch evaluator over this program with `lanes`
-    /// independent runs, every lane starting from the initial (empty
-    /// history) state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero.
-    pub fn instantiate_batch(self: &Arc<Self>, lanes: usize) -> FusedSuiteBatch {
-        assert!(lanes > 0, "a batch needs at least one lane");
-        let mut cells = Vec::with_capacity(self.init_cells.len() * lanes);
-        for &init in &self.init_cells {
-            cells.extend(std::iter::repeat_n(init, lanes));
-        }
-        FusedSuiteBatch {
-            cells,
-            slab: vec![false; self.nodes.len() * lanes],
-            steps: vec![0; lanes],
-            active: vec![true; lanes],
-            retired: 0,
-            program: Arc::clone(self),
-            lanes,
-        }
-    }
+    /// Scratch for a pass: the leaves whose fast test left a slot
+    /// undecided.
+    failed: Vec<usize>,
 }
 
 impl FusedSuiteBatch {
@@ -1180,18 +1312,27 @@ impl FusedSuiteBatch {
     ///
     /// Panics if `lane` is out of range.
     pub fn is_active(&self, lane: usize) -> bool {
-        self.active[lane]
+        assert!(lane < self.lanes, "lane out of range");
+        bit(&self.active, lane)
+    }
+
+    /// The active lanes as a bit row, laid out like
+    /// [`verdict_row`](FusedSuiteBatch::verdict_row); the bits past
+    /// [`lanes`](FusedSuiteBatch::lanes) are clear.
+    pub fn active_mask(&self) -> &[u64] {
+        &self.active
     }
 
     /// Retires a lane: its temporal cells and step counter freeze, and
     /// subsequent [`observe_slab`](FusedSuiteBatch::observe_slab)
-    /// passes skip it (its slab lane is ignored). Idempotent.
+    /// passes skip it. Idempotent.
     ///
     /// # Panics
     ///
     /// Panics if `lane` is out of range.
     pub fn retire_lane(&mut self, lane: usize) {
-        if std::mem::replace(&mut self.active[lane], false) {
+        if self.is_active(lane) {
+            set_bit(&mut self.active, lane, false);
             self.retired += 1;
         }
     }
@@ -1206,8 +1347,8 @@ impl FusedSuiteBatch {
     }
 
     /// Temporarily freezes `lane` for the next observe pass(es): its
-    /// temporal cells, step counter, and verdicts stay exactly as they
-    /// are, and the pass skips it like a retired lane. Unlike
+    /// temporal cells and step counter stay exactly as they are, and the
+    /// pass skips it like a retired lane. Unlike
     /// [`retire_lane`](FusedSuiteBatch::retire_lane) the freeze is meant
     /// to be undone with [`resume_lane`](FusedSuiteBatch::resume_lane) —
     /// the pair lets a caller advance a *subset* of lanes through a pass
@@ -1219,9 +1360,7 @@ impl FusedSuiteBatch {
     ///
     /// Panics if `lane` is out of range.
     pub fn suspend_lane(&mut self, lane: usize) {
-        if std::mem::replace(&mut self.active[lane], false) {
-            self.retired += 1;
-        }
+        self.retire_lane(lane);
     }
 
     /// Reverses [`suspend_lane`](FusedSuiteBatch::suspend_lane): the lane
@@ -1235,7 +1374,8 @@ impl FusedSuiteBatch {
     ///
     /// Panics if `lane` is out of range.
     pub fn resume_lane(&mut self, lane: usize) {
-        if !std::mem::replace(&mut self.active[lane], true) {
+        if !self.is_active(lane) {
+            set_bit(&mut self.active, lane, true);
             self.retired -= 1;
         }
     }
@@ -1243,15 +1383,15 @@ impl FusedSuiteBatch {
     /// Feeds the next sample of every active lane, read **in place**
     /// from a lane-major [`FrameBatch`] slab — the zero-copy path a
     /// batched simulator feeds its state slab through (lane layouts
-    /// match, so `Var`/`Cmp` reads sweep the slab's contiguous signal
-    /// rows directly). Retired lanes' slab rows are ignored. One forward
-    /// pass over the DAG advances **all** lanes through each node before
-    /// moving to the next (see the type docs).
+    /// match, so the leaves sweep the slab's contiguous signal rows
+    /// directly). Inactive lanes' slab rows are never consulted for
+    /// errors, and their state does not move. One forward pass over the
+    /// DAG advances **all** lanes through each node before moving to the
+    /// next (see the type docs).
     ///
-    /// As in [`FusedSuite::observe`], every node of every active lane is
-    /// evaluated, so each active lane must set every signal in
-    /// [`FusedSuiteProgram::reads`]. Treat an error as fatal for the
-    /// whole batch instance.
+    /// Every node of every active lane is evaluated, so each active lane
+    /// must set every signal in [`FusedSuiteProgram::reads`]. Treat an
+    /// error as fatal for the whole batch instance.
     ///
     /// # Errors
     ///
@@ -1265,186 +1405,237 @@ impl FusedSuiteBatch {
     /// against.
     pub fn observe_slab(&mut self, src: &FrameBatch) -> Result<(), BatchError> {
         assert_eq!(src.lanes(), self.lanes, "one slab lane per batch lane");
-        let lanes = self.lanes;
         debug_assert!(
             Arc::ptr_eq(src.table(), &self.program.table),
             "slab and batch must share one signal table"
         );
-        let program = Arc::clone(&self.program);
-        let table = &program.table;
-        let active = &self.active;
-        let steps = &self.steps;
-        let cells = &mut self.cells;
-        for (i, node) in program.nodes.iter().enumerate() {
-            // Children precede node `i` in the topological order, so
-            // `prev` holds every child's lane row and `out` is node
-            // `i`'s own row.
-            let (prev, rest) = self.slab.split_at_mut(i * lanes);
-            let out = &mut rest[..lanes];
-            let row = |c: &u32| &prev[*c as usize * lanes..][..lanes];
-            let err = |lane: usize, e: EvalError| BatchError {
-                lane,
-                monitor: program.owners[i] as usize,
-                source: e,
+        self.pass(&src.slots)
+    }
+
+    /// The forward pass over lane-major `slots` (signal `s`, lane `l` at
+    /// `slots[s * lanes + l]`): a [`FrameBatch`]'s slab, or a [`Frame`]'s
+    /// slots as one lane.
+    fn pass(&mut self, slots: &[Option<Value>]) -> Result<(), BatchError> {
+        // Split-borrow the fields: the program is shared by every stripe
+        // of a sweep, so the pass touches no refcount.
+        let FusedSuiteBatch {
+            program,
+            lanes,
+            words,
+            slab,
+            bits,
+            runs,
+            last_true,
+            steps,
+            active,
+            failed,
+            ..
+        } = self;
+        let (lanes, words, program) = (*lanes, *words, &**program);
+        let active = &active[..];
+        let row = |id: SignalId| &slots[id.index() * lanes..][..lanes];
+
+        // The leaves first: only they read the sample, so only they can
+        // fail.
+        failed.clear();
+        for (k, (node, leaf)) in program.leaves.iter().enumerate() {
+            let out = &mut slab[*node as usize * words..][..words];
+            let decided = match leaf {
+                Leaf::Var(id) => pack(out, row(*id), |s| match s {
+                    Some(Value::Bool(b)) => Some(b),
+                    _ => None,
+                }),
+                Leaf::Test { sig, test, .. } => test.pack(out, row(*sig)),
+                Leaf::Copy { of, invert, .. } => {
+                    let decided = !failed.iter().any(|&f| program.leaves[f].0 == *of);
+                    if decided {
+                        let (of, at) = (*of as usize * words, *node as usize * words);
+                        let invert = splat(*invert);
+                        for w in 0..words {
+                            slab[at + w] = slab[of + w] ^ invert;
+                        }
+                    }
+                    decided
+                }
+                Leaf::Cmp(_) => false,
             };
-            match node {
-                FusedNode::Const(b) => out.fill(*b),
-                // `Var`/`Cmp` are the only nodes that read `src`. A
-                // signal's samples across every run are one contiguous
-                // row, so both sweep whole rows in tight slice loops —
-                // no per-lane step bookkeeping, no active check (retired
-                // lanes' rows are frozen-but-valid, and nothing reads
-                // their slab cells). Any row that holds an unset or
-                // mistyped slot bails to the per-lane path for exact
-                // error attribution.
-                FusedNode::Var(id) => {
-                    let mut fast = true;
-                    for (out, v) in out.iter_mut().zip(src.row(*id)) {
-                        match v {
-                            Some(Value::Bool(b)) => *out = *b,
-                            _ => fast = false,
+            if !decided {
+                failed.push(k);
+            }
+        }
+        // An undecided leaf reruns lane by lane, in node order, so the
+        // error raised is the one the topological order reaches first.
+        failed.sort_unstable_by_key(|&k| program.leaves[k].0);
+        for &k in failed.iter() {
+            let (node, leaf) = &program.leaves[k];
+            let out = &mut slab[*node as usize * words..][..words];
+            exact_lanes(
+                leaf,
+                &program.cmps,
+                out,
+                slots,
+                active,
+                steps,
+                &program.table,
+            )
+            .map_err(|(lane, source)| BatchError {
+                lane,
+                monitor: program.owners[*node as usize] as usize,
+                source,
+            })?;
+        }
+
+        // Then every other node, level by level. Each node `n`'s bit row
+        // is `slab[n * words..][..words]`; its children are on lower
+        // levels.
+        for (node, op) in &program.inner {
+            let at = *node as usize * words;
+            match op {
+                Inner::Const(b) => slab[at..at + words].fill(splat(*b)),
+                // The combinators run over every bit: an inactive lane's
+                // bit is recomputed from its stale child bits, and
+                // nothing reads it.
+                Inner::Not(c) => {
+                    let c = *c as usize * words;
+                    for w in 0..words {
+                        slab[at + w] = !slab[c + w];
+                    }
+                }
+                Inner::And(start, end) => {
+                    let cs = &program.children[*start as usize..*end as usize];
+                    for w in 0..words {
+                        let mut all = !0;
+                        for &c in cs {
+                            all &= slab[c as usize * words + w];
                         }
-                    }
-                    if !fast {
-                        var_lanes(out, src, *id, active, steps, table)
-                            .map_err(|(l, e)| err(l, e))?;
+                        slab[at + w] = all;
                     }
                 }
-                FusedNode::Cmp { lhs, op, rhs } => {
-                    let fast = cmp_rows(out, &lhs.operand_row(src), *op, &rhs.operand_row(src));
-                    if !fast {
-                        cmp_lanes(out, src, lhs, *op, rhs, active, steps, table)
-                            .map_err(|(l, e)| err(l, e))?;
-                    }
-                }
-                // The boolean combinators are pure slab-to-slab sweeps:
-                // no frame reads, no temporal state. They run over every
-                // lane unconditionally — retired lanes compute garbage
-                // from stale child rows that nothing ever reads — so the
-                // inner loops stay branch-free and vectorizable.
-                FusedNode::Not(c) => {
-                    for (out, &v) in out.iter_mut().zip(row(c)) {
-                        *out = !v;
-                    }
-                }
-                FusedNode::And(cs) => {
-                    out.fill(true);
-                    for c in cs.iter() {
-                        for (out, &v) in out.iter_mut().zip(row(c)) {
-                            *out &= v;
+                Inner::Or(start, end) => {
+                    let cs = &program.children[*start as usize..*end as usize];
+                    for w in 0..words {
+                        let mut any = 0;
+                        for &c in cs {
+                            any |= slab[c as usize * words + w];
                         }
+                        slab[at + w] = any;
                     }
                 }
-                FusedNode::Or(cs) => {
-                    out.fill(false);
-                    for c in cs.iter() {
-                        for (out, &v) in out.iter_mut().zip(row(c)) {
-                            *out |= v;
+                Inner::Implies([a, b]) => {
+                    let (a, b) = (*a as usize * words, *b as usize * words);
+                    for w in 0..words {
+                        slab[at + w] = !slab[a + w] | slab[b + w];
+                    }
+                }
+                // The temporal nodes: each operator's single-step
+                // semantics over the child's word, advancing its state
+                // `s` only under the active mask `m`, so inactive lanes'
+                // history stays frozen.
+                //
+                // `prev(p)`: the child's value at the previous step.
+                Inner::Prev { child, bits: r } => {
+                    let (c, r) = (*child as usize * words, *r as usize * words);
+                    for (w, &m) in active.iter().enumerate() {
+                        let s = &mut bits[r + w];
+                        slab[at + w] = *s;
+                        *s = select(m, slab[c + w], *s);
+                    }
+                }
+                // `once(p)`: whether the child held at any earlier step.
+                Inner::Once { child, bits: r } => {
+                    let (c, r) = (*child as usize * words, *r as usize * words);
+                    for (w, &m) in active.iter().enumerate() {
+                        let s = &mut bits[r + w];
+                        slab[at + w] = *s;
+                        *s |= slab[c + w] & m;
+                    }
+                }
+                // `historically(p)`: whether the child held at every
+                // earlier step.
+                Inner::Historically { child, bits: r } => {
+                    let (c, r) = (*child as usize * words, *r as usize * words);
+                    for (w, &m) in active.iter().enumerate() {
+                        let s = &mut bits[r + w];
+                        slab[at + w] = *s;
+                        *s &= slab[c + w] | !m;
+                    }
+                }
+                // `became(p)` (`@p ≡ ●¬p ∧ p`): a false→true edge now.
+                Inner::Became { child, bits: r } => {
+                    let (c, r) = (*child as usize * words, *r as usize * words);
+                    for (w, &m) in active.iter().enumerate() {
+                        let (cur, s) = (slab[c + w], &mut bits[r + w]);
+                        slab[at + w] = cur & !*s;
+                        *s = select(m, cur, *s);
+                    }
+                }
+                // `initially(p)` (`S0 ⊨ p`): the child's value at the
+                // first step, captured once per lane. Its rows are the
+                // captured flag, then the captured value.
+                Inner::Initially { child, bits: r } => {
+                    let (c, r) = (*child as usize * words, *r as usize * words);
+                    for (w, &m) in active.iter().enumerate() {
+                        let (has, val) = (bits[r + w], bits[r + words + w]);
+                        let v = select(has, val, slab[c + w]);
+                        slab[at + w] = v;
+                        bits[r + words + w] = select(m, v, val);
+                        bits[r + w] = has | m;
+                    }
+                }
+                // `held_for(p, ticks)`: whether the child's current
+                // true-run before now spans at least `ticks` steps.
+                Inner::HeldFor { child, ticks, run } => {
+                    let c = *child as usize * words;
+                    let runs = &mut runs[*run as usize * lanes..][..lanes];
+                    for (w, &m) in active.iter().enumerate() {
+                        let cur = slab[c + w];
+                        let mut word = 0;
+                        for b in ones(m) {
+                            let run = &mut runs[w * 64 + b];
+                            word |= u64::from(*ticks == 0 || *run >= *ticks) << b;
+                            *run = if (cur >> b) & 1 == 1 {
+                                run.saturating_add(1)
+                            } else {
+                                0
+                            };
                         }
+                        slab[at + w] = word;
                     }
                 }
-                FusedNode::Implies(a, b) => {
-                    for ((out, &av), &bv) in out.iter_mut().zip(row(a)).zip(row(b)) {
-                        *out = !av | bv;
-                    }
-                }
-                // Temporal nodes advance per-lane state, so retired
-                // lanes must be skipped — their history is frozen.
-                FusedNode::Prev { child, cell } => {
-                    let cells = &mut cells[*cell as usize * lanes..][..lanes];
-                    for ((l, out), (cell, &cur)) in out
-                        .iter_mut()
-                        .enumerate()
-                        .zip(cells.iter_mut().zip(row(child)))
-                    {
-                        if active[l] {
-                            *out = cell.step_prev(cur);
+                // `once_within(p, ticks)`: whether the child held within
+                // the previous `ticks` steps.
+                Inner::OnceWithin { child, ticks, last } => {
+                    let c = *child as usize * words;
+                    let last = &mut last_true[*last as usize * lanes..][..lanes];
+                    for (w, &m) in active.iter().enumerate() {
+                        let cur = slab[c + w];
+                        let mut word = 0;
+                        for b in ones(m) {
+                            let lane = w * 64 + b;
+                            let step = steps[lane];
+                            let held = last[lane].is_some_and(|t| step.saturating_sub(t) <= *ticks);
+                            word |= u64::from(held) << b;
+                            if (cur >> b) & 1 == 1 {
+                                last[lane] = Some(step);
+                            }
                         }
-                    }
-                }
-                FusedNode::Once { child, cell } => {
-                    let cells = &mut cells[*cell as usize * lanes..][..lanes];
-                    for ((l, out), (cell, &cur)) in out
-                        .iter_mut()
-                        .enumerate()
-                        .zip(cells.iter_mut().zip(row(child)))
-                    {
-                        if active[l] {
-                            *out = cell.step_once(cur);
-                        }
-                    }
-                }
-                FusedNode::Historically { child, cell } => {
-                    let cells = &mut cells[*cell as usize * lanes..][..lanes];
-                    for ((l, out), (cell, &cur)) in out
-                        .iter_mut()
-                        .enumerate()
-                        .zip(cells.iter_mut().zip(row(child)))
-                    {
-                        if active[l] {
-                            *out = cell.step_historically(cur);
-                        }
-                    }
-                }
-                FusedNode::HeldFor { child, ticks, cell } => {
-                    let cells = &mut cells[*cell as usize * lanes..][..lanes];
-                    for ((l, out), (cell, &cur)) in out
-                        .iter_mut()
-                        .enumerate()
-                        .zip(cells.iter_mut().zip(row(child)))
-                    {
-                        if active[l] {
-                            *out = cell.step_held_for(cur, *ticks);
-                        }
-                    }
-                }
-                FusedNode::OnceWithin { child, ticks, cell } => {
-                    let cells = &mut cells[*cell as usize * lanes..][..lanes];
-                    for ((l, out), (cell, &cur)) in out
-                        .iter_mut()
-                        .enumerate()
-                        .zip(cells.iter_mut().zip(row(child)))
-                    {
-                        if active[l] {
-                            let step = usize::try_from(steps[l]).unwrap_or(usize::MAX);
-                            *out = cell.step_once_within(cur, step, *ticks);
-                        }
-                    }
-                }
-                FusedNode::Became { child, cell } => {
-                    let cells = &mut cells[*cell as usize * lanes..][..lanes];
-                    for ((l, out), (cell, &cur)) in out
-                        .iter_mut()
-                        .enumerate()
-                        .zip(cells.iter_mut().zip(row(child)))
-                    {
-                        if active[l] {
-                            *out = cell.step_became(cur);
-                        }
-                    }
-                }
-                FusedNode::Initially { child, cell } => {
-                    let cells = &mut cells[*cell as usize * lanes..][..lanes];
-                    for ((l, out), (cell, &cur)) in out
-                        .iter_mut()
-                        .enumerate()
-                        .zip(cells.iter_mut().zip(row(child)))
-                    {
-                        if active[l] {
-                            *out = cell.step_initially(cur);
-                        }
+                        slab[at + w] = word;
                     }
                 }
             }
         }
-        for (step, &a) in self.steps.iter_mut().zip(&self.active) {
-            *step += u64::from(a);
+        for (w, &m) in active.iter().enumerate() {
+            for b in ones(m) {
+                steps[w * 64 + b] += 1;
+            }
         }
         Ok(())
     }
 
     /// Monitor `monitor`'s verdict in `lane` from the most recent
-    /// [`FusedSuiteBatch::observe_slab`] pass the lane took part in.
+    /// [`FusedSuiteBatch::observe_slab`] pass. It is the lane's verdict
+    /// only if the lane took part in that pass; for a lane that sat it
+    /// out, the bit is recomputed from stale inputs and means nothing.
     ///
     /// # Panics
     ///
@@ -1452,33 +1643,40 @@ impl FusedSuiteBatch {
     #[inline]
     pub fn verdict(&self, lane: usize, monitor: usize) -> bool {
         assert!(lane < self.lanes, "lane out of range");
-        self.slab[self.program.roots[monitor] as usize * self.lanes + lane]
+        bit(self.verdict_row(monitor), lane)
     }
 
     /// Every lane's verdict for `monitor` from the most recent pass, as
-    /// one contiguous lane row — the bulk counterpart of
-    /// [`verdict`](FusedSuiteBatch::verdict). Retired lanes' cells hold
-    /// their last active-pass verdict (nothing recomputes them from
-    /// fresh inputs), so row-diffing against a previous copy sees no
-    /// spurious transitions from retirement.
+    /// one bit row (lane `l` at bit `l % 64` of word `l / 64`) — the bulk
+    /// counterpart of [`verdict`](FusedSuiteBatch::verdict). Only the
+    /// bits of lanes that took part in that pass are verdicts: mask the
+    /// row with the [`active_mask`](FusedSuiteBatch::active_mask) the
+    /// pass ran under. Inactive lanes' bits and the bits past
+    /// [`lanes`](FusedSuiteBatch::lanes) are unspecified.
     ///
     /// # Panics
     ///
     /// Panics if `monitor` is out of range.
     #[inline]
-    pub fn verdict_row(&self, monitor: usize) -> &[bool] {
-        &self.slab[self.program.roots[monitor] as usize * self.lanes..][..self.lanes]
+    pub fn verdict_row(&self, monitor: usize) -> &[u64] {
+        &self.slab[self.program.roots[monitor] as usize * self.words..][..self.words]
     }
 
     /// Clears all history in every lane and re-activates retired lanes,
     /// returning the batch to its freshly instantiated state without
     /// reallocating.
     pub fn reset(&mut self) {
-        for (c, &init) in self.program.init_cells.iter().enumerate() {
-            self.cells[c * self.lanes..][..self.lanes].fill(init);
+        for (row, &init) in self
+            .bits
+            .chunks_exact_mut(self.words)
+            .zip(&self.program.init_bits)
+        {
+            row.fill(splat(init));
         }
+        self.runs.fill(0);
+        self.last_true.fill(None);
         self.steps.fill(0);
-        self.active.fill(true);
+        self.active = full_mask(self.lanes);
         self.retired = 0;
     }
 
@@ -1488,7 +1686,7 @@ impl FusedSuiteBatch {
     /// [`reset`](FusedSuiteBatch::reset). Nothing is reallocated and no
     /// other lane is touched, so a long-running batch can recycle a
     /// retired lane for a brand-new run while its neighbours keep
-    /// advancing. The lane's stale slab rows are harmless: the next
+    /// advancing. The lane's stale slab bits are harmless: the next
     /// observe pass recomputes every node for active lanes before any
     /// verdict is read.
     ///
@@ -1497,13 +1695,21 @@ impl FusedSuiteBatch {
     /// Panics if `lane` is out of range.
     pub fn reset_lane(&mut self, lane: usize) {
         assert!(lane < self.lanes, "lane out of range");
-        for (c, &init) in self.program.init_cells.iter().enumerate() {
-            self.cells[c * self.lanes + lane] = init;
+        for (row, &init) in self
+            .bits
+            .chunks_exact_mut(self.words)
+            .zip(&self.program.init_bits)
+        {
+            set_bit(row, lane, init);
+        }
+        for row in self.runs.chunks_exact_mut(self.lanes) {
+            row[lane] = 0;
+        }
+        for row in self.last_true.chunks_exact_mut(self.lanes) {
+            row[lane] = None;
         }
         self.steps[lane] = 0;
-        if !std::mem::replace(&mut self.active[lane], true) {
-            self.retired -= 1;
-        }
+        self.resume_lane(lane);
     }
 }
 

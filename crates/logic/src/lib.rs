@@ -39,8 +39,10 @@
 //! * [`incremental`] — the one incremental engine: a goal suite
 //!   compiles into one deduplicated DAG ([`FusedSuiteProgram`]) over
 //!   [`SignalId`]s resolved at compile time, evaluating every shared
-//!   subexpression once per tick at two widths — [`FusedSuite`] reads a
-//!   [`Frame`], [`FusedSuiteBatch`] reads a [`FrameBatch`];
+//!   subexpression once per tick in one bit-sliced pass, 64 lanes per
+//!   `u64` word at every width — [`FusedSuiteBatch`] reads a
+//!   [`FrameBatch`], and [`FusedSuite`] is its one-lane case over a
+//!   [`Frame`];
 //! * [`prop`] — bounded two-state unrolling into propositional formulas
 //!   over a dense `(variable, age)` atom table with model enumeration,
 //!   used by the composability and realizability analyses of `esafe-core`.

@@ -113,6 +113,25 @@ fn retire_schedule(seed: u64, lanes: usize) -> Vec<usize> {
         .collect()
 }
 
+/// Lane counts the batch properties also run at, beside the generated
+/// traces' own: one short of a 64-lane word, one word, one past it, and
+/// past two words.
+const WIDE_LANES: [usize; 4] = [63, 64, 65, 129];
+
+/// A lane count: the generated traces' own (`None`) or one of
+/// [`WIDE_LANES`].
+fn lane_count() -> impl Strategy<Value = Option<usize>> {
+    (0..WIDE_LANES.len() + 1).prop_map(|i| WIDE_LANES.get(i).copied())
+}
+
+/// The generated traces, cycled across `lanes` lanes when it is set.
+fn widen(traces: Vec<Trace>, lanes: Option<usize>) -> Vec<Trace> {
+    match lanes {
+        None => traces,
+        Some(n) => traces.iter().cycle().take(n).cloned().collect(),
+    }
+}
+
 /// Runs `exprs` as one fused program over `traces`, one lane per trace:
 /// a batch retiring lane `l` after `retire_at[l]` samples, and a scalar
 /// suite per lane. At every step, each active lane's verdicts from both
@@ -647,9 +666,10 @@ proptest! {
             proptest::collection::vec(proptest::array::uniform4(any::<bool>()), 1..20),
             1..5),
         retire_seed in 0u64..u64::MAX,
+        lanes in lane_count(),
     ) {
         let exprs = suite_from(&pool, &spec);
-        let traces: Vec<Trace> = lane_rows.into_iter().map(random_trace).collect();
+        let traces = widen(lane_rows.into_iter().map(random_trace).collect(), lanes);
         let retire_at = retire_schedule(retire_seed, traces.len());
         assert_lanes_match_eval(&exprs, &four_bool_table(), &traces, &retire_at);
     }
@@ -711,13 +731,15 @@ proptest! {
                     proptest::collection::vec(
                         proptest::collection::vec(0..UNSET + 1, TYPED.len()), 1..16),
                     1..5),
-                (0u64..u64::MAX, any::<bool>()),
+                (0u64..u64::MAX, any::<bool>(), lane_count()),
             ),
             32),
     ) {
-        for (atoms, lane_rows, (retire_seed, gaps)) in scenarios {
-            let traces: Vec<Trace> =
-                lane_rows.into_iter().map(|rows| typed_trace(rows, gaps)).collect();
+        for (atoms, lane_rows, (retire_seed, gaps, lanes)) in scenarios {
+            let traces = widen(
+                lane_rows.into_iter().map(|rows| typed_trace(rows, gaps)).collect(),
+                lanes,
+            );
             let retire_at = retire_schedule(retire_seed, traces.len());
             check_bare_atoms(&atoms, &traces, &retire_at);
         }
@@ -741,12 +763,13 @@ proptest! {
                 proptest::collection::vec(0..UNSET, TYPED.len()), 1..16),
             1..5),
         retire_seed in 0u64..u64::MAX,
+        lanes in lane_count(),
     ) {
         let exprs = suite_from(&pool, &spec);
-        let traces: Vec<Trace> = lane_rows
-            .into_iter()
-            .map(|rows| typed_trace(rows, false))
-            .collect();
+        let traces = widen(
+            lane_rows.into_iter().map(|rows| typed_trace(rows, false)).collect(),
+            lanes,
+        );
         let retire_at = retire_schedule(retire_seed, traces.len());
         assert_lanes_match_eval(&exprs, &typed_table(), &traces, &retire_at);
     }

@@ -577,7 +577,7 @@ impl SuiteTemplate {
     }
 
     /// Stamps out a **batched** suite evaluating `lanes` independent
-    /// runs in lock-step through one slab-of-lanes pass per tick — the
+    /// runs in lock-step through one bit-sliced pass per tick — the
     /// engine behind the harness's striped sweeps. Each lane carries its
     /// own violation trackers and temporal history; per-lane results are
     /// identical to `lanes` separate [`SuiteTemplate::instantiate`]d
@@ -590,7 +590,7 @@ impl SuiteTemplate {
         MonitorSuiteBatch {
             table: self.table.clone(),
             trackers: vec![IntervalTracker::new(); self.metas.len() * lanes],
-            prev: vec![true; self.metas.len() * lanes],
+            prev: vec![!0; self.metas.len() * lanes.div_ceil(64)],
             metas: self.metas.clone(),
             fused: self.fused.instantiate_batch(lanes),
             lanes,
@@ -646,9 +646,9 @@ impl BatchMonitorError {
 /// The batch is the monitor-side half of the harness's striped sweeps: a
 /// stripe of same-template sweep cells ticks its simulators together and
 /// feeds their lane-major state slab to
-/// [`MonitorSuiteBatch::observe_slab`] — each DAG node is then evaluated across the whole stripe in a
-/// straight-line lane loop before moving to the next node, instead of
-/// re-walking the suite once per run.
+/// [`MonitorSuiteBatch::observe_slab`] — each DAG node is then evaluated
+/// across the whole stripe, 64 lanes per word operation, before moving
+/// to the next node, instead of re-walking the suite once per run.
 ///
 /// Lanes are observationally independent: verdicts, recorded intervals,
 /// correlation, and violation reports per lane are **identical** to
@@ -673,11 +673,12 @@ pub struct MonitorSuiteBatch {
     /// Lane-major: `trackers[lane * metas.len() + entry]`, so one lane's
     /// rows are contiguous for per-lane extraction.
     trackers: Vec<IntervalTracker>,
-    /// Monitor-major verdicts from the previous pass:
-    /// `prev[entry * lanes + lane]`, matching the fused slab's row
-    /// layout so recording diffs whole rows. Starts all-`true` (an
-    /// initial `false` verdict is a recordable true→false edge).
-    prev: Vec<bool>,
+    /// Each monitor's verdicts as of its lanes' last recorded edges, one
+    /// bit row per monitor laid out like
+    /// [`FusedSuiteBatch::verdict_row`], so recording diffs whole
+    /// words. Starts all-`true` (an initial `false` verdict is a
+    /// recordable true→false edge).
+    prev: Vec<u64>,
     fused: FusedSuiteBatch,
     lanes: usize,
     /// Which *suite generation* this batch belongs to — provenance for
@@ -849,35 +850,35 @@ impl MonitorSuiteBatch {
     /// shared back half of both observe paths. Intervals only change at
     /// verdict *edges*, so instead of one
     /// [`IntervalTracker::record`] per monitor per lane per tick, this
-    /// diffs each monitor's contiguous verdict row against the previous
-    /// pass's copy (one slice compare, almost always equal) and touches
-    /// a tracker only where a lane's verdict actually flipped. Retired
-    /// lanes' verdict cells are frozen, so they never diff.
+    /// diffs each monitor's verdict words against the previous copy
+    /// under the pass's active-lane mask (one XOR per 64 lanes, almost
+    /// always zero) and visits only the lanes whose verdict flipped.
+    ///
+    /// Inactive lanes are masked out: their verdict bits are recomputed
+    /// from stale inputs, and syncing `prev` to such a bit would swallow
+    /// the real edge when a suspended lane resumes.
     fn record_verdicts(&mut self) {
         let n = self.metas.len();
-        let lanes = self.lanes;
+        let words = self.lanes.div_ceil(64);
+        let active = self.fused.active_mask();
         for e in 0..n {
             let row = self.fused.verdict_row(e);
-            let prev = &mut self.prev[e * lanes..][..lanes];
-            if prev == row {
-                continue;
-            }
-            for (l, (prev, &sat)) in prev.iter_mut().zip(row).enumerate() {
-                if *prev != sat && self.fused.is_active(l) {
-                    // The tick just recorded for this lane. Inactive
-                    // lanes keep their `prev` copy untouched: a
-                    // suspended lane's root cell can hold a stale
-                    // recomputation (e.g. before its first frame ever
-                    // lands), and syncing `prev` to it would swallow the
-                    // real edge when the lane resumes.
-                    let t = self.fused.steps_observed(l) - 1;
-                    let tracker = &mut self.trackers[l * n + e];
-                    if sat {
+            let prev = &mut self.prev[e * words..][..words];
+            for (w, ((prev, &now), &live)) in prev.iter_mut().zip(row).zip(active).enumerate() {
+                let mut flipped = (*prev ^ now) & live;
+                *prev ^= flipped;
+                while flipped != 0 {
+                    let bit = flipped.trailing_zeros() as usize;
+                    flipped &= flipped - 1;
+                    let lane = w * 64 + bit;
+                    // The tick just recorded for this lane.
+                    let t = self.fused.steps_observed(lane) - 1;
+                    let tracker = &mut self.trackers[lane * n + e];
+                    if (now >> bit) & 1 == 1 {
                         tracker.close_at(t);
                     } else {
                         tracker.open_at(t);
                     }
-                    *prev = sat;
                 }
             }
         }
@@ -983,8 +984,9 @@ impl MonitorSuiteBatch {
         for tracker in &mut self.trackers[lane * n..][..n] {
             tracker.reset();
         }
-        for e in 0..n {
-            self.prev[e * self.lanes + lane] = true;
+        let words = self.lanes.div_ceil(64);
+        for row in self.prev.chunks_exact_mut(words) {
+            row[lane / 64] |= 1 << (lane % 64);
         }
     }
 
@@ -997,7 +999,7 @@ impl MonitorSuiteBatch {
         for tracker in &mut self.trackers {
             tracker.reset();
         }
-        self.prev.fill(true);
+        self.prev.fill(!0);
     }
 }
 
@@ -1422,6 +1424,86 @@ mod tests {
         // Lane 1 observed both passes without interruption.
         assert_eq!(batch.steps_observed(1), 2);
         assert!(batch.take_violations_lane(1).is_empty());
+    }
+
+    #[test]
+    fn masked_observe_across_words_matches_scalar_suites_per_lane() {
+        // 130 lanes: two full 64-lane words and a two-lane tail.
+        const LANES: usize = 130;
+        let mut m = MonitorSuite::new(table());
+        for (id, parent, src) in [
+            ("G", None, "g || prev(s)"),
+            ("G.A", Some("G"), "s"),
+            ("G.B", Some("G"), "held_for(g, 2ticks) -> once(s)"),
+        ] {
+            let expr = parse(src).unwrap();
+            match parent {
+                None => m.add_goal(id, Location::new("System"), expr).unwrap(),
+                Some(p) => m.add_subgoal(id, p, Location::new("Sub"), expr).unwrap(),
+            }
+        }
+        let template = m.template();
+        let t = template.table().clone();
+        let (g, s) = (t.id("g").unwrap(), t.id("s").unwrap());
+        let mut batch = template.instantiate_batch(LANES);
+        let mut slab = FrameBatch::new(&t, LANES);
+        // Each lane's run as a scalar suite fed only its live frames.
+        let mut scalars: Vec<MonitorSuite> = (0..LANES).map(|_| template.instantiate()).collect();
+        let assert_lane_matches = |batch: &mut MonitorSuiteBatch, scalar: &mut MonitorSuite, l| {
+            scalar.finish();
+            assert_eq!(batch.correlate_lane(l, 2), scalar.correlate(2), "lane {l}");
+            assert_eq!(
+                batch.take_violations_lane(l),
+                scalar.take_violations(),
+                "lane {l}"
+            );
+        };
+        let mut seed = 0x5eed_u64;
+        let mut next = move || {
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for _ in 0..80 {
+            let mut live = vec![false; LANES];
+            for (l, live) in live.iter_mut().enumerate() {
+                let r = next();
+                if !batch.is_active(l) {
+                    // A retired lane is sometimes reclaimed for a new run.
+                    if r % 4 == 0 {
+                        batch.reclaim_lane(l);
+                        scalars[l] = template.instantiate();
+                    }
+                    continue;
+                }
+                match r % 16 {
+                    0 => {
+                        batch.retire_lane(l);
+                        assert_lane_matches(&mut batch, &mut scalars[l], l);
+                    }
+                    // Sitting out, sometimes with its slots unset.
+                    1 | 2 => slab.clear_lane(l),
+                    3 | 4 => {}
+                    _ => {
+                        let (gv, sv) = ((r >> 8) % 3 != 0, (r >> 12) % 4 != 0);
+                        slab.set(g, l, gv);
+                        slab.set(s, l, sv);
+                        let mut frame = t.frame();
+                        frame.set(g, gv);
+                        frame.set(s, sv);
+                        scalars[l].observe(&frame).unwrap();
+                        *live = true;
+                    }
+                }
+            }
+            batch.observe_slab_masked(&slab, &live).unwrap();
+        }
+        batch.finish();
+        for (l, scalar) in scalars.iter_mut().enumerate() {
+            assert_lane_matches(&mut batch, scalar, l);
+        }
     }
 
     #[test]

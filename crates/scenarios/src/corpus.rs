@@ -187,6 +187,7 @@ pub fn live_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use esafe_harness::{replay_corpus_reports, DEFAULT_BATCH_WIDTH};
 
     #[test]
     fn strict_params_tighten_only_monitoring_thresholds() {
@@ -222,12 +223,47 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
 
         let cells = grid::cells(&[1, 4], &grid::ablation_configs()[..2]);
-        let (recorded, _, stats) = record_grid_corpus(&dir, cells).unwrap();
+        let (recorded, _, stats) = record_grid_corpus(&dir, cells.clone()).unwrap();
         assert_eq!(stats.runs, 4);
 
         let (replay, reader) = replay_with_suite(&dir, "thesis", 3).unwrap();
         assert!(!reader.recovered());
         assert_eq!(replay.aggregate, recorded);
+
+        // Each replayed run ends where the live run did, on the live
+        // run's clock; scenario 1 under `thesis (all)` ends early.
+        let family = VehicleFamily::default();
+        let (live, _) = grid::sweep(cells)
+            .run(
+                |cell, seed| grid::build_cell_in(&family, cell, seed),
+                DEFAULT_BATCH_WIDTH,
+            )
+            .unwrap();
+        let (_, replayed) = replay_corpus_reports(&reader, 3, |substrate, table| {
+            suite_for("thesis", substrate, table)
+        })
+        .unwrap();
+        assert_eq!(replayed.len(), live.runs.len());
+        assert!(live.runs.iter().any(|r| r.terminated_early));
+        for (replayed, live) in replayed.iter().zip(&live.runs) {
+            assert_eq!(replayed.label, live.label);
+            assert_eq!(
+                (
+                    replayed.ticks,
+                    replayed.end_time_s,
+                    replayed.terminated_early,
+                    &replayed.terminal_event
+                ),
+                (
+                    live.ticks,
+                    live.end_time_s,
+                    live.terminated_early,
+                    &live.terminal_event
+                ),
+                "{}",
+                live.label
+            );
+        }
 
         let (strict, _) = replay_with_suite(&dir, "strict", 3).unwrap();
         assert!(

@@ -40,7 +40,7 @@ pub struct ScenarioReport {
     pub defects: DefectSet,
     /// The timing policy the run was classified under.
     pub config: ExperimentConfig,
-    /// Wall-clock end of the run, s.
+    /// Simulated end of the run, s.
     pub end_time_s: f64,
     /// Whether the run aborted before its 20 s schedule.
     pub terminated_early: bool,

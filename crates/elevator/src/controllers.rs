@@ -325,7 +325,7 @@ mod tests {
     use super::*;
     use crate::model::{elevator_table, initial_frame};
     use esafe_logic::{Frame, Value};
-    use esafe_sim::Subsystem;
+    use esafe_sim::LaneSubsystem;
 
     fn ctx() -> (Frame, ElevatorSigs) {
         let p = ElevatorParams::default();
@@ -333,9 +333,9 @@ mod tests {
         (initial_frame(&table, &sigs), sigs)
     }
 
-    fn tick(s: &mut dyn Subsystem, prev: &Frame) -> Frame {
+    fn tick(s: &mut impl LaneSubsystem, prev: &Frame) -> Frame {
         let mut next = prev.clone();
-        s.step(
+        s.step_lane(
             &SimTime {
                 tick: 1,
                 dt_millis: 10,

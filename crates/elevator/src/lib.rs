@@ -56,12 +56,9 @@ use std::sync::Arc;
 pub use model::{ElevatorParams, ElevatorSigs};
 pub use substrate::{ElevatorFamily, ElevatorSubstrate};
 
-/// Assembles the full elevator simulation over the shared signal table:
-/// passengers, button latches, dispatcher, door/drive controllers,
-/// emergency brake, and the plant. `seed` drives the deterministic
-/// passenger traffic. Every subsystem holds a clone of the resolved
-/// [`ElevatorSigs`], so per-tick reads and writes are dense slot
-/// accesses.
+/// Assembles one elevator run over the shared signal table: the
+/// one-lane case of [`build_elevator_batch`]. `seed` drives the
+/// deterministic passenger traffic.
 pub fn build_elevator(
     params: ElevatorParams,
     faults: faults::ElevatorFaults,
@@ -69,42 +66,13 @@ pub fn build_elevator(
     table: &Arc<SignalTable>,
     sigs: &ElevatorSigs,
 ) -> Simulator {
-    let mut sim = Simulator::new(params.dt_millis, table);
-    sim.add(passengers::PassengerTraffic::new(
-        params,
-        seed,
-        sigs.clone(),
-    ));
-    sim.add(controllers::ButtonLatches::new(params, sigs.clone()));
-    sim.add(controllers::DispatchController::new(
-        params,
-        faults,
-        sigs.clone(),
-    ));
-    sim.add(controllers::DoorController::new(
-        params,
-        faults,
-        sigs.clone(),
-    ));
-    sim.add(controllers::DriveController::new(
-        params,
-        faults,
-        sigs.clone(),
-    ));
-    sim.add(controllers::EmergencyBrake::new(
-        params,
-        faults,
-        sigs.clone(),
-    ));
-    sim.add(plant::ElevatorPlant::new(params, faults, sigs.clone()));
-    sim.init(model::initial_frame(table, sigs));
-    sim
+    let lane = ElevatorLaneConfig { faults, seed };
+    Simulator::from_batch(build_elevator_batch(params, &[lane], table, sigs))
 }
 
-/// One lane's configuration for [`build_elevator_batch`]: the per-cell
-/// inputs [`build_elevator`] takes, minus the shared
-/// parameters/table/sigs (a batch shares one signal namespace, so every
-/// lane runs the same [`ElevatorParams`]).
+/// One lane's configuration for [`build_elevator_batch`]: a cell's
+/// inputs, minus the shared parameters/table/sigs (a batch shares one
+/// signal namespace, so every lane runs the same [`ElevatorParams`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ElevatorLaneConfig {
     /// The injected fault configuration.
@@ -113,14 +81,15 @@ pub struct ElevatorLaneConfig {
     pub seed: u64,
 }
 
-/// Builds a batched elevator simulator stepping every lane of `lanes`
-/// together: the same seven subsystems in the same order as
-/// [`build_elevator`], each as a [`LaneVec`] over per-lane instances, and
-/// each lane's initial blackboard seeded exactly as `build_elevator`
-/// seeds its scalar counterpart. Lane `l` is bit-identical to
-/// `build_elevator(params, lanes[l]…)` because every subsystem's
-/// `step_lane` body is the one `build_elevator`'s boxed subsystems
-/// monomorphize (pinned by this module's tests).
+/// Builds an elevator simulator stepping every lane of `lanes` together
+/// over the shared signal table: passengers, button latches, dispatcher,
+/// door/drive controllers, emergency brake, and the plant, each as a
+/// [`LaneVec`] over per-lane instances, with every lane's blackboard
+/// seeded parked at floor 0. Every subsystem holds a clone of the
+/// resolved [`ElevatorSigs`], so per-tick reads and writes are dense
+/// slot accesses. Lane `l` steps bit-identically to
+/// `build_elevator(params, lanes[l]…)` because every lane runs the same
+/// `step_lane` bodies (pinned by this module's tests).
 ///
 /// # Panics
 ///
@@ -225,14 +194,14 @@ mod tests {
             },
         ];
         let mut batch = build_elevator_batch(params, &configs, &table, &sigs);
-        let mut scalars: Vec<Simulator> = configs
+        let mut alone: Vec<Simulator> = configs
             .iter()
             .map(|c| build_elevator(params, c.faults, c.seed, &table, &sigs))
             .collect();
         let mut frame = table.frame();
         for tick in 0..2000u64 {
             batch.step();
-            for (l, sim) in scalars.iter_mut().enumerate() {
+            for (l, sim) in alone.iter_mut().enumerate() {
                 sim.step();
                 batch.state().read_lane_into(l, &mut frame);
                 assert_eq!(&frame, sim.state(), "lane {l} diverged at tick {tick}");

@@ -89,7 +89,7 @@ mod tests {
     use super::*;
     use crate::model::{elevator_table, initial_frame};
     use esafe_logic::Value;
-    use esafe_sim::Subsystem;
+    use esafe_sim::LaneSubsystem;
 
     #[test]
     fn traffic_eventually_presses_buttons() {
@@ -100,7 +100,7 @@ mod tests {
         let mut presses = 0;
         for tick in 0..2000u64 {
             let mut next = s.clone();
-            traffic.step(
+            traffic.step_lane(
                 &SimTime {
                     tick,
                     dt_millis: p.dt_millis,
@@ -127,7 +127,7 @@ mod tests {
         // Door closed: weight must stay zero.
         for tick in 0..2000u64 {
             let mut next = s.clone();
-            traffic.step(
+            traffic.step_lane(
                 &SimTime {
                     tick,
                     dt_millis: p.dt_millis,

@@ -107,7 +107,7 @@ mod tests {
         let (table, sigs) = elevator_table(&p);
         let mut sim = Simulator::new(p.dt_millis, &table);
         sim.add(ElevatorPlant::new(p, faults, sigs.clone()));
-        sim.init(model::initial_frame(&table, &sigs));
+        sim.init_with(|f| model::seed_initial(f, &sigs));
         (sim, table, sigs)
     }
 
@@ -117,7 +117,7 @@ mod tests {
         // Re-seed the state while keeping history semantics: the plant
         // only reads `prev`, so restarting from the forced state is fine
         // for plant-only tests.
-        sim.init(s);
+        sim.init_with(|f| f.copy_from(&s));
     }
 
     #[test]
@@ -152,7 +152,7 @@ mod tests {
         let mut s = sim.state().clone();
         s.set(m.door_motor_command, m.sym_close);
         s.set(m.door_blocked, true);
-        sim.init(s);
+        sim.init_with(|f| f.copy_from(&s));
         for _ in 0..250 {
             sim.step();
         }
@@ -198,7 +198,7 @@ mod tests {
         }
         let mut s = sim.state().clone();
         s.set(m.emergency_brake, true);
-        sim.init(s);
+        sim.init_with(|f| f.copy_from(&s));
         let mut ticks = 0;
         while sim.state().real_or(m.elevator_speed, 0.0) > 0.0 && ticks < 1000 {
             sim.step();

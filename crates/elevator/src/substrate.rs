@@ -3,11 +3,11 @@
 
 use crate::faults::ElevatorFaults;
 use crate::model::{self, ElevatorParams, ElevatorSigs};
-use crate::{build_elevator, build_elevator_batch, goals, ElevatorLaneConfig};
+use crate::{build_elevator_batch, goals, ElevatorLaneConfig};
 use esafe_harness::Substrate;
-use esafe_logic::{EvalError, Frame, FrameBatch, SignalId, SignalTable};
+use esafe_logic::{EvalError, SignalId, SignalTable};
 use esafe_monitor::{MonitorSuite, SuiteTemplate};
-use esafe_sim::{Simulator, SimulatorBatch};
+use esafe_sim::SimulatorBatch;
 use std::sync::Arc;
 
 /// The compile-once artifacts of the elevator substrate *family*: the
@@ -114,8 +114,9 @@ impl Default for ElevatorFamily {
 ///
 /// The elevator's monitors read the plant blackboard directly (its
 /// derived signals are produced by the sensor models inside the
-/// simulation), so the default copying [`Substrate::observe`] applies,
-/// and there is no terminal event — runs always complete their schedule.
+/// simulation), so the default [`Substrate::observe_lane`], which
+/// observes the raw state unchanged, applies, and there is no terminal
+/// event — runs always complete their schedule.
 ///
 /// # Example
 ///
@@ -131,8 +132,10 @@ impl Default for ElevatorFamily {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ElevatorSubstrate {
-    /// Physical and control constants.
-    pub params: ElevatorParams,
+    /// Physical and control constants; set through
+    /// [`ElevatorSubstrate::with_params`], which rebuilds the table to
+    /// match, so cells sharing a table share their parameters.
+    params: ElevatorParams,
     /// The injected fault configuration.
     pub faults: ElevatorFaults,
     /// Seed for the deterministic passenger traffic.
@@ -175,6 +178,11 @@ impl ElevatorSubstrate {
     /// The substrate's resolved signal ids.
     pub fn sigs(&self) -> &ElevatorSigs {
         &self.sigs
+    }
+
+    /// The physical and control constants.
+    pub fn params(&self) -> &ElevatorParams {
+        &self.params
     }
 
     /// Overrides the report label (sweep cells over fault configurations
@@ -240,22 +248,20 @@ impl Substrate for ElevatorSubstrate {
         &self.table
     }
 
-    fn build_simulator(&self) -> Simulator {
-        build_elevator(self.params, self.faults, self.seed, &self.table, &self.sigs)
-    }
-
     fn build_monitors(&self) -> Result<MonitorSuite, EvalError> {
         goals::build_suite(&self.table, &self.params)
     }
 
-    /// Batches the whole group when every member shares the first cell's
-    /// parameters — true for family-derived sweep cells, which differ
-    /// only in faults and seed.
-    fn build_simulator_batch(group: &[&Self]) -> Option<SimulatorBatch> {
-        let first = group.first()?;
-        if !group.iter().all(|s| s.params == first.params) {
-            return None;
-        }
+    /// One batch over the first cell's parameters. The group shares one
+    /// signal table, and only [`ElevatorSubstrate::with_params`] changes
+    /// the parameters, rebuilding the table with them, so every member
+    /// carries the same parameters.
+    fn build_simulator_batch(group: &[&Self]) -> SimulatorBatch {
+        let first = group[0];
+        debug_assert!(
+            group.iter().all(|s| s.params == first.params),
+            "a stripe's cells share one table, hence one set of parameters"
+        );
         let configs: Vec<ElevatorLaneConfig> = group
             .iter()
             .map(|s| ElevatorLaneConfig {
@@ -263,38 +269,11 @@ impl Substrate for ElevatorSubstrate {
                 seed: s.seed,
             })
             .collect();
-        Some(build_elevator_batch(
-            first.params,
-            &configs,
-            &first.table,
-            &first.sigs,
-        ))
+        build_elevator_batch(first.params, &configs, &first.table, &first.sigs)
     }
 
     fn suite_template(&self) -> Option<&Arc<SuiteTemplate>> {
         self.template.as_ref()
-    }
-
-    /// The elevator's monitors read plant signals directly (the scalar
-    /// observe is an identity copy), so batched observation is a no-op:
-    /// the slab lane already *is* the observed frame.
-    fn observe_lane(
-        &self,
-        _slab: &mut FrameBatch,
-        _lane: usize,
-        _raw: &mut Frame,
-        _observed: &mut Frame,
-    ) {
-    }
-
-    /// The elevator has no terminal events; skip the default's lane copy.
-    fn terminal_event_lane(
-        &self,
-        _slab: &FrameBatch,
-        _lane: usize,
-        _scratch: &mut Frame,
-    ) -> Option<&'static str> {
-        None
     }
 
     fn tracked_signals(&self) -> &[SignalId] {

@@ -1,53 +1,58 @@
-//! The sweep driver: the one way a [`Sweep`] runs.
+//! The tick loop and the sweep driver: the one way a run is stepped and
+//! the one way a [`Sweep`] runs.
+//!
+//! `run_stripe` is the harness's only tick loop. It advances a
+//! **stripe** of runs through one
+//! [`SimulatorBatch`](esafe_sim::SimulatorBatch) — every subsystem
+//! stepping all lanes of a lane-major
+//! [`FrameBatch`](esafe_logic::FrameBatch) state slab before the next
+//! subsystem runs — and feeds the slab directly to one
+//! [`MonitorSuiteBatch`] pass per tick. Observation,
+//! monitoring, terminal-event checks and (when asked) frame recording
+//! all read the slab **in place**, and both engines evaluate each
+//! node/subsystem across every run in the stripe before moving on,
+//! amortizing decode and turning the inner loops into straight-line
+//! sweeps over contiguous lanes. [`Experiment`] runs one substrate as a
+//! one-lane stripe.
 //!
 //! The driver builds every cell's substrate, plans the cells into
-//! units, runs the units in parallel, and folds each finished cell into
-//! the shape the caller asked for — every report in cell order
-//! ([`Sweep::run`]), a streaming aggregate ([`Sweep::run_aggregate`]),
-//! or journal appends ([`Sweep::run_aggregate_checkpointed`]).
-//!
-//! A unit is a **stripe** of up to `width` cells sharing a compile-once
-//! [`SuiteTemplate`](esafe_monitor::SuiteTemplate) (and schedule), or a
-//! single cell on the scalar path. A stripe advances through one
-//! [`SimulatorBatch`] — every subsystem stepping all lanes of a
-//! lane-major [`FrameBatch`](esafe_logic::FrameBatch) state slab before
-//! the next subsystem runs — and feeds the slab directly to one
-//! [`MonitorSuiteBatch`] pass per tick. Monitoring and terminal-event
-//! checks both read the slab **in place**, and both
-//! engines evaluate each node/subsystem across every run in the stripe
-//! before moving on, amortizing decode and turning the inner loops into
-//! straight-line sweeps over contiguous lanes.
+//! stripes of up to `width` cells sharing a compile-once
+//! [`SuiteTemplate`](esafe_monitor::SuiteTemplate) (and schedule), runs
+//! the stripes in parallel, and folds each finished cell into the shape
+//! the caller asked for — every report in cell order ([`Sweep::run`]), a
+//! streaming aggregate ([`Sweep::run_aggregate`]), or journal appends
+//! ([`Sweep::run_aggregate_checkpointed`]).
 //!
 //! Striping is observationally invisible: every cell's report is
 //! **bit-identical** to running that cell alone through
 //! [`Experiment`], which the workspace's golden sweeps and property
-//! tests pin. The shapes that don't fit a stripe degrade to the scalar
-//! experiment loop, never to different results:
+//! tests pin. The shapes that don't fit a wide stripe run in narrower
+//! ones, never to different results:
 //!
-//! * cells without a suite template (self-compiling substrates) run
-//!   scalar;
-//! * ragged tails — the last `< 2` cells of a group — run scalar;
+//! * cells without a suite template (self-compiling substrates) and
+//!   ragged one-cell tails run as one-lane stripes;
 //! * a run hitting its terminal event mid-stripe is *retired*: its lane
 //!   freezes (temporal history, violation trackers, step counter) while
 //!   the surviving lanes keep ticking, exactly as if each had run alone;
-//! * a monitoring error inside a stripe reruns the whole stripe on the
-//!   scalar path, so per-cell errors surface exactly as each cell's own
-//!   run reports them (earliest cell first);
+//! * a monitoring error inside a stripe reruns each lane as its own
+//!   [`Experiment`], so per-cell errors surface exactly as each cell's
+//!   own run reports them (earliest cell first);
 //! * with a [`Quarantine`] installed via [`Sweep::with_quarantine`], a
-//!   panic anywhere in a stripe reruns every lane on the guarded scalar
-//!   rung: the panicking cell is quarantined as a typed
-//!   [`CellFailure`] while its stripe-mates reproduce their healthy
-//!   reports bit-identically — fault containment at the cell boundary.
-//!   A stripe honours the quarantine's tick budget itself; the lanes
-//!   still live when it elapses fail exactly where a scalar run would.
+//!   panic anywhere in a stripe reruns every lane on the guarded rung:
+//!   the panicking cell is quarantined as a typed [`CellFailure`] while
+//!   its stripe-mates reproduce their healthy reports bit-identically —
+//!   fault containment at the cell boundary. A stripe honours the
+//!   quarantine's tick budget itself; the lanes still live when it
+//!   elapses fail exactly where a run alone would.
 
-use crate::context::{RunContext, SuiteProvenance};
+use crate::context::{fresh_suite, RunContext, SuiteProvenance};
 use crate::experiment::{Experiment, ExperimentConfig, ExperimentError, RunReport};
 use crate::lanes::LaneAllocator;
 use crate::substrate::Substrate;
 use crate::sweep::{cell_seed, retry_seed, CellFailure, FailureReason, Quarantine, Sweep};
-use esafe_monitor::MonitorSuiteBatch;
-use esafe_sim::{Simulator, SimulatorBatch};
+use esafe_logic::FrameTrace;
+use esafe_monitor::{BatchMonitorError, MonitorSuiteBatch};
+use esafe_sim::SeriesLog;
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -59,21 +64,22 @@ use std::sync::Arc;
 /// thousands of cells pass a wider one (the mega-grid runs at 128).
 pub const DEFAULT_BATCH_WIDTH: usize = 8;
 
-/// One schedulable piece of a sweep: a lock-step stripe of
-/// same-template cell indices, or a single cell on the scalar path.
+/// One schedulable piece of a sweep: a lock-step stripe of cell indices
+/// (one lane or more), or a cell whose build panicked, which only the
+/// guarded rung can run.
 #[derive(Debug)]
 enum Unit {
     Stripe(Vec<usize>),
-    Scalar(usize),
+    Unbuilt(usize),
 }
 
-/// Partitions cells into stripes of up to `width` same-group cells plus
-/// scalar singles. Cells group when they share the same suite template,
-/// signal table, and scheduled duration (`Arc` identity — the family
-/// pattern); template-less cells and one-cell tails run scalar. `None`
-/// cells are planned into **no** unit — they are cells the caller is
-/// skipping (already checkpointed) or failed to build (planned onto the
-/// guarded scalar rung by [`Sweep::drive`]).
+/// Partitions cells into stripes of up to `width` same-group cells.
+/// Cells group when they share the same suite template, signal table,
+/// and scheduled duration (`Arc` identity — the family pattern); a
+/// template-less cell compiles its own suite, so it stripes alone.
+/// `None` cells are planned into **no** unit — they are cells the caller
+/// is skipping (already checkpointed) or failed to build (planned onto
+/// the guarded rung by [`Sweep::drive`]).
 fn plan_units<S: Substrate>(subs: &[Option<S>], width: usize) -> Vec<Unit> {
     let width = width.max(1);
     let mut units = Vec::new();
@@ -82,7 +88,7 @@ fn plan_units<S: Substrate>(subs: &[Option<S>], width: usize) -> Vec<Unit> {
     for (i, sub) in subs.iter().enumerate() {
         let Some(sub) = sub else { continue };
         match sub.suite_template() {
-            None => units.push(Unit::Scalar(i)),
+            None => units.push(Unit::Stripe(vec![i])),
             Some(template) => {
                 let key = (
                     Arc::as_ptr(sub.signal_table()) as usize,
@@ -98,77 +104,74 @@ fn plan_units<S: Substrate>(subs: &[Option<S>], width: usize) -> Vec<Unit> {
         }
     }
     for group in groups {
-        for chunk in group.chunks(width) {
-            if chunk.len() == 1 {
-                units.push(Unit::Scalar(chunk[0]));
-            } else {
-                units.push(Unit::Stripe(chunk.to_vec()));
-            }
-        }
+        units.extend(
+            group
+                .chunks(width)
+                .map(|chunk| Unit::Stripe(chunk.to_vec())),
+        );
     }
     units
 }
 
-/// The per-lane run state a stripe carries for one cell: everything the
-/// scalar experiment loop keeps per run, minus the monitor suite (which
-/// lives lane-indexed in the shared [`MonitorSuiteBatch`]) and the
-/// simulator (which lives lane-indexed in the stripe's
-/// [`SimulatorBatch`]). A stripe records no frames, so, like an
-/// unrecorded scalar run, its reports carry no series.
+/// The per-lane run state a stripe carries for one run: everything but
+/// the monitor suite (which lives lane-indexed in the shared
+/// [`MonitorSuiteBatch`]) and the simulator (which lives lane-indexed in
+/// the stripe's [`SimulatorBatch`](esafe_sim::SimulatorBatch)).
 #[derive(Default)]
 struct Lane {
     terminal_tick: Option<u64>,
     terminal_event: Option<String>,
     terminated_early: bool,
+    /// The lane's observed frames, when the stripe records.
+    trace: Option<FrameTrace>,
 }
 
-type CellOutcome = (usize, Result<(RunReport, SuiteProvenance), ExperimentError>);
-
-/// A planned cell's substrate. Planning only emits units over built
-/// (`Some`) cells, so the lookup cannot fail for a planned index.
-fn built<S>(subs: &[Option<S>], i: usize) -> &S {
-    subs[i].as_ref().expect("planned cells are built")
-}
-
-/// Runs one cell on the scalar experiment loop — the fallback for
-/// template-less cells, one-cell tails, and stripes that hit a
-/// monitoring error. `budget` is the quarantine's tick budget (always
-/// `None` on the unguarded paths), forwarded so fallback runs fail
-/// exactly where a guarded scalar run would.
-fn run_scalar_cell<S: Substrate>(
+/// The one tick loop: runs `group[l]` in lane `l` of one
+/// [`SimulatorBatch`](esafe_sim::SimulatorBatch), monitored by `suite`
+/// (one lane per run, in its pre-run state). Per lane it reproduces the
+/// run's semantics exactly — the tick schedule, the one-tick
+/// observation delay, the terminal-event grace window, the correlation
+/// — so each lane's report is the report of the same run in any other
+/// stripe, one lane wide included.
+///
+/// Each tick the simulator steps, then every live lane is observed in
+/// place ([`Substrate::observe_lane`]) and, when `record` is set, pushes
+/// its slab row into its own [`FrameTrace`] (sized to the schedule, grace
+/// window included); the monitors and the terminal checks then read the
+/// slab. A recorded run's [`RunReport::series`] is read from its
+/// recording once, after the run. `budget` is a watchdog: lanes still
+/// live after that many ticks report [`ExperimentError::TickBudget`]
+/// in place of their report.
+///
+/// # Errors
+///
+/// Returns the suite's [`BatchMonitorError`] if a monitor fails on any
+/// lane; the stripe's other runs are then incomplete.
+pub(crate) fn run_stripe<S: Substrate>(
+    group: &[&S],
+    suite: &mut MonitorSuiteBatch,
     config: ExperimentConfig,
     budget: Option<u64>,
-    substrate: &S,
-    index: usize,
-) -> CellOutcome {
-    let result = Experiment::new(substrate)
-        .with_config(config)
-        .with_tick_budget(budget)
-        .run_in(&mut RunContext::new());
-    (index, result)
-}
-
-/// Runs one stripe: one [`SimulatorBatch`] advancing every lane through
-/// lane-major state slabs, with monitors and terminal checks both
-/// reading the slab **in place** — no per-lane `Frame` copy anywhere in
-/// the tick loop (substrates without in-place observe overrides bridge
-/// through two stripe-owned scratch frames). Per lane, the loop
-/// reproduces the scalar experiment semantics exactly — same tick
-/// schedule, same terminal-event grace window, same correlation — so
-/// each cell's report is bit-identical to an unrecorded scalar run of
-/// the same substrate.
-fn run_stripe<S: Substrate>(
-    config: ExperimentConfig,
-    budget: Option<u64>,
-    subs: &[Option<S>],
-    lanes_idx: &[usize],
-) -> Vec<CellOutcome> {
-    let width = lanes_idx.len();
-    let template = built(subs, lanes_idx[0])
-        .suite_template()
-        .expect("planned stripes carry a template");
-    let group: Vec<&S> = lanes_idx.iter().map(|&i| built(subs, i)).collect();
-    let mut lanes: Vec<Lane> = (0..width).map(|_| Lane::default()).collect();
+    record: bool,
+) -> Result<Vec<Result<RunReport, ExperimentError>>, BatchMonitorError> {
+    let width = group.len();
+    let mut sim = S::build_simulator_batch(group);
+    let dt = sim.dt_millis();
+    let scheduled_ticks = group[0].duration_ms().div_ceil(dt);
+    let post_terminal_ticks = config.post_terminal_ms.div_ceil(dt);
+    let mut lanes: Vec<Lane> = group
+        .iter()
+        .map(|sub| Lane {
+            trace: record.then(|| {
+                FrameTrace::with_capacity(
+                    sub.signal_table(),
+                    dt,
+                    usize::try_from(scheduled_ticks).unwrap_or(0),
+                )
+            }),
+            ..Lane::default()
+        })
+        .collect();
     // A stripe is the static case of the shared lane-occupancy
     // abstraction (see [`LaneAllocator`]): every lane is claimed up
     // front and released as its run retires.
@@ -176,63 +179,28 @@ fn run_stripe<S: Substrate>(
     for _ in 0..width {
         occupancy.claim();
     }
-
-    let mut sim = match S::build_simulator_batch(&group) {
-        Some(sim) => sim,
-        None => {
-            // No native batched builder: wrap scalar simulators. Their
-            // per-lane chains step bit-identically inside the batch.
-            let sims: Vec<Simulator> = group.iter().map(|s| s.build_simulator()).collect();
-            let dt = sims[0].dt_millis();
-            if sims.iter().any(|s| s.dt_millis() != dt) {
-                // Mixed tick periods cannot tick in lock-step. Grouping
-                // keys on the shared table/template/duration, which in
-                // practice fixes dt too — this is a correctness
-                // backstop, not a hot path.
-                return lanes_idx
-                    .iter()
-                    .map(|&i| run_scalar_cell(config, budget, built(subs, i), i))
-                    .collect();
-            }
-            SimulatorBatch::from_scalar(sims)
-        }
-    };
-    let dt = sim.dt_millis();
-
-    let mut batch: MonitorSuiteBatch = template.instantiate_batch(width);
-    let table = built(subs, lanes_idx[0]).signal_table();
-    // Stripe-owned scratch frames for substrates whose observe /
-    // terminal check still runs per lane over a copied frame.
+    // Loop-owned scratch frames the per-lane substrate hooks may use.
+    let table = group[0].signal_table();
     let mut raw = table.frame();
     let mut observed = table.frame();
-    let scheduled_ticks = built(subs, lanes_idx[0]).duration_ms().div_ceil(dt);
-    let post_terminal_ticks = config.post_terminal_ms.div_ceil(dt);
 
-    // Whether the quarantine's tick budget elapsed with lanes still
-    // live; those lanes fail exactly where a scalar guarded run would.
+    // Whether the tick budget elapsed with lanes still live.
     let mut budget_tripped = false;
     for tick in 1..=scheduled_ticks {
-        if let Some(b) = budget {
-            if tick > b {
-                budget_tripped = true;
-                break;
-            }
+        if budget.is_some_and(|b| tick > b) {
+            budget_tripped = true;
+            break;
         }
         sim.step();
-        for (l, sub) in group.iter().enumerate().take(width) {
+        for (l, (sub, lane)) in group.iter().zip(&mut lanes).enumerate() {
             if occupancy.is_claimed(l) {
                 sub.observe_lane(sim.state_mut(), l, &mut raw, &mut observed);
+                if let Some(trace) = &mut lane.trace {
+                    trace.push_lane(sim.state(), l);
+                }
             }
         }
-        if batch.observe_slab(sim.state()).is_err() {
-            // A monitoring error mid-stripe: rerun every lane on the
-            // scalar path so per-cell results (successes *and* the
-            // failing cell's error) match each cell's own run exactly.
-            return lanes_idx
-                .iter()
-                .map(|&i| run_scalar_cell(config, budget, built(subs, i), i))
-                .collect();
-        }
+        suite.observe_slab(sim.state())?;
         for (l, lane) in lanes.iter_mut().enumerate() {
             if !occupancy.is_claimed(l) {
                 continue;
@@ -247,7 +215,7 @@ fn run_stripe<S: Substrate>(
                 if tick >= at + post_terminal_ticks {
                     lane.terminated_early = tick < scheduled_ticks;
                     occupancy.release(l);
-                    batch.retire_lane(l);
+                    suite.retire_lane(l);
                     sim.retire_lane(l);
                 }
             }
@@ -256,22 +224,26 @@ fn run_stripe<S: Substrate>(
             break;
         }
     }
-    batch.finish();
+    suite.finish();
 
     let window_ticks = config.correlation_window_ms.div_ceil(dt);
-    lanes
+    Ok(lanes
         .into_iter()
         .enumerate()
         .map(|(l, lane)| {
-            let index = lanes_idx[l];
             if budget_tripped && occupancy.is_claimed(l) {
                 let budget = budget.expect("budget trips only when armed");
-                return (index, Err(ExperimentError::TickBudget { budget }));
+                return Err(ExperimentError::TickBudget { budget });
             }
-            let substrate = built(subs, index);
-            let correlation = batch.correlate_lane(l, window_ticks);
-            let violations = batch.take_violations_lane(l);
-            let report = RunReport {
+            let substrate = group[l];
+            let correlation = suite.correlate_lane(l, window_ticks);
+            let violations = suite.take_violations_lane(l);
+            let series = lane
+                .trace
+                .as_ref()
+                .map(|trace| SeriesLog::from_recording(trace, substrate.tracked_signals()))
+                .unwrap_or_default();
+            Ok(RunReport {
                 substrate: substrate.name().to_owned(),
                 label: substrate.label(),
                 config,
@@ -283,13 +255,56 @@ fn run_stripe<S: Substrate>(
                 terminal_event: lane.terminal_event,
                 violations,
                 correlation,
-                ..RunReport::default()
-            };
-            // Every lane's suite is a row of the stripe's one
-            // template-instantiated batch.
-            (index, Ok((report, SuiteProvenance::Instantiated)))
+                series,
+                trace: lane.trace,
+            })
         })
-        .collect()
+        .collect())
+}
+
+type CellOutcome = (usize, Result<(RunReport, SuiteProvenance), ExperimentError>);
+
+/// A planned cell's substrate. Planning only emits stripes over built
+/// (`Some`) cells, so the lookup cannot fail for a planned index.
+fn built<S>(subs: &[Option<S>], i: usize) -> &S {
+    subs[i].as_ref().expect("planned cells are built")
+}
+
+/// Runs one planned stripe of sweep cells, unrecorded. `budget` is the
+/// quarantine's tick budget (always `None` on the unguarded paths). A
+/// monitoring error reruns each lane as its own [`Experiment`], so every
+/// cell's outcome — a stripe-mate's report or a failing cell's error —
+/// is the one its own run gives.
+fn run_planned_stripe<S: Substrate>(
+    config: ExperimentConfig,
+    budget: Option<u64>,
+    subs: &[Option<S>],
+    lanes_idx: &[usize],
+) -> Vec<CellOutcome> {
+    let group: Vec<&S> = lanes_idx.iter().map(|&i| built(subs, i)).collect();
+    let (mut suite, provenance) = match fresh_suite(group[0], group.len()) {
+        Ok(fresh) => fresh,
+        // Only a template-less cell compiles, and it stripes alone.
+        Err(err) => return vec![(lanes_idx[0], Err(err.into()))],
+    };
+    match run_stripe(&group, &mut suite, config, budget, false) {
+        Ok(outcomes) => lanes_idx
+            .iter()
+            .zip(outcomes)
+            .map(|(&i, outcome)| (i, outcome.map(|report| (report, provenance))))
+            .collect(),
+        Err(_) => lanes_idx
+            .iter()
+            .zip(group)
+            .map(|(&i, substrate)| {
+                let result = Experiment::new(substrate)
+                    .with_config(config)
+                    .with_tick_budget(budget)
+                    .run_in(&mut RunContext::new());
+                (i, result)
+            })
+            .collect(),
+    }
 }
 
 /// One finished cell, as the driver hands it to a sweep shape's fold.
@@ -350,9 +365,9 @@ impl<C: Sync> Sweep<C> {
         // Cells must be inspected — table, template, duration — before
         // they can be grouped into stripes; building a substrate is the
         // cheap part of a run (simulators and suites are built per
-        // unit). Under a quarantine, a cell whose build panics is left
-        // `None` and planned onto the guarded scalar rung, which
-        // rebuilds, retries and quarantines it.
+        // stripe). Under a quarantine, a cell whose build panics is left
+        // `None` and planned onto the guarded rung, which rebuilds,
+        // retries and quarantines it.
         let mut unbuilt = Vec::new();
         let subs: Vec<Option<S>> = self
             .cells
@@ -368,7 +383,7 @@ impl<C: Sync> Sweep<C> {
                     Some(_) => catch_unwind(AssertUnwindSafe(|| build(cell, seed))).ok(),
                 };
                 if sub.is_none() {
-                    unbuilt.push(Unit::Scalar(i));
+                    unbuilt.push(Unit::Unbuilt(i));
                 }
                 sub
             })
@@ -378,8 +393,7 @@ impl<C: Sync> Sweep<C> {
         units
             .into_par_iter()
             // `map_init` only for its `fold` hook — units carry no
-            // per-worker state (scalar cells build their own
-            // `RunContext`).
+            // per-worker state (each stripe instantiates its own suite).
             .map_init(
                 || (),
                 |(), unit| self.run_unit(quarantine, &subs, &unit, build),
@@ -391,8 +405,8 @@ impl<C: Sync> Sweep<C> {
     /// Runs one planned unit — the one place the quarantine policy is
     /// read. Without a quarantine a failing cell's error is its outcome.
     /// With one, every failing lane — and, after a panic, every lane of
-    /// its stripe — reruns on the guarded scalar rung, so provenance and
-    /// retries never depend on which unit a cell was planned into.
+    /// its stripe — reruns on the guarded rung, so provenance and
+    /// retries never depend on which stripe a cell was planned into.
     fn run_unit<S, F>(
         &self,
         quarantine: Option<Quarantine>,
@@ -405,14 +419,14 @@ impl<C: Sync> Sweep<C> {
         F: Fn(&C, u64) -> S + Sync,
     {
         let outcomes = match (unit, quarantine) {
-            (Unit::Scalar(i), None) => {
-                vec![run_scalar_cell(self.config, None, built(subs, *i), *i)]
+            (Unit::Unbuilt(i), q) => {
+                let q = q.expect("only a quarantined build leaves a cell unbuilt");
+                return vec![self.run_guarded(q, *i, build)];
             }
-            (Unit::Scalar(i), Some(q)) => return vec![self.run_guarded(q, *i, build)],
-            (Unit::Stripe(lanes), None) => run_stripe(self.config, None, subs, lanes),
+            (Unit::Stripe(lanes), None) => run_planned_stripe(self.config, None, subs, lanes),
             (Unit::Stripe(lanes), Some(q)) => {
                 match catch_unwind(AssertUnwindSafe(|| {
-                    run_stripe(self.config, q.tick_budget, subs, lanes)
+                    run_planned_stripe(self.config, q.tick_budget, subs, lanes)
                 })) {
                     Ok(outcomes) => outcomes,
                     // The faulty cell is quarantined with its own panic
@@ -445,7 +459,7 @@ impl<C: Sync> Sweep<C> {
             .collect()
     }
 
-    /// The guarded scalar rung: the cell rebuilt and run alone under
+    /// The guarded rung: the cell rebuilt and run alone under
     /// `catch_unwind`. A tick-budget trip is quarantined as
     /// [`FailureReason::TickBudgetExceeded`] and never retried — the
     /// harness is deterministic, so a runaway run stays runaway; panics
@@ -513,9 +527,9 @@ mod tests {
     use crate::journal::SweepJournal;
     use crate::sweep::tests::{aggregate_of, per_cell};
     use crate::sweep::{RetryPolicy, SweepAggregate};
-    use esafe_logic::{parse, EvalError, Frame, SignalId, SignalTable};
+    use esafe_logic::{parse, EvalError, Frame, FrameBatch, SignalId, SignalTable};
     use esafe_monitor::{Location, MonitorSuite, SuiteTemplate};
-    use esafe_sim::{SimTime, Subsystem};
+    use esafe_sim::{LaneSubsystem, LaneVec, SignalRead, SignalWrite, SimTime, SimulatorBatch};
 
     /// A ramp that climbs by `slope` per tick.
     struct Ramp {
@@ -523,11 +537,16 @@ mod tests {
         slope: f64,
     }
 
-    impl Subsystem for Ramp {
+    impl LaneSubsystem for Ramp {
         fn name(&self) -> &str {
             "ramp"
         }
-        fn step(&mut self, _t: &SimTime, prev: &Frame, next: &mut Frame) {
+        fn step_lane<R: SignalRead, W: SignalWrite>(
+            &mut self,
+            _t: &SimTime,
+            prev: &R,
+            next: &mut W,
+        ) {
             next.set(self.x, prev.real_or(self.x, 0.0) + self.slope);
         }
     }
@@ -582,19 +601,24 @@ mod tests {
         }
     }
 
-    /// Panics the tick after `x` reaches `at`.
+    /// Panics the tick after `x` reaches `at`, if set.
     struct PanicAt {
         x: SignalId,
-        at: f64,
+        at: Option<f64>,
     }
 
-    impl Subsystem for PanicAt {
+    impl LaneSubsystem for PanicAt {
         fn name(&self) -> &str {
             "panic-at"
         }
-        fn step(&mut self, _t: &SimTime, prev: &Frame, _next: &mut Frame) {
+        fn step_lane<R: SignalRead, W: SignalWrite>(
+            &mut self,
+            _t: &SimTime,
+            prev: &R,
+            _next: &mut W,
+        ) {
             let x = prev.real_or(self.x, 0.0);
-            if x >= self.at {
+            if self.at.is_some_and(|at| x >= at) {
                 panic!("lane melted down at x={x}");
             }
         }
@@ -621,16 +645,20 @@ mod tests {
         fn signal_table(&self) -> &Arc<SignalTable> {
             &self.table
         }
-        fn build_simulator(&self) -> Simulator {
-            let mut sim = Simulator::new(10, &self.table);
-            sim.add(Ramp {
-                x: self.x,
-                slope: self.slope,
-            });
-            if let Some(at) = self.panic_at {
-                sim.add(PanicAt { x: self.x, at });
+        fn build_simulator_batch(group: &[&Self]) -> SimulatorBatch {
+            let n = group.len();
+            let mut sim = SimulatorBatch::new(10, &group[0].table, n);
+            sim.add(LaneVec::from_fn(n, |l| Ramp {
+                x: group[l].x,
+                slope: group[l].slope,
+            }));
+            sim.add(LaneVec::from_fn(n, |l| PanicAt {
+                x: group[l].x,
+                at: group[l].panic_at,
+            }));
+            for (l, cell) in group.iter().enumerate() {
+                sim.init_lane_with(l, |f| f.set(cell.x, 0.0));
             }
-            sim.init_with(|f| f.set(self.x, 0.0));
             sim
         }
         fn build_monitors(&self) -> Result<MonitorSuite, EvalError> {
@@ -647,8 +675,13 @@ mod tests {
         fn suite_template(&self) -> Option<&Arc<SuiteTemplate>> {
             self.template.as_ref()
         }
-        fn terminal_event(&self, observed: &Frame) -> Option<&'static str> {
-            (observed.real_or(self.x, 0.0) >= 50.0).then_some("limit")
+        fn terminal_event_lane(
+            &self,
+            slab: &FrameBatch,
+            lane: usize,
+            _scratch: &mut Frame,
+        ) -> Option<&'static str> {
+            (slab.real_or(self.x, lane, 0.0) >= 50.0).then_some("limit")
         }
     }
 
@@ -714,7 +747,8 @@ mod tests {
 
     #[test]
     fn template_less_cells_fall_back_to_the_scalar_path() {
-        // RampCell with template stripped: still correct, just scalar.
+        // RampCell with template stripped: still correct, each cell a
+        // one-lane stripe compiling its own suite.
         let family = RampFamily::new();
         let slopes = vec![2.0, 1.0, 0.5];
         let strip = |slope: &f64, _seed: u64| {
@@ -745,8 +779,9 @@ mod tests {
 
     /// A family whose goal references a signal the simulator never sets
     /// — the batch pass errors on the first tick and the stripe must
-    /// rerun scalar, reporting the earliest cell's error exactly like
-    /// the scalar sweep does.
+    /// rerun each lane alone, reporting the earliest cell's error exactly
+    /// like the per-cell runs do. Both run the same loop, so the
+    /// rendering is also pinned as a literal.
     #[test]
     fn stripe_monitoring_errors_match_the_scalar_path() {
         let mut b = SignalTable::builder();
@@ -767,7 +802,13 @@ mod tests {
         let scalar = per_cell(&slopes, 1, build);
         let batched = Sweep::new(slopes).with_base_seed(1).run(build, 4);
         match (batched, scalar) {
-            (Err(a), Err(b)) => assert_eq!(format!("{a}"), format!("{b}")),
+            (Err(a), Err(b)) => {
+                assert_eq!(format!("{a}"), format!("{b}"));
+                assert_eq!(
+                    format!("{a}"),
+                    "monitoring failed: monitor `G`: state variable `ghost` missing at step 0"
+                );
+            }
             (a, b) => panic!("both paths must fail: {a:?} vs {b:?}"),
         }
     }

@@ -1,5 +1,7 @@
-//! The generic simulate → observe → correlate experiment loop.
+//! One configured run: the generic simulate → observe → correlate
+//! experiment, run as a one-lane stripe of the harness's tick loop.
 
+use crate::batch::run_stripe;
 use crate::context::{RunContext, SuiteProvenance};
 use crate::journal::JournalError;
 use crate::substrate::Substrate;
@@ -159,11 +161,12 @@ impl RunReport {
 
 /// One configured experiment over a substrate.
 ///
-/// Owns the tick loop the substrates used to hand-roll: advance the
-/// simulator (whose subsystems already observe the *previous* tick's
-/// snapshot — the thesis's one-tick observation delay), derive the
-/// observed state, record it if asked, feed every monitor, and apply
-/// early termination after a terminal event.
+/// Runs the substrate as a one-lane stripe of the harness's one tick
+/// loop (the one every sweep stripe runs): advance the simulator (whose
+/// subsystems already observe the *previous* tick's snapshot — the
+/// thesis's one-tick observation delay), derive the observed state,
+/// record it if asked, feed every monitor, and apply early termination
+/// after a terminal event.
 #[derive(Debug)]
 pub struct Experiment<'a, S: Substrate> {
     substrate: &'a S,
@@ -204,8 +207,8 @@ impl<'a, S: Substrate> Experiment<'a, S> {
     /// Records the full observed-frame stream into the report's
     /// [`RunReport::trace`] (one [`FrameTrace`] column per signal, at
     /// the simulator's tick period). Off by default: recording a 1 kHz
-    /// run costs ~one `Frame` memcpy per tick and holds every sample in
-    /// memory. Switch it on to re-monitor the run offline with new goal
+    /// run copies every observed slot each tick and holds every sample
+    /// in memory. Switch it on to re-monitor the run offline with new goal
     /// suites — no re-simulation — via `MonitorSuite::replay` or
     /// [`FrameTrace::replay_expr`], and to read the figure series of the
     /// substrate's tracked signals ([`RunReport::series`]).
@@ -226,101 +229,43 @@ impl<'a, S: Substrate> Experiment<'a, S> {
     }
 
     /// Runs the experiment against a pooled [`RunContext`], reusing the
-    /// context's scratch frame and (for template-backed substrates) its
-    /// monitor suite, and reporting how the run obtained its suite.
-    /// Reuse is observationally invisible: the report is bit-identical
-    /// to [`Experiment::run`]'s.
+    /// context's monitor suite for template-backed substrates, and
+    /// reporting how the run obtained its suite. Reuse is
+    /// observationally invisible: the report is bit-identical to
+    /// [`Experiment::run`]'s.
     ///
-    /// This is the one experiment loop. Each tick the substrate's
-    /// [`observe`](Substrate::observe) derivation writes into one
-    /// scratch `observed` frame in place, which the recording (when on)
-    /// and the monitors read; the loop samples nothing else. A recorded
-    /// run's [`RunReport::series`] is read from the recording once,
-    /// after the run.
+    /// The run is a one-lane stripe: the substrate's batched simulator
+    /// built for `&[substrate]` and a one-lane batched suite, stepped by
+    /// the same tick loop as every sweep stripe. Each tick the
+    /// substrate's [`observe_lane`](Substrate::observe_lane) derivation
+    /// writes into the state slab in place, which the recording (when
+    /// on) and the monitors read. A recorded run's
+    /// [`RunReport::series`] is read from the recording once, after the
+    /// run.
     ///
     /// # Errors
     ///
     /// Returns [`ExperimentError`] if a goal formula fails to compile or
-    /// references a missing signal.
+    /// references a missing signal, or if the tick budget elapses.
     pub fn run_in(
         &self,
         ctx: &mut RunContext,
     ) -> Result<(RunReport, SuiteProvenance), ExperimentError> {
         let substrate = self.substrate;
         let (mut suite, provenance) = ctx.take_suite(substrate)?;
-        let mut sim = substrate.build_simulator();
-        let mut observed = ctx.take_observed(substrate);
-
-        let dt = sim.dt_millis();
-        let scheduled_ticks = substrate.duration_ms().div_ceil(dt);
-        let post_terminal_ticks = self.config.post_terminal_ms.div_ceil(dt);
-
-        let mut trace = self.record_frames.then(|| {
-            FrameTrace::with_capacity(
-                substrate.signal_table(),
-                dt,
-                usize::try_from(scheduled_ticks).unwrap_or(0),
-            )
-        });
-
-        let mut terminal_tick: Option<u64> = None;
-        let mut terminal_event: Option<String> = None;
-        let mut terminated_early = false;
-
-        for tick in 1..=scheduled_ticks {
-            if let Some(budget) = self.tick_budget {
-                if tick > budget {
-                    // The context's pooled suite was taken out and is now
-                    // mid-run; dropping it here (instead of putting it
-                    // back) keeps the pool free of half-stepped state.
-                    return Err(ExperimentError::TickBudget { budget });
-                }
-            }
-            sim.step();
-            substrate.observe(sim.state(), &mut observed);
-            if let Some(trace) = &mut trace {
-                trace.push(&observed);
-            }
-            suite.observe(&observed)?;
-
-            if terminal_tick.is_none() {
-                if let Some(event) = substrate.terminal_event(&observed) {
-                    terminal_tick = Some(tick);
-                    terminal_event = Some(event.to_owned());
-                }
-            }
-            if let Some(at) = terminal_tick {
-                if tick >= at + post_terminal_ticks {
-                    terminated_early = tick < scheduled_ticks;
-                    break;
-                }
-            }
-        }
-        suite.finish();
-
-        let window_ticks = self.config.correlation_window_ms.div_ceil(dt);
-        let correlation = suite.correlate(window_ticks);
-        let violations = suite.take_violations();
-        let series = trace
-            .as_ref()
-            .map(|trace| SeriesLog::from_recording(trace, substrate.tracked_signals()))
-            .unwrap_or_default();
-        let report = RunReport {
-            substrate: substrate.name().to_owned(),
-            label: substrate.label(),
-            config: self.config,
-            dt_millis: dt,
-            scheduled_ticks,
-            ticks: sim.tick(),
-            end_time_s: sim.seconds(),
-            terminated_early,
-            terminal_event,
-            violations,
-            correlation,
-            series,
-            trace,
-        };
-        ctx.put_back(observed, suite, substrate.suite_template());
+        let outcome = run_stripe(
+            &[substrate],
+            &mut suite,
+            self.config,
+            self.tick_budget,
+            self.record_frames,
+        )
+        .map_err(|err| ExperimentError::Monitor(err.into_monitor_error()))?
+        .pop()
+        .expect("a one-lane stripe reports one lane");
+        // A failed run drops its half-stepped suite instead of pooling it.
+        let report = outcome?;
+        ctx.put_back(suite, substrate.suite_template());
         Ok((report, provenance))
     }
 }
@@ -328,9 +273,9 @@ impl<'a, S: Substrate> Experiment<'a, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esafe_logic::{parse, Frame, SignalId, SignalTable};
+    use esafe_logic::{parse, Frame, FrameBatch, SignalId, SignalTable};
     use esafe_monitor::{Location, MonitorSuite};
-    use esafe_sim::{SimTime, Simulator, Subsystem};
+    use esafe_sim::{LaneSubsystem, LaneVec, SignalRead, SignalWrite, SimTime, SimulatorBatch};
     use std::sync::Arc;
 
     /// A ramp that climbs by one per tick.
@@ -338,11 +283,16 @@ mod tests {
         x: SignalId,
     }
 
-    impl Subsystem for Ramp {
+    impl LaneSubsystem for Ramp {
         fn name(&self) -> &str {
             "ramp"
         }
-        fn step(&mut self, _t: &SimTime, prev: &Frame, next: &mut Frame) {
+        fn step_lane<R: SignalRead, W: SignalWrite>(
+            &mut self,
+            _t: &SimTime,
+            prev: &R,
+            next: &mut W,
+        ) {
             next.set(self.x, prev.real_or(self.x, 0.0) + 1.0);
         }
     }
@@ -384,10 +334,12 @@ mod tests {
         fn signal_table(&self) -> &Arc<SignalTable> {
             &self.table
         }
-        fn build_simulator(&self) -> Simulator {
-            let mut sim = Simulator::new(10, &self.table);
-            sim.add(Ramp { x: self.x });
-            sim.init_with(|f| f.set(self.x, 0.0));
+        fn build_simulator_batch(group: &[&Self]) -> SimulatorBatch {
+            let mut sim = SimulatorBatch::new(10, &group[0].table, group.len());
+            sim.add(LaneVec::from_fn(group.len(), |l| Ramp { x: group[l].x }));
+            for (l, sub) in group.iter().enumerate() {
+                sim.init_lane_with(l, |f| f.set(sub.x, 0.0));
+            }
             sim
         }
         fn build_monitors(&self) -> Result<MonitorSuite, EvalError> {
@@ -399,8 +351,13 @@ mod tests {
             )?;
             Ok(suite)
         }
-        fn terminal_event(&self, observed: &Frame) -> Option<&'static str> {
-            (observed.real_or(self.x, 0.0) >= self.limit).then_some("limit")
+        fn terminal_event_lane(
+            &self,
+            slab: &FrameBatch,
+            lane: usize,
+            _scratch: &mut Frame,
+        ) -> Option<&'static str> {
+            (slab.real_or(self.x, lane, 0.0) >= self.limit).then_some("limit")
         }
         fn tracked_signals(&self) -> &[SignalId] {
             &self.tracked
@@ -487,8 +444,9 @@ mod tests {
         fn signal_table(&self) -> &Arc<SignalTable> {
             self.inner.signal_table()
         }
-        fn build_simulator(&self) -> Simulator {
-            self.inner.build_simulator()
+        fn build_simulator_batch(group: &[&Self]) -> SimulatorBatch {
+            let inner: Vec<&RampSubstrate> = group.iter().map(|t| &t.inner).collect();
+            RampSubstrate::build_simulator_batch(&inner)
         }
         fn build_monitors(&self) -> Result<MonitorSuite, EvalError> {
             self.inner.build_monitors()
@@ -496,8 +454,13 @@ mod tests {
         fn suite_template(&self) -> Option<&Arc<esafe_monitor::SuiteTemplate>> {
             Some(&self.template)
         }
-        fn terminal_event(&self, observed: &Frame) -> Option<&'static str> {
-            self.inner.terminal_event(observed)
+        fn terminal_event_lane(
+            &self,
+            slab: &FrameBatch,
+            lane: usize,
+            scratch: &mut Frame,
+        ) -> Option<&'static str> {
+            self.inner.terminal_event_lane(slab, lane, scratch)
         }
         fn tracked_signals(&self) -> &[SignalId] {
             self.inner.tracked_signals()
@@ -527,7 +490,10 @@ mod tests {
         let (b, tb) = Experiment::new(&substrate).run_in(&mut ctx).unwrap();
         assert_eq!(ta, SuiteProvenance::Compiled);
         assert_eq!(tb, SuiteProvenance::Compiled);
-        assert_eq!(a, b, "frame pooling alone must be invisible too");
+        assert_eq!(
+            a, b,
+            "a context without a pooled suite must be invisible too"
+        );
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! The thesis evaluates its run-time monitoring contribution on **two**
 //! composite systems — the Chapter 4 distributed elevator and the
 //! Chapter 5 semi-autonomous vehicle. Both evaluations are the same
-//! experiment shape: assemble a deterministic fixed-step [`Simulator`],
-//! attach a hierarchical [`MonitorSuite`], step the loop with one-tick
+//! experiment shape: assemble a deterministic fixed-step
+//! [`SimulatorBatch`], attach a hierarchical goal suite
+//! ([`MonitorSuiteBatch`]), step the loop with one-tick
 //! observation delay, derive probe signals, watch for terminal events
 //! (collisions), record the observed frames when asked (the one run
 //! history, which figure series are read from), and classify detections
@@ -12,12 +13,14 @@
 //! once:
 //!
 //! * [`Substrate`] — what a composite system must provide to be run:
-//!   the shared signal table, simulator assembly, monitor-suite
-//!   construction, signal derivation, and terminal-event detection;
-//! * [`Experiment`] — the generic simulate → observe → correlate loop,
+//!   the shared signal table, batched simulator assembly, monitor-suite
+//!   construction, in-place signal derivation, and terminal-event
+//!   detection;
+//! * [`Experiment`] — one simulate → observe → correlate run,
 //!   configured in **milliseconds** ([`ExperimentConfig`]) so substrates
 //!   with different tick periods (1 ms vehicle, 10 ms elevator) share one
-//!   run loop;
+//!   run loop. A run is a one-lane stripe of the same tick loop every
+//!   sweep stripe runs;
 //! * [`RunReport`] — the substrate-independent outcome of one run;
 //! * [`Sweep`] — a parallel fan-out of experiment cells (scenario ×
 //!   defect grids, seed batches) with deterministic per-cell seeds. One
@@ -32,9 +35,9 @@
 //!   arbitrarily large grids), or journal appends
 //!   ([`Sweep::run_aggregate_checkpointed`]); each also reports its
 //!   suite counters ([`SweepStats`]);
-//! * [`RunContext`] — pooled run state (observed scratch frame,
-//!   template-instantiated monitor suite) reused across runs executed
-//!   one after another on one thread, as the serial recording sweeps do;
+//! * [`RunContext`] — a pooled, template-instantiated one-lane suite
+//!   reused across runs executed one after another on one thread, as
+//!   the serial recording sweeps do;
 //! * [`Quarantine`] / [`SweepJournal`] — fault isolation and durable
 //!   checkpoint/resume for fleet-scale sweeps: with a quarantine
 //!   installed a panicking, erroring, or runaway cell is recorded as a
@@ -52,27 +55,30 @@
 //!
 //! A substrate constructs its [`SignalTable`](esafe_logic::SignalTable)
 //! **once**; the experiment loop, every sweep cell, every compiled
-//! monitor, and every frame recording share it. Per-tick data flows as
-//! [`Frame`](esafe_logic::Frame)s — dense, id-indexed, `Copy`-slot
-//! samples — so the loop holds zero per-tick `String` allocations.
+//! monitor, and every frame recording share it. Per-tick data flows
+//! through one lane-major [`FrameBatch`](esafe_logic::FrameBatch) state
+//! slab — dense, id-indexed, `Copy`-slot samples — so the loop holds
+//! zero per-tick `String` allocations.
 //!
-//! [`Simulator`]: esafe_sim::Simulator
-//! [`MonitorSuite`]: esafe_monitor::MonitorSuite
+//! [`SimulatorBatch`]: esafe_sim::SimulatorBatch
+//! [`MonitorSuiteBatch`]: esafe_monitor::MonitorSuiteBatch
 //!
 //! # Example
 //!
 //! ```
 //! use esafe_harness::{Experiment, ExperimentConfig, RunReport, Substrate};
-//! use esafe_logic::{parse, Frame, SignalId, SignalTable};
+//! use esafe_logic::{parse, SignalId, SignalTable};
 //! use esafe_monitor::{Location, MonitorSuite};
-//! use esafe_sim::{SimTime, Simulator, Subsystem};
+//! use esafe_sim::{LaneSubsystem, LaneVec, SignalRead, SignalWrite, SimTime, SimulatorBatch};
 //! use std::sync::Arc;
 //!
 //! /// A counter that must stay below 8 — and won't.
 //! struct Counter { n: SignalId }
-//! impl Subsystem for Counter {
+//! impl LaneSubsystem for Counter {
 //!     fn name(&self) -> &str { "counter" }
-//!     fn step(&mut self, _t: &SimTime, prev: &Frame, next: &mut Frame) {
+//!     fn step_lane<R: SignalRead, W: SignalWrite>(
+//!         &mut self, _t: &SimTime, prev: &R, next: &mut W,
+//!     ) {
 //!         next.set(self.n, prev.real_or(self.n, 0.0) + 1.0);
 //!     }
 //! }
@@ -90,10 +96,12 @@
 //!     fn label(&self) -> String { "count-to-twenty".into() }
 //!     fn duration_ms(&self) -> u64 { 20 }
 //!     fn signal_table(&self) -> &Arc<SignalTable> { &self.table }
-//!     fn build_simulator(&self) -> Simulator {
-//!         let mut sim = Simulator::new(1, &self.table);
-//!         sim.add(Counter { n: self.n });
-//!         sim.init_with(|f| f.set(self.n, 0.0));
+//!     fn build_simulator_batch(group: &[&Self]) -> SimulatorBatch {
+//!         let mut sim = SimulatorBatch::new(1, &group[0].table, group.len());
+//!         sim.add(LaneVec::from_fn(group.len(), |l| Counter { n: group[l].n }));
+//!         for (l, sub) in group.iter().enumerate() {
+//!             sim.init_lane_with(l, |lane| lane.set(sub.n, 0.0));
+//!         }
 //!         sim
 //!     }
 //!     fn build_monitors(&self) -> Result<MonitorSuite, esafe_logic::EvalError> {

@@ -1,9 +1,9 @@
 //! The [`Substrate`] trait: what a composite system provides to be run
-//! under the generic experiment loop.
+//! under the harness's tick loop.
 
 use esafe_logic::{EvalError, Frame, FrameBatch, SignalId, SignalTable};
 use esafe_monitor::{MonitorSuite, SuiteTemplate};
-use esafe_sim::{Simulator, SimulatorBatch};
+use esafe_sim::SimulatorBatch;
 use std::sync::Arc;
 
 /// A monitored composite system: one concrete configuration of one of
@@ -18,10 +18,10 @@ use std::sync::Arc;
 /// The substrate owns its [`SignalTable`]: the namespace is built **once**
 /// (at substrate construction) and shared by every simulator, monitor
 /// suite, sweep cell, and frame recording derived from it. The per-tick
-/// interfaces below — [`Substrate::observe`] and
-/// [`Substrate::terminal_event`] — speak [`SignalId`]-indexed
-/// [`Frame`]s, keeping the experiment loop free of string lookups and
-/// allocation.
+/// interfaces below — [`Substrate::observe_lane`] and
+/// [`Substrate::terminal_event_lane`] — read and write one lane of the
+/// simulator's [`SignalId`]-indexed state slab in place, keeping the
+/// tick loop free of string lookups, allocation and per-lane copies.
 pub trait Substrate {
     /// The substrate family name (e.g. `"vehicle"`, `"elevator"`).
     fn name(&self) -> &str;
@@ -30,7 +30,7 @@ pub trait Substrate {
     /// `"seed-42"`), used in reports and sweep aggregation.
     fn label(&self) -> String;
 
-    /// Scheduled run length in milliseconds. The experiment loop converts
+    /// Scheduled run length in milliseconds. The tick loop converts
     /// this to ticks using the simulator's own tick period.
     fn duration_ms(&self) -> u64;
 
@@ -38,9 +38,18 @@ pub trait Substrate {
     /// and observed frames are indexed by.
     fn signal_table(&self) -> &Arc<SignalTable>;
 
-    /// Assembles a fresh simulator for this configuration, over
-    /// [`Substrate::signal_table`].
-    fn build_simulator(&self) -> Simulator;
+    /// Assembles one batched simulator for a stripe of configurations:
+    /// lane `l` simulates `group[l]`. A single run is the one-lane case
+    /// (`&[substrate]`), so this is the substrate's only simulator
+    /// builder. Every lane must step exactly as it would alone, whatever
+    /// the stripe's width (pinned by the workspace's sweep tests).
+    /// Implementations may assume `group` is non-empty and that its
+    /// members share this substrate's signal table and tick period: the
+    /// sweep stripes together only cells sharing a table, a suite
+    /// template and a schedule.
+    fn build_simulator_batch(group: &[&Self]) -> SimulatorBatch
+    where
+        Self: Sized;
 
     /// Builds the goal/subgoal monitor suite for this configuration,
     /// compiled against [`Substrate::signal_table`].
@@ -53,54 +62,29 @@ pub trait Substrate {
 
     /// A prebuilt, compile-once [`SuiteTemplate`] for this substrate's
     /// goal formulas, if the caller compiled one for the whole sweep
-    /// (see the family types, e.g. `VehicleFamily`). When `Some`, the
-    /// experiment loop instantiates (or reuses a pooled copy of) the
-    /// template instead of calling [`Substrate::build_monitors`] per
-    /// run. The template **must** describe the same suite
+    /// (see the family types, e.g. `VehicleFamily`). When `Some`, a
+    /// run instantiates (or reuses a pooled copy of) the template, and
+    /// a sweep stripes the cells sharing it, instead of calling
+    /// [`Substrate::build_monitors`] per run. The template **must** describe the same suite
     /// `build_monitors` would compile — same formulas against the same
     /// table — which the workspace's golden sweep tests pin.
     fn suite_template(&self) -> Option<&Arc<SuiteTemplate>> {
         None
     }
 
-    /// Assembles one batched simulator for a whole stripe of
-    /// configurations (`group[lane]` builds lane `lane`), or `None` if
-    /// this substrate has no native batched builder — the striped sweep
-    /// then builds scalar simulators and wraps them via
-    /// [`SimulatorBatch::from_scalar`], which is bit-identical but pays
-    /// per-lane frame copies each tick. Implementations must produce
-    /// lanes bit-identical to [`Substrate::build_simulator`] on the same
-    /// configuration (pinned by the workspace's batched-sweep tests) and
-    /// may assume every `group` member shares this substrate's signal
-    /// table and tick period.
-    fn build_simulator_batch(group: &[&Self]) -> Option<SimulatorBatch>
-    where
-        Self: Sized,
-    {
-        let _ = group;
-        None
-    }
-
-    /// Derives the observed frame the monitors and the frame recording
-    /// see from the raw simulator frame, writing into the loop-owned
-    /// `observed` scratch frame. The default copies the raw frame (the
-    /// elevator's monitors read plant signals directly); the vehicle
-    /// substrate overrides this to add its probe derivation on top.
-    fn observe(&self, raw: &Frame, observed: &mut Frame) {
-        observed.copy_from(raw);
-    }
-
-    /// [`Substrate::observe`] for one lane of a batched simulator's
-    /// state slab, **in place**: derived signals are written directly
-    /// into the lane, which the monitors then read without any per-lane
-    /// `Frame` copy. The default bridges through
-    /// the loop-owned `raw`/`observed` scratch frames and the scalar
-    /// [`Substrate::observe`], so it is correct for every substrate.
+    /// Derives the observed state the monitors and the frame recording
+    /// see, **in place** on lane `lane` of the simulator's state slab:
+    /// derived signals are written directly into the lane, which the
+    /// monitors then read without any per-lane `Frame` copy. The default
+    /// observes the raw state unchanged (the elevator's monitors read
+    /// plant signals directly); the vehicle substrate overrides it to
+    /// add its probe derivation. `raw` and `observed` are loop-owned
+    /// scratch frames an override may use.
     ///
-    /// Overrides that write the slab directly must only write signals no
-    /// subsystem reads (observation-derived probes): the slab is also
-    /// the simulator's live state, and anything else would leak
-    /// observation back into the dynamics.
+    /// Overrides must only write signals no subsystem reads
+    /// (observation-derived probes): the slab is also the simulator's
+    /// live state, and anything else would leak observation back into
+    /// the dynamics.
     fn observe_lane(
         &self,
         slab: &mut FrameBatch,
@@ -108,31 +92,22 @@ pub trait Substrate {
         raw: &mut Frame,
         observed: &mut Frame,
     ) {
-        slab.read_lane_into(lane, raw);
-        self.observe(raw, observed);
-        slab.write_lane_from(lane, observed);
+        let _ = (slab, lane, raw, observed);
     }
 
-    /// Checks the observed frame for a terminal event (e.g. a collision).
-    /// Returning `Some` starts the post-terminal grace window after which
-    /// the run aborts early, mirroring the thesis's CarSim environment.
-    fn terminal_event(&self, observed: &Frame) -> Option<&'static str> {
-        let _ = observed;
-        None
-    }
-
-    /// [`Substrate::terminal_event`] for one lane of an observed state
-    /// slab. The default copies the lane into `scratch` and delegates to
-    /// the scalar check; substrates whose check reads a couple of
-    /// signals should override it with direct slab reads.
+    /// Checks lane `lane` of the observed state slab for a terminal
+    /// event (e.g. a collision). Returning `Some` starts the
+    /// post-terminal grace window after which the run aborts early,
+    /// mirroring the thesis's CarSim environment. The default reports
+    /// none; `scratch` is a loop-owned frame an override may use.
     fn terminal_event_lane(
         &self,
         slab: &FrameBatch,
         lane: usize,
         scratch: &mut Frame,
     ) -> Option<&'static str> {
-        slab.read_lane_into(lane, scratch);
-        self.terminal_event(scratch)
+        let _ = (slab, lane, scratch);
+        None
     }
 
     /// Signals whose series a run that records its frames

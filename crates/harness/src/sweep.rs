@@ -626,9 +626,9 @@ pub struct SweepAggregate {
 pub(crate) mod tests {
     use super::*;
     use crate::{Experiment, DEFAULT_BATCH_WIDTH};
-    use esafe_logic::{parse, EvalError, Frame, SignalId, SignalTable};
+    use esafe_logic::{parse, EvalError, SignalId, SignalTable};
     use esafe_monitor::{Location, MonitorSuite};
-    use esafe_sim::{SimTime, Simulator, Subsystem};
+    use esafe_sim::{LaneSubsystem, LaneVec, SignalRead, SignalWrite, SimTime, SimulatorBatch};
     use std::sync::Arc;
 
     /// Emits `seed % cap` every tick; the monitor requires `y < 3`.
@@ -637,11 +637,16 @@ pub(crate) mod tests {
         value: f64,
     }
 
-    impl Subsystem for Emit {
+    impl LaneSubsystem for Emit {
         fn name(&self) -> &str {
             "emit"
         }
-        fn step(&mut self, _t: &SimTime, _prev: &Frame, next: &mut Frame) {
+        fn step_lane<R: SignalRead, W: SignalWrite>(
+            &mut self,
+            _t: &SimTime,
+            _prev: &R,
+            next: &mut W,
+        ) {
             next.set(self.y, self.value);
         }
     }
@@ -666,13 +671,15 @@ pub(crate) mod tests {
         fn signal_table(&self) -> &Arc<SignalTable> {
             &self.table
         }
-        fn build_simulator(&self) -> Simulator {
-            let mut sim = Simulator::new(1, &self.table);
-            sim.add(Emit {
-                y: self.y,
-                value: self.value,
-            });
-            sim.init_with(|f| f.set(self.y, 0.0));
+        fn build_simulator_batch(group: &[&Self]) -> SimulatorBatch {
+            let mut sim = SimulatorBatch::new(1, &group[0].table, group.len());
+            sim.add(LaneVec::from_fn(group.len(), |l| Emit {
+                y: group[l].y,
+                value: group[l].value,
+            }));
+            for (l, sub) in group.iter().enumerate() {
+                sim.init_lane_with(l, |f| f.set(sub.y, 0.0));
+            }
             sim
         }
         fn build_monitors(&self) -> Result<MonitorSuite, EvalError> {
@@ -815,8 +822,9 @@ pub(crate) mod tests {
         fn signal_table(&self) -> &Arc<SignalTable> {
             self.0.signal_table()
         }
-        fn build_simulator(&self) -> esafe_sim::Simulator {
-            self.0.build_simulator()
+        fn build_simulator_batch(group: &[&Self]) -> SimulatorBatch {
+            let inner: Vec<&EmitSubstrate> = group.iter().map(|b| &b.0).collect();
+            EmitSubstrate::build_simulator_batch(&inner)
         }
         fn build_monitors(&self) -> Result<MonitorSuite, EvalError> {
             let mut suite = MonitorSuite::new(self.0.table.clone());
@@ -846,7 +854,9 @@ pub(crate) mod tests {
         // Every cell fails with a MissingVar from a monitor named after
         // its own label; the streaming shape must surface cell 0's
         // error, exactly like the collect-all shape and the per-cell
-        // reference, regardless of scheduling.
+        // reference, regardless of scheduling. The sweep and the
+        // reference run the same loop, so the rendering is also pinned
+        // as a literal.
         let cells: Vec<u64> = (0..8).collect();
         let expected = per_cell(&cells, 3, build_broken).unwrap_err();
         let sweep = Sweep::new(cells).with_base_seed(3);
@@ -854,7 +864,7 @@ pub(crate) mod tests {
         let streamed = sweep.run_aggregate(build_broken, 4).map(|_| ());
         match (collected, streamed) {
             (Err(a), Err(b)) => {
-                assert!(format!("{a}").contains("cell-0"), "collect shape: {a}");
+                assert_eq!(format!("{a}"), CELL_0_ERROR, "collect shape");
                 assert_eq!(a, expected);
                 assert_eq!(format!("{a}"), format!("{b}"));
             }
@@ -871,6 +881,11 @@ pub(crate) mod tests {
         assert!(report.for_label("nope").is_none());
     }
 
+    /// What every broken sweep at base seed 3 reports: cell 0's error,
+    /// naming cell 0's monitor.
+    const CELL_0_ERROR: &str = "monitoring failed: monitor `cell-0-seed-1d0b14e4db018fed`: \
+                                state variable `ghost` missing at step 0";
+
     /// The golden earliest-cell-error contract, quarantine OFF (the
     /// default): both run shapes, at widths 1 and 4, surface cell 0's
     /// error with the rendering cell 0's own run gives, regardless of
@@ -879,7 +894,7 @@ pub(crate) mod tests {
     fn every_run_path_reports_the_earliest_cell_error_identically() {
         let cells: Vec<u64> = (0..8).collect();
         let expected = format!("{}", per_cell(&cells, 3, build_broken).unwrap_err());
-        assert!(expected.contains("cell-0"), "{expected}");
+        assert_eq!(expected, CELL_0_ERROR);
         let sweep = Sweep::new(cells).with_base_seed(3);
         for width in [1, 4] {
             let renderings = [

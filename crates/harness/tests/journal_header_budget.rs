@@ -13,7 +13,7 @@ use esafe_harness::journal::{encode_record, HEADER_BYTES, JOURNAL_MAGIC, JOURNAL
 use esafe_harness::{CellDelta, ExperimentConfig, JournalRecord, Substrate, Sweep, SweepJournal};
 use esafe_logic::{EvalError, SignalTable};
 use esafe_monitor::MonitorSuite;
-use esafe_sim::Simulator;
+use esafe_sim::SimulatorBatch;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -75,8 +75,8 @@ impl Substrate for Idle {
     fn signal_table(&self) -> &Arc<SignalTable> {
         &self.0
     }
-    fn build_simulator(&self) -> Simulator {
-        Simulator::new(1, &self.0)
+    fn build_simulator_batch(group: &[&Self]) -> SimulatorBatch {
+        SimulatorBatch::new(1, &group[0].0, group.len())
     }
     fn build_monitors(&self) -> Result<MonitorSuite, EvalError> {
         Ok(MonitorSuite::new(self.0.clone()))

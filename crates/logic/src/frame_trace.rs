@@ -37,6 +37,7 @@
 
 use crate::error::EvalError;
 use crate::expr::Expr;
+use crate::frame_batch::FrameBatch;
 use crate::incremental::FusedSuiteProgram;
 use crate::signal::{Frame, SignalId, SignalTable};
 use crate::state::Trace;
@@ -135,6 +136,26 @@ impl FrameTrace {
             "frame and trace must share one signal table"
         );
         for (col, slot) in self.columns.iter_mut().zip(&frame.slots) {
+            col.push(*slot);
+        }
+        self.len += 1;
+    }
+
+    /// Appends one lane of a state slab as the next sample, read in
+    /// place: the per-lane recording hook of a striped tick loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch` indexes a different table or `lane` is out of
+    /// range.
+    pub fn push_lane(&mut self, batch: &FrameBatch, lane: usize) {
+        assert!(
+            Arc::ptr_eq(batch.table(), &self.table),
+            "frame batch and trace must share one signal table"
+        );
+        assert!(lane < batch.lanes(), "lane {lane} out of range");
+        let slots = batch.slots.iter().skip(lane).step_by(batch.lanes());
+        for (col, slot) in self.columns.iter_mut().zip(slots) {
             col.push(*slot);
         }
         self.len += 1;
@@ -298,6 +319,23 @@ mod tests {
         assert_eq!(ft.get(2, x), Some(Value::Real(3.5)));
         assert_eq!(ft.get(1, x), None);
         assert!((ft.time_s(2) - 0.02).abs() < 1e-12);
+    }
+
+    #[test]
+    fn lane_pushes_record_what_frame_pushes_record() {
+        let table = table();
+        let trace = sample_trace();
+        let by_frame = FrameTrace::from_trace(&table, &trace).unwrap();
+        let mut by_lane = FrameTrace::new(&table, 10);
+        let mut batch = FrameBatch::new(&table, 3);
+        let mut frame = table.frame();
+        for i in 0..by_frame.len() {
+            by_frame.read_into(i, &mut frame);
+            batch.clear();
+            batch.write_lane_from(1, &frame);
+            by_lane.push_lane(&batch, 1);
+        }
+        assert_eq!(by_lane, by_frame);
     }
 
     #[test]

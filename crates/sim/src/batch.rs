@@ -1,40 +1,30 @@
 //! Batched simulation: step `B` runs per subsystem through lane-major
 //! signal slabs.
 //!
-//! A [`SimulatorBatch`] is the SoA twin of [`Simulator`]: instead of `B`
-//! double-buffered [`Frame`] pairs stepped one run at a time (`B` virtual
-//! dispatches per subsystem per tick, each chasing its own heap
-//! allocations), the whole stripe's state lives in two [`FrameBatch`]
-//! slabs — one contiguous row per signal × lanes, the same layout
-//! [`FusedSuiteBatch`](esafe_logic::FusedSuiteBatch) evaluates monitor
-//! nodes in — and each [`BatchSubsystem`] advances **all** lanes in a
-//! straight-line lane loop before the next subsystem runs.
+//! A [`SimulatorBatch`] keeps a whole stripe's state in two
+//! [`FrameBatch`] slabs — one contiguous row per signal × lanes, the same
+//! layout [`FusedSuiteBatch`](esafe_logic::FusedSuiteBatch) evaluates
+//! monitor nodes in — and each [`BatchSubsystem`] advances **all** lanes
+//! in a straight-line lane loop before the next subsystem runs. A
+//! [`Simulator`](crate::Simulator) is the one-lane case.
 //!
 //! Batching is sound because of the kernel's one-tick observation delay:
 //! every subsystem reads the frozen previous slab and writes the next
 //! one, so lanes never see each other and the per-lane evaluation order
-//! inside a subsystem is immaterial. Bit-identity with scalar simulation
-//! comes for free from the migration path:
-//!
-//! * [`LaneSubsystem`] — a subsystem written once against the
-//!   [`SignalRead`]/[`SignalWrite`] access traits. The blanket
-//!   `impl Subsystem` runs it scalar over [`Frame`]s; [`LaneVec`] runs
-//!   one private instance per lane over slab lane views. Both paths
-//!   monomorphize the **same** step body, so the arithmetic (and its
-//!   floating-point rounding) is identical by construction.
-//! * [`SimulatorBatch::from_scalar`] — wraps already-built scalar
-//!   [`Simulator`]s wholesale: each lane's boxed subsystem chain steps
-//!   against per-lane scratch frames copied in and out of the slab. Three
-//!   frame copies per lane per tick, but zero changes to the substrate —
-//!   the incremental-migration on-ramp.
+//! inside a subsystem is immaterial. A subsystem is written once, as a
+//! [`LaneSubsystem`] against the [`SignalRead`]/[`SignalWrite`] access
+//! traits, and [`LaneVec`] runs one private instance per lane over slab
+//! lane views. Every lane therefore runs the same step body whatever the
+//! stripe's width, so a run's arithmetic (and its floating-point
+//! rounding) does not depend on which stripe it ticks in.
 //!
 //! Retired lanes ([`SimulatorBatch::retire_lane`]) are carried forward
 //! frozen by the whole-slab double-buffer memcpy; their per-lane tick
-//! counters ([`SimulatorBatch::lane_tick`]) stop, exactly like a scalar
-//! simulator that is no longer stepped.
+//! counters ([`SimulatorBatch::lane_tick`]) stop, exactly like a run that
+//! is no longer stepped.
 
-use crate::{SimTime, Simulator, Subsystem};
-use esafe_logic::{Frame, FrameBatch, SignalRead, SignalTable, SignalWrite};
+use crate::SimTime;
+use esafe_logic::{FrameBatch, SignalRead, SignalTable, SignalWrite};
 use std::sync::Arc;
 
 /// Which lanes of a batch are still advancing. Passed to every
@@ -84,7 +74,7 @@ impl LaneMask {
 
 /// A simulated component advancing **all lanes of a stripe at once**:
 /// reads the previous tick's slab, writes the next tick's, skipping
-/// retired lanes. The batched analogue of [`Subsystem`].
+/// retired lanes.
 pub trait BatchSubsystem {
     /// Display name (used in logs and error messages).
     fn name(&self) -> &str;
@@ -102,11 +92,16 @@ pub trait BatchSubsystem {
     );
 }
 
-/// A subsystem whose step body is generic over signal storage — the one
-/// definition that runs both scalar (over [`Frame`]s, via the blanket
-/// [`Subsystem`] impl) and batched (over slab lane views, via
-/// [`LaneVec`]). Because both paths monomorphize this same body, batched
-/// simulation is bit-identical to scalar simulation by construction.
+/// A simulated component whose step body is generic over signal
+/// storage: the one definition every lane of every [`SimulatorBatch`]
+/// runs, through [`LaneVec`], whatever the batch's width.
+///
+/// Subsystems are stepped in registration order, but because every
+/// subsystem reads the same previous snapshot, ordering does not leak
+/// information within a tick — all inter-subsystem communication takes
+/// at least one tick, as in the thesis's state model. Subsystems hold
+/// the [`SignalId`](esafe_logic::SignalId)s they read and write,
+/// resolved once at construction.
 pub trait LaneSubsystem {
     /// Display name (used in logs and error messages).
     fn name(&self) -> &str;
@@ -114,16 +109,6 @@ pub trait LaneSubsystem {
     /// Advances one tick for one run: read `prev`, write outputs into
     /// `next`.
     fn step_lane<R: SignalRead, W: SignalWrite>(&mut self, t: &SimTime, prev: &R, next: &mut W);
-}
-
-impl<T: LaneSubsystem> Subsystem for T {
-    fn name(&self) -> &str {
-        LaneSubsystem::name(self)
-    }
-
-    fn step(&mut self, t: &SimTime, prev: &Frame, next: &mut Frame) {
-        self.step_lane(t, prev, next);
-    }
 }
 
 /// One [`LaneSubsystem`] instance per lane, stepped as a straight-line
@@ -187,8 +172,8 @@ pub struct SimulatorBatch {
     /// The scratch (back) slab the next tick is composed into.
     scratch: FrameBatch,
     /// Per-lane tick counts; a lane's counter freezes at retirement, so
-    /// it always equals the tick count of the equivalent scalar
-    /// simulator that stopped being stepped at the same moment.
+    /// it always equals the tick count of the same run stepped alone
+    /// and stopped at the same moment.
     ticks: Vec<u64>,
     /// Global tick count (== every active lane's tick count).
     tick: u64,
@@ -216,55 +201,6 @@ impl SimulatorBatch {
         }
     }
 
-    /// Wraps already-built scalar simulators — one per lane — into a
-    /// batch whose per-lane behaviour is bit-identical to stepping them
-    /// individually: each tick, every lane's subsystem chain runs
-    /// against scratch frames copied in and out of the slab. This is the
-    /// incremental-migration path for substrates without a native
-    /// batched builder; hot substrates should register
-    /// [`LaneVec`]-wrapped subsystems instead and skip the copies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sims` is empty, or if the simulators disagree on tick
-    /// period, current tick, or signal table.
-    pub fn from_scalar(sims: Vec<Simulator>) -> Self {
-        assert!(!sims.is_empty(), "a batch needs at least one lane");
-        let dt_millis = sims[0].dt_millis;
-        let tick = sims[0].tick;
-        let table = Arc::clone(sims[0].table());
-        assert!(
-            sims.iter().all(|s| s.dt_millis == dt_millis),
-            "lanes must share one tick period"
-        );
-        assert!(
-            sims.iter().all(|s| s.tick == tick),
-            "lanes must share one start tick"
-        );
-        let lanes = sims.len();
-        let mut state = FrameBatch::new(&table, lanes);
-        let mut chains = Vec::with_capacity(lanes);
-        for (l, sim) in sims.into_iter().enumerate() {
-            state.write_lane_from(l, &sim.state);
-            chains.push(sim.subsystems);
-        }
-        let scratch = state.clone();
-        let adapter = ScalarLanes {
-            chains,
-            prev: table.frame(),
-            next: table.frame(),
-        };
-        SimulatorBatch {
-            subsystems: vec![Box::new(adapter)],
-            state,
-            scratch,
-            ticks: vec![tick; lanes],
-            tick,
-            dt_millis,
-            mask: LaneMask::new(lanes),
-        }
-    }
-
     /// The shared signal namespace.
     pub fn table(&self) -> &Arc<SignalTable> {
         self.state.table()
@@ -281,8 +217,7 @@ impl SimulatorBatch {
     }
 
     /// Seeds one lane's initial state in place: the lane is cleared to
-    /// all-unset, then `seed` writes into it — the per-lane analogue of
-    /// [`Simulator::init_with`].
+    /// all-unset, then `seed` writes into it.
     pub fn init_lane_with(&mut self, lane: usize, seed: impl FnOnce(&mut esafe_logic::LaneMut)) {
         self.state.clear_lane(lane);
         seed(&mut self.state.lane_mut(lane));
@@ -295,7 +230,7 @@ impl SimulatorBatch {
     }
 
     /// `lane`'s tick count — frozen at its retirement tick, exactly like
-    /// a scalar simulator that stopped being stepped.
+    /// a run that stopped being stepped.
     ///
     /// # Panics
     ///
@@ -304,8 +239,7 @@ impl SimulatorBatch {
         self.ticks[lane]
     }
 
-    /// `lane`'s simulated time in seconds (same arithmetic as
-    /// [`Simulator::seconds`]).
+    /// `lane`'s simulated time in seconds.
     ///
     /// # Panics
     ///
@@ -388,43 +322,5 @@ impl std::fmt::Debug for SimulatorBatch {
                 &self.subsystems.iter().map(|s| s.name()).collect::<Vec<_>>(),
             )
             .finish()
-    }
-}
-
-/// The [`SimulatorBatch::from_scalar`] adapter: every lane's boxed
-/// scalar subsystem chain, stepped per lane against scratch frames
-/// copied in and out of the slab.
-struct ScalarLanes {
-    chains: Vec<Vec<Box<dyn Subsystem>>>,
-    prev: Frame,
-    next: Frame,
-}
-
-impl BatchSubsystem for ScalarLanes {
-    fn name(&self) -> &str {
-        "scalar-lanes"
-    }
-
-    fn step_batch(
-        &mut self,
-        t: &SimTime,
-        prev: &FrameBatch,
-        next: &mut FrameBatch,
-        lanes: &LaneMask,
-    ) {
-        for (l, chain) in self.chains.iter_mut().enumerate() {
-            if !lanes.is_active(l) {
-                continue;
-            }
-            prev.read_lane_into(l, &mut self.prev);
-            // `next` already carries the memcpy'd previous state, so
-            // reading it back replicates the scalar double-buffer
-            // refresh for this lane.
-            next.read_lane_into(l, &mut self.next);
-            for s in chain.iter_mut() {
-                s.step(t, &self.prev, &mut self.next);
-            }
-            next.write_lane_from(l, &self.next);
-        }
     }
 }

@@ -5,37 +5,40 @@
 //! systems sampled at a fixed period (1 ms states in the CarSim runs).
 //! This crate provides the shared machinery:
 //!
-//! * a [`Simulator`] that steps registered [`Subsystem`]s against a shared
-//!   signal blackboard with **one-tick observation delay**: every
+//! * a [`SimulatorBatch`] that steps registered subsystems against a
+//!   shared signal blackboard with **one-tick observation delay**: every
 //!   subsystem reads the *previous* tick's snapshot and writes the next
 //!   one, matching the thesis's rule that monitored values are known one
-//!   state late;
+//!   state late. It steps a stripe of runs at once, one lane each; a
+//!   [`Simulator`] is its one-lane case over a [`Frame`];
 //! * actuation plumbing: [`FirstOrderLag`], [`RateLimiter`], [`DelayLine`];
 //! * [`SeriesLog`], the time series behind the thesis's figures, read
 //!   from a run's frame recording.
 //!
-//! The blackboard *is* an [`esafe_logic::Frame`] over the simulator's
-//! [`SignalTable`] — the signal set is declared once at build time, and
-//! stepping **double-buffers two frames** instead of cloning maps: the
-//! previous tick's frame is memcpy'd into the scratch frame, subsystems
-//! write through [`SignalId`]-typed accessors, and the buffers swap.
-//! Run-time goal monitors compiled with
+//! The blackboard *is* an [`esafe_logic::FrameBatch`] over the
+//! simulator's [`SignalTable`] — the signal set is declared once at build
+//! time, and stepping **double-buffers two slabs** instead of cloning
+//! maps: the previous tick's slab is memcpy'd into the scratch slab,
+//! subsystems write through [`SignalId`]-typed accessors, and the buffers
+//! swap. Run-time goal monitors compiled with
 //! [`FusedSuiteProgram::compile`](esafe_logic::FusedSuiteProgram::compile)
-//! against the same table attach without adapters, so the whole per-tick
+//! against the same table read the slab in place, so the whole per-tick
 //! loop holds zero `String` allocations.
 //!
 //! # Example
 //!
 //! ```
-//! use esafe_sim::{SimTime, Simulator, Subsystem};
-//! use esafe_logic::{Frame, SignalId, SignalTable};
+//! use esafe_sim::{LaneSubsystem, SignalRead, SignalWrite, SimTime, Simulator};
+//! use esafe_logic::{SignalId, SignalTable};
 //!
 //! struct Counter {
 //!     n: SignalId,
 //! }
-//! impl Subsystem for Counter {
+//! impl LaneSubsystem for Counter {
 //!     fn name(&self) -> &str { "counter" }
-//!     fn step(&mut self, _t: &SimTime, prev: &Frame, next: &mut Frame) {
+//!     fn step_lane<R: SignalRead, W: SignalWrite>(
+//!         &mut self, _t: &SimTime, prev: &R, next: &mut W,
+//!     ) {
 //!         next.set(self.n, prev.real_or(self.n, 0.0) + 1.0);
 //!     }
 //! }
@@ -82,32 +85,16 @@ impl SimTime {
     }
 }
 
-/// A simulated component: reads the previous tick's signals, writes the
-/// next tick's.
-///
-/// Subsystems are stepped in registration order, but because every
-/// subsystem reads the same previous snapshot, ordering does not leak
-/// information within a tick — all inter-subsystem communication takes at
-/// least one tick, as in the thesis's state model. Subsystems hold the
-/// [`SignalId`]s they read and write, resolved once at construction.
-pub trait Subsystem {
-    /// Display name (used in logs and error messages).
-    fn name(&self) -> &str;
-
-    /// Advances one tick: read `prev`, write outputs into `next`.
-    fn step(&mut self, t: &SimTime, prev: &Frame, next: &mut Frame);
-}
-
-/// The fixed-step simulator: a registered subsystem list over a
-/// double-buffered pair of [`Frame`]s sharing one [`SignalTable`].
+/// The fixed-step simulator of one run: a one-lane [`SimulatorBatch`]
+/// plus a [`Frame`] copy of its lane, refreshed on every step. Its
+/// subsystems are [`LaneSubsystem`]s, the same step bodies a batch of
+/// many runs steps per lane, so one run simulates exactly as it would
+/// inside a wider batch.
+#[derive(Debug)]
 pub struct Simulator {
-    subsystems: Vec<Box<dyn Subsystem>>,
-    /// The current (front) snapshot.
+    batch: SimulatorBatch,
+    /// Lane 0 of `batch`'s state.
     state: Frame,
-    /// The scratch (back) frame the next tick is composed into.
-    scratch: Frame,
-    tick: u64,
-    dt_millis: u64,
 }
 
 impl Simulator {
@@ -118,57 +105,58 @@ impl Simulator {
     ///
     /// Panics if `dt_millis` is zero.
     pub fn new(dt_millis: u64, table: &Arc<SignalTable>) -> Self {
-        assert!(dt_millis > 0, "tick period must be positive");
-        Simulator {
-            subsystems: Vec::new(),
-            state: table.frame(),
-            scratch: table.frame(),
-            tick: 0,
-            dt_millis,
-        }
+        Self::from_batch(SimulatorBatch::new(dt_millis, table, 1))
+    }
+
+    /// Wraps a one-lane batch, such as a substrate's batched builder
+    /// returns for a single configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch` has more than one lane.
+    pub fn from_batch(batch: SimulatorBatch) -> Self {
+        assert_eq!(batch.lanes(), 1, "a simulator steps one lane");
+        let mut state = batch.table().frame();
+        batch.state().read_lane_into(0, &mut state);
+        Simulator { batch, state }
     }
 
     /// The shared signal namespace.
     pub fn table(&self) -> &Arc<SignalTable> {
-        self.state.table()
+        self.batch.table()
     }
 
     /// Registers a subsystem (stepped in registration order).
-    pub fn add(&mut self, s: impl Subsystem + 'static) {
-        self.subsystems.push(Box::new(s));
+    pub fn add(&mut self, s: impl LaneSubsystem + 'static) {
+        self.batch.add(LaneVec::new(vec![s]));
     }
 
-    /// Sets the initial state (tick 0 snapshot).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frame` indexes a different table.
-    pub fn init(&mut self, frame: Frame) {
-        self.state.copy_from(&frame);
-        self.tick = 0;
-    }
-
-    /// Seeds the initial state in place: `seed` receives a fresh all-unset
-    /// frame over the simulator's table.
+    /// Seeds the state in place: `seed` receives an all-unset frame over
+    /// the simulator's table. Call it before the first step.
     pub fn init_with(&mut self, seed: impl FnOnce(&mut Frame)) {
-        let mut frame = self.table().frame();
-        seed(&mut frame);
-        self.init(frame);
+        self.state.clear();
+        seed(&mut self.state);
+        let state = &self.state;
+        self.batch.init_lane_with(0, |lane| {
+            for (id, value) in state.iter() {
+                lane.set(id, value);
+            }
+        });
     }
 
     /// Current tick count.
     pub fn tick(&self) -> u64 {
-        self.tick
+        self.batch.lane_tick(0)
     }
 
     /// Tick period in milliseconds.
     pub fn dt_millis(&self) -> u64 {
-        self.dt_millis
+        self.batch.dt_millis()
     }
 
     /// Current simulated time in seconds.
     pub fn seconds(&self) -> f64 {
-        (self.tick * self.dt_millis) as f64 / 1000.0
+        self.batch.lane_seconds(0)
     }
 
     /// The current state snapshot.
@@ -176,19 +164,9 @@ impl Simulator {
         &self.state
     }
 
-    /// Advances one tick and returns the new state. The double-buffer
-    /// refresh is a memcpy; nothing on this path allocates.
+    /// Advances one tick and returns the new state.
     pub fn step(&mut self) -> &Frame {
-        let t = SimTime {
-            tick: self.tick + 1,
-            dt_millis: self.dt_millis,
-        };
-        self.scratch.copy_from(&self.state);
-        for s in &mut self.subsystems {
-            s.step(&t, &self.state, &mut self.scratch);
-        }
-        std::mem::swap(&mut self.state, &mut self.scratch);
-        self.tick += 1;
+        self.batch.step().read_lane_into(0, &mut self.state);
         &self.state
     }
 
@@ -197,24 +175,10 @@ impl Simulator {
     pub fn run(&mut self, ticks: u64, mut observer: impl FnMut(u64, &Frame) -> bool) {
         for _ in 0..ticks {
             self.step();
-            if !observer(self.tick, &self.state) {
+            if !observer(self.tick(), &self.state) {
                 break;
             }
         }
-    }
-}
-
-impl std::fmt::Debug for Simulator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Simulator")
-            .field("tick", &self.tick)
-            .field("dt_millis", &self.dt_millis)
-            .field("signals", &self.table().len())
-            .field(
-                "subsystems",
-                &self.subsystems.iter().map(|s| s.name()).collect::<Vec<_>>(),
-            )
-            .finish()
     }
 }
 
@@ -419,11 +383,16 @@ mod tests {
         to: SignalId,
     }
 
-    impl Subsystem for Echo {
+    impl LaneSubsystem for Echo {
         fn name(&self) -> &str {
             "echo"
         }
-        fn step(&mut self, _t: &SimTime, prev: &Frame, next: &mut Frame) {
+        fn step_lane<R: SignalRead, W: SignalWrite>(
+            &mut self,
+            _t: &SimTime,
+            prev: &R,
+            next: &mut W,
+        ) {
             if let Some(v) = prev.get(self.from) {
                 next.set(self.to, v);
             }

@@ -1,10 +1,9 @@
-//! Property tests pinning the batched simulator to the scalar one:
-//! random subsystem chains under random lane-retirement schedules must
-//! produce **bit-identical** per-lane frame sequences and tick counts
-//! on both batched paths (native [`LaneVec`] registration and the
-//! [`SimulatorBatch::from_scalar`] migration wrapper) — the sim-side
-//! twin of the logic crate's `batched_fused_matches_scalar_fused`
-//! properties.
+//! Property tests pinning a wide batch to one-lane simulators: random
+//! subsystem chains under random lane-retirement schedules must produce
+//! **bit-identical** per-lane frame sequences and tick counts whether a
+//! run steps alone (a one-lane [`Simulator`]) or as one lane of a
+//! [`SimulatorBatch`] — the sim-side twin of the logic crate's
+//! `batched_fused_matches_scalar_fused` properties.
 
 use esafe_logic::{SignalId, SignalTable};
 use esafe_sim::{
@@ -66,16 +65,15 @@ enum StageKind {
     /// Latches `flag` once `src` exceeds a threshold — boolean state.
     Latch { threshold: f64 },
     /// Counts flag ticks into `count` via **internal** subsystem state,
-    /// which must freeze at retirement exactly like a scalar simulator
+    /// which must freeze at retirement exactly like a simulator
     /// that stops being stepped.
     Counter,
 }
 
 /// A [`StageKind`] bound to concrete signals and one lane's parameter
-/// delta. The single `step_lane` body serves the scalar path (blanket
-/// [`esafe_sim::Subsystem`] impl), the native batched path
-/// ([`LaneVec`]), and the `from_scalar` wrapper — so any divergence the
-/// test finds is in the engines, not the arithmetic.
+/// delta. The single `step_lane` body serves the one-lane simulators and
+/// the wide batch — so any divergence the test finds is in the lane
+/// bookkeeping, not the arithmetic.
 struct Stage {
     kind: StageKind,
     src: SignalId,
@@ -126,7 +124,7 @@ fn stage_kind() -> impl Strategy<Value = StageKind> {
 }
 
 /// A chain blueprint: stage kinds plus src/dst wiring indices into the
-/// four-real pool, instantiable any number of times (scalar per lane,
+/// four-real pool, instantiable any number of times (alone per lane,
 /// batched per lane) with identical arithmetic.
 #[derive(Debug, Clone)]
 struct Blueprint {
@@ -155,7 +153,7 @@ impl Blueprint {
         }
     }
 
-    fn scalar_simulator(&self, lane: usize, sig: &Signals, seeds: &[f64]) -> Simulator {
+    fn solo_simulator(&self, lane: usize, sig: &Signals, seeds: &[f64]) -> Simulator {
         let mut sim = Simulator::new(10, &sig.table);
         for i in 0..self.stages.len() {
             sim.add(self.stage(i, lane, sig));
@@ -171,7 +169,7 @@ impl Blueprint {
     }
 }
 
-/// Steps scalar simulators and both batched engines through the same
+/// Steps one-lane simulators and a wide batch through the same
 /// retirement schedule, asserting every lane's every-tick frame and
 /// final tick count match bit for bit.
 fn check_equivalence(
@@ -183,8 +181,8 @@ fn check_equivalence(
 ) {
     let sig = signals();
 
-    let mut scalars: Vec<Simulator> = (0..lanes)
-        .map(|l| bp.scalar_simulator(l, &sig, seeds))
+    let mut solo: Vec<Simulator> = (0..lanes)
+        .map(|l| bp.solo_simulator(l, &sig, seeds))
         .collect();
 
     let mut native = SimulatorBatch::new(10, &sig.table, lanes);
@@ -201,41 +199,26 @@ fn check_equivalence(
         });
     }
 
-    let wrapped_scalars: Vec<Simulator> = (0..lanes)
-        .map(|l| bp.scalar_simulator(l, &sig, seeds))
-        .collect();
-    let mut wrapped = SimulatorBatch::from_scalar(wrapped_scalars);
-
     for tick in 1..=ticks {
-        for (l, sim) in scalars.iter_mut().enumerate() {
+        for (l, sim) in solo.iter_mut().enumerate() {
             if retire[l].is_none_or(|r| tick <= r) {
                 sim.step();
             }
         }
         native.step();
-        wrapped.step();
         for (l, r) in retire.iter().enumerate().take(lanes) {
             if *r == Some(tick) {
                 native.retire_lane(l);
-                wrapped.retire_lane(l);
             }
         }
 
-        for (l, scalar) in scalars.iter().enumerate() {
+        for (l, alone) in solo.iter().enumerate() {
             for id in sig.table.ids() {
-                let want = scalar.state().get(id);
+                let want = alone.state().get(id);
                 prop_assert_eq!(
                     native.state().get(id, l),
                     want,
                     "native lane {} tick {} signal {}",
-                    l,
-                    tick,
-                    sig.table.name(id)
-                );
-                prop_assert_eq!(
-                    wrapped.state().get(id, l),
-                    want,
-                    "wrapped lane {} tick {} signal {}",
                     l,
                     tick,
                     sig.table.name(id)
@@ -245,23 +228,15 @@ fn check_equivalence(
     }
 
     for l in 0..lanes {
-        prop_assert_eq!(native.lane_tick(l), scalars[l].tick(), "native lane {}", l);
-        prop_assert_eq!(
-            wrapped.lane_tick(l),
-            scalars[l].tick(),
-            "wrapped lane {}",
-            l
-        );
+        prop_assert_eq!(native.lane_tick(l), solo[l].tick(), "native lane {}", l);
         let frozen = retire[l].is_some_and(|r| r <= ticks);
         prop_assert_eq!(native.is_active(l), !frozen);
-        prop_assert_eq!(wrapped.is_active(l), !frozen);
     }
 }
 
 proptest! {
-    /// Batched simulation ≡ scalar simulation, per lane, bit for bit —
-    /// under random chains, lane counts, seeds, and retirement ticks,
-    /// on both the native (`LaneVec`) and `from_scalar` engines.
+    /// A lane of a batch ≡ the same run stepped alone, bit for bit —
+    /// under random chains, lane counts, seeds, and retirement ticks.
     #[test]
     fn batched_sim_matches_scalar_sim_per_lane(
         bp in blueprint(),

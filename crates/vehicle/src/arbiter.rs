@@ -219,7 +219,7 @@ mod tests {
     use crate::features::FeatureOutputs;
     use crate::signals::vehicle_table;
     use esafe_logic::{Frame, SignalTable, Value};
-    use esafe_sim::Subsystem;
+    use esafe_sim::LaneSubsystem;
     use std::sync::Arc;
 
     fn base_state(table: &Arc<SignalTable>, sigs: &VehicleSigs) -> Frame {
@@ -240,7 +240,7 @@ mod tests {
 
     fn tick(arb: &mut Arbiter, prev: &Frame) -> Frame {
         let mut next = prev.clone();
-        arb.step(
+        arb.step_lane(
             &SimTime {
                 tick: 1,
                 dt_millis: 1,

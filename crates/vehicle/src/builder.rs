@@ -10,66 +10,11 @@ use crate::features::{
 };
 use crate::signals::VehicleSigs;
 use esafe_logic::SignalTable;
-use esafe_sim::{LaneVec, Simulator, SimulatorBatch};
+use esafe_sim::{LaneVec, SimulatorBatch};
 use std::sync::Arc;
 
-/// Builds a ready-to-run vehicle [`Simulator`] at 1 kHz over the shared
-/// signal table: driver, the five feature subsystems, the arbiter, and
-/// the plant, with a fully seeded initial frame. Every subsystem carries
-/// a copy of the resolved [`VehicleSigs`], so its per-tick reads and
-/// writes are dense slot accesses.
-///
-/// # Example
-///
-/// ```
-/// use esafe_vehicle::builder::build_vehicle;
-/// use esafe_vehicle::config::{DefectSet, VehicleParams};
-/// use esafe_vehicle::dynamics::Scene;
-/// use esafe_vehicle::signals::vehicle_table;
-///
-/// let (table, sigs) = vehicle_table();
-/// let mut sim = build_vehicle(
-///     VehicleParams::default(),
-///     DefectSet::none(),
-///     Scene::default(),
-///     vec![],
-///     &table,
-///     &sigs,
-/// );
-/// sim.step();
-/// assert!(sim.state().get(sigs.accel_cmd).is_some());
-/// ```
-pub fn build_vehicle(
-    params: VehicleParams,
-    defects: DefectSet,
-    scene: Scene,
-    driver_schedule: Vec<(f64, DriverAction)>,
-    table: &Arc<SignalTable>,
-    sigs: &VehicleSigs,
-) -> Simulator {
-    let mut sim = Simulator::new(1, table);
-    sim.add(ScriptedDriver::new(params, *sigs, driver_schedule));
-    sim.add(CollisionAvoidance::new(params, defects, *sigs));
-    sim.add(RearCollisionAvoidance::new(params, defects, *sigs));
-    sim.add(ParkAssist::new(params, defects, *sigs));
-    sim.add(LaneChangeAssist::new(params, defects, *sigs));
-    sim.add(AdaptiveCruiseControl::new(params, defects, *sigs));
-    sim.add(Arbiter::new(params, defects, *sigs));
-    sim.add(HostDynamics::new(params, defects, scene, *sigs));
-
-    sim.init_with(|frame| {
-        HostDynamics::seed(frame, sigs, &scene);
-        ScriptedDriver::seed(frame, sigs);
-        Arbiter::seed(frame, sigs);
-        for f in &sigs.features {
-            FeatureOutputs::seed(frame, f);
-        }
-    });
-    sim
-}
-
-/// One lane's configuration for [`build_vehicle_batch`]: the per-cell
-/// inputs [`build_vehicle`] takes, minus the shared table/sigs.
+/// One lane's configuration for [`build_vehicle_batch`]: a cell's
+/// inputs, minus the shared table/sigs.
 #[derive(Debug, Clone)]
 pub struct VehicleLaneConfig {
     /// Physical and control constants.
@@ -82,15 +27,36 @@ pub struct VehicleLaneConfig {
     pub script: Vec<(f64, DriverAction)>,
 }
 
-/// Builds a batched vehicle simulator stepping every lane of `lanes`
-/// together: the same eight subsystems in the same order as
-/// [`build_vehicle`], each as a [`LaneVec`] over per-lane instances, and
-/// each lane's initial frame seeded exactly as `build_vehicle` seeds its
-/// scalar counterpart. Lane `l` is bit-identical to
-/// `build_vehicle(lanes[l]…)` (pinned by this module's tests and the
-/// workspace's batched-sweep golden tests) because every subsystem's
-/// `step_lane` body is the one `build_vehicle`'s boxed subsystems
-/// monomorphize.
+/// Builds a vehicle simulator at 1 kHz stepping every lane of `lanes`
+/// together over the shared signal table: driver, the five feature
+/// subsystems, the arbiter, and the plant, each as a [`LaneVec`] over
+/// per-lane instances, with every lane's initial frame fully seeded.
+/// Every subsystem carries a copy of the resolved [`VehicleSigs`], so
+/// its per-tick reads and writes are dense slot accesses. A single run
+/// is the one-lane case; lane `l` steps bit-identically to a one-lane
+/// build of `lanes[l]` (pinned by this module's tests and the
+/// workspace's sweep golden tests) because every lane runs the same
+/// `step_lane` bodies.
+///
+/// # Example
+///
+/// ```
+/// use esafe_vehicle::builder::{build_vehicle_batch, VehicleLaneConfig};
+/// use esafe_vehicle::config::{DefectSet, VehicleParams};
+/// use esafe_vehicle::dynamics::Scene;
+/// use esafe_vehicle::signals::vehicle_table;
+///
+/// let (table, sigs) = vehicle_table();
+/// let lane = VehicleLaneConfig {
+///     params: VehicleParams::default(),
+///     defects: DefectSet::none(),
+///     scene: Scene::default(),
+///     script: vec![],
+/// };
+/// let mut sim = build_vehicle_batch(&[lane], &table, &sigs);
+/// sim.step();
+/// assert!(sim.state().get(sigs.accel_cmd, 0).is_some());
+/// ```
 ///
 /// # Panics
 ///
@@ -145,25 +111,26 @@ pub fn build_vehicle_batch(
 mod tests {
     use super::*;
     use crate::signals::vehicle_table;
+    use esafe_sim::Simulator;
+
+    /// One run alone: a one-lane build.
     fn build(
         defects: DefectSet,
         scene: Scene,
         script: Vec<(f64, DriverAction)>,
     ) -> (Simulator, VehicleSigs) {
         let (table, sigs) = vehicle_table();
+        let lane = VehicleLaneConfig {
+            params: VehicleParams::default(),
+            defects,
+            scene,
+            script,
+        };
         (
-            build_vehicle(
-                VehicleParams::default(),
-                defects,
-                scene,
-                script,
-                &table,
-                &sigs,
-            ),
+            Simulator::from_batch(build_vehicle_batch(&[lane], &table, &sigs)),
             sigs,
         )
     }
-
     #[test]
     fn batched_vehicle_matches_scalar_lanes_bit_for_bit() {
         let (table, sigs) = vehicle_table();
@@ -188,23 +155,16 @@ mod tests {
             },
         ];
         let mut batch = build_vehicle_batch(&configs, &table, &sigs);
-        let mut scalars: Vec<Simulator> = configs
+        let mut alone: Vec<Simulator> = configs
             .iter()
             .map(|c| {
-                build_vehicle(
-                    c.params,
-                    c.defects,
-                    c.scene,
-                    c.script.clone(),
-                    &table,
-                    &sigs,
-                )
+                Simulator::from_batch(build_vehicle_batch(std::slice::from_ref(c), &table, &sigs))
             })
             .collect();
         let mut frame = table.frame();
         for tick in 0..2000u64 {
             batch.step();
-            for (l, sim) in scalars.iter_mut().enumerate() {
+            for (l, sim) in alone.iter_mut().enumerate() {
                 sim.step();
                 batch.state().read_lane_into(l, &mut frame);
                 assert_eq!(&frame, sim.state(), "lane {l} diverged at tick {tick}");

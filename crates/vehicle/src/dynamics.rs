@@ -219,17 +219,22 @@ impl LaneSubsystem for HostDynamics {
 mod tests {
     use super::*;
     use crate::signals::vehicle_table;
-    use esafe_logic::{Frame, SignalId, SignalTable, Value};
-    use esafe_sim::{Simulator, Subsystem};
+    use esafe_logic::{SignalId, SignalTable, Value};
+    use esafe_sim::Simulator;
     use std::sync::Arc;
 
     /// Injects a constant acceleration command each tick.
     struct ConstCmd(SignalId, f64);
-    impl Subsystem for ConstCmd {
+    impl LaneSubsystem for ConstCmd {
         fn name(&self) -> &str {
             "ConstCmd"
         }
-        fn step(&mut self, _t: &SimTime, _prev: &Frame, next: &mut Frame) {
+        fn step_lane<R: SignalRead, W: SignalWrite>(
+            &mut self,
+            _t: &SimTime,
+            _prev: &R,
+            next: &mut W,
+        ) {
             next.set(self.0, self.1);
         }
     }
@@ -270,7 +275,7 @@ mod tests {
         let (mut sim, _table, sigs) = plant_sim(DefectSet::none(), Scene::default(), -2.0);
         let mut init = sim.state().clone();
         init.set(sigs.host_speed, Value::Real(1.0));
-        sim.init(init);
+        sim.init_with(|f| f.copy_from(&init));
         for _ in 0..3000 {
             sim.step();
         }
@@ -286,7 +291,7 @@ mod tests {
         let (mut sim, _table, sigs) = plant_sim(defects, Scene::default(), -2.0);
         let mut init = sim.state().clone();
         init.set(sigs.host_speed, Value::Real(1.0));
-        sim.init(init);
+        sim.init_with(|f| f.copy_from(&init));
         for _ in 0..3000 {
             sim.step();
         }
@@ -321,7 +326,7 @@ mod tests {
         let (mut sim, _table, sigs) = plant_sim(DefectSet::none(), Scene::default(), -8.0);
         let mut init = sim.state().clone();
         init.set(sigs.host_speed, Value::Real(10.0));
-        sim.init(init);
+        sim.init_with(|f| f.copy_from(&init));
         sim.step();
         sim.step();
         let jerk = sim.state().real_or(sigs.host_jerk, 0.0);

@@ -185,7 +185,7 @@ mod tests {
     use super::*;
     use crate::signals::{self as sig, vehicle_table};
     use esafe_logic::{Frame, SignalTable, Value};
-    use esafe_sim::Subsystem;
+    use esafe_sim::LaneSubsystem;
     use std::sync::Arc;
 
     fn world(table: &Arc<SignalTable>, sigs: &VehicleSigs, speed: f64, set: f64) -> Frame {
@@ -203,7 +203,7 @@ mod tests {
 
     fn tick(acc: &mut AdaptiveCruiseControl, prev: &Frame) -> Frame {
         let mut next = prev.clone();
-        acc.step(
+        acc.step_lane(
             &SimTime {
                 tick: 1,
                 dt_millis: 1,

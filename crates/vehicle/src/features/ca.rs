@@ -145,7 +145,7 @@ mod tests {
     use super::*;
     use crate::signals::{self as sig, vehicle_table};
     use esafe_logic::{Frame, SignalTable, Value};
-    use esafe_sim::Subsystem;
+    use esafe_sim::LaneSubsystem;
     use std::sync::Arc;
 
     fn ctx() -> (Arc<SignalTable>, VehicleSigs) {
@@ -173,7 +173,7 @@ mod tests {
             tick: 1,
             dt_millis: 1,
         };
-        ca.step(&t, prev, &mut next);
+        ca.step_lane(&t, prev, &mut next);
         next
     }
 

@@ -105,7 +105,7 @@ mod tests {
     use super::*;
     use crate::signals::{self as sig, vehicle_table};
     use esafe_logic::{Frame, SignalTable, Value};
-    use esafe_sim::Subsystem;
+    use esafe_sim::LaneSubsystem;
     use std::sync::Arc;
 
     fn world(table: &Arc<SignalTable>, sigs: &VehicleSigs, acc_request: f64) -> Frame {
@@ -126,7 +126,7 @@ mod tests {
         };
         for _ in 0..n {
             let snapshot = s.clone();
-            lca.step(&t, &snapshot, &mut s);
+            lca.step_lane(&t, &snapshot, &mut s);
         }
         s
     }

@@ -123,11 +123,11 @@ mod tests {
     use super::*;
     use crate::signals::{self as sig, vehicle_table};
     use esafe_logic::Frame;
-    use esafe_sim::Subsystem;
+    use esafe_sim::LaneSubsystem;
 
     fn tick_at(pa: &mut ParkAssist, prev: &Frame, tick: u64) -> Frame {
         let mut next = prev.clone();
-        pa.step(&SimTime { tick, dt_millis: 1 }, prev, &mut next);
+        pa.step_lane(&SimTime { tick, dt_millis: 1 }, prev, &mut next);
         next
     }
 

@@ -85,7 +85,7 @@ mod tests {
     use super::*;
     use crate::signals::{self as sig, vehicle_table};
     use esafe_logic::{Frame, SignalTable, Value};
-    use esafe_sim::Subsystem;
+    use esafe_sim::LaneSubsystem;
     use std::sync::Arc;
 
     fn reversing_world(table: &Arc<SignalTable>, sigs: &VehicleSigs, gap: f64) -> Frame {
@@ -99,7 +99,7 @@ mod tests {
 
     fn tick(rca: &mut RearCollisionAvoidance, prev: &Frame) -> Frame {
         let mut next = prev.clone();
-        rca.step(
+        rca.step_lane(
             &SimTime {
                 tick: 1,
                 dt_millis: 1,

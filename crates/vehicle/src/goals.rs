@@ -61,9 +61,21 @@ fn for_each_feature(features: &[&str], template: &str) -> Expr {
     )
 }
 
+/// `x` as a formula literal that always parses as a `Real`: `2.0`, never
+/// `2`, which parses as an `Int` and is a separate DAG node from the
+/// `2.0` other goals write.
+fn real_literal(x: f64) -> String {
+    let text = x.to_string();
+    if text.contains('.') {
+        text
+    } else {
+        format!("{text}.0")
+    }
+}
+
 /// Builds the nine goal specifications.
 pub fn specs(params: &VehicleParams) -> Vec<GoalSpec> {
-    let accel = params.accel_limit;
+    let accel = real_literal(params.accel_limit);
     let jerk = params.jerk_limit;
     let w = STOP_WINDOW_MS;
     let all = sig::FEATURES;

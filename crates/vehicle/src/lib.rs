@@ -42,6 +42,5 @@ pub mod probe;
 pub mod signals;
 pub mod substrate;
 
-pub use builder::build_vehicle;
 pub use config::{DefectSet, VehicleParams};
 pub use substrate::{VehicleFamily, VehicleSubstrate};

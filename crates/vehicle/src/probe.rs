@@ -11,8 +11,8 @@ use crate::signals::VehicleSigs;
 use esafe_logic::{Frame, SignalRead, SignalWrite};
 
 /// Writes the `probe.*` signals into any sample carrying the raw
-/// frame's values — a scalar [`Frame`] ([`derive_into`]) or one lane of
-/// a batched state slab, **in place**. In-place derivation is safe
+/// frame's values — a [`Frame`] or one lane of a batched state slab,
+/// **in place**. In-place derivation is safe
 /// because no subsystem reads a `probe.*` signal (every probe is
 /// overwritten here each tick) and `hmi.go` is only defaulted when
 /// unset. Pure id-indexed slot access — no allocation.
@@ -46,19 +46,12 @@ pub fn derive_lane<F: SignalRead + SignalWrite>(
     }
 }
 
-/// [`derive_lane`] over a scalar [`Frame`], which must already carry
-/// the raw frame's values (the experiment loop memcpys `raw` into `out`
-/// first).
-pub fn derive_into(out: &mut Frame, sigs: &VehicleSigs, params: &VehicleParams) {
-    derive_lane(out, sigs, params);
-}
-
 /// Returns a copy of `frame` augmented with the `probe.*` signals (the
-/// allocation-tolerant convenience used by tests and benches; the
-/// experiment loop uses [`derive_into`] with a reused scratch frame).
+/// allocation-tolerant convenience used by tests; the tick loop runs
+/// [`derive_lane`] on the state slab in place).
 pub fn derive(frame: &Frame, sigs: &VehicleSigs, params: &VehicleParams) -> Frame {
     let mut out = frame.clone();
-    derive_into(&mut out, sigs, params);
+    derive_lane(&mut out, sigs, params);
     out
 }
 

@@ -1,7 +1,7 @@
 //! The vehicle's [`Substrate`] implementation: one scenario × defect
 //! configuration, runnable under the generic experiment harness.
 
-use crate::builder::{build_vehicle, build_vehicle_batch, VehicleLaneConfig};
+use crate::builder::{build_vehicle_batch, VehicleLaneConfig};
 use crate::config::{DefectSet, VehicleParams};
 use crate::driver::DriverAction;
 use crate::dynamics::Scene;
@@ -10,7 +10,7 @@ use crate::{goals, probe};
 use esafe_harness::Substrate;
 use esafe_logic::{EvalError, Frame, FrameBatch, SignalId, SignalTable};
 use esafe_monitor::{MonitorSuite, SuiteTemplate};
-use esafe_sim::{Simulator, SimulatorBatch};
+use esafe_sim::SimulatorBatch;
 use std::sync::Arc;
 
 /// The compile-once artifacts of the vehicle substrate *family*: the
@@ -238,22 +238,10 @@ impl Substrate for VehicleSubstrate {
         &self.table
     }
 
-    fn build_simulator(&self) -> Simulator {
-        build_vehicle(
-            self.params,
-            self.defects,
-            self.scene,
-            self.script.clone(),
-            &self.table,
-            &self.sigs,
-        )
-    }
-
-    /// The native batched builder: one [`SimulatorBatch`] whose lane `l`
-    /// is `group[l]`'s configuration, stepping the whole stripe in
-    /// lane-major loops instead of per-lane boxed-subsystem dispatch.
-    fn build_simulator_batch(group: &[&Self]) -> Option<SimulatorBatch> {
-        let first = group.first()?;
+    /// One [`SimulatorBatch`] whose lane `l` is `group[l]`'s
+    /// configuration, stepping the whole stripe in lane-major loops.
+    fn build_simulator_batch(group: &[&Self]) -> SimulatorBatch {
+        let first = group[0];
         let lanes: Vec<VehicleLaneConfig> = group
             .iter()
             .map(|s| VehicleLaneConfig {
@@ -263,7 +251,7 @@ impl Substrate for VehicleSubstrate {
                 script: s.script.clone(),
             })
             .collect();
-        Some(build_vehicle_batch(&lanes, &first.table, &first.sigs))
+        build_vehicle_batch(&lanes, &first.table, &first.sigs)
     }
 
     fn build_monitors(&self) -> Result<MonitorSuite, EvalError> {
@@ -275,16 +263,10 @@ impl Substrate for VehicleSubstrate {
     }
 
     /// The monitors and figures read the probe-derived signals, not the
-    /// raw blackboard: copy the raw frame and write the `probe.*` slots.
-    fn observe(&self, raw: &Frame, observed: &mut Frame) {
-        observed.copy_from(raw);
-        probe::derive_into(observed, &self.sigs, &self.params);
-    }
-
-    /// Batched observation runs the probe derivation **in place** on the
-    /// lane: probes are observation-only (no subsystem reads `probe.*`,
-    /// and `hmi.go` is only defaulted when unset), so writing them into
-    /// the live state slab is safe and skips both per-lane frame copies.
+    /// raw blackboard. The derivation runs **in place** on the lane:
+    /// probes are observation-only (no subsystem reads `probe.*`, and
+    /// `hmi.go` is only defaulted when unset), so writing them into the
+    /// live state slab is safe and needs no per-lane frame copy.
     fn observe_lane(
         &self,
         slab: &mut FrameBatch,
@@ -296,18 +278,7 @@ impl Substrate for VehicleSubstrate {
     }
 
     /// A forward or rear collision aborts the run after the grace window
-    /// (the thesis's CarSim early termination).
-    fn terminal_event(&self, observed: &Frame) -> Option<&'static str> {
-        if observed.bool_or(self.sigs.collision, false) {
-            Some("collision")
-        } else if observed.bool_or(self.sigs.rear_collision, false) {
-            Some("rear_collision")
-        } else {
-            None
-        }
-    }
-
-    /// Two direct slab reads — no per-lane frame copy.
+    /// (the thesis's CarSim early termination): two direct slab reads.
     fn terminal_event_lane(
         &self,
         slab: &FrameBatch,
@@ -400,6 +371,30 @@ mod tests {
             tweaked.suite_template().is_none(),
             "parameter overrides invalidate the family's compiled goals"
         );
+    }
+
+    /// Every accel bound renders as the `Real` literal `2.0` that goal 9
+    /// writes, so each feature's `accel_request <= 2.0` is one DAG node.
+    #[test]
+    fn family_template_shares_each_accel_bound_node() {
+        let family = VehicleFamily::default();
+        let program = family.template().fused_program();
+        assert_eq!(program.source_nodes(), 506);
+        assert_eq!(program.unique_nodes(), 179);
+    }
+
+    #[test]
+    fn non_integer_accel_limits_compile_through_with_params() {
+        let params = VehicleParams {
+            accel_limit: 1.5,
+            ..VehicleParams::default()
+        };
+        let tweaked = VehicleFamily::default()
+            .substrate(DefectSet::none(), parked_ahead(), vec![])
+            .with_params(params);
+        let suite = tweaked.build_monitors().unwrap();
+        let (_, goal) = suite.describe("1").unwrap();
+        assert!(goal.to_string().contains("host.accel <= 1.5"), "{goal}");
     }
 
     #[test]

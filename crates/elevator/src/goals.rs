@@ -235,6 +235,43 @@ mod tests {
         assert_eq!(suite.location_matrix().len(), 10);
     }
 
+    /// A goal that orders the drive command, a symbol, could never
+    /// evaluate a frame, so `add_goal` refuses it naming both operands;
+    /// the suite's own goals, which order only numbers, still compile.
+    #[test]
+    fn ordering_a_symbol_signal_is_refused_when_added() {
+        let params = ElevatorParams::default();
+        let (table, _sigs) = crate::model::elevator_table(&params);
+        let mut suite = build_suite(&table, &params).unwrap();
+        let err = suite
+            .add_goal(
+                "bad",
+                Location::new("Elevator"),
+                parse("always(drive_command < 'STOP' || elevator_stopped)").unwrap(),
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            EvalError::UnorderableOperands {
+                lhs: "drive_command".into(),
+                rhs: "'STOP'".into()
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "cannot order `drive_command` and `'STOP'`: an ordering needs two numeric operands"
+        );
+        assert_eq!(suite.goal_ids().len(), 4, "the refused goal is not added");
+        suite
+            .add_goal(
+                "numeric",
+                Location::new("Elevator"),
+                parse("always(elevator_speed <= 2.5 || door_closed)").unwrap(),
+            )
+            .unwrap();
+        assert!(suite.template().fused_program().roots() > 0);
+    }
+
     #[test]
     fn drive_ignoring_door_is_a_hit() {
         let faults = ElevatorFaults {

@@ -34,9 +34,10 @@
 //! * a run hitting its terminal event mid-stripe is *retired*: its lane
 //!   freezes (temporal history, violation trackers, step counter) while
 //!   the surviving lanes keep ticking, exactly as if each had run alone;
-//! * a monitoring error inside a stripe reruns each lane as its own
-//!   [`Experiment`], so per-cell errors surface exactly as each cell's
-//!   own run reports them (earliest cell first);
+//! * a monitoring error inside a stripe of several lanes reruns each
+//!   lane as its own [`Experiment`], so per-cell errors surface exactly
+//!   as each cell's own run reports them (earliest cell first); a
+//!   one-lane stripe's error is already its cell's own;
 //! * with a [`Quarantine`] installed via [`Sweep::with_quarantine`], a
 //!   panic anywhere in a stripe reruns every lane on the guarded rung:
 //!   the panicking cell is quarantined as a typed [`CellFailure`] while
@@ -272,9 +273,11 @@ fn built<S>(subs: &[Option<S>], i: usize) -> &S {
 
 /// Runs one planned stripe of sweep cells, unrecorded. `budget` is the
 /// quarantine's tick budget (always `None` on the unguarded paths). A
-/// monitoring error reruns each lane as its own [`Experiment`], so every
-/// cell's outcome — a stripe-mate's report or a failing cell's error —
-/// is the one its own run gives.
+/// monitoring error in a wider stripe reruns each lane as its own
+/// [`Experiment`], so every cell's outcome — a stripe-mate's report or a
+/// failing cell's error — is the one its own run gives. A one-lane
+/// stripe *is* its cell's own run, so its error is returned as
+/// [`Experiment`] returns it.
 fn run_planned_stripe<S: Substrate>(
     config: ExperimentConfig,
     budget: Option<u64>,
@@ -293,6 +296,10 @@ fn run_planned_stripe<S: Substrate>(
             .zip(outcomes)
             .map(|(&i, outcome)| (i, outcome.map(|report| (report, provenance))))
             .collect(),
+        Err(err) if group.len() == 1 => {
+            let err = ExperimentError::Monitor(err.into_monitor_error());
+            vec![(lanes_idx[0], Err(err))]
+        }
         Err(_) => lanes_idx
             .iter()
             .zip(group)
@@ -811,6 +818,90 @@ mod tests {
             }
             (a, b) => panic!("both paths must fail: {a:?} vs {b:?}"),
         }
+    }
+
+    /// A template-less cell whose suite reads a signal its simulator
+    /// never sets, so its monitors fail at tick 0, and which counts the
+    /// simulators built for it.
+    struct FailingCell {
+        table: Arc<SignalTable>,
+        x: SignalId,
+        builds: Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl Substrate for FailingCell {
+        fn name(&self) -> &str {
+            "failing"
+        }
+        fn label(&self) -> String {
+            "failing".to_owned()
+        }
+        fn duration_ms(&self) -> u64 {
+            100
+        }
+        fn signal_table(&self) -> &Arc<SignalTable> {
+            &self.table
+        }
+        fn build_simulator_batch(group: &[&Self]) -> SimulatorBatch {
+            for cell in group {
+                cell.builds
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
+            let n = group.len();
+            let mut sim = SimulatorBatch::new(10, &group[0].table, n);
+            sim.add(LaneVec::from_fn(n, |l| Ramp {
+                x: group[l].x,
+                slope: 1.0,
+            }));
+            sim
+        }
+        fn build_monitors(&self) -> Result<MonitorSuite, EvalError> {
+            let mut suite = MonitorSuite::new(self.table.clone());
+            suite.add_goal("G", Location::new("Ramp"), parse("ghost < 1.0").unwrap())?;
+            Ok(suite)
+        }
+    }
+
+    /// A one-lane stripe's monitoring error is its cell's own: the cell
+    /// runs once without a quarantine, and under one it runs once more,
+    /// on the guarded rung, before any retry.
+    #[test]
+    fn one_lane_stripe_errors_are_returned_not_rerun() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        let mut b = SignalTable::builder();
+        let x = b.real("x");
+        b.real("ghost");
+        let table = b.finish();
+        let builds = Arc::new(AtomicUsize::new(0));
+        let build = |_: &u8, _seed: u64| FailingCell {
+            table: table.clone(),
+            x,
+            builds: Arc::clone(&builds),
+        };
+        let err = Sweep::new(vec![0u8]).run(build, 4).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "monitoring failed: monitor `G`: state variable `ghost` missing at step 0"
+        );
+        assert_eq!(builds.load(Ordering::Relaxed), 1, "no rerun");
+
+        builds.store(0, Ordering::Relaxed);
+        let guarded = Sweep::new(vec![0u8]).with_quarantine(Quarantine {
+            tick_budget: None,
+            retry: RetryPolicy {
+                attempts: 0,
+                reseed: false,
+            },
+        });
+        let (report, _) = guarded.run(build, 4).unwrap();
+        assert_eq!(report.quarantined.len(), 1);
+        assert_eq!(report.quarantined[0].retries, 0);
+        assert_eq!(
+            builds.load(Ordering::Relaxed),
+            2,
+            "the stripe, then the guarded rung"
+        );
     }
 
     /// The fault-isolation contract at stripe granularity: one cell

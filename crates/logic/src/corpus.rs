@@ -32,7 +32,7 @@
 
 use crate::frame_batch::FrameBatch;
 use crate::frame_trace::FrameTrace;
-use crate::signal::{SignalKind, SignalTable};
+use crate::signal::{SignalId, SignalKind, SignalTable};
 use crate::value::{Sym, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -758,8 +758,8 @@ pub fn encode_run(trace: &FrameTrace, meta: &RunMeta, dict: &mut SymDict) -> Vec
 pub struct RunDecoder<'a> {
     /// Column cursors; `cols[..dynamic]` are the non-static ones.
     cols: Vec<ColumnCursor<'a>>,
-    /// `sigs[k]` is the table index of the signal `cols[k]` decodes.
-    sigs: Vec<u32>,
+    /// `sigs[k]` is the signal `cols[k]` decodes.
+    sigs: Vec<SignalId>,
     /// How many leading cursors change from tick to tick.
     dynamic: usize,
     len: usize,
@@ -783,7 +783,7 @@ impl<'a> RunDecoder<'a> {
         let len = usize::try_from(meta.ticks).ok()?;
         let mut dynamic = Vec::new();
         let mut statics = Vec::new();
-        for sig in 0..table.len() as u32 {
+        for sig in table.ids() {
             let body_len = usize::try_from(cur.varint()?).ok()?;
             let col = ColumnCursor::new(cur.take(body_len)?, len, dict)?;
             if col.is_static() {
@@ -837,8 +837,7 @@ impl<'a> RunDecoder<'a> {
         if t >= self.len {
             return None;
         }
-        let lanes = slab.lanes();
-        debug_assert!(lane < lanes, "lane out of range");
+        debug_assert!(lane < slab.lanes(), "lane out of range");
         debug_assert_eq!(slab.table().len(), self.cols.len());
         let walk = if t == 0 {
             self.cols.len()
@@ -846,7 +845,7 @@ impl<'a> RunDecoder<'a> {
             self.dynamic
         };
         for (col, &sig) in self.cols[..walk].iter_mut().zip(&self.sigs) {
-            slab.slots[sig as usize * lanes + lane] = col.sample(t, dict)?;
+            slab.put(sig, lane, col.sample(t, dict)?);
         }
         self.tick += 1;
         Some(())
@@ -864,7 +863,7 @@ impl<'a> RunDecoder<'a> {
             return None;
         }
         for (col, &sig) in self.cols.iter_mut().zip(&self.sigs) {
-            columns[sig as usize].push(col.sample(t, dict)?);
+            columns[sig.index()].push(col.sample(t, dict)?);
         }
         self.tick += 1;
         Some(())

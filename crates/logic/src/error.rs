@@ -60,6 +60,17 @@ pub enum EvalError {
         /// The unresolvable variable name.
         name: String,
     },
+    /// An ordering (`<`, `<=`, `>`, `>=`) has a boolean or symbolic
+    /// operand: a signal declared so in the
+    /// [`SignalTable`](crate::SignalTable), or such a literal. Only
+    /// numbers are ordered, so the comparison could never evaluate, and
+    /// compilation refuses it.
+    UnorderableOperands {
+        /// The left operand as written.
+        lhs: String,
+        /// The right operand as written.
+        rhs: String,
+    },
 }
 
 impl fmt::Display for EvalError {
@@ -82,6 +93,12 @@ impl fmt::Display for EvalError {
             }
             EvalError::UnknownSignal { name } => {
                 write!(f, "variable `{name}` is not declared in the signal table")
+            }
+            EvalError::UnorderableOperands { lhs, rhs } => {
+                write!(
+                    f,
+                    "cannot order `{lhs}` and `{rhs}`: an ordering needs two numeric operands"
+                )
             }
         }
     }

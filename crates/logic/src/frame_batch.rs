@@ -1,13 +1,30 @@
 //! Lane-major batched frames: `B` runs' signal samples in one slab.
 //!
-//! A [`FrameBatch`] stores one contiguous row per [`SignalId`] — slot
-//! `sig.index() * lanes + lane` — which
-//! [`FusedSuiteBatch`](crate::FusedSuiteBatch) sweeps row by row into
-//! its bit rows, one bit per lane. A striped sweep keeps its whole batch of simulator states in two
-//! such slabs (double-buffered) and both the batched simulator and the
-//! batched monitor walk them signal-row by signal-row, so advancing `B`
-//! runs costs straight-line lane loops instead of `B` scattered
-//! `Frame`-sized pointer chases.
+//! A [`FrameBatch`] stores one contiguous *row* per [`SignalId`], holding
+//! that signal across every lane, as two parallel arrays indexed by slot
+//! `sig.index() * lanes + lane`:
+//!
+//! * a tag byte per slot, which says whether the slot is set and what it
+//!   holds: `false`, `true`, a `Real`, an `Int` or a symbol;
+//! * a payload word per slot: the `f64` bits, the `i64` bits, or the
+//!   interned [`Sym`] id. A boolean's value is its tag, so a boolean
+//!   signal's payload row is never read.
+//!
+//! A lane access is one tag byte and at most one payload word at the
+//! same index, and a lane holds 9 bytes per signal, which is what the
+//! simulator's double-buffer refresh copies.
+//! [`FusedSuiteBatch`](crate::FusedSuiteBatch) reads a boolean row as a
+//! byte row, eight tags per word operation, and a numeric row as plain
+//! `f64`s once its tags say every active lane holds a `Real`. The tags
+//! keep every value exact, whatever the signal's declared
+//! [`SignalKind`](crate::SignalKind): an `Int` in a `Real` row stays an
+//! `Int`, and a mistyped state fed to
+//! [`SignalTable::frame_from_state_lossy`] reads back as it was stored.
+//!
+//! A striped sweep keeps its whole batch of simulator states in two such
+//! slabs (double-buffered); both the batched simulator and the batched
+//! monitor walk them signal row by signal row. A [`Frame`] is the
+//! one-lane case of the same layout.
 //!
 //! Scalar code migrates via the access traits: [`SignalRead`] /
 //! [`SignalWrite`] abstract "one run's sample" over both a plain
@@ -17,7 +34,7 @@
 //! batched simulation bit-identical to scalar simulation.
 
 use crate::signal::{Frame, SignalId, SignalTable};
-use crate::value::Value;
+use crate::value::{Sym, Value};
 use std::sync::Arc;
 
 /// Read access to one run's signal sample — implemented by [`Frame`] and
@@ -59,6 +76,21 @@ impl SignalRead for Frame {
     fn get(&self, id: SignalId) -> Option<Value> {
         Frame::get(self, id)
     }
+
+    #[inline]
+    fn bool_or(&self, id: SignalId, default: bool) -> bool {
+        Frame::bool_or(self, id, default)
+    }
+
+    #[inline]
+    fn real_or(&self, id: SignalId, default: f64) -> f64 {
+        Frame::real_or(self, id, default)
+    }
+
+    #[inline]
+    fn sym(&self, id: SignalId) -> Option<Sym> {
+        Frame::sym(self, id)
+    }
 }
 
 impl SignalWrite for Frame {
@@ -68,17 +100,35 @@ impl SignalWrite for Frame {
     }
 }
 
-/// `lanes` runs' signal samples in one lane-major slab: the value of
-/// signal `s` in lane `l` lives at slot `s.index() * lanes + l`, so one
-/// signal's row across every run is contiguous. See the
-/// [module docs](self).
+/// The tag of an unset slot.
+pub(crate) const UNSET: u8 = 0;
+/// The tag of a `false` slot; `true` is `FALSE | 1`, so a boolean tag is
+/// `0b1x` with the value in bit 0.
+pub(crate) const FALSE: u8 = 2;
+/// The tag of a `Real` slot, whose payload is the `f64`'s bits.
+pub(crate) const REAL: u8 = 4;
+/// The tag of an `Int` slot, whose payload is the `i64`'s bits.
+const INT: u8 = 5;
+/// The tag of a symbol slot, whose payload is the [`Sym`] id.
+pub(crate) const SYM: u8 = 6;
+
+/// One signal's row of a [`FrameBatch`], as the fused pass reads it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Row<'a> {
+    /// One tag per lane.
+    pub(crate) tags: &'a [u8],
+    /// One payload word per lane.
+    pub(crate) payload: &'a [u64],
+}
+
+/// `lanes` runs' signal samples in one lane-major slab: a tag row and a
+/// payload row per signal. See the [module docs](self).
 #[derive(Clone)]
 pub struct FrameBatch {
-    /// Lane-major: `slots[sig.index() * lanes + lane]`. Crate-visible
-    /// so the corpus decoder can stream archived samples straight into
-    /// lanes (including `None` for recorded-absent slots, which the
-    /// kind-checked public `set` cannot express).
-    pub(crate) slots: Vec<Option<Value>>,
+    /// Tags: `tags[sig.index() * lanes + lane]`.
+    tags: Vec<u8>,
+    /// Payloads, at their tags' indices.
+    payloads: Vec<u64>,
     table: Arc<SignalTable>,
     lanes: usize,
 }
@@ -92,7 +142,8 @@ impl FrameBatch {
     pub fn new(table: &Arc<SignalTable>, lanes: usize) -> Self {
         assert!(lanes > 0, "a frame batch needs at least one lane");
         FrameBatch {
-            slots: vec![None; table.len() * lanes],
+            tags: vec![UNSET; table.len() * lanes],
+            payloads: vec![0; table.len() * lanes],
             table: Arc::clone(table),
             lanes,
         }
@@ -108,10 +159,43 @@ impl FrameBatch {
         self.lanes
     }
 
+    /// A slot's index into the tag and payload rows.
+    #[inline]
+    fn slot(&self, id: SignalId, lane: usize) -> usize {
+        debug_assert!(lane < self.lanes, "lane out of range");
+        id.index() * self.lanes + lane
+    }
+
+    /// One signal's row.
+    #[inline]
+    pub(crate) fn row(&self, id: SignalId) -> Row<'_> {
+        let at = self.slot(id, 0);
+        Row {
+            tags: &self.tags[at..][..self.lanes],
+            payload: &self.payloads[at..][..self.lanes],
+        }
+    }
+
+    /// A slot's tag and payload. The payloads are sliced to the tags'
+    /// length, so one bounds check covers both reads.
+    #[inline]
+    fn read(&self, id: SignalId, lane: usize) -> (u8, u64) {
+        let i = self.slot(id, lane);
+        let payloads = &self.payloads[..self.tags.len()];
+        (self.tags[i], payloads[i])
+    }
+
     /// The value of a signal in one lane, or `None` if unset.
     #[inline]
     pub fn get(&self, id: SignalId, lane: usize) -> Option<Value> {
-        self.slots[id.index() * self.lanes + lane]
+        let (tag, payload) = self.read(id, lane);
+        match tag {
+            UNSET => None,
+            REAL => Some(Value::Real(f64::from_bits(payload))),
+            INT => Some(Value::Int(payload as i64)),
+            SYM => Some(Value::Sym(Sym::from_id(payload as u32))),
+            tag => Some(Value::Bool(tag & 1 == 1)),
+        }
     }
 
     /// Sets a signal's value in one lane.
@@ -128,34 +212,57 @@ impl FrameBatch {
             self.table.kind(id),
             value.type_name()
         );
-        self.slots[id.index() * self.lanes + lane] = Some(value);
+        self.put(id, lane, Some(value));
     }
 
-    /// The contiguous lane-major row of one signal: `row(id)[lane]` is
-    /// [`get(id, lane)`](FrameBatch::get) for every lane. This is the
-    /// whole point of the layout — batched readers sweep a signal
-    /// across all runs in one straight slice pass.
+    /// Stores `value` (`None` unsets the slot) in one lane, whatever the
+    /// signal's declared kind: the path for samples that were never
+    /// kind-checked (name-keyed states, archived columns).
     #[inline]
-    pub fn row(&self, id: SignalId) -> &[Option<Value>] {
-        &self.slots[id.index() * self.lanes..][..self.lanes]
+    pub(crate) fn put(&mut self, id: SignalId, lane: usize, value: Option<Value>) {
+        let i = self.slot(id, lane);
+        let (tag, payload) = match value {
+            None => (UNSET, 0),
+            Some(Value::Bool(b)) => (FALSE | u8::from(b), 0),
+            Some(Value::Real(x)) => (REAL, x.to_bits()),
+            Some(Value::Int(n)) => (INT, n as u64),
+            Some(Value::Sym(s)) => (SYM, u64::from(s.id())),
+        };
+        self.tags[i] = tag;
+        if tag >= REAL {
+            let n = self.tags.len();
+            self.payloads[..n][i] = payload;
+        }
     }
 
     /// The boolean value of a signal in one lane, or `default` when
     /// unset/mistyped.
     #[inline]
     pub fn bool_or(&self, id: SignalId, lane: usize, default: bool) -> bool {
-        self.get(id, lane)
-            .and_then(|v| v.as_bool())
-            .unwrap_or(default)
+        match self.tags[self.slot(id, lane)] {
+            tag if tag & !1 == FALSE => tag & 1 == 1,
+            _ => default,
+        }
     }
 
     /// The numeric value of a signal in one lane, or `default` when
     /// unset/mistyped.
     #[inline]
     pub fn real_or(&self, id: SignalId, lane: usize, default: f64) -> f64 {
-        self.get(id, lane)
-            .and_then(|v| v.as_real())
-            .unwrap_or(default)
+        match self.read(id, lane) {
+            (REAL, payload) => f64::from_bits(payload),
+            (INT, payload) => payload as i64 as f64,
+            _ => default,
+        }
+    }
+
+    /// The symbol value of a signal in one lane, if set and symbolic.
+    #[inline]
+    pub(crate) fn sym(&self, id: SignalId, lane: usize) -> Option<Sym> {
+        match self.read(id, lane) {
+            (SYM, payload) => Some(Sym::from_id(payload as u32)),
+            _ => None,
+        }
     }
 
     /// A read-only view of one lane.
@@ -173,8 +280,9 @@ impl FrameBatch {
     }
 
     /// Overwrites every lane's slots with `other`'s — the per-tick
-    /// double-buffer refresh, batched: one memcpy for all lanes, which
-    /// is also what carries retired lanes' final states forward frozen.
+    /// double-buffer refresh, batched: one memcpy per row array for all
+    /// lanes, which is also what carries retired lanes' final states
+    /// forward frozen.
     ///
     /// # Panics
     ///
@@ -186,20 +294,21 @@ impl FrameBatch {
             "frame batches must share one signal table"
         );
         assert_eq!(self.lanes, other.lanes, "frame batches must share a width");
-        self.slots.copy_from_slice(&other.slots);
+        self.tags.copy_from_slice(&other.tags);
+        self.payloads.copy_from_slice(&other.payloads);
     }
 
     /// Unsets every slot in every lane (a `memset`, no allocation).
     pub fn clear(&mut self) {
-        self.slots.fill(None);
+        self.tags.fill(UNSET);
     }
 
     /// Unsets every slot of one lane, leaving its neighbours untouched —
     /// the per-lane analogue of [`Frame::clear`].
     pub fn clear_lane(&mut self, lane: usize) {
         let lanes = self.lanes;
-        for row in self.slots.chunks_exact_mut(lanes) {
-            row[lane] = None;
+        for row in self.tags.chunks_exact_mut(lanes) {
+            row[lane] = UNSET;
         }
     }
 
@@ -214,9 +323,7 @@ impl FrameBatch {
             Arc::ptr_eq(&self.table, out.table()),
             "frame batches and frames must share one signal table"
         );
-        for (sig, slot) in out.slots.iter_mut().enumerate() {
-            *slot = self.slots[sig * self.lanes + lane];
-        }
+        copy_lane(self, lane, &mut out.batch, 0);
     }
 
     /// Copies a scalar [`Frame`] into one lane — the inverse of
@@ -230,8 +337,20 @@ impl FrameBatch {
             Arc::ptr_eq(&self.table, src.table()),
             "frame batches and frames must share one signal table"
         );
-        for (sig, slot) in src.slots.iter().enumerate() {
-            self.slots[sig * self.lanes + lane] = *slot;
+        copy_lane(&src.batch, 0, self, lane);
+    }
+}
+
+/// Copies every slot of lane `from` of `src` into lane `to` of `dst`:
+/// each tag, and the payload of a slot whose tag says it has one, so a
+/// boolean or unset slot touches no payload row.
+fn copy_lane(src: &FrameBatch, from: usize, dst: &mut FrameBatch, to: usize) {
+    assert!(from < src.lanes && to < dst.lanes, "lane out of range");
+    let (s, d) = (src.lanes, dst.lanes);
+    for (sig, &tag) in src.tags[from..].iter().step_by(s).enumerate() {
+        dst.tags[sig * d + to] = tag;
+        if tag >= REAL {
+            dst.payloads[sig * d + to] = src.payloads[sig * s + from];
         }
     }
 }
@@ -258,6 +377,21 @@ impl SignalRead for LaneRef<'_> {
     fn get(&self, id: SignalId) -> Option<Value> {
         self.batch.get(id, self.lane)
     }
+
+    #[inline]
+    fn bool_or(&self, id: SignalId, default: bool) -> bool {
+        self.batch.bool_or(id, self.lane, default)
+    }
+
+    #[inline]
+    fn real_or(&self, id: SignalId, default: f64) -> f64 {
+        self.batch.real_or(id, self.lane, default)
+    }
+
+    #[inline]
+    fn sym(&self, id: SignalId) -> Option<Sym> {
+        self.batch.sym(id, self.lane)
+    }
 }
 
 /// A read-write view of one [`FrameBatch`] lane, usable anywhere a
@@ -272,6 +406,21 @@ impl SignalRead for LaneMut<'_> {
     #[inline]
     fn get(&self, id: SignalId) -> Option<Value> {
         self.batch.get(id, self.lane)
+    }
+
+    #[inline]
+    fn bool_or(&self, id: SignalId, default: bool) -> bool {
+        self.batch.bool_or(id, self.lane, default)
+    }
+
+    #[inline]
+    fn real_or(&self, id: SignalId, default: f64) -> f64 {
+        self.batch.real_or(id, self.lane, default)
+    }
+
+    #[inline]
+    fn sym(&self, id: SignalId) -> Option<Sym> {
+        self.batch.sym(id, self.lane)
     }
 }
 

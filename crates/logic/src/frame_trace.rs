@@ -135,8 +135,8 @@ impl FrameTrace {
             Arc::ptr_eq(frame.table(), &self.table),
             "frame and trace must share one signal table"
         );
-        for (col, slot) in self.columns.iter_mut().zip(&frame.slots) {
-            col.push(*slot);
+        for (id, col) in self.table.ids().zip(&mut self.columns) {
+            col.push(frame.get(id));
         }
         self.len += 1;
     }
@@ -154,9 +154,8 @@ impl FrameTrace {
             "frame batch and trace must share one signal table"
         );
         assert!(lane < batch.lanes(), "lane {lane} out of range");
-        let slots = batch.slots.iter().skip(lane).step_by(batch.lanes());
-        for (col, slot) in self.columns.iter_mut().zip(slots) {
-            col.push(*slot);
+        for (id, col) in self.table.ids().zip(&mut self.columns) {
+            col.push(batch.get(id, lane));
         }
         self.len += 1;
     }
@@ -185,8 +184,8 @@ impl FrameTrace {
             Arc::ptr_eq(frame.table(), &self.table),
             "frame and trace must share one signal table"
         );
-        for (slot, col) in frame.slots.iter_mut().zip(&self.columns) {
-            *slot = col[i];
+        for (id, col) in self.table.ids().zip(&self.columns) {
+            frame.batch.put(id, 0, col[i]);
         }
     }
 
@@ -205,7 +204,7 @@ impl FrameTrace {
             frame.clear();
             for (name, value) in state.iter() {
                 let id = table.id(name).ok_or_else(|| name.to_owned())?;
-                frame.slots[id.index()] = Some(*value);
+                frame.batch.put(id, 0, Some(*value));
             }
             out.push(&frame);
         }

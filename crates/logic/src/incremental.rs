@@ -40,8 +40,8 @@
 use crate::error::EvalError;
 use crate::eval;
 use crate::expr::{CmpOp, Expr, Operand};
-use crate::frame_batch::FrameBatch;
-use crate::signal::{Frame, SignalId, SignalTable};
+use crate::frame_batch::{FrameBatch, Row, FALSE, REAL, SYM};
+use crate::signal::{Frame, SignalId, SignalKind, SignalTable};
 use crate::value::{Sym, Value};
 use std::collections::HashMap;
 use std::fmt;
@@ -142,6 +142,32 @@ fn resolve(name: &str, table: &SignalTable) -> Result<SignalId, EvalError> {
     })
 }
 
+/// Refuses `lhs op rhs` when `op` is an ordering and an operand is
+/// boolean or symbolic: a signal the table declares so, or such a
+/// literal. [`Value::num_lt`] orders numbers only, so such a comparison
+/// fails on every well-typed sample.
+///
+/// # Errors
+///
+/// [`EvalError::UnorderableOperands`], naming both operands as written.
+fn check_order(lhs: Slot, op: CmpOp, rhs: Slot, table: &SignalTable) -> Result<(), EvalError> {
+    let numeric = |slot| match slot {
+        Slot::Sig(id) => matches!(table.kind(id), SignalKind::Int | SignalKind::Real),
+        Slot::Lit(value) => value.as_real().is_some(),
+    };
+    if matches!(op, CmpOp::Eq | CmpOp::Ne) || numeric(lhs) && numeric(rhs) {
+        return Ok(());
+    }
+    let written = |slot| match slot {
+        Slot::Sig(id) => table.name(id).to_owned(),
+        Slot::Lit(value) => value.to_string(),
+    };
+    Err(EvalError::UnorderableOperands {
+        lhs: written(lhs),
+        rhs: written(rhs),
+    })
+}
+
 /// A [`Var`](Leaf::Var) node's reading of one sample slot: the
 /// boolean it holds, or the error naming the signal.
 #[inline]
@@ -178,9 +204,10 @@ struct Compare {
 /// the left is mirrored to the right.
 #[derive(Debug, Clone, Copy)]
 enum Test {
-    /// `x op y` against a number, an `Int` slot read as a real
-    /// ([`Value::num_eq`] / [`Value::num_lt`]): a non-numeric slot is
-    /// unequal to `y` and unordered against it.
+    /// `x op y` against a number ([`Value::num_eq`] /
+    /// [`Value::num_lt`]). The fast path compares `Real` slots; an `Int`
+    /// slot, read as a real, and a non-numeric one, unequal to `y` and
+    /// unordered against it, take the per-lane path.
     Num(CmpOp, f64),
     /// `x == y` (`true`) or `x != y` (`false`) against a symbol, which
     /// equals only itself.
@@ -212,23 +239,25 @@ impl Test {
         Some((sig, test))
     }
 
-    /// Packs the test over a signal row into `out`; `false` as in
-    /// [`pack`].
-    #[inline(never)]
-    fn pack(self, out: &mut [u64], row: &[Option<Value>]) -> bool {
+    /// Packs the test over a signal row into `out`, or returns `false`
+    /// if an active slot is unset or holds a value the test's fast path
+    /// does not read (an `Int`, or another kind), so the per-lane path
+    /// must decide it.
+    #[inline]
+    fn pack(self, out: &mut [u64], row: Row<'_>, active: &[u64]) -> bool {
+        let f = f64::from_bits;
         match self {
-            Test::Num(CmpOp::Lt, y) => pack(out, row, |s| num(s).map(|x| x < y)),
-            Test::Num(CmpOp::Le, y) => pack(out, row, |s| num(s).map(|x| x <= y)),
-            Test::Num(CmpOp::Gt, y) => pack(out, row, |s| num(s).map(|x| x > y)),
-            Test::Num(CmpOp::Ge, y) => pack(out, row, |s| num(s).map(|x| x >= y)),
-            Test::Num(CmpOp::Eq, y) => pack(out, row, |s| s.map(|_| num(s) == Some(y))),
-            Test::Num(CmpOp::Ne, y) => pack(out, row, |s| s.map(|_| num(s) != Some(y))),
-            Test::Sym(eq, y) => pack(out, row, |s| {
-                s.map(|v| matches!(v, Value::Sym(x) if x == y) == eq)
-            }),
-            Test::Bool(eq, y) => pack(out, row, |s| {
-                s.map(|v| matches!(v, Value::Bool(x) if x == y) == eq)
-            }),
+            Test::Num(CmpOp::Lt, y) => pack_payloads(out, active, row, REAL, |x| f(x) < y),
+            Test::Num(CmpOp::Le, y) => pack_payloads(out, active, row, REAL, |x| f(x) <= y),
+            Test::Num(CmpOp::Gt, y) => pack_payloads(out, active, row, REAL, |x| f(x) > y),
+            Test::Num(CmpOp::Ge, y) => pack_payloads(out, active, row, REAL, |x| f(x) >= y),
+            Test::Num(CmpOp::Eq, y) => pack_payloads(out, active, row, REAL, |x| f(x) == y),
+            Test::Num(CmpOp::Ne, y) => pack_payloads(out, active, row, REAL, |x| f(x) != y),
+            Test::Sym(eq, y) => {
+                let y = u64::from(y.id());
+                pack_payloads(out, active, row, SYM, |x| (x == y) == eq)
+            }
+            Test::Bool(eq, y) => pack_bools(out, active, row.tags, y != eq),
         }
     }
 
@@ -265,16 +294,6 @@ impl Test {
     }
 }
 
-/// A numeric slot as a real; `None` for unset and non-numeric slots.
-#[inline]
-fn num(slot: Option<Value>) -> Option<f64> {
-    match slot {
-        Some(Value::Real(x)) => Some(x),
-        Some(Value::Int(i)) => Some(i as f64),
-        _ => None,
-    }
-}
-
 /// A [`Test`]'s identity: [`Test`] with a number's bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum TestKey {
@@ -283,43 +302,114 @@ enum TestKey {
     Bool(bool, bool),
 }
 
-/// Packs `test(slot)` for every slot of a signal row into `out`, lane
-/// `l` at bit `l % 64` of word `l / 64`. Returns `false` if `test`
-/// leaves any slot undecided (unset, mistyped or unordered), so the
-/// caller reruns the per-lane path, which raises the exact error.
+/// Eight copies of byte `b`.
 #[inline]
-fn pack(
-    out: &mut [u64],
-    row: &[Option<Value>],
-    test: impl Fn(Option<Value>) -> Option<bool>,
-) -> bool {
-    let mut ok = true;
-    for (word, chunk) in out.iter_mut().zip(row.chunks(64)) {
-        // Whole groups of eight lanes build a byte with constant shifts.
-        let mut bits = 0;
-        let groups = chunk.chunks_exact(8);
-        let tail = groups.remainder();
-        for (g, group) in groups.enumerate() {
-            let group: &[Option<Value>; 8] = group.try_into().expect("a group of eight");
-            let mut byte = 0;
-            for (bit, &slot) in group.iter().enumerate() {
-                match test(slot) {
-                    Some(v) => byte |= u64::from(v) << bit,
-                    None => ok = false,
-                }
-            }
-            bits |= byte << (8 * g);
-        }
-        let base = chunk.len() - tail.len();
-        for (bit, &slot) in tail.iter().enumerate() {
-            match test(slot) {
-                Some(v) => bits |= u64::from(v) << (base + bit),
-                None => ok = false,
-            }
-        }
-        *word = bits;
+fn bytes(b: u8) -> u64 {
+    u64::from(b) * 0x0101_0101_0101_0101
+}
+
+/// Bit `i` of the result is bit 0 of byte `i` of `x`, whose other bits
+/// must be clear: the multiply's partial products land on distinct bits,
+/// and byte `i`'s reaches bit `56 + i`.
+#[inline]
+fn gather(x: u64) -> u64 {
+    x.wrapping_mul(0x0102_0408_1020_4080) >> 56
+}
+
+/// Whether every active lane's tag passes `valid`. Every tag usually
+/// does, so the whole row is scanned first, without an early exit so
+/// that the scan vectorizes; the lane-by-lane check runs only when some
+/// tag fails, such as an unset slot of a free lane.
+#[inline]
+fn tags_hold(tags: &[u8], active: &[u64], valid: impl Fn(u8) -> bool + Copy) -> bool {
+    tags.iter().fold(true, |all, &t| all & valid(t)) || active_tags_hold(tags, active, valid)
+}
+
+/// [`tags_hold`]'s lane-by-lane check.
+#[cold]
+#[inline(never)]
+fn active_tags_hold(tags: &[u8], active: &[u64], valid: impl Fn(u8) -> bool) -> bool {
+    let mut lanes = active.iter().enumerate();
+    lanes.all(|(w, &live)| ones(live).all(|b| valid(tags[w * 64 + b])))
+}
+
+/// Packs `bit` over a row of up to 64 lanes into one word, lane `l` at
+/// bit `l`: whole groups of eight lanes through `groups`, which packs
+/// them from bit 0 on, and the tail lane by lane.
+#[inline]
+fn pack_word<T: Copy>(row: &[T], groups: impl Fn(&[T]) -> u64, bit: impl Fn(T) -> bool) -> u64 {
+    let at = row.len() & !7;
+    let tail = row[at..].iter().rev();
+    let tail = tail.fold(0, |bits, &x| bits << 1 | u64::from(bit(x)));
+    // A 64-lane row has no tail to shift.
+    let tail = tail.checked_shl(at as u32).unwrap_or(0);
+    if at == 0 {
+        return tail;
     }
-    ok
+    tail | groups(&row[..at])
+}
+
+/// Packs `test` over whole groups of eight payloads from bit 0 on: eight
+/// tests first, then their bits, so the tests vectorize.
+#[inline]
+fn test_groups(payload: &[u64], test: &impl Fn(u64) -> bool) -> u64 {
+    let mut word = 0;
+    for (g, group) in payload.chunks_exact(8).enumerate() {
+        let mut eight = [0; 8];
+        eight.copy_from_slice(group);
+        let tested = eight.map(test);
+        let mut byte = 0;
+        for (k, &t) in tested.iter().enumerate() {
+            byte |= u64::from(t) << k;
+        }
+        word |= byte << (8 * g);
+    }
+    word
+}
+
+/// Packs a boolean row's values, each XOR `invert`, into `out`, lane `l`
+/// at bit `l % 64` of word `l / 64`. Returns `false`, leaving `out`
+/// unspecified, unless every active lane holds a boolean.
+#[inline]
+fn pack_bools(out: &mut [u64], active: &[u64], tags: &[u8], invert: bool) -> bool {
+    if !tags_hold(tags, active, |t| t & !1 == FALSE) {
+        return false;
+    }
+    let invert = u8::from(invert);
+    // Eight tags as one word: their bit 0s, gathered.
+    let groups = |tags: &[u8]| {
+        let mut word = 0;
+        for (g, group) in tags.chunks_exact(8).enumerate() {
+            let mut eight = [0; 8];
+            eight.copy_from_slice(group);
+            word |= gather((u64::from_le_bytes(eight) ^ bytes(invert)) & bytes(1)) << (8 * g);
+        }
+        word
+    };
+    for (word, tags) in out.iter_mut().zip(tags.chunks(64)) {
+        *word = pack_word(tags, groups, |t| (t ^ invert) & 1 == 1);
+    }
+    true
+}
+
+/// Packs `test` over a row's payloads into `out`, laid out as in
+/// [`pack_bools`]. Returns `false`, leaving `out` unspecified, unless
+/// every active lane's tag is `tag`.
+#[inline]
+fn pack_payloads(
+    out: &mut [u64],
+    active: &[u64],
+    row: Row<'_>,
+    tag: u8,
+    test: impl Fn(u64) -> bool,
+) -> bool {
+    if !tags_hold(row.tags, active, |t| t == tag) {
+        return false;
+    }
+    for (word, payload) in out.iter_mut().zip(row.payload.chunks(64)) {
+        *word = pack_word(payload, |groups| test_groups(groups, &test), &test);
+    }
+    true
 }
 
 /// The indices of `word`'s set bits, ascending.
@@ -385,17 +475,16 @@ fn exact_lanes(
     leaf: &Leaf,
     cmps: &[Compare],
     out: &mut [u64],
-    slots: &[Option<Value>],
+    src: &FrameBatch,
     active: &[u64],
     steps: &[u64],
     table: &SignalTable,
 ) -> Result<(), (usize, EvalError)> {
-    let lanes = steps.len();
     for (w, &live) in active.iter().enumerate() {
         for b in ones(live) {
             let lane = w * 64 + b;
             let step = usize::try_from(steps[lane]).unwrap_or(usize::MAX);
-            let get = |id: SignalId| slots[id.index() * lanes + lane];
+            let get = |id: SignalId| src.get(id, lane);
             let v = match *leaf {
                 Leaf::Var(id) => slot_bool(get(id), id, step, table),
                 Leaf::Test { cmp, .. } | Leaf::Copy { cmp, .. } | Leaf::Cmp(cmp) => {
@@ -495,8 +584,8 @@ enum Leaf {
     /// A comparison whose test of the same signal repeats the test of
     /// leaf node `of` (`x <= 2` beside `x <= 2.0`), or with `invert`
     /// complements it (`s != 'ACC'` beside `s == 'ACC'`): that node's
-    /// bits, inverted or not, when it decided every lane (which leaves
-    /// no slot unset).
+    /// bits, inverted or not, when it decided every active lane (which
+    /// leaves no active slot unset).
     Copy {
         of: u32,
         invert: bool,
@@ -782,6 +871,7 @@ impl FusedBuilder<'_> {
                 let lhs = Slot::resolve(lhs, self.table)?;
                 let rhs = Slot::resolve(rhs, self.table)?;
                 let op = *op;
+                check_order(lhs, op, rhs, self.table)?;
                 self.intern(
                     NodeKey::Cmp(SlotKey::of(lhs), op, SlotKey::of(rhs)),
                     monitor,
@@ -906,8 +996,10 @@ impl FusedSuiteProgram {
     /// # Errors
     ///
     /// Returns [`EvalError::FutureOperator`] if any expression contains
-    /// `eventually` or `next`, and [`EvalError::UnknownSignal`] if any
-    /// references a name outside the table.
+    /// `eventually` or `next`, [`EvalError::UnknownSignal`] if any
+    /// references a name outside the table, and
+    /// [`EvalError::UnorderableOperands`] if any orders a boolean or a
+    /// symbol.
     pub fn compile(exprs: &[Expr], table: &Arc<SignalTable>) -> Result<Self, EvalError> {
         let mut b = FusedBuilder {
             table,
@@ -1010,9 +1102,9 @@ impl FusedSuiteProgram {
 
     /// Checks that [`compile`](FusedSuiteProgram::compile) would accept
     /// `expr` over `table`, without building anything: the formula must
-    /// have a [`monitor_form`] and every signal it names must resolve. A
-    /// suite authored goal by goal reports each goal's errors as it is
-    /// added and still compiles once.
+    /// have a [`monitor_form`], every signal it names must resolve, and
+    /// every ordering must compare numbers. A suite authored goal by goal
+    /// reports each goal's errors as it is added and still compiles once.
     ///
     /// # Errors
     ///
@@ -1021,19 +1113,15 @@ impl FusedSuiteProgram {
         monitor_form(expr)?;
         let mut result = Ok(());
         expr.visit(&mut |e| {
-            let names = match e {
-                Expr::Var(v) => [Some(v), None],
-                Expr::Cmp { lhs, rhs, .. } => [lhs, rhs].map(|o| match o {
-                    Operand::Var(v) => Some(v),
-                    Operand::Lit(_) => None,
-                }),
-                _ => [None, None],
-            };
-            for name in names.into_iter().flatten() {
-                if result.is_ok() {
-                    result = resolve(name, table).map(drop);
-                }
+            if result.is_err() {
+                return;
             }
+            result = match e {
+                Expr::Var(v) => resolve(v, table).map(drop),
+                Expr::Cmp { lhs, op, rhs } => Slot::resolve(lhs, table)
+                    .and_then(|lhs| check_order(lhs, *op, Slot::resolve(rhs, table)?, table)),
+                _ => Ok(()),
+            };
         });
         result
     }
@@ -1152,7 +1240,7 @@ impl FusedSuite {
             Arc::ptr_eq(frame.table(), &self.batch.program.table),
             "frame and fused suite must share one signal table"
         );
-        self.batch.pass(&frame.slots).map_err(|err| FusedError {
+        self.batch.pass(&frame.batch).map_err(|err| FusedError {
             monitor: err.monitor,
             source: err.source,
         })
@@ -1218,10 +1306,13 @@ impl std::error::Error for BatchError {
 /// and [`FusedSuiteBatch::observe_slab`] advances every lane by one
 /// sample of a lane-major [`FrameBatch`] in a single forward pass:
 ///
-/// * the leaves (`Var` and comparison nodes) sweep the slab's contiguous
-///   signal rows, one byte per lane, and then pack each row into bits; a
-///   row holding an unset or mistyped slot reruns lane by lane, so the
-///   error names the right lane and monitor;
+/// * the leaves (`Var` and comparison nodes) read the slab's typed rows
+///   and pack each into bits: a boolean row eight tags per word
+///   operation, a test against a number or a symbol over the plain
+///   payload row once the tags say every active lane holds a `Real` (or
+///   a symbol); a row with an unset, `Int` or other-kind slot in an
+///   active lane reruns lane by lane, so the error names the right lane
+///   and monitor;
 /// * `Not`, `And`, `Or` and `Implies` are one word operation per 64
 ///   lanes;
 /// * `prev`, `once`, `historically`, `became` and `initially` keep their
@@ -1409,13 +1500,12 @@ impl FusedSuiteBatch {
             Arc::ptr_eq(src.table(), &self.program.table),
             "slab and batch must share one signal table"
         );
-        self.pass(&src.slots)
+        self.pass(src)
     }
 
-    /// The forward pass over lane-major `slots` (signal `s`, lane `l` at
-    /// `slots[s * lanes + l]`): a [`FrameBatch`]'s slab, or a [`Frame`]'s
-    /// slots as one lane.
-    fn pass(&mut self, slots: &[Option<Value>]) -> Result<(), BatchError> {
+    /// The forward pass over a slab: a [`FrameBatch`], or a [`Frame`]'s
+    /// as one lane.
+    fn pass(&mut self, src: &FrameBatch) -> Result<(), BatchError> {
         // Split-borrow the fields: the program is shared by every stripe
         // of a sweep, so the pass touches no refcount.
         let FusedSuiteBatch {
@@ -1433,7 +1523,6 @@ impl FusedSuiteBatch {
         } = self;
         let (lanes, words, program) = (*lanes, *words, &**program);
         let active = &active[..];
-        let row = |id: SignalId| &slots[id.index() * lanes..][..lanes];
 
         // The leaves first: only they read the sample, so only they can
         // fail.
@@ -1441,11 +1530,8 @@ impl FusedSuiteBatch {
         for (k, (node, leaf)) in program.leaves.iter().enumerate() {
             let out = &mut slab[*node as usize * words..][..words];
             let decided = match leaf {
-                Leaf::Var(id) => pack(out, row(*id), |s| match s {
-                    Some(Value::Bool(b)) => Some(b),
-                    _ => None,
-                }),
-                Leaf::Test { sig, test, .. } => test.pack(out, row(*sig)),
+                Leaf::Var(id) => pack_bools(out, active, src.row(*id).tags, false),
+                Leaf::Test { sig, test, .. } => test.pack(out, src.row(*sig), active),
                 Leaf::Copy { of, invert, .. } => {
                     let decided = !failed.iter().any(|&f| program.leaves[f].0 == *of);
                     if decided {
@@ -1469,20 +1555,13 @@ impl FusedSuiteBatch {
         for &k in failed.iter() {
             let (node, leaf) = &program.leaves[k];
             let out = &mut slab[*node as usize * words..][..words];
-            exact_lanes(
-                leaf,
-                &program.cmps,
-                out,
-                slots,
-                active,
-                steps,
-                &program.table,
-            )
-            .map_err(|(lane, source)| BatchError {
-                lane,
-                monitor: program.owners[*node as usize] as usize,
-                source,
-            })?;
+            exact_lanes(leaf, &program.cmps, out, src, active, steps, &program.table).map_err(
+                |(lane, source)| BatchError {
+                    lane,
+                    monitor: program.owners[*node as usize] as usize,
+                    source,
+                },
+            )?;
         }
 
         // Then every other node, level by level. Each node `n`'s bit row
@@ -1843,6 +1922,60 @@ mod tests {
             FusedSuiteProgram::compile(&[parse("x < missing").unwrap()], &b.finish()),
             Err(EvalError::UnknownSignal { name }) if name == "missing"
         ));
+    }
+
+    #[test]
+    fn orderings_of_booleans_or_symbols_are_refused_when_compiled() {
+        let mut b = SignalTable::builder();
+        b.real("x");
+        b.int("n");
+        b.bool("ok");
+        b.sym("cmd");
+        let table = b.finish();
+        for (src, lhs, rhs) in [
+            ("cmd < 'STOP'", "cmd", "'STOP'"),
+            ("x >= 'STOP'", "x", "'STOP'"),
+            ("ok <= 1.0", "ok", "1.0"),
+            ("2 > ok", "2", "ok"),
+            ("x < true", "x", "true"),
+            ("cmd > n", "cmd", "n"),
+        ] {
+            let expr = parse(src).unwrap();
+            let want = EvalError::UnorderableOperands {
+                lhs: lhs.into(),
+                rhs: rhs.into(),
+            };
+            assert_eq!(
+                FusedSuiteProgram::check(&expr, &table),
+                Err(want.clone()),
+                "{src}"
+            );
+            let suite = [parse("x < 1.0").unwrap(), expr];
+            assert_eq!(
+                FusedSuiteProgram::compile(&suite, &table).unwrap_err(),
+                want,
+                "{src}"
+            );
+        }
+        for src in [
+            "x < 2",
+            "n >= x",
+            "1.5 > n",
+            "cmd == 'STOP'",
+            "ok != true",
+            "x == ok",
+        ] {
+            let expr = parse(src).unwrap();
+            assert_eq!(FusedSuiteProgram::check(&expr, &table), Ok(()), "{src}");
+            assert!(FusedSuiteProgram::compile(&[expr], &table).is_ok(), "{src}");
+        }
+        // An unknown name is reported before the ordering.
+        assert_eq!(
+            FusedSuiteProgram::check(&parse("ghost < 'STOP'").unwrap(), &table),
+            Err(EvalError::UnknownSignal {
+                name: "ghost".into()
+            })
+        );
     }
 
     #[test]

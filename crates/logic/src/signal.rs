@@ -12,11 +12,14 @@
 //!   every run, sweep cell, monitor, and series sample shares it through
 //!   an [`Arc`]. This is the "small, explicit relied-upon interface"
 //!   between constituent systems that Kopetz's system-of-systems analysis
-//!   calls for: the signal namespace is closed at build time.
-//! * [`Frame`] — one sample of all signals: a flat `Vec<Option<Value>>`
-//!   indexed by [`SignalId`]. Since [`Value`] is `Copy` (symbols are
-//!   interned), copying a frame is a memcpy and per-tick reads/writes are
-//!   array indexing — zero heap traffic on the hot path.
+//!   calls for: the signal namespace is closed at build time, and each
+//!   signal's declared kind is checked when goals compile.
+//! * [`Frame`] — one sample of all signals: the one-lane case of a
+//!   [`FrameBatch`], whose rows hold a tag byte and a payload word per
+//!   slot (a boolean is its tag; a number its `f64` or `i64` bits; a
+//!   symbol its interned id). Copying a frame is a memcpy and per-tick
+//!   reads/writes are array indexing — zero heap traffic on the hot
+//!   path.
 //!
 //! The name-keyed [`State`] map remains the authoring,
 //! serde, and test-fixture view; [`SignalTable::frame_from_state`] and
@@ -40,6 +43,7 @@
 //! assert_eq!(table.id("host.speed"), Some(speed));
 //! ```
 
+use crate::frame_batch::FrameBatch;
 use crate::state::State;
 use crate::value::Value;
 use serde::{Content, Serialize};
@@ -61,10 +65,14 @@ impl SignalId {
 
 /// The declared type of a signal.
 ///
-/// Kinds are declarative metadata: they document the namespace, drive
-/// tooling, and back the `debug_assert` in [`Frame::set`]. Run-time type
-/// errors (a non-boolean used as an atom, ordering symbols) are still
-/// reported by evaluation, exactly as with the name-keyed representation.
+/// Kinds document the namespace, back the `debug_assert` in
+/// [`Frame::set`], and let compilation refuse an ordering of a boolean
+/// or a symbol ([`EvalError::UnorderableOperands`]). A sample of another
+/// kind still stores and reads back exactly, and run-time type errors (a
+/// non-boolean used as an atom) are still reported by evaluation,
+/// exactly as with the name-keyed representation.
+///
+/// [`EvalError::UnorderableOperands`]: crate::EvalError::UnorderableOperands
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SignalKind {
     /// Boolean signal.
@@ -232,8 +240,7 @@ impl SignalTable {
     /// An all-unset frame over this namespace.
     pub fn frame(self: &Arc<Self>) -> Frame {
         Frame {
-            slots: vec![None; self.len()],
-            table: Arc::clone(self),
+            batch: FrameBatch::new(self, 1),
         }
     }
 
@@ -251,7 +258,7 @@ impl SignalTable {
         let mut frame = self.frame();
         for (name, value) in state.iter() {
             let id = self.id(name).ok_or_else(|| name.to_owned())?;
-            frame.slots[id.index()] = Some(*value);
+            frame.batch.put(id, 0, Some(*value));
         }
         Ok(frame)
     }
@@ -280,31 +287,31 @@ impl SignalTable {
                 // Bypass the kind debug-assert: arbitrary States may
                 // mistype a signal, and evaluation is where that must
                 // surface (as `NotBoolean` / `IncomparableValues`).
-                frame.slots[id.index()] = Some(*value);
+                frame.batch.put(id, 0, Some(*value));
             }
         }
         frame
     }
 }
 
-/// One sample of every signal in a [`SignalTable`]: a flat slot array
-/// indexed by [`SignalId`]. See the [module docs](self).
+/// One sample of every signal in a [`SignalTable`]: a one-lane
+/// [`FrameBatch`], so a frame and a batch lane share one layout. See the
+/// [module docs](self).
 #[derive(Clone)]
 pub struct Frame {
-    pub(crate) slots: Vec<Option<Value>>,
-    table: Arc<SignalTable>,
+    pub(crate) batch: FrameBatch,
 }
 
 impl Frame {
     /// The namespace this frame is indexed by.
     pub fn table(&self) -> &Arc<SignalTable> {
-        &self.table
+        self.batch.table()
     }
 
     /// The value of a signal, or `None` if unset.
     #[inline]
     pub fn get(&self, id: SignalId) -> Option<Value> {
-        self.slots[id.index()]
+        self.batch.get(id, 0)
     }
 
     /// Sets a signal's value.
@@ -313,33 +320,25 @@ impl Frame {
     /// release builds trust the substrate's wiring.
     #[inline]
     pub fn set(&mut self, id: SignalId, value: impl Into<Value>) {
-        let value = value.into();
-        debug_assert!(
-            self.table.kind(id).admits(&value),
-            "signal `{}` declared {:?} but assigned {}",
-            self.table.name(id),
-            self.table.kind(id),
-            value.type_name()
-        );
-        self.slots[id.index()] = Some(value);
+        self.batch.set(id, 0, value);
     }
 
     /// The boolean value of a signal, or `default` when unset/mistyped.
     #[inline]
     pub fn bool_or(&self, id: SignalId, default: bool) -> bool {
-        self.get(id).and_then(|v| v.as_bool()).unwrap_or(default)
+        self.batch.bool_or(id, 0, default)
     }
 
     /// The numeric value of a signal, or `default` when unset/mistyped.
     #[inline]
     pub fn real_or(&self, id: SignalId, default: f64) -> f64 {
-        self.get(id).and_then(|v| v.as_real()).unwrap_or(default)
+        self.batch.real_or(id, 0, default)
     }
 
     /// The symbol value of a signal, if set and symbolic.
     #[inline]
     pub fn sym(&self, id: SignalId) -> Option<crate::Sym> {
-        self.get(id).and_then(|v| v.as_sym())
+        self.batch.sym(id, 0)
     }
 
     /// Overwrites this frame's slots with `other`'s — the per-tick double
@@ -350,11 +349,7 @@ impl Frame {
     /// Panics if the frames index different tables.
     #[inline]
     pub fn copy_from(&mut self, other: &Frame) {
-        assert!(
-            Arc::ptr_eq(&self.table, &other.table),
-            "frames must share one signal table"
-        );
-        self.slots.copy_from_slice(&other.slots);
+        self.batch.copy_from(&other.batch);
     }
 
     /// Unsets every slot, returning the frame to the all-unset state a
@@ -362,23 +357,23 @@ impl Frame {
     /// allocation. Run-context pooling uses this so a reused scratch
     /// frame is indistinguishable from a newly built one.
     pub fn clear(&mut self) {
-        self.slots.fill(None);
+        self.batch.clear();
     }
 
     /// Number of slots (== the table's signal count).
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.table().len()
     }
 
     /// Whether the frame has no slots.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.table().is_empty()
     }
 
     /// Looks a signal up by name (test/tooling convenience — the hot path
     /// holds resolved [`SignalId`]s).
     pub fn get_named(&self, name: &str) -> Option<Value> {
-        self.table.id(name).and_then(|id| self.get(id))
+        self.table().id(name).and_then(|id| self.get(id))
     }
 
     /// Sets a signal by name (test/tooling convenience).
@@ -388,7 +383,7 @@ impl Frame {
     /// Panics if `name` is not in the table.
     pub fn set_named(&mut self, name: &str, value: impl Into<Value>) {
         let id = self
-            .table
+            .table()
             .id(name)
             .unwrap_or_else(|| panic!("signal `{name}` not declared in the table"));
         self.set(id, value);
@@ -396,24 +391,26 @@ impl Frame {
 
     /// Converts to the name-keyed [`State`] view (unset slots omitted).
     pub fn to_state(&self) -> State {
-        self.table
-            .ids()
-            .filter_map(|id| self.get(id).map(|v| (self.table.name(id).to_owned(), v)))
+        self.iter()
+            .map(|(id, v)| (self.table().name(id).to_owned(), v))
             .collect()
     }
 
     /// Iterates over `(id, value)` for every set slot, in id order.
     pub fn iter(&self) -> impl Iterator<Item = (SignalId, Value)> + '_ {
-        self.table
+        self.table()
             .ids()
             .filter_map(|id| self.get(id).map(|v| (id, v)))
     }
 }
 
+/// Frames are equal when they index the same namespace (table identity
+/// or same names in the same order) and every slot holds an equal value
+/// (`Value`'s equality: `NaN` differs from itself, `-0.0` equals `0.0`).
 impl PartialEq for Frame {
     fn eq(&self, other: &Self) -> bool {
-        (Arc::ptr_eq(&self.table, &other.table) || self.table.same_names(&other.table))
-            && self.slots == other.slots
+        let (a, b) = (self.table(), other.table());
+        (Arc::ptr_eq(a, b) || a.same_names(b)) && a.ids().all(|id| self.get(id) == other.get(id))
     }
 }
 
@@ -421,7 +418,7 @@ impl fmt::Debug for Frame {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut m = f.debug_map();
         for (id, v) in self.iter() {
-            m.entry(&self.table.name(id), &v.to_string());
+            m.entry(&self.table().name(id), &v.to_string());
         }
         m.finish()
     }
@@ -435,7 +432,7 @@ impl Serialize for Frame {
     fn to_content(&self) -> Content {
         Content::Map(
             self.iter()
-                .map(|(id, v)| (self.table.name(id).to_owned(), v.to_content()))
+                .map(|(id, v)| (self.table().name(id).to_owned(), v.to_content()))
                 .collect(),
         )
     }

@@ -148,6 +148,17 @@ impl Sym {
     pub fn as_str(self) -> &'static str {
         interner().read().expect("interner poisoned").texts[self.0 as usize]
     }
+
+    /// The interned id: what a [`FrameBatch`](crate::FrameBatch) symbol
+    /// row stores.
+    pub(crate) fn id(self) -> u32 {
+        self.0
+    }
+
+    /// The symbol of an id [`Sym::id`] returned.
+    pub(crate) fn from_id(id: u32) -> Sym {
+        Sym(id)
+    }
 }
 
 impl fmt::Display for Sym {

@@ -4,7 +4,8 @@ use esafe_logic::eval::{eval_at, eval_trace};
 use esafe_logic::incremental::{monitor_form, FusedSuiteProgram};
 use esafe_logic::{
     parse, prop, BatchError, CmpOp, EvalError, Expr, FrameBatch, FrameTrace, FusedError,
-    FusedSuite, FusedSuiteBatch, Operand, SignalKind, SignalTable, State, Trace, Value,
+    FusedSuite, FusedSuiteBatch, Operand, RunDecoder, RunMeta, SignalId, SignalKind, SignalTable,
+    State, SymDict, Trace, Value,
 };
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -325,7 +326,8 @@ fn atom(
 }
 
 /// Any comparison atom — every shape, operator and kind, including
-/// orderings on symbols and booleans, which `eval` refuses.
+/// orderings on symbols and booleans, which `eval` refuses on every
+/// sample and compilation refuses outright.
 fn any_atom() -> BoxedStrategy<Expr> {
     atom(
         signal_operand(&ALL_SIGNALS),
@@ -388,18 +390,67 @@ fn expected_pass(results: &[(usize, Vec<Result<bool, EvalError>>)]) -> Pass {
     )
 }
 
+/// Whether `atom` orders an operand that is boolean or symbolic: a
+/// [`TYPED`] signal of that kind, or such a literal.
+fn orders_non_number(atom: &Expr) -> bool {
+    let Expr::Cmp { lhs, op, rhs } = atom else {
+        return false;
+    };
+    let numeric = |o: &Operand| match o {
+        Operand::Var(name) => TYPED
+            .iter()
+            .any(|&(n, k)| n == name && matches!(k, SignalKind::Int | SignalKind::Real)),
+        Operand::Lit(v) => v.as_real().is_some(),
+    };
+    !(matches!(op, CmpOp::Eq | CmpOp::Ne) || numeric(lhs) && numeric(rhs))
+}
+
 /// Runs bare comparison `atoms` as one fused program over `traces`, one
 /// lane per trace: a scalar suite per lane, and a batch retiring lane
 /// `l` after `retire_at[l]` samples. Each pass must report what
 /// [`expected_pass`] derives from `eval`; a pass that errors ends that
-/// engine's run.
+/// engine's run. A suite compilation refuses must name its first atom
+/// that orders a boolean or a symbol, which `eval` refuses on every
+/// sample; its other atoms are then checked on their own.
 fn check_bare_atoms(atoms: &[Expr], traces: &[Trace], retire_at: &[usize]) {
     let table = typed_table();
     // A bare atom is its own monitor form.
     let eval_tick = |l: usize, step: usize| -> Vec<Result<bool, EvalError>> {
         atoms.iter().map(|a| eval_at(a, &traces[l], step)).collect()
     };
-    let program = fuse(atoms, &table);
+    let program = match FusedSuiteProgram::compile(atoms, &table) {
+        Ok(program) => Arc::new(program),
+        Err(err) => {
+            let first = atoms
+                .iter()
+                .find(|a| orders_non_number(a))
+                .unwrap_or_else(|| panic!("{atoms:?} refused: {err}"));
+            let Expr::Cmp { lhs, rhs, .. } = first else {
+                unreachable!("only a comparison orders")
+            };
+            assert_eq!(
+                err,
+                EvalError::UnorderableOperands {
+                    lhs: lhs.to_string(),
+                    rhs: rhs.to_string()
+                }
+            );
+            for trace in traces {
+                for step in 0..trace.len() {
+                    assert!(eval_at(first, trace, step).is_err(), "{first} at {step}");
+                }
+            }
+            let kept: Vec<Expr> = atoms
+                .iter()
+                .filter(|a| !orders_non_number(a))
+                .cloned()
+                .collect();
+            if !kept.is_empty() {
+                check_bare_atoms(&kept, traces, retire_at);
+            }
+            return;
+        }
+    };
 
     for (l, trace) in traces.iter().enumerate() {
         let mut scalar = program.instantiate();
@@ -463,6 +514,209 @@ fn check_bare_atoms(atoms: &[Expr], traces: &[Trace], retire_at: &[usize]) {
                 );
                 break;
             }
+        }
+    }
+}
+
+/// A splitmix64 stream: the operation sequences of the slab property.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    /// A value of `kind`, edge cases first: `i64` extremes and integers
+    /// past `f64`'s 53 bits, `NaN`s with payloads, both zeros, both
+    /// infinities and subnormals.
+    fn value(&mut self, kind: SignalKind) -> Value {
+        match kind {
+            SignalKind::Bool => Value::Bool(self.next() & 1 == 1),
+            SignalKind::Int => Value::Int(match self.below(6) {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                2 => 0,
+                3 => (1 << 53) + 1,
+                _ => self.next() as i64,
+            }),
+            SignalKind::Real => Value::Real(match self.below(9) {
+                0 => f64::NAN,
+                1 => -0.0,
+                2 => 0.0,
+                3 => f64::INFINITY,
+                4 => f64::NEG_INFINITY,
+                5 => f64::MIN_POSITIVE / 4.0,
+                6 => i64::MIN as f64,
+                _ => f64::from_bits(self.next()),
+            }),
+            SignalKind::Sym => Value::sym(["GO", "STOP", "OPEN"][self.below(3)]),
+        }
+    }
+
+    /// A value of any kind.
+    fn any_value(&mut self) -> Value {
+        let kind = ALL_KINDS[self.below(ALL_KINDS.len())];
+        self.value(kind)
+    }
+
+    /// A state setting each [`TYPED`] signal to a value of any kind, or
+    /// leaving it unset.
+    fn state(&mut self) -> State {
+        let mut state = State::new();
+        for (name, _) in TYPED {
+            if self.below(4) > 0 {
+                state.set(name, self.any_value());
+            }
+        }
+        state
+    }
+}
+
+/// Slot equality bit for bit: reals by their bits, so `NaN` equals
+/// itself, `-0.0` differs from `0.0`, and an `Int` never equals a `Real`.
+fn same_slot(a: Option<Value>, b: Option<Value>) -> bool {
+    match (a, b) {
+        (Some(Value::Real(x)), Some(Value::Real(y))) => x.to_bits() == y.to_bits(),
+        _ => a == b && a.is_none_or(|v| !matches!(v, Value::Real(_))),
+    }
+}
+
+/// A [`FrameBatch`] beside its model: one `Option<Value>` per slot,
+/// `model[sig * lanes + lane]`, the layout the typed rows replaced.
+struct Modelled {
+    batch: FrameBatch,
+    model: Vec<Option<Value>>,
+}
+
+impl Modelled {
+    fn new(table: &Arc<SignalTable>, lanes: usize) -> Self {
+        Modelled {
+            batch: FrameBatch::new(table, lanes),
+            model: vec![None; table.len() * lanes],
+        }
+    }
+
+    /// Sets lane `lane` of the model to what `slot(sig)` gives.
+    fn model_lane(&mut self, lane: usize, slot: impl Fn(SignalId) -> Option<Value>) {
+        let lanes = self.batch.lanes();
+        for id in self.batch.table().clone().ids() {
+            self.model[id.index() * lanes + lane] = slot(id);
+        }
+    }
+
+    /// Asserts every slot of the batch reads back its model's value.
+    fn check(&self, what: &str) {
+        let lanes = self.batch.lanes();
+        for id in self.batch.table().ids() {
+            for lane in 0..lanes {
+                let (got, want) = (
+                    self.batch.get(id, lane),
+                    self.model[id.index() * lanes + lane],
+                );
+                assert!(
+                    same_slot(got, want),
+                    "after {what}: signal {id:?} lane {lane} of {lanes}: got {got:?}, want {want:?}"
+                );
+            }
+        }
+    }
+}
+
+/// One random operation on `pair[0]` or `pair[1]`, applied to batch and
+/// model alike.
+fn slab_op(rng: &mut Mix, pair: &mut [Modelled; 2], table: &Arc<SignalTable>) -> &'static str {
+    let lanes = pair[0].batch.lanes();
+    let which = rng.below(2);
+    let lane = rng.below(lanes);
+    match rng.below(8) {
+        0 | 1 => {
+            let (name, kind) = TYPED[rng.below(TYPED.len())];
+            let id = table.id(name).unwrap();
+            // A real row also admits an `Int`.
+            let kind = if kind == SignalKind::Real && rng.below(2) == 0 {
+                SignalKind::Int
+            } else {
+                kind
+            };
+            let value = rng.value(kind);
+            let m = &mut pair[which];
+            m.batch.set(id, lane, value);
+            m.model[id.index() * lanes + lane] = Some(value);
+            "set"
+        }
+        2 => {
+            // Any kind into any row, and unset slots, through a frame that
+            // was never kind-checked.
+            let frame = table.frame_from_state_lossy(&rng.state());
+            let m = &mut pair[which];
+            m.batch.write_lane_from(lane, &frame);
+            m.model_lane(lane, |id| frame.get(id));
+            "write_lane_from"
+        }
+        3 => {
+            pair[which].batch.clear_lane(lane);
+            pair[which].model_lane(lane, |_| None);
+            "clear_lane"
+        }
+        4 => {
+            let [a, b] = pair;
+            let (from, to) = if which == 0 { (a, b) } else { (b, a) };
+            to.batch.copy_from(&from.batch);
+            to.model.clone_from(&from.model);
+            "copy_from"
+        }
+        5 => {
+            let mut frame = table.frame();
+            pair[which].batch.read_lane_into(lane, &mut frame);
+            for id in table.ids() {
+                let want = pair[which].model[id.index() * lanes + lane];
+                assert!(same_slot(frame.get(id), want), "read_lane_into {id:?}");
+            }
+            let to = rng.below(lanes);
+            let m = &mut pair[1 - which];
+            m.batch.write_lane_from(to, &frame);
+            m.model_lane(to, |id| frame.get(id));
+            "read_lane_into"
+        }
+        6 => {
+            // Archived samples of any kind, decoded tick by tick.
+            let mut trace = Trace::with_tick_millis(1);
+            for _ in 0..1 + rng.below(3) {
+                trace.push(rng.state());
+            }
+            let trace = FrameTrace::from_trace(table, &trace).unwrap();
+            let meta = RunMeta {
+                table_ref: 0,
+                substrate: "model".into(),
+                label: "model".into(),
+                dt_millis: 1,
+                ticks: trace.len() as u64,
+                terminated_early: false,
+                terminal_event: None,
+            };
+            let mut dict = SymDict::new();
+            let bytes = esafe_logic::corpus::encode_run(&trace, &meta, &mut dict);
+            let (_, mut decoder) = RunDecoder::new(&bytes, table, &dict).unwrap();
+            let m = &mut pair[which];
+            for t in 0..trace.len() {
+                decoder.write_tick(&mut m.batch, lane, &dict).unwrap();
+                m.model_lane(lane, |id| trace.get(t, id));
+                m.check("write_tick");
+            }
+            "write_tick"
+        }
+        _ => {
+            pair[which].batch.clear();
+            pair[which].model.fill(None);
+            "clear"
         }
     }
 }
@@ -772,5 +1026,25 @@ proptest! {
         );
         let retire_at = retire_schedule(retire_seed, traces.len());
         assert_lanes_match_eval(&exprs, &typed_table(), &traces, &retire_at);
+    }
+}
+
+proptest! {
+    /// Typed lane rows hold exactly what `Option<Value>` slots held: two
+    /// batches and their models go through the same random sets of every
+    /// kind into every row, unsets, lane clears, copies, lane round trips
+    /// through frames and decoded archive ticks, and every slot reads back
+    /// its model's value bit for bit, at widths on both sides of a word.
+    #[test]
+    fn typed_rows_hold_what_option_slots_hold(seed in 0u64..u64::MAX, width in 0usize..5) {
+        let lanes = [1, 63, 64, 65, 129][width];
+        let table = typed_table();
+        let mut rng = Mix(seed);
+        let mut pair = [Modelled::new(&table, lanes), Modelled::new(&table, lanes)];
+        for _ in 0..48 {
+            let what = slab_op(&mut rng, &mut pair, &table);
+            pair[0].check(what);
+            pair[1].check(what);
+        }
     }
 }

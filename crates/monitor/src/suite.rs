@@ -121,8 +121,9 @@ impl MonitorSuite {
     ///
     /// # Errors
     ///
-    /// Returns [`EvalError`] if the goal contains future operators or
-    /// references a signal outside the suite's table.
+    /// Returns [`EvalError`] if the goal contains future operators,
+    /// references a signal outside the suite's table, or orders a
+    /// boolean or a symbol.
     ///
     /// # Panics
     ///
@@ -141,8 +142,9 @@ impl MonitorSuite {
     ///
     /// # Errors
     ///
-    /// Returns [`EvalError`] if the goal contains future operators or
-    /// references a signal outside the suite's table.
+    /// Returns [`EvalError`] if the goal contains future operators,
+    /// references a signal outside the suite's table, or orders a
+    /// boolean or a symbol.
     ///
     /// # Panics
     ///

@@ -25,12 +25,13 @@ use std::sync::{Arc, OnceLock};
 /// Records the shared mixed corpus once: two vehicle grid cells (one
 /// colliding, one clean — so one trace ends early) and three
 /// family-shared elevator runs with deliberately ragged tick counts.
-/// Every proptest case replays this same archive.
+/// Every proptest case replays this same archive. It lives in Cargo's
+/// per-target scratch directory under a fixed name, cleared first, so a
+/// test run leaves at most one archive, inside `target/`.
 fn corpus_dir() -> &'static PathBuf {
     static DIR: OnceLock<PathBuf> = OnceLock::new();
     DIR.get_or_init(|| {
-        let mut dir = std::env::temp_dir();
-        dir.push(format!("esafe-corpus-equiv-{}", std::process::id()));
+        let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("corpus-equivalence");
         let _ = std::fs::remove_dir_all(&dir);
 
         let mut writer =

@@ -29,7 +29,9 @@
 //! zero or over the budget. [`Format::scan`] walks frames front to back
 //! and reports where the intact prefix ends and why the walk stopped
 //! there; each format decides what a defect means (the journal truncates
-//! it, a committed corpus refuses it).
+//! it, a committed corpus refuses it). The scan checks the frames'
+//! checksums across worker threads and hands the frames over in file
+//! order, so what it reports is what a serial walk would.
 
 #![cfg_attr(
     not(test),
@@ -37,6 +39,7 @@
 )]
 
 use crate::crc::crc32;
+use rayon::prelude::*;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -230,15 +233,10 @@ impl Format {
     /// Never panics: truncation is [`Decoded::Incomplete`], a bad length
     /// or checksum is [`Decoded::Corrupt`].
     pub fn decode_frame<'a>(&self, bytes: &'a [u8]) -> Decoded<&'a [u8]> {
-        let mut c = Cursor::new(bytes);
-        let (Ok(len), Ok(stored)) = (c.u32(), c.u32()) else {
-            return Decoded::Incomplete;
-        };
-        if let Err(e) = self.admit(u64::from(len)) {
-            return Decoded::Corrupt(e);
-        }
-        let Ok(payload) = c.take(len as usize) else {
-            return Decoded::Incomplete;
+        let (stored, payload) = match self.split_frame(bytes) {
+            Ok(frame) => frame,
+            Err(FormatError::Truncated) => return Decoded::Incomplete,
+            Err(e) => return Decoded::Corrupt(e),
         };
         let computed = crc32(payload);
         if stored != computed {
@@ -252,21 +250,60 @@ impl Format {
     /// torn or corrupt, or `accept` refuses a payload. Returns where the
     /// intact prefix ends and, if the walk stopped before the end of
     /// `bytes`, why.
+    ///
+    /// The walk takes three passes. The first follows the length
+    /// prefixes up to the first torn or over-budget frame. The second
+    /// computes every frame's CRC-32 across worker threads, in chunks
+    /// of about [`CHECK_CHUNK_BYTES`]. The third hands the frames to
+    /// `accept` in file order and stops at the first checksum mismatch
+    /// or refusal, so the result and the `accept` calls are those of a
+    /// front-to-back walk with [`decode_frame`](Format::decode_frame).
     pub fn scan(
         &self,
         bytes: &[u8],
         start: usize,
         mut accept: impl FnMut(usize, &[u8]) -> Result<(), FormatError>,
     ) -> (usize, Option<FormatError>) {
+        let mut frames: Vec<(usize, u32, &[u8])> = Vec::new();
         let mut at = start;
+        let mut stop = None;
         while let Some(rest) = bytes.get(at..).filter(|rest| !rest.is_empty()) {
-            match self.decode_frame(rest).and_then(|p| accept(at, p)) {
-                Decoded::Record((), n) => at += n,
-                Decoded::Incomplete => return (at, Some(FormatError::Truncated)),
-                Decoded::Corrupt(e) => return (at, Some(e)),
+            match self.split_frame(rest) {
+                Ok((stored, payload)) => {
+                    frames.push((at, stored, payload));
+                    at += FRAME_OVERHEAD + payload.len();
+                }
+                Err(e) => {
+                    stop = Some(e);
+                    break;
+                }
             }
         }
-        (at, None)
+        for (&(at, stored, payload), computed) in frames.iter().zip(checksums(&frames)) {
+            let checked = if stored == computed {
+                accept(at, payload)
+            } else {
+                Err(FormatError::Checksum { stored, computed })
+            };
+            if let Err(e) = checked {
+                return (at, Some(e));
+            }
+        }
+        (at, stop)
+    }
+
+    /// The stored checksum and the payload of the frame at the front of
+    /// `bytes`, its checksum unchecked: [`FormatError::Truncated`] when
+    /// the bytes end inside the frame, [`FormatError::Length`] for a
+    /// length of zero or over the budget.
+    fn split_frame<'a>(&self, bytes: &'a [u8]) -> Result<(u32, &'a [u8]), FormatError> {
+        let mut c = Cursor::new(bytes);
+        let (Ok(len), Ok(stored)) = (c.u32(), c.u32()) else {
+            return Err(FormatError::Truncated);
+        };
+        self.admit(u64::from(len))?;
+        let payload = c.take(len as usize).map_err(|_| FormatError::Truncated)?;
+        Ok((stored, payload))
     }
 
     /// `len` as a frame length, if the format admits it.
@@ -277,6 +314,32 @@ impl Format {
             _ => Err(FormatError::Length { len, max }),
         }
     }
+}
+
+/// Payload bytes one worker checksums per work item when
+/// [`Format::scan`] checks its frames. Below this a file's frames make one
+/// item, checked on the calling thread without starting a worker: a
+/// worker costs about as much to start as checksumming this many bytes.
+pub const CHECK_CHUNK_BYTES: usize = 1 << 16;
+
+/// The CRC-32 of every frame's payload, in frame order, computed across
+/// worker threads over chunks of whole frames holding about
+/// [`CHECK_CHUNK_BYTES`] of payload each.
+fn checksums(frames: &[(usize, u32, &[u8])]) -> Vec<u32> {
+    let mut chunks = Vec::new();
+    let (mut from, mut bytes) = (0, 0);
+    for (i, (_, _, payload)) in frames.iter().enumerate() {
+        bytes += payload.len();
+        if bytes >= CHECK_CHUNK_BYTES || i + 1 == frames.len() {
+            chunks.push(&frames[from..=i]);
+            (from, bytes) = (i + 1, 0);
+        }
+    }
+    let sums: Vec<Vec<u32>> = chunks
+        .par_iter()
+        .map(|chunk| chunk.iter().map(|(_, _, payload)| crc32(payload)).collect())
+        .collect();
+    sums.concat()
 }
 
 /// Writes `bytes` to `path` atomically: a temporary file beside it,

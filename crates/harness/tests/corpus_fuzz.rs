@@ -233,7 +233,7 @@ proptest! {
     #[test]
     fn random_runs_round_trip_bit_identically(
         kinds in proptest::collection::vec(0u8..4, 1..6),
-        len in 0usize..120,
+        len in 0usize..300,
         density in 0u64..101,
         salt in 0u64..u64::MAX,
     ) {

@@ -3,9 +3,11 @@
 //! corpus (64 MiB). Frames round-trip and scan back in order;
 //! truncation at every byte is a torn tail; zero and over-budget
 //! lengths are refused on write and are corruption on read; no
-//! single-byte change turns a frame into a different payload; and a
+//! single-byte change turns a frame into a different payload; a
 //! single-byte change anywhere in any of the three header shapes is a
-//! typed error.
+//! typed error; and a scan, which checks its frames' checksums in
+//! parallel, stops where a serial walk does and hands over the same
+//! frames in the same order.
 //!
 //! Each format's own payloads are fuzzed in `journal_fuzz.rs` and
 //! `corpus_fuzz.rs`.
@@ -13,7 +15,9 @@
 use esafe_harness::corpus::{DATA_FORMAT, MANIFEST_FORMAT};
 use esafe_harness::crc::crc32;
 use esafe_harness::journal::FORMAT as JOURNAL_FORMAT;
-use esafe_harness::record::{header_len, Decoded, Format, FormatError, FRAME_OVERHEAD};
+use esafe_harness::record::{
+    header_len, Decoded, Format, FormatError, CHECK_CHUNK_BYTES, FRAME_OVERHEAD,
+};
 use proptest::prelude::*;
 
 /// The two framed formats: only their budgets and magic differ.
@@ -37,6 +41,51 @@ fn payloads(lens: &[usize], salt: u64) -> Vec<Vec<u8>> {
         .enumerate()
         .map(|(i, &len)| filler(salt ^ i as u64, len))
         .collect()
+}
+
+/// The ways [`Format::scan`]'s walk can stop at a frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Defect {
+    /// A payload byte flipped: a checksum mismatch.
+    Flip,
+    /// The file cut inside the frame: a torn tail.
+    Torn,
+    /// A length prefix over the budget.
+    OverBudget,
+    /// A payload `accept` refuses.
+    Refused,
+}
+
+const DEFECTS: [Defect; 4] = [
+    Defect::Flip,
+    Defect::Torn,
+    Defect::OverBudget,
+    Defect::Refused,
+];
+
+/// The scan a serial walk with [`Format::decode_frame`] makes: where it
+/// stops, why, and the offsets of the frames it accepts, `refused`
+/// being the offset whose payload `accept` refuses.
+fn serial_scan(
+    format: &Format,
+    bytes: &[u8],
+    refused: Option<usize>,
+) -> (usize, Option<FormatError>, Vec<usize>) {
+    let (mut at, mut accepted) = (0, Vec::new());
+    while at < bytes.len() {
+        match format.decode_frame(&bytes[at..]) {
+            Decoded::Record(_, _) if refused == Some(at) => {
+                return (at, Some(FormatError::Malformed), accepted)
+            }
+            Decoded::Record(_, n) => {
+                accepted.push(at);
+                at += n;
+            }
+            Decoded::Incomplete => return (at, Some(FormatError::Truncated), accepted),
+            Decoded::Corrupt(e) => return (at, Some(e), accepted),
+        }
+    }
+    (at, None, accepted)
 }
 
 /// A frame header claiming `len` payload bytes, followed by filler.
@@ -198,6 +247,70 @@ proptest! {
                 format.decode_header(short, header.len()).unwrap_err(),
                 FormatError::Truncated
             );
+        }
+    }
+}
+
+proptest! {
+    /// Two defects of different kinds at random frames of a file whose
+    /// checksums span several work chunks: the scan stops where a serial
+    /// walk with `decode_frame` stops, for the same reason, and hands
+    /// `accept` exactly the frames before that point, in file order.
+    #[test]
+    fn scan_stops_where_a_serial_walk_does(
+        lens in proptest::collection::vec(1usize..CHECK_CHUNK_BYTES / 2, 2..12),
+        first in 0usize..4,
+        second in 1usize..4,
+        frame_a in 0usize..1 << 16,
+        frame_b in 0usize..1 << 16,
+        pos in 0usize..1 << 16,
+        salt in 0u64..u64::MAX,
+    ) {
+        for format in &FRAMED {
+            let payloads = payloads(&lens, salt);
+            let mut frames: Vec<Vec<u8>> = payloads
+                .iter()
+                .map(|payload| format.encode_frame(payload).unwrap())
+                .collect();
+            let mut offsets = vec![0];
+            for frame in &frames {
+                offsets.push(offsets[offsets.len() - 1] + frame.len());
+            }
+            let mut refused = None;
+            let mut cut = None;
+            let defects = [DEFECTS[first], DEFECTS[(first + second) % 4]];
+            for (defect, frame) in defects.into_iter().zip([frame_a, frame_b]) {
+                let i = frame % frames.len();
+                let len = frames[i].len() - FRAME_OVERHEAD;
+                match defect {
+                    Defect::Flip => frames[i][FRAME_OVERHEAD + pos % len] ^= 0x5a,
+                    Defect::Torn => cut = Some(offsets[i] + 1 + pos % (len + FRAME_OVERHEAD - 1)),
+                    Defect::OverBudget => {
+                        let over = format.max_payload as u32 + 1;
+                        frames[i][..4].copy_from_slice(&over.to_le_bytes());
+                    }
+                    Defect::Refused => refused = Some(offsets[i]),
+                }
+            }
+            let mut file = frames.concat();
+            file.truncate(cut.unwrap_or(file.len()));
+
+            let mut seen = Vec::new();
+            let (end, defect) = format.scan(&file, 0, |at, payload| {
+                if refused == Some(at) {
+                    return Err(FormatError::Malformed);
+                }
+                seen.push((at, payload.to_vec()));
+                Ok(())
+            });
+            let (serial_end, serial_defect, accepted) = serial_scan(format, &file, refused);
+            prop_assert_eq!((end, defect), (serial_end, serial_defect));
+            prop_assert!(defect.is_some(), "a defect stops the walk");
+            let expected: Vec<(usize, Vec<u8>)> = accepted
+                .iter()
+                .map(|&at| (at, payloads[offsets.iter().position(|&o| o == at).unwrap()].clone()))
+                .collect();
+            prop_assert_eq!(seen, expected);
         }
     }
 }

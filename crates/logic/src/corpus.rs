@@ -30,7 +30,7 @@
 //! panic on hostile input and never allocate more than the input could
 //! legitimately describe — the property the corpus fuzz wall pins.
 
-use crate::frame_batch::FrameBatch;
+use crate::frame_batch::{slot_of, slot_value, FrameBatch, FALSE, INT, REAL, SYM, UNSET};
 use crate::frame_trace::FrameTrace;
 use crate::signal::{SignalId, SignalKind, SignalTable};
 use crate::value::{Sym, Value};
@@ -449,9 +449,27 @@ fn push_presence_bitmap(out: &mut Vec<u8>, col: &[Option<Value>]) {
     }
 }
 
+/// `n ≤ 57` bits of `bitmap` from bit `start` on, as the low bits of a
+/// word: bit `i` of the result is bit `start + i` of the bitmap. Bits
+/// past the bitmap's end read as clear.
 #[inline]
-fn bit(bitmap: &[u8], i: usize) -> bool {
-    bitmap[i / 8] >> (i % 8) & 1 == 1
+fn bits(bitmap: &[u8], start: usize, n: usize) -> u64 {
+    let rest = bitmap.get(start / 8..).unwrap_or_default();
+    let word = match rest.first_chunk::<8>() {
+        Some(eight) => u64::from_le_bytes(*eight),
+        None => {
+            let mut eight = [0; 8];
+            eight[..rest.len()].copy_from_slice(rest);
+            u64::from_le_bytes(eight)
+        }
+    };
+    (word >> (start % 8)) & low_bits(n)
+}
+
+/// A word with its `n ≤ 64` low bits set.
+#[inline]
+fn low_bits(n: usize) -> u64 {
+    u64::MAX.checked_shr(64 - n as u32).unwrap_or(0)
 }
 
 /// Encodes one signal column (`len` tick samples) with the cheapest
@@ -540,186 +558,178 @@ pub fn encode_column(col: &[Option<Value>], dict: &mut SymDict) -> Vec<u8> {
     out
 }
 
-enum ColMode<'a> {
-    Empty,
-    Const(Value),
-    Bool {
-        presence: &'a [u8],
-        values: &'a [u8],
-        seen: usize,
-    },
-    Int {
-        presence: &'a [u8],
-        data: Cur<'a>,
-        prev: i64,
-    },
-    Real {
-        presence: &'a [u8],
-        data: Cur<'a>,
-        prev: u64,
-    },
-    Sym {
-        presence: &'a [u8],
-        data: Cur<'a>,
-        prev: i64,
-    },
-    Mixed {
-        presence: &'a [u8],
-        data: Cur<'a>,
-    },
+/// Ticks a [`RunDecoder`] decodes per column at a time. A block's
+/// presence bits are one word read, so an all-present block tests no
+/// sample's bit, and each column dispatches on its encoding once per
+/// block. The block buffer holds this many ticks of every changing
+/// column: 16 × 18 × 9 bytes, about 2.6 KiB, for a typical mega-grid run.
+pub const BLOCK_TICKS: usize = 16;
+
+// A block starts on a presence byte, and a bool block's value bits,
+// which start anywhere in a byte, fit one word read.
+const _: () = assert!(BLOCK_TICKS.is_multiple_of(8) && BLOCK_TICKS <= 56);
+
+/// How a changing column stores its present samples, with the delta
+/// state decoding them needs.
+enum Samples<'a> {
+    /// One value bit per present sample, `seen` of them decoded.
+    Bool { values: &'a [u8], seen: usize },
+    /// Zigzag-delta varints after the sample `prev`.
+    Int { data: Cur<'a>, prev: i64 },
+    /// XOR-delta varints of the bits after the sample bits `prev`.
+    Real { data: Cur<'a>, prev: u64 },
+    /// Zigzag-delta dictionary ids after the id `prev`.
+    Sym { data: Cur<'a>, prev: i64 },
+    /// Tagged values.
+    Mixed { data: Cur<'a> },
 }
 
-/// A streaming decoder over one encoded signal column: yields the next
-/// tick's sample per call, holding only delta state — no materialized
-/// `Vec` of the whole column. The tick it decodes and the run length
-/// belong to the owning [`RunDecoder`], which bounds every call.
+/// A decoder over one changing (neither empty nor constant) column: it
+/// decodes a block of ticks per call and holds only delta state, never
+/// a materialized `Vec` of the column. The ticks it decodes and the run
+/// length belong to the owning [`RunDecoder`], which bounds every call.
 struct ColumnCursor<'a> {
-    mode: ColMode<'a>,
+    /// One bit per tick of the run.
+    presence: &'a [u8],
+    samples: Samples<'a>,
 }
 
-impl<'a> ColumnCursor<'a> {
-    /// Opens a column body (as produced by [`encode_column`]) holding
-    /// `len` samples, or `None` if the prefix is malformed. The
-    /// dictionary is needed up front because constant symbol columns
-    /// decode their value eagerly.
-    fn new(body: &'a [u8], len: usize, dict: &SymDict) -> Option<Self> {
-        let mut cur = Cur::new(body);
-        let tag = cur.u8()?;
-        let presence_bytes = len.div_ceil(8);
-        let mode = match tag {
-            TAG_COL_EMPTY => {
-                if !cur.done() {
-                    return None;
-                }
-                ColMode::Empty
-            }
-            TAG_COL_CONST => {
-                if len == 0 {
-                    return None;
-                }
-                let v = read_value(&mut cur, dict)?;
-                if !cur.done() {
-                    return None;
-                }
-                ColMode::Const(v)
-            }
-            TAG_COL_BOOL => {
-                let presence = cur.take(presence_bytes)?;
-                let n_present: usize = presence.iter().map(|b| b.count_ones() as usize).sum();
-                let values = cur.take(n_present.div_ceil(8))?;
-                if !cur.done() {
-                    return None;
-                }
-                ColMode::Bool {
-                    presence,
-                    values,
-                    seen: 0,
-                }
-            }
-            TAG_COL_INT => ColMode::Int {
-                presence: cur.take(presence_bytes)?,
-                data: cur,
-                prev: 0,
-            },
-            TAG_COL_REAL => ColMode::Real {
-                presence: cur.take(presence_bytes)?,
-                data: cur,
-                prev: 0,
-            },
-            TAG_COL_SYM => ColMode::Sym {
-                presence: cur.take(presence_bytes)?,
-                data: cur,
-                prev: 0,
-            },
-            TAG_COL_MIXED => ColMode::Mixed {
-                presence: cur.take(presence_bytes)?,
-                data: cur,
-            },
-            _ => return None,
-        };
-        Some(ColumnCursor { mode })
-    }
+/// An encoded column, opened.
+enum Column<'a> {
+    /// An empty or constant column: the one slot every tick holds.
+    Static(u8, u64),
+    /// A column whose samples change from tick to tick.
+    Changing(ColumnCursor<'a>),
+}
 
-    /// Whether the column yields the same sample every tick (empty or
-    /// constant encoding), so a lane's slot keeps its tick-0 value.
-    fn is_static(&self) -> bool {
-        matches!(self.mode, ColMode::Empty | ColMode::Const(_))
-    }
-
-    /// The sample at tick `t` (`Some(None)` = recorded-absent), or
-    /// `None` if the underlying bytes are malformed. Calls must come
-    /// in tick order with `t` below the run length the cursor was
-    /// opened with, which sized every presence bitmap.
-    #[inline]
-    fn sample(&mut self, t: usize, dict: &SymDict) -> Option<Option<Value>> {
-        match &mut self.mode {
-            ColMode::Empty => Some(None),
-            ColMode::Const(v) => Some(Some(*v)),
-            ColMode::Bool {
-                presence,
-                values,
-                seen,
-            } => {
-                if !bit(presence, t) {
-                    return Some(None);
-                }
-                let b = bit(values, *seen);
-                *seen += 1;
-                Some(Some(Value::Bool(b)))
+/// Opens a column body (as produced by [`encode_column`]) holding `len`
+/// samples, or `None` if the prefix is malformed. The dictionary is
+/// needed up front because constant symbol columns decode their value
+/// eagerly.
+fn open_column<'a>(body: &'a [u8], len: usize, dict: &SymDict) -> Option<Column<'a>> {
+    let mut cur = Cur::new(body);
+    let mode = cur.u8()?;
+    match mode {
+        TAG_COL_EMPTY => return cur.done().then_some(Column::Static(UNSET, 0)),
+        TAG_COL_CONST => {
+            if len == 0 {
+                return None;
             }
-            ColMode::Int {
-                presence,
-                data,
-                prev,
-            } => {
-                if !bit(presence, t) {
-                    return Some(None);
+            let (tag, payload) = slot_of(Some(read_value(&mut cur, dict)?));
+            return cur.done().then_some(Column::Static(tag, payload));
+        }
+        _ => {}
+    }
+    let presence = cur.take(len.div_ceil(8))?;
+    let samples = match mode {
+        TAG_COL_BOOL => {
+            // The value bytes are sized by every set presence bit, pad
+            // bits included, as every archive has been read.
+            let n_present: usize = presence.iter().map(|b| b.count_ones() as usize).sum();
+            let values = cur.take(n_present.div_ceil(8))?;
+            if !cur.done() {
+                return None;
+            }
+            Samples::Bool { values, seen: 0 }
+        }
+        TAG_COL_INT => Samples::Int { data: cur, prev: 0 },
+        TAG_COL_REAL => Samples::Real { data: cur, prev: 0 },
+        TAG_COL_SYM => Samples::Sym { data: cur, prev: 0 },
+        TAG_COL_MIXED => Samples::Mixed { data: cur },
+        _ => return None,
+    };
+    Some(Column::Changing(ColumnCursor { presence, samples }))
+}
+
+/// One column's rows of a block buffer: row `i`'s slot is
+/// `tags[i * stride]` and `payloads[i * stride]`.
+struct Rows<'b> {
+    tags: &'b mut [u8],
+    payloads: &'b mut [u64],
+    stride: usize,
+}
+
+impl Rows<'_> {
+    /// Fills rows `0..n`: a row whose bit in `present` is clear is
+    /// unset, and the others take the slots `sample` decodes, in order.
+    /// Returns `n`, or the row whose sample failed to decode.
+    #[inline(always)]
+    fn fill(self, present: u64, n: usize, mut sample: impl FnMut() -> Option<(u8, u64)>) -> usize {
+        if present == low_bits(n) {
+            for i in 0..n {
+                let Some((tag, payload)) = sample() else {
+                    return i;
+                };
+                self.tags[i * self.stride] = tag;
+                self.payloads[i * self.stride] = payload;
+            }
+        } else {
+            for i in 0..n {
+                if present >> i & 1 == 0 {
+                    self.tags[i * self.stride] = UNSET;
+                    continue;
                 }
+                let Some((tag, payload)) = sample() else {
+                    return i;
+                };
+                self.tags[i * self.stride] = tag;
+                self.payloads[i * self.stride] = payload;
+            }
+        }
+        n
+    }
+}
+
+impl ColumnCursor<'_> {
+    /// Decodes ticks `t0..t0 + n` into `rows`, one dispatch on the
+    /// encoding for the block. Returns `n`, or the row of the first
+    /// sample whose bytes are malformed. Calls come in tick order, one
+    /// per block; `t0` is a multiple of [`BLOCK_TICKS`] and `n` at most
+    /// that and the ticks left.
+    fn decode_block(&mut self, t0: usize, n: usize, rows: Rows<'_>, dict: &SymDict) -> usize {
+        // Only the block's own bits: a set pad bit past the run length
+        // never makes a block look all-present.
+        let present = bits(self.presence, t0, n);
+        match &mut self.samples {
+            Samples::Bool { values, seen } => {
+                let count = present.count_ones() as usize;
+                let mut v = bits(values, *seen, count);
+                *seen += count;
+                rows.fill(present, n, || {
+                    let b = (v & 1) as u8;
+                    v >>= 1;
+                    Some((FALSE | b, 0))
+                })
+            }
+            Samples::Int { data, prev } => rows.fill(present, n, || {
                 *prev = prev.wrapping_add(unzigzag(data.varint()?));
-                Some(Some(Value::Int(*prev)))
-            }
-            ColMode::Real {
-                presence,
-                data,
-                prev,
-            } => {
-                if !bit(presence, t) {
-                    return Some(None);
-                }
+                Some((INT, *prev as u64))
+            }),
+            Samples::Real { data, prev } => rows.fill(present, n, || {
                 *prev ^= data.varint()?;
-                Some(Some(Value::Real(f64::from_bits(*prev))))
-            }
-            ColMode::Sym {
-                presence,
-                data,
-                prev,
-            } => {
-                if !bit(presence, t) {
-                    return Some(None);
-                }
+                Some((REAL, *prev))
+            }),
+            Samples::Sym { data, prev } => rows.fill(present, n, || {
                 *prev = prev.wrapping_add(unzigzag(data.varint()?));
-                let id = u64::try_from(*prev).ok()?;
-                Some(Some(Value::Sym(dict.sym(id)?)))
-            }
-            ColMode::Mixed { presence, data } => {
-                if !bit(presence, t) {
-                    return Some(None);
-                }
-                Some(Some(read_value(data, dict)?))
+                let sym = dict.sym(u64::try_from(*prev).ok()?)?;
+                Some((SYM, u64::from(sym.id())))
+            }),
+            Samples::Mixed { data } => {
+                rows.fill(present, n, || Some(slot_of(Some(read_value(data, dict)?))))
             }
         }
     }
 
     /// Whether every encoded byte was consumed, once the owning run
-    /// has decoded all of its ticks. Static and bool columns carry no
-    /// per-tick byte stream (their bytes were checked exact at open).
+    /// has decoded all of its ticks. Bool columns carry no per-tick
+    /// byte stream (their bytes were checked exact at open).
     fn bytes_consumed(&self) -> bool {
-        match &self.mode {
-            ColMode::Empty | ColMode::Const(_) | ColMode::Bool { .. } => true,
-            ColMode::Int { data, .. }
-            | ColMode::Real { data, .. }
-            | ColMode::Sym { data, .. }
-            | ColMode::Mixed { data, .. } => data.done(),
+        match &self.samples {
+            Samples::Bool { .. } => true,
+            Samples::Int { data, .. }
+            | Samples::Real { data, .. }
+            | Samples::Sym { data, .. }
+            | Samples::Mixed { data } => data.done(),
         }
     }
 }
@@ -748,21 +758,30 @@ pub fn encode_run(trace: &FrameTrace, meta: &RunMeta, dict: &mut SymDict) -> Vec
 
 /// A streaming decoder over one encoded run: per tick, writes every
 /// signal's sample directly into one lane of a lane-major
-/// [`FrameBatch`] slab — the zero-materialization replay path. Holds
-/// per-column cursors borrowing the corpus bytes; no column is ever
-/// expanded into a `Vec`.
+/// [`FrameBatch`] slab — the zero-materialization replay path. It
+/// borrows the corpus bytes and never expands a column into a `Vec`.
 ///
-/// The cursors are stored non-static first, so after a lane's first
-/// tick the per-tick walk covers one contiguous prefix: a replay
-/// stripe touches only the cursor state that still changes.
+/// Each empty or constant column is decoded once, at open, to the one
+/// slot it holds; a lane's first tick writes those, and later ticks
+/// leave them in place. The changing columns are decoded a block of
+/// [`BLOCK_TICKS`] ticks at a time, column by column, into a small
+/// `[tick][column]` buffer of slab tags and payloads, and each tick
+/// copies its buffered row into the lane.
 pub struct RunDecoder<'a> {
-    /// Column cursors; `cols[..dynamic]` are the non-static ones.
+    /// Cursors over the changing columns.
     cols: Vec<ColumnCursor<'a>>,
-    /// `sigs[k]` is the signal `cols[k]` decodes.
+    /// Every column's signal: `sigs[k]` is the one `cols[k]` decodes,
+    /// and the static columns' signals follow.
     sigs: Vec<SignalId>,
-    /// How many leading cursors change from tick to tick.
-    dynamic: usize,
+    /// Slot tags and payloads: first the block buffer, row `r`'s slot
+    /// for `cols[k]` at `r * cols.len() + k`, then each static column's
+    /// one slot, in `sigs` order.
+    tags: Vec<u8>,
+    payloads: Vec<u64>,
     len: usize,
+    /// Where decoding stops: `len`, or the tick of the first sample
+    /// whose bytes are malformed.
+    limit: usize,
     tick: usize,
 }
 
@@ -781,29 +800,42 @@ impl<'a> RunDecoder<'a> {
             return None;
         }
         let len = usize::try_from(meta.ticks).ok()?;
-        let mut dynamic = Vec::new();
+        let mut cols = Vec::new();
+        let mut sigs = Vec::with_capacity(table.len());
         let mut statics = Vec::new();
         for sig in table.ids() {
             let body_len = usize::try_from(cur.varint()?).ok()?;
-            let col = ColumnCursor::new(cur.take(body_len)?, len, dict)?;
-            if col.is_static() {
-                statics.push((sig, col));
-            } else {
-                dynamic.push((sig, col));
+            match open_column(cur.take(body_len)?, len, dict)? {
+                Column::Static(tag, payload) => statics.push((sig, tag, payload)),
+                Column::Changing(col) => {
+                    cols.push(col);
+                    sigs.push(sig);
+                }
             }
         }
         if !cur.done() {
             return None;
         }
-        let n_dynamic = dynamic.len();
-        let (sigs, cols) = dynamic.into_iter().chain(statics).unzip();
+        cols.shrink_to_fit();
+        let block = len.min(BLOCK_TICKS) * cols.len();
+        let mut tags = Vec::with_capacity(block + statics.len());
+        let mut payloads = Vec::with_capacity(block + statics.len());
+        tags.resize(block, UNSET);
+        payloads.resize(block, 0);
+        for (sig, tag, payload) in statics {
+            sigs.push(sig);
+            tags.push(tag);
+            payloads.push(payload);
+        }
         Some((
             meta,
             RunDecoder {
                 cols,
                 sigs,
-                dynamic: n_dynamic,
+                tags,
+                payloads,
                 len,
+                limit: len,
                 tick: 0,
             },
         ))
@@ -824,49 +856,85 @@ impl<'a> RunDecoder<'a> {
         self.tick
     }
 
+    /// Advances to the next tick, decoding a new block of every
+    /// changing column when the tick opens one, and returns the tick's
+    /// row of the block buffer: `None` when the run is exhausted or the
+    /// tick's bytes are malformed.
+    #[inline]
+    fn next_row(&mut self, dict: &SymDict) -> Option<usize> {
+        let t = self.tick;
+        if t >= self.limit {
+            return None;
+        }
+        let row = t % BLOCK_TICKS;
+        if row == 0 {
+            let n = (self.len - t).min(BLOCK_TICKS);
+            let stride = self.cols.len();
+            let mut rows = n;
+            for (k, col) in self.cols.iter_mut().enumerate() {
+                let block = Rows {
+                    tags: &mut self.tags[k..],
+                    payloads: &mut self.payloads[k..],
+                    stride,
+                };
+                rows = rows.min(col.decode_block(t, n, block, dict));
+            }
+            if rows < n {
+                // Decoding stops at the first malformed sample's tick,
+                // wherever it falls in its block.
+                self.limit = t + rows;
+                if rows == 0 {
+                    return None;
+                }
+            }
+        }
+        self.tick += 1;
+        Some(row)
+    }
+
+    /// The changing columns' signals and their slots in row `row` of
+    /// the block buffer, or with `None` the static columns' signals and
+    /// slots.
+    #[inline]
+    fn slots(&self, row: Option<usize>) -> (&[SignalId], &[u8], &[u64]) {
+        let d = self.cols.len();
+        let (sigs, at) = match row {
+            Some(row) => (&self.sigs[..d], row * d),
+            // The static slots end the buffers.
+            None => (&self.sigs[d..], self.tags.len() + d - self.sigs.len()),
+        };
+        let end = at + sigs.len();
+        (sigs, &self.tags[at..end], &self.payloads[at..end])
+    }
+
     /// Decodes the next tick into `lane` of `slab`, overwriting every
     /// signal's slot (recorded-absent samples unset the slot, so no
     /// stale neighbour data survives). The first tick writes every
-    /// column; later ticks only rewrite the non-static ones — the
-    /// lane's static slots already hold their run-constant samples.
+    /// column; later ticks only rewrite the changing ones — the lane's
+    /// static slots already hold their run-constant samples.
     /// Returns `None` when the run is exhausted or the bytes are
     /// malformed.
     #[inline]
     pub fn write_tick(&mut self, slab: &mut FrameBatch, lane: usize, dict: &SymDict) -> Option<()> {
-        let t = self.tick;
-        if t >= self.len {
-            return None;
-        }
         debug_assert!(lane < slab.lanes(), "lane out of range");
-        debug_assert_eq!(slab.table().len(), self.cols.len());
-        let walk = if t == 0 {
-            self.cols.len()
-        } else {
-            self.dynamic
-        };
-        for (col, &sig) in self.cols[..walk].iter_mut().zip(&self.sigs) {
-            slab.put(sig, lane, col.sample(t, dict)?);
+        debug_assert_eq!(slab.table().len(), self.sigs.len());
+        let first = self.tick == 0;
+        let row = self.next_row(dict)?;
+        self.put(slab, lane, Some(row));
+        if first {
+            self.put(slab, lane, None);
         }
-        self.tick += 1;
         Some(())
     }
 
-    /// Decodes the next tick into a full-column sink indexed by signal
-    /// — used by the strict whole-trace decode below.
-    fn write_tick_columns(
-        &mut self,
-        columns: &mut [Vec<Option<Value>>],
-        dict: &SymDict,
-    ) -> Option<()> {
-        let t = self.tick;
-        if t >= self.len {
-            return None;
+    /// Writes the slots [`slots`](RunDecoder::slots) names into `lane`
+    /// of `slab`.
+    #[inline]
+    fn put(&self, slab: &mut FrameBatch, lane: usize, row: Option<usize>) {
+        let (sigs, tags, payloads) = self.slots(row);
+        for ((&sig, &tag), &payload) in sigs.iter().zip(tags).zip(payloads) {
+            slab.put_slot(sig, lane, tag, payload);
         }
-        for (col, &sig) in self.cols.iter_mut().zip(&self.sigs) {
-            columns[sig.index()].push(col.sample(t, dict)?);
-        }
-        self.tick += 1;
-        Some(())
     }
 
     /// Whether every tick and every encoded byte was consumed.
@@ -879,7 +947,9 @@ impl<'a> RunDecoder<'a> {
 /// `table` (the reader-side table for the run's `table_ref`), or
 /// `None` if the bytes are not exactly one well-formed run. This is
 /// the scalar-replay and test path; batched replay streams through
-/// [`RunDecoder`] instead.
+/// [`RunDecoder`] instead. It decodes through the same blocks: each
+/// static column expands to its one sample, and each changing column
+/// takes its sample from every tick's buffered row.
 pub fn decode_run_trace(
     bytes: &[u8],
     table: &Arc<SignalTable>,
@@ -887,9 +957,19 @@ pub fn decode_run_trace(
 ) -> Option<(RunMeta, FrameTrace)> {
     let (meta, mut dec) = RunDecoder::new(bytes, table, dict)?;
     let len = dec.len();
-    let mut columns: Vec<Vec<Option<Value>>> = vec![Vec::with_capacity(len); table.len()];
-    for _ in 0..len {
-        dec.write_tick_columns(&mut columns, dict)?;
+    let mut columns: Vec<Vec<Option<Value>>> = vec![Vec::new(); table.len()];
+    let (statics, tags, payloads) = dec.slots(None);
+    for ((&sig, &tag), &payload) in statics.iter().zip(tags).zip(payloads) {
+        columns[sig.index()] = vec![slot_value(tag, payload); len];
+    }
+    for &sig in &dec.sigs[..dec.cols.len()] {
+        columns[sig.index()].reserve_exact(len);
+    }
+    while let Some(row) = dec.next_row(dict) {
+        let (sigs, tags, payloads) = dec.slots(Some(row));
+        for ((&sig, &tag), &payload) in sigs.iter().zip(tags).zip(payloads) {
+            columns[sig.index()].push(slot_value(tag, payload));
+        }
     }
     if !dec.fully_consumed() {
         return None;
@@ -1052,5 +1132,199 @@ mod tests {
             },
         );
         assert!(decode_run_meta(&out).is_none());
+    }
+
+    /// A table with a column of every encoding: dense and sparse bool,
+    /// int, real and symbol columns, a real column carrying `Int`
+    /// samples (mixed), and an empty and a constant column.
+    fn every_kind() -> Arc<SignalTable> {
+        let mut b = SignalTable::builder();
+        for kind in ["dense", "sparse"] {
+            b.bool(&format!("b_{kind}"));
+            b.int(&format!("n_{kind}"));
+            b.real(&format!("x_{kind}"));
+            b.sym(&format!("s_{kind}"));
+        }
+        b.real("mixed");
+        b.real("empty");
+        b.int("constant");
+        b.finish()
+    }
+
+    /// A `len`-tick trace over [`every_kind`]. Sparse columns skip
+    /// every third tick; the real samples take multi-byte varints.
+    fn every_kind_trace(table: &Arc<SignalTable>, len: usize) -> FrameTrace {
+        let mut trace = FrameTrace::new(table, 1);
+        let mut frame = table.frame();
+        for t in 0..len {
+            frame.clear();
+            let i = t as i64;
+            for kind in ["dense", "sparse"] {
+                if kind == "sparse" && t % 3 == 1 {
+                    continue;
+                }
+                let id = |name: &str| table.id(&format!("{name}_{kind}")).unwrap();
+                frame.set(id("b"), t % 5 < 2);
+                frame.set(id("n"), i * i - 40);
+                frame.set(id("x"), (t as f64).sqrt() * -1.25);
+                frame.set(id("s"), Value::sym(["GO", "HOLD", "STOP"][t % 3]));
+            }
+            let mixed = table.id("mixed").unwrap();
+            if t % 4 == 0 {
+                frame.set(mixed, Value::Int(i));
+            } else {
+                frame.set(mixed, t as f64 / 3.0);
+            }
+            frame.set(table.id("constant").unwrap(), 7);
+            trace.push(&frame);
+        }
+        trace
+    }
+
+    /// A value no test trace holds, planted in every slot to show a
+    /// stray write.
+    fn sentinel(kind: SignalKind) -> Value {
+        match kind {
+            SignalKind::Bool => Value::Bool(true),
+            SignalKind::Int => Value::Int(i64::MIN + 3),
+            SignalKind::Real => Value::Real(f64::from_bits(0x7ff0_5e47_1ee1_0001)),
+            SignalKind::Sym => Value::sym("sentinel"),
+        }
+    }
+
+    /// Streams `bytes` into lane 1 of a 3-lane slab planted with
+    /// sentinels for `ticks` ticks, checking after every tick that the
+    /// lane holds the trace's sample and the neighbour lanes their
+    /// sentinels. Returns the decoder, `ticks` ticks in.
+    fn stream<'a>(
+        bytes: &'a [u8],
+        trace: &FrameTrace,
+        dict: &SymDict,
+        ticks: usize,
+    ) -> RunDecoder<'a> {
+        let table = trace.table();
+        let (_, mut dec) = RunDecoder::new(bytes, table, dict).unwrap();
+        let mut slab = FrameBatch::new(table, 3);
+        for id in table.ids() {
+            for lane in 0..3 {
+                slab.set(id, lane, sentinel(table.kind(id)));
+            }
+        }
+        let same = |a: Option<Value>, b: Option<Value>| match (a, b) {
+            (Some(a), Some(b)) => bits_eq(a, b),
+            (a, b) => a == b,
+        };
+        for t in 0..ticks {
+            assert!(dec.write_tick(&mut slab, 1, dict).is_some(), "tick {t}");
+            for id in table.ids() {
+                let (got, want) = (slab.get(id, 1), trace.get(t, id));
+                assert!(
+                    same(got, want),
+                    "{} at tick {t}: {got:?}, not {want:?}",
+                    table.name(id)
+                );
+                for lane in [0, 2] {
+                    let planted = Some(sentinel(table.kind(id)));
+                    assert!(same(slab.get(id, lane), planted), "lane {lane} overwritten");
+                }
+            }
+        }
+        dec
+    }
+
+    #[test]
+    fn block_boundaries_decode_every_tick() {
+        let table = every_kind();
+        for len in [
+            0,
+            1,
+            BLOCK_TICKS - 1,
+            BLOCK_TICKS,
+            BLOCK_TICKS + 1,
+            2 * BLOCK_TICKS + 1,
+        ] {
+            let trace = every_kind_trace(&table, len);
+            let mut dict = SymDict::new();
+            let bytes = encode_run(&trace, &meta(len as u64), &mut dict);
+            let mut dec = stream(&bytes, &trace, &dict, len);
+            assert!(dec.fully_consumed(), "{len} ticks");
+            let mut slab = FrameBatch::new(&table, 3);
+            assert!(dec.write_tick(&mut slab, 1, &dict).is_none());
+            let (_, back) = decode_run_trace(&bytes, &table, &dict).unwrap();
+            assert_eq!(back, trace, "{len} ticks");
+        }
+    }
+
+    #[test]
+    fn a_malformed_sample_stops_decoding_at_its_own_tick() {
+        // A real column last in the table, so its body ends the run.
+        let mut b = SignalTable::builder();
+        b.int("n");
+        b.real("x");
+        let table = b.finish();
+        let (n, x) = (table.id("n").unwrap(), table.id("x").unwrap());
+        let len = BLOCK_TICKS + BLOCK_TICKS / 2;
+        let mut trace = FrameTrace::new(&table, 1);
+        let mut frame = table.frame();
+        for t in 0..len {
+            frame.set(n, t as i64);
+            frame.set(x, 0.1 * t as f64);
+            trace.push(&frame);
+        }
+        let mut dict = SymDict::new();
+        let mut bytes = Vec::new();
+        put_meta(&mut bytes, &meta(len as u64));
+        put_varint(&mut bytes, 2);
+        for id in [n, x] {
+            let mut body = encode_column(trace.column(id), &mut dict);
+            if id == x {
+                // Cut the last byte of the last sample's varint.
+                assert!(body[body.len() - 2] & 0x80 != 0, "a multi-byte varint");
+                body.pop();
+            }
+            put_varint(&mut bytes, body.len() as u64);
+            bytes.extend_from_slice(&body);
+        }
+        let mut dec = stream(&bytes, &trace, &dict, len - 1);
+        let mut slab = FrameBatch::new(&table, 3);
+        assert!(dec.write_tick(&mut slab, 1, &dict).is_none());
+        assert!(dec.write_tick(&mut slab, 1, &dict).is_none());
+        assert_eq!(dec.ticks_decoded(), len - 1);
+        assert!(!dec.fully_consumed());
+        assert!(decode_run_trace(&bytes, &table, &dict).is_none());
+    }
+
+    #[test]
+    fn presence_pad_bits_stay_inert() {
+        // Five ticks: tick 2's presence bit is clear and pad bit 5 is
+        // set, so the byte holds as many set bits as the run has ticks.
+        let presence = 0b0011_1011;
+        let mut int_col = vec![TAG_COL_INT, presence];
+        let mut prev = 0;
+        for v in [10i64, -3, 500, 7] {
+            put_varint(&mut int_col, zigzag(v - prev));
+            prev = v;
+        }
+        // Value bytes sized by all five set bits: one byte.
+        let bool_col = vec![TAG_COL_BOOL, presence, 0b0000_0101];
+        let mut bytes = Vec::new();
+        put_meta(&mut bytes, &meta(5));
+        put_varint(&mut bytes, 4);
+        for body in [bool_col, int_col, vec![TAG_COL_EMPTY], vec![TAG_COL_EMPTY]] {
+            put_varint(&mut bytes, body.len() as u64);
+            bytes.extend_from_slice(&body);
+        }
+        let t = table();
+        let (p, n) = (t.id("p").unwrap(), t.id("n").unwrap());
+        let dict = SymDict::new();
+        let (_, back) = decode_run_trace(&bytes, &t, &dict).unwrap();
+        let bools = [Some(true), Some(false), None, Some(true), Some(false)];
+        assert_eq!(back.column(p), bools.map(|b| b.map(Value::Bool)));
+        let ints = [Some(10), Some(-3), None, Some(500), Some(7)];
+        assert_eq!(back.column(n), ints.map(|v| v.map(Value::Int)));
+        let mut dec = stream(&bytes, &back, &dict, 5);
+        assert!(dec.fully_consumed());
+        let mut slab = FrameBatch::new(&t, 3);
+        assert!(dec.write_tick(&mut slab, 1, &dict).is_none());
     }
 }

@@ -108,9 +108,33 @@ pub(crate) const FALSE: u8 = 2;
 /// The tag of a `Real` slot, whose payload is the `f64`'s bits.
 pub(crate) const REAL: u8 = 4;
 /// The tag of an `Int` slot, whose payload is the `i64`'s bits.
-const INT: u8 = 5;
+pub(crate) const INT: u8 = 5;
 /// The tag of a symbol slot, whose payload is the [`Sym`] id.
 pub(crate) const SYM: u8 = 6;
+
+/// The tag and payload that store `value` (`None` is an unset slot).
+#[inline]
+pub(crate) fn slot_of(value: Option<Value>) -> (u8, u64) {
+    match value {
+        None => (UNSET, 0),
+        Some(Value::Bool(b)) => (FALSE | u8::from(b), 0),
+        Some(Value::Real(x)) => (REAL, x.to_bits()),
+        Some(Value::Int(n)) => (INT, n as u64),
+        Some(Value::Sym(s)) => (SYM, u64::from(s.id())),
+    }
+}
+
+/// The value a tag and payload store, the inverse of [`slot_of`].
+#[inline]
+pub(crate) fn slot_value(tag: u8, payload: u64) -> Option<Value> {
+    match tag {
+        UNSET => None,
+        REAL => Some(Value::Real(f64::from_bits(payload))),
+        INT => Some(Value::Int(payload as i64)),
+        SYM => Some(Value::Sym(Sym::from_id(payload as u32))),
+        tag => Some(Value::Bool(tag & 1 == 1)),
+    }
+}
 
 /// One signal's row of a [`FrameBatch`], as the fused pass reads it.
 #[derive(Debug, Clone, Copy)]
@@ -189,13 +213,7 @@ impl FrameBatch {
     #[inline]
     pub fn get(&self, id: SignalId, lane: usize) -> Option<Value> {
         let (tag, payload) = self.read(id, lane);
-        match tag {
-            UNSET => None,
-            REAL => Some(Value::Real(f64::from_bits(payload))),
-            INT => Some(Value::Int(payload as i64)),
-            SYM => Some(Value::Sym(Sym::from_id(payload as u32))),
-            tag => Some(Value::Bool(tag & 1 == 1)),
-        }
+        slot_value(tag, payload)
     }
 
     /// Sets a signal's value in one lane.
@@ -217,17 +235,18 @@ impl FrameBatch {
 
     /// Stores `value` (`None` unsets the slot) in one lane, whatever the
     /// signal's declared kind: the path for samples that were never
-    /// kind-checked (name-keyed states, archived columns).
+    /// kind-checked (name-keyed states, recorded columns).
     #[inline]
     pub(crate) fn put(&mut self, id: SignalId, lane: usize, value: Option<Value>) {
+        let (tag, payload) = slot_of(value);
+        self.put_slot(id, lane, tag, payload);
+    }
+
+    /// Stores a decoded tag and payload in one lane's slot; a boolean or
+    /// unset slot keeps its payload word, which is never read.
+    #[inline]
+    pub(crate) fn put_slot(&mut self, id: SignalId, lane: usize, tag: u8, payload: u64) {
         let i = self.slot(id, lane);
-        let (tag, payload) = match value {
-            None => (UNSET, 0),
-            Some(Value::Bool(b)) => (FALSE | u8::from(b), 0),
-            Some(Value::Real(x)) => (REAL, x.to_bits()),
-            Some(Value::Int(n)) => (INT, n as u64),
-            Some(Value::Sym(s)) => (SYM, u64::from(s.id())),
-        };
         self.tags[i] = tag;
         if tag >= REAL {
             let n = self.tags.len();

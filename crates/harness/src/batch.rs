@@ -48,7 +48,6 @@
 
 use crate::context::{fresh_suite, RunContext, SuiteProvenance};
 use crate::experiment::{Experiment, ExperimentConfig, ExperimentError, RunReport};
-use crate::lanes::LaneAllocator;
 use crate::substrate::Substrate;
 use crate::sweep::{cell_seed, retry_seed, CellFailure, FailureReason, Quarantine, Sweep};
 use esafe_logic::FrameTrace;
@@ -155,7 +154,6 @@ pub(crate) fn run_stripe<S: Substrate>(
     budget: Option<u64>,
     record: bool,
 ) -> Result<Vec<Result<RunReport, ExperimentError>>, BatchMonitorError> {
-    let width = group.len();
     let mut sim = S::build_simulator_batch(group);
     let dt = sim.dt_millis();
     let scheduled_ticks = group[0].duration_ms().div_ceil(dt);
@@ -173,13 +171,6 @@ pub(crate) fn run_stripe<S: Substrate>(
             ..Lane::default()
         })
         .collect();
-    // A stripe is the static case of the shared lane-occupancy
-    // abstraction (see [`LaneAllocator`]): every lane is claimed up
-    // front and released as its run retires.
-    let mut occupancy = LaneAllocator::new(width);
-    for _ in 0..width {
-        occupancy.claim();
-    }
     // Loop-owned scratch frames the per-lane substrate hooks may use.
     let table = group[0].signal_table();
     let mut raw = table.frame();
@@ -194,7 +185,7 @@ pub(crate) fn run_stripe<S: Substrate>(
         }
         sim.step();
         for (l, (sub, lane)) in group.iter().zip(&mut lanes).enumerate() {
-            if occupancy.is_claimed(l) {
+            if sim.is_active(l) {
                 sub.observe_lane(sim.state_mut(), l, &mut raw, &mut observed);
                 if let Some(trace) = &mut lane.trace {
                     trace.push_lane(sim.state(), l);
@@ -203,7 +194,7 @@ pub(crate) fn run_stripe<S: Substrate>(
         }
         suite.observe_slab(sim.state())?;
         for (l, lane) in lanes.iter_mut().enumerate() {
-            if !occupancy.is_claimed(l) {
+            if !sim.is_active(l) {
                 continue;
             }
             if lane.terminal_tick.is_none() {
@@ -215,13 +206,12 @@ pub(crate) fn run_stripe<S: Substrate>(
             if let Some(at) = lane.terminal_tick {
                 if tick >= at + post_terminal_ticks {
                     lane.terminated_early = tick < scheduled_ticks;
-                    occupancy.release(l);
                     suite.retire_lane(l);
                     sim.retire_lane(l);
                 }
             }
         }
-        if occupancy.in_use() == 0 {
+        if sim.active_lanes() == 0 {
             break;
         }
     }
@@ -232,7 +222,9 @@ pub(crate) fn run_stripe<S: Substrate>(
         .into_iter()
         .enumerate()
         .map(|(l, lane)| {
-            if budget_tripped && occupancy.is_claimed(l) {
+            // `finish` retired every suite lane; the simulator still
+            // knows which runs were live when the budget elapsed.
+            if budget_tripped && sim.is_active(l) {
                 let budget = budget.expect("budget trips only when armed");
                 return Err(ExperimentError::TickBudget { budget });
             }

@@ -813,7 +813,8 @@ pub struct CorpusReplay {
 ///
 /// Lanes retire individually as their runs end, so a stripe may mix
 /// run lengths freely (ragged lanes); per-lane verdicts are identical
-/// to scalar replay of each run alone.
+/// to replaying each run alone
+/// ([`MonitorSuite::replay`](esafe_monitor::MonitorSuite::replay)).
 ///
 /// # Errors
 ///

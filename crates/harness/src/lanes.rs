@@ -3,16 +3,13 @@
 //! Every batched engine in the workspace — [`SimulatorBatch`] state
 //! slabs, [`MonitorSuiteBatch`] verdict rows, the serve layer's shard
 //! slabs — indexes its per-run storage by a dense *lane* number. Who
-//! owns which lane is a separate question, and this module answers it
-//! once for both usage shapes:
-//!
-//! * **static stripes** (the [sweep driver](crate::batch)):
-//!   every lane is claimed at stripe setup and released as its run
-//!   retires; the stripe's tick loop keys "is this lane still running?"
-//!   off the allocator instead of per-lane flags;
-//! * **dynamic churn** (`esafe-serve`): streams connect and disconnect
-//!   continuously, claiming the lowest free lane and releasing it on
-//!   retirement so the slot can be reclaimed by the next connection.
+//! owns which lane is a separate question only where lanes churn: in
+//! `esafe-serve`, streams connect and disconnect continuously, claiming
+//! the lowest free lane and releasing it on retirement so the slot can
+//! be reclaimed by the next connection. A sweep stripe needs no
+//! allocator: every lane runs from the first tick, and the
+//! [tick loop](crate::batch) reads which runs are still live from its
+//! simulator.
 //!
 //! [`SimulatorBatch`]: esafe_sim::SimulatorBatch
 //! [`MonitorSuiteBatch`]: esafe_monitor::MonitorSuiteBatch

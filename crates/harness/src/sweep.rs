@@ -2,8 +2,9 @@
 //!
 //! One driver runs every sweep (see [`batch`](crate::batch)): it builds
 //! each cell's substrate, groups same-template cells into lock-step
-//! stripes of up to `width` lanes, runs the stripes and scalar singles
-//! in parallel, and folds each finished cell into one of three shapes:
+//! stripes of up to `width` lanes (a cell that stripes alone runs as a
+//! one-lane stripe), runs the stripes in parallel, and folds each
+//! finished cell into one of three shapes:
 //!
 //! * [`Sweep::run`] — every [`RunReport`], in cell
 //!   order: the shape for tests, goldens, and callers that need per-run
@@ -527,7 +528,7 @@ pub struct SweepStats {
     /// Runs whose suite was compiled from scratch (no template).
     pub suites_compiled: usize,
     /// Runs whose suite was instantiated from a [`SuiteTemplate`]
-    /// (every striped lane, and every templated scalar cell).
+    /// (every lane of a templated stripe, one-lane stripes included).
     ///
     /// [`SuiteTemplate`]: esafe_monitor::SuiteTemplate
     pub suites_instantiated: usize,

@@ -223,9 +223,9 @@ impl FrameTrace {
         trace
     }
 
-    /// Compiles `expr` against the trace's table as a one-root
-    /// [`FusedSuite`](crate::FusedSuite) and replays the trace through it
-    /// from a clean start, returning one verdict per sample — the
+    /// Compiles `expr` against the trace's table as a one-root, one-lane
+    /// [`FusedSuiteBatch`](crate::FusedSuiteBatch) and replays the trace
+    /// through it from a clean start, returning one verdict per sample — the
     /// frame-speed analogue of [`eval_trace`](crate::eval::eval_trace)
     /// under *monitor semantics* (see
     /// [`monitor_form`](crate::incremental::monitor_form): `always` flags
@@ -239,13 +239,13 @@ impl FrameTrace {
     /// unset or mistyped.
     pub fn replay_expr(&self, expr: &Expr) -> Result<Vec<bool>, EvalError> {
         let program = FusedSuiteProgram::compile(std::slice::from_ref(expr), &self.table)?;
-        let mut suite = Arc::new(program).instantiate();
+        let mut suite = Arc::new(program).instantiate_batch(1);
         let mut frame = self.table.frame();
         let mut out = Vec::with_capacity(self.len);
         for i in 0..self.len {
             self.read_into(i, &mut frame);
-            suite.observe(&frame).map_err(|e| e.source)?;
-            out.push(suite.verdict(0));
+            suite.observe_slab(frame.as_batch()).map_err(|e| e.source)?;
+            out.push(suite.verdict(0, 0));
         }
         Ok(out)
     }

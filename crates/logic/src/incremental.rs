@@ -15,9 +15,10 @@
 //! [`FusedSuiteBatch`] keeps each node's value for `lanes` runs as
 //! `⌈lanes/64⌉` `u64` words (lane `l` is bit `l % 64` of word `l / 64`)
 //! and evaluates the boolean combinators and most temporal operators as
-//! one word operation per 64 lanes. [`FusedSuite`] is its one-lane case
-//! over a [`Frame`], whose slots already have the one-lane layout, so
-//! temporal semantics and the error policy each have one home.
+//! one word operation per 64 lanes. A single run is its one-lane case:
+//! a [`Frame`](crate::Frame) already has the one-lane layout, so the
+//! pass reads it in place ([`Frame::as_batch`](crate::Frame::as_batch)),
+//! and temporal semantics and the error policy each have one home.
 //!
 //! Every node is evaluated on every tick, so every signal the suite
 //! reads ([`FusedSuiteProgram::reads`]) must be set in every frame.
@@ -41,7 +42,7 @@ use crate::error::EvalError;
 use crate::eval;
 use crate::expr::{CmpOp, Expr, Operand};
 use crate::frame_batch::{FrameBatch, Row, FALSE, REAL, SYM};
-use crate::signal::{Frame, SignalId, SignalKind, SignalTable};
+use crate::signal::{SignalId, SignalKind, SignalTable};
 use crate::value::{Sym, Value};
 use std::collections::HashMap;
 use std::fmt;
@@ -502,28 +503,6 @@ fn exact_lanes(
     Ok(())
 }
 
-/// An evaluation error raised by a fused suite, attributed to the first
-/// monitor (by suite order) whose formula demanded the failing node.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FusedError {
-    /// Index of the owning monitor within the fused suite's root order.
-    pub monitor: usize,
-    /// The underlying evaluation error.
-    pub source: EvalError,
-}
-
-impl fmt::Display for FusedError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "fused monitor #{}: {}", self.monitor, self.source)
-    }
-}
-
-impl std::error::Error for FusedError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.source)
-    }
-}
-
 /// The structural identity of one fused node — the hash-consing key.
 ///
 /// Children are identified by their already-interned node indices, so two
@@ -733,8 +712,8 @@ enum FusedNode {
 /// monitor's verdict is then one slab read at its root index.
 ///
 /// A fused program is immutable and carries no run state: one
-/// `Arc<FusedSuiteProgram>` is shared by every [`FusedSuite`] and
-/// [`FusedSuiteBatch`] instance across sweep cells and threads.
+/// `Arc<FusedSuiteProgram>` is shared by every [`FusedSuiteBatch`]
+/// instance across sweep cells and threads.
 ///
 /// # Example
 ///
@@ -754,15 +733,16 @@ enum FusedNode {
 /// assert_eq!(program.roots(), 2);
 /// assert!(program.unique_nodes() < program.source_nodes());
 ///
-/// let mut suite = program.instantiate();
+/// // One run is one lane; a frame is read in place as that lane.
+/// let mut suite = program.instantiate_batch(1);
 /// let mut frame = table.frame();
 /// frame.set(p, true);
 /// frame.set(q, true);
-/// suite.observe(&frame)?;
-/// assert!(suite.verdict(0));
-/// assert!(!suite.verdict(1)); // no previous state yet
-/// suite.observe(&frame)?;
-/// assert!(suite.verdict(1));
+/// suite.observe_slab(frame.as_batch())?;
+/// assert!(suite.verdict(0, 0));
+/// assert!(!suite.verdict(0, 1)); // no previous state yet
+/// suite.observe_slab(frame.as_batch())?;
+/// assert!(suite.verdict(0, 1));
 /// # Ok(())
 /// # }
 /// ```
@@ -1162,17 +1142,10 @@ impl FusedSuiteProgram {
         self.cells
     }
 
-    /// Materializes a fresh fused suite over one frame stream: a
-    /// one-lane [`FusedSuiteBatch`].
-    pub fn instantiate(self: &Arc<Self>) -> FusedSuite {
-        FusedSuite {
-            batch: self.instantiate_batch(1),
-        }
-    }
-
     /// Materializes a batch evaluator over this program with `lanes`
     /// independent runs, every lane starting from the initial (empty
-    /// history) state.
+    /// history) state. One lane evaluates a single run's
+    /// [`Frame`](crate::Frame)s.
     ///
     /// # Panics
     ///
@@ -1197,75 +1170,6 @@ impl FusedSuiteProgram {
             lanes,
             words,
         }
-    }
-}
-
-/// The run state of one [`FusedSuiteProgram`] instance over one frame
-/// stream: a one-lane [`FusedSuiteBatch`], fed [`Frame`]s.
-///
-/// [`FusedSuite::observe`] makes the batch's forward pass over the DAG;
-/// [`FusedSuite::verdict`] then reads any monitor's current truth in
-/// O(1). See [`FusedSuiteProgram`].
-#[derive(Debug, Clone)]
-pub struct FusedSuite {
-    batch: FusedSuiteBatch,
-}
-
-impl FusedSuite {
-    /// The immutable fused program this suite executes.
-    pub fn program(&self) -> &Arc<FusedSuiteProgram> {
-        self.batch.program()
-    }
-
-    /// Feeds the next frame: one forward pass evaluating every DAG node
-    /// exactly once, advancing every temporal cell — the batched pass
-    /// over the frame's slots as a single lane.
-    ///
-    /// Every node is evaluated, short-circuited branches included, so
-    /// the frame must set every signal in
-    /// [`FusedSuiteProgram::reads`]. Treat an error as fatal for this
-    /// suite instance.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FusedError`] naming the first monitor (by suite order)
-    /// whose formula demanded the failing node.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if `frame` indexes a different table than
-    /// the program was compiled against.
-    pub fn observe(&mut self, frame: &Frame) -> Result<(), FusedError> {
-        debug_assert!(
-            Arc::ptr_eq(frame.table(), &self.batch.program.table),
-            "frame and fused suite must share one signal table"
-        );
-        self.batch.pass(&frame.batch).map_err(|err| FusedError {
-            monitor: err.monitor,
-            source: err.source,
-        })
-    }
-
-    /// Monitor `monitor`'s verdict from the most recent
-    /// [`FusedSuite::observe`] pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `monitor` is out of range.
-    #[inline]
-    pub fn verdict(&self, monitor: usize) -> bool {
-        self.batch.verdict(0, monitor)
-    }
-
-    /// Number of frames observed so far.
-    pub fn steps_observed(&self) -> u64 {
-        self.batch.steps_observed(0)
-    }
-
-    /// Clears all history, returning the suite to its initial state
-    /// without allocating.
-    pub fn reset(&mut self) {
-        self.batch.reset();
     }
 }
 
@@ -1299,7 +1203,9 @@ impl std::error::Error for BatchError {
 }
 
 /// The run state of one [`FusedSuiteProgram`] evaluated over **many runs
-/// at once**, bit-sliced: the one engine behind both widths.
+/// at once**, bit-sliced: the one engine at every width, one lane (a
+/// single run's frames, read through
+/// [`Frame::as_batch`](crate::Frame::as_batch)) included.
 ///
 /// Each DAG node's value across the batch is a *bit row* of
 /// `⌈lanes/64⌉` `u64` words, lane `l` at bit `l % 64` of word `l / 64`,
@@ -1475,8 +1381,10 @@ impl FusedSuiteBatch {
     /// from a lane-major [`FrameBatch`] slab — the zero-copy path a
     /// batched simulator feeds its state slab through (lane layouts
     /// match, so the leaves sweep the slab's contiguous signal rows
-    /// directly). Inactive lanes' slab rows are never consulted for
-    /// errors, and their state does not move. One forward pass over the
+    /// directly), and a one-lane batch a frame's
+    /// ([`Frame::as_batch`](crate::Frame::as_batch)). Inactive lanes'
+    /// slab rows are never consulted for errors, and their state does
+    /// not move. One forward pass over the
     /// DAG advances **all** lanes through each node before moving to the
     /// next (see the type docs).
     ///
@@ -1500,12 +1408,6 @@ impl FusedSuiteBatch {
             Arc::ptr_eq(src.table(), &self.program.table),
             "slab and batch must share one signal table"
         );
-        self.pass(src)
-    }
-
-    /// The forward pass over a slab: a [`FrameBatch`], or a [`Frame`]'s
-    /// as one lane.
-    fn pass(&mut self, src: &FrameBatch) -> Result<(), BatchError> {
         // Split-borrow the fields: the program is shared by every stripe
         // of a sweep, so the pass touches no refcount.
         let FusedSuiteBatch {
@@ -1797,6 +1699,7 @@ mod tests {
     use super::*;
     use crate::eval::eval_trace;
     use crate::parse;
+    use crate::signal::Frame;
     use crate::state::{State, Trace};
 
     fn trace_of(bits: &[(&str, Vec<bool>)]) -> Trace {
@@ -1831,16 +1734,21 @@ mod tests {
         eval_trace(&monitor_form(&parse(src).unwrap()).unwrap(), t).unwrap()
     }
 
-    /// Runs `src` as a one-root fused suite over `t`, asserting every
-    /// verdict against [`reference`].
+    /// Feeds one frame to a one-lane batch, read in place.
+    fn observe(suite: &mut FusedSuiteBatch, frame: &Frame) -> Result<(), BatchError> {
+        suite.observe_slab(frame.as_batch())
+    }
+
+    /// Runs `src` as a one-root, one-lane fused suite over `t`, asserting
+    /// every verdict against [`reference`].
     fn monitor_run(src: &str, t: &Trace) -> Vec<bool> {
         let table = pqr_table();
-        let mut suite = compile(&[src], &table).instantiate();
+        let mut suite = compile(&[src], &table).instantiate_batch(1);
         let verdicts: Vec<bool> = t
             .iter()
             .map(|s| {
-                suite.observe(&table.frame_from_state_lossy(s)).unwrap();
-                suite.verdict(0)
+                observe(&mut suite, &table.frame_from_state_lossy(s)).unwrap();
+                suite.verdict(0, 0)
             })
             .collect();
         assert_eq!(verdicts, reference(src, t), "`{src}` diverged from eval");
@@ -1983,14 +1891,14 @@ mod tests {
         let mut b = SignalTable::builder();
         let cmd = b.sym("cmd");
         let table = b.finish();
-        let mut suite = compile(&["cmd == 'STOP'"], &table).instantiate();
+        let mut suite = compile(&["cmd == 'STOP'"], &table).instantiate_batch(1);
         let mut f = table.frame();
         f.set(cmd, Value::sym("STOP"));
-        suite.observe(&f).unwrap();
-        assert!(suite.verdict(0));
+        observe(&mut suite, &f).unwrap();
+        assert!(suite.verdict(0, 0));
         f.set(cmd, Value::sym("GO"));
-        suite.observe(&f).unwrap();
-        assert!(!suite.verdict(0));
+        observe(&mut suite, &f).unwrap();
+        assert!(!suite.verdict(0, 0));
     }
 
     #[test]
@@ -2017,18 +1925,18 @@ mod tests {
         ]);
         let srcs = ["prev(p)", "once(q) && historically(r)", "initially(p) -> q"];
         let table = pqr_table();
-        let mut suite = compile(&srcs, &table).instantiate();
-        let run = |suite: &mut FusedSuite| -> Vec<Vec<bool>> {
+        let mut suite = compile(&srcs, &table).instantiate_batch(1);
+        let run = |suite: &mut FusedSuiteBatch| -> Vec<Vec<bool>> {
             t.iter()
                 .map(|s| {
-                    suite.observe(&table.frame_from_state_lossy(s)).unwrap();
-                    (0..srcs.len()).map(|m| suite.verdict(m)).collect()
+                    observe(suite, &table.frame_from_state_lossy(s)).unwrap();
+                    (0..srcs.len()).map(|m| suite.verdict(0, m)).collect()
                 })
                 .collect()
         };
         let first = run(&mut suite);
         suite.reset();
-        assert_eq!(suite.steps_observed(), 0);
+        assert_eq!(suite.steps_observed(0), 0);
         assert_eq!(run(&mut suite), first);
         for (m, src) in srcs.iter().enumerate() {
             let got: Vec<bool> = first.iter().map(|tick| tick[m]).collect();
@@ -2036,17 +1944,17 @@ mod tests {
         }
     }
 
-    /// Runs `srcs` as one fused suite over `t`, checking every monitor's
-    /// verdicts against its own [`reference`] evaluation.
+    /// Runs `srcs` as one one-lane fused suite over `t`, checking every
+    /// monitor's verdicts against its own [`reference`] evaluation.
     fn assert_fused_matches_per_monitor(srcs: &[&str], t: &Trace) {
         let table = pqr_table();
-        let mut fused = compile(srcs, &table).instantiate();
+        let mut fused = compile(srcs, &table).instantiate_batch(1);
         let expected: Vec<Vec<bool>> = srcs.iter().map(|src| reference(src, t)).collect();
         for (step, s) in t.iter().enumerate() {
-            fused.observe(&table.frame_from_state_lossy(s)).unwrap();
+            observe(&mut fused, &table.frame_from_state_lossy(s)).unwrap();
             for (i, src) in srcs.iter().enumerate() {
                 assert_eq!(
-                    fused.verdict(i),
+                    fused.verdict(0, i),
                     expected[i][step],
                     "monitor {i} (`{src}`) diverged at step {step}"
                 );
@@ -2121,17 +2029,18 @@ mod tests {
         };
         let (table, p) = table;
         let exprs = [parse("prev(p)").unwrap()];
-        let mut suite = Arc::new(FusedSuiteProgram::compile(&exprs, &table).unwrap()).instantiate();
+        let mut suite =
+            Arc::new(FusedSuiteProgram::compile(&exprs, &table).unwrap()).instantiate_batch(1);
         let mut frame = table.frame();
         frame.set(p, true);
-        suite.observe(&frame).unwrap();
-        suite.observe(&frame).unwrap();
-        assert!(suite.verdict(0));
-        assert_eq!(suite.steps_observed(), 2);
+        observe(&mut suite, &frame).unwrap();
+        observe(&mut suite, &frame).unwrap();
+        assert!(suite.verdict(0, 0));
+        assert_eq!(suite.steps_observed(0), 2);
         suite.reset();
-        assert_eq!(suite.steps_observed(), 0);
-        suite.observe(&frame).unwrap();
-        assert!(!suite.verdict(0), "reset must clear temporal history");
+        assert_eq!(suite.steps_observed(0), 0);
+        observe(&mut suite, &frame).unwrap();
+        assert!(!suite.verdict(0, 0), "reset must clear temporal history");
     }
 
     #[test]
@@ -2141,15 +2050,16 @@ mod tests {
         b.bool("q");
         let table = b.finish();
         let exprs = [parse("p").unwrap(), parse("p || q").unwrap()];
-        let mut suite = Arc::new(FusedSuiteProgram::compile(&exprs, &table).unwrap()).instantiate();
+        let mut suite =
+            Arc::new(FusedSuiteProgram::compile(&exprs, &table).unwrap()).instantiate_batch(1);
         let mut frame = table.frame();
         frame.set_named("p", true);
         // `q` is unset: the failing node is owned by monitor 1, the
         // first (and only) formula that demanded it.
-        let err = suite.observe(&frame).unwrap_err();
-        assert_eq!(err.monitor, 1);
+        let err = observe(&mut suite, &frame).unwrap_err();
+        assert_eq!((err.lane, err.monitor), (0, 1));
         assert!(matches!(err.source, EvalError::MissingVar { ref name, .. } if name == "q"));
-        assert!(err.to_string().contains("fused monitor #1"));
+        assert!(err.to_string().contains("fused lane #0 monitor #1"));
     }
 
     #[test]
@@ -2166,9 +2076,9 @@ mod tests {
     }
 
     /// Feeds `t` to one batch with a retirement schedule (`retire_at[l]`
-    /// = observe count after which lane `l` stops) and to a scalar fused
-    /// suite per lane, asserting at every step that both match the lane's
-    /// own [`reference`] verdicts.
+    /// = observe count after which lane `l` stops) and to a one-lane
+    /// fused suite per lane, asserting at every step that both match the
+    /// lane's own [`reference`] verdicts.
     fn assert_batch_matches_scalar_lanes(srcs: &[&str], traces: &[&Trace], retire_at: &[usize]) {
         let table = pqr_table();
         let program = compile(srcs, &table);
@@ -2178,7 +2088,8 @@ mod tests {
             .map(|t| srcs.iter().map(|src| reference(src, t)).collect())
             .collect();
         let mut batch = program.instantiate_batch(lanes);
-        let mut scalars: Vec<FusedSuite> = (0..lanes).map(|_| program.instantiate()).collect();
+        let mut scalars: Vec<FusedSuiteBatch> =
+            (0..lanes).map(|_| program.instantiate_batch(1)).collect();
         let max_len = traces.iter().map(|t| t.len()).max().unwrap_or(0);
         let mut slab = FrameBatch::new(&table, lanes);
         for step in 0..max_len {
@@ -2199,15 +2110,14 @@ mod tests {
                 if !batch.is_active(l) {
                     continue;
                 }
-                scalar
-                    .observe(&table.frame_from_state_lossy(traces[l].state(step).unwrap()))
-                    .unwrap();
+                let state = traces[l].state(step).unwrap();
+                observe(scalar, &table.frame_from_state_lossy(state)).unwrap();
                 // The tick this lane just observed.
                 let tick = batch.steps_observed(l) as usize - 1;
                 for (m, src) in srcs.iter().enumerate() {
                     let want = expected[l][m][tick];
                     assert_eq!(
-                        (batch.verdict(l, m), scalar.verdict(m)),
+                        (batch.verdict(l, m), scalar.verdict(0, m)),
                         (want, want),
                         "lane {l} monitor {m} (`{src}`) diverged at step {step}"
                     );
@@ -2217,7 +2127,7 @@ mod tests {
         for (l, scalar) in scalars.iter().enumerate() {
             assert_eq!(
                 batch.steps_observed(l),
-                scalar.steps_observed(),
+                scalar.steps_observed(0),
                 "lane {l} step counter diverged"
             );
         }
@@ -2339,18 +2249,18 @@ mod tests {
     #[test]
     fn missing_and_mistyped_signals_error_by_name() {
         let table = pqr_table();
-        let mut suite = compile(&["p"], &table).instantiate();
+        let mut suite = compile(&["p"], &table).instantiate_batch(1);
         assert_eq!(
-            suite.observe(&table.frame()).unwrap_err().source,
+            observe(&mut suite, &table.frame()).unwrap_err().source,
             EvalError::MissingVar {
                 name: "p".into(),
                 step: 0
             }
         );
-        let mut suite = compile(&["p || q"], &table).instantiate();
+        let mut suite = compile(&["p || q"], &table).instantiate_batch(1);
         let s = State::new().with_int("p", 3).with_bool("q", true);
         assert!(matches!(
-            suite.observe(&table.frame_from_state_lossy(&s)).map_err(|e| e.source),
+            observe(&mut suite, &table.frame_from_state_lossy(&s)).map_err(|e| e.source),
             Err(EvalError::NotBoolean { name, found: "int" }) if name == "p"
         ));
     }

@@ -41,8 +41,8 @@
 //!   [`SignalId`]s resolved at compile time, evaluating every shared
 //!   subexpression once per tick in one bit-sliced pass, 64 lanes per
 //!   `u64` word at every width — [`FusedSuiteBatch`] reads a
-//!   [`FrameBatch`], and [`FusedSuite`] is its one-lane case over a
-//!   [`Frame`];
+//!   [`FrameBatch`], and at one lane a [`Frame`] in place
+//!   ([`Frame::as_batch`]);
 //! * [`prop`] — bounded two-state unrolling into propositional formulas
 //!   over a dense `(variable, age)` atom table with model enumeration,
 //!   used by the composability and realizability analyses of `esafe-core`.
@@ -61,17 +61,17 @@
 //!
 //! let goal = parse("always(door_closed || elevator_stopped)")?;
 //! let program = Arc::new(FusedSuiteProgram::compile(&[goal], &table)?);
-//! let mut monitor = program.instantiate();
+//! let mut monitor = program.instantiate_batch(1); // one run, one lane
 //!
 //! let mut frame = table.frame();
 //! frame.set(door, true);
 //! frame.set(stopped, true);
-//! monitor.observe(&frame)?;
-//! assert!(monitor.verdict(0));
+//! monitor.observe_slab(frame.as_batch())?;
+//! assert!(monitor.verdict(0, 0));
 //! frame.set(door, false);
 //! frame.set(stopped, false);
-//! monitor.observe(&frame)?;
-//! assert!(!monitor.verdict(0)); // the safety goal is violated in the second state
+//! monitor.observe_slab(frame.as_batch())?;
+//! assert!(!monitor.verdict(0, 0)); // the safety goal is violated in the second state
 //! # Ok(())
 //! # }
 //! ```
@@ -96,7 +96,7 @@ pub use error::{EvalError, ParseError, PropError};
 pub use expr::{CmpOp, Expr, Operand};
 pub use frame_batch::{FrameBatch, LaneMut, LaneRef, SignalRead, SignalWrite};
 pub use frame_trace::FrameTrace;
-pub use incremental::{BatchError, FusedError, FusedSuite, FusedSuiteBatch, FusedSuiteProgram};
+pub use incremental::{BatchError, FusedSuiteBatch, FusedSuiteProgram};
 pub use parser::parse;
 pub use signal::{Frame, SignalId, SignalKind, SignalTable, SignalTableBuilder};
 pub use state::{State, Trace};

@@ -308,6 +308,13 @@ impl Frame {
         self.batch.table()
     }
 
+    /// The frame as the one-lane [`FrameBatch`] it is: how a batched
+    /// engine reads a single sample in place.
+    #[inline]
+    pub fn as_batch(&self) -> &FrameBatch {
+        &self.batch
+    }
+
     /// The value of a signal, or `None` if unset.
     #[inline]
     pub fn get(&self, id: SignalId) -> Option<Value> {

@@ -3,9 +3,9 @@
 use esafe_logic::eval::{eval_at, eval_trace};
 use esafe_logic::incremental::{monitor_form, FusedSuiteProgram};
 use esafe_logic::{
-    parse, prop, BatchError, CmpOp, EvalError, Expr, FrameBatch, FrameTrace, FusedError,
-    FusedSuite, FusedSuiteBatch, Operand, RunDecoder, RunMeta, SignalId, SignalKind, SignalTable,
-    State, SymDict, Trace, Value,
+    parse, prop, BatchError, CmpOp, EvalError, Expr, Frame, FrameBatch, FrameTrace,
+    FusedSuiteBatch, Operand, RunDecoder, RunMeta, SignalId, SignalKind, SignalTable, State,
+    SymDict, Trace, Value,
 };
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -102,6 +102,11 @@ fn fuse(exprs: &[Expr], table: &Arc<SignalTable>) -> Arc<FusedSuiteProgram> {
     Arc::new(FusedSuiteProgram::compile(exprs, table).expect("compiles"))
 }
 
+/// Feeds one frame to a one-lane batch, read in place: a single run.
+fn observe(suite: &mut FusedSuiteBatch, frame: &Frame) -> Result<(), BatchError> {
+    suite.observe_slab(frame.as_batch())
+}
+
 /// Splitmix-style per-lane retirement step in `0..24` (possibly beyond
 /// the lane's trace, i.e. never retired).
 fn retire_schedule(seed: u64, lanes: usize) -> Vec<usize> {
@@ -134,9 +139,9 @@ fn widen(traces: Vec<Trace>, lanes: Option<usize>) -> Vec<Trace> {
 }
 
 /// Runs `exprs` as one fused program over `traces`, one lane per trace:
-/// a batch retiring lane `l` after `retire_at[l]` samples, and a scalar
-/// suite per lane. At every step, each active lane's verdicts from both
-/// engines must equal that lane's [`reference`] verdicts.
+/// a batch retiring lane `l` after `retire_at[l]` samples, and a
+/// one-lane batch per lane. At every step, each active lane's verdicts
+/// from both must equal that lane's [`reference`] verdicts.
 fn assert_lanes_match_eval(
     exprs: &[Expr],
     table: &Arc<SignalTable>,
@@ -150,7 +155,8 @@ fn assert_lanes_match_eval(
         .collect();
     let program = fuse(exprs, table);
     let mut batch: FusedSuiteBatch = program.instantiate_batch(lanes);
-    let mut scalars: Vec<FusedSuite> = (0..lanes).map(|_| program.instantiate()).collect();
+    let mut scalars: Vec<FusedSuiteBatch> =
+        (0..lanes).map(|_| program.instantiate_batch(1)).collect();
     let mut slab = FrameBatch::new(table, lanes);
     let max_len = traces.iter().map(|t| t.len()).max().unwrap();
     for step in 0..max_len {
@@ -160,7 +166,7 @@ fn assert_lanes_match_eval(
             } else {
                 let frame = table.frame_from_state_lossy(traces[l].state(step).unwrap());
                 slab.write_lane_from(l, &frame);
-                scalars[l].observe(&frame).expect("vars present");
+                observe(&mut scalars[l], &frame).expect("vars present");
             }
         }
         if batch.active_lanes() == 0 {
@@ -176,7 +182,7 @@ fn assert_lanes_match_eval(
             for (m, expr) in exprs.iter().enumerate() {
                 let want = expected[l][m][tick];
                 assert_eq!(
-                    (batch.verdict(l, m), scalar.verdict(m)),
+                    (batch.verdict(l, m), scalar.verdict(0, m)),
                     (want, want),
                     "lane {l} monitor {m} diverged at step {step} on `{expr}`"
                 );
@@ -406,7 +412,7 @@ fn orders_non_number(atom: &Expr) -> bool {
 }
 
 /// Runs bare comparison `atoms` as one fused program over `traces`, one
-/// lane per trace: a scalar suite per lane, and a batch retiring lane
+/// lane per trace: a one-lane batch per lane, and a batch retiring lane
 /// `l` after `retire_at[l]` samples. Each pass must report what
 /// [`expected_pass`] derives from `eval`; a pass that errors ends that
 /// engine's run. A suite compilation refuses must name its first atom
@@ -453,19 +459,27 @@ fn check_bare_atoms(atoms: &[Expr], traces: &[Trace], retire_at: &[usize]) {
     };
 
     for (l, trace) in traces.iter().enumerate() {
-        let mut scalar = program.instantiate();
+        let mut scalar = program.instantiate_batch(1);
         for (step, s) in trace.iter().enumerate() {
-            let got = scalar.observe(&table.frame_from_state_lossy(s));
+            let got = observe(&mut scalar, &table.frame_from_state_lossy(s));
             match expected_pass(&[(l, eval_tick(l, step))]) {
                 Pass::Verdicts(want) => {
                     assert!(got.is_ok(), "lane {l} step {step}: {got:?}");
-                    let verdicts: Vec<bool> = (0..atoms.len()).map(|m| scalar.verdict(m)).collect();
+                    let verdicts: Vec<bool> =
+                        (0..atoms.len()).map(|m| scalar.verdict(0, m)).collect();
                     assert_eq!(verdicts, want[0].1, "lane {l} step {step} on {atoms:?}");
                 }
                 Pass::Error {
                     monitor, source, ..
                 } => {
-                    assert_eq!(got, Err(FusedError { monitor, source }));
+                    assert_eq!(
+                        got,
+                        Err(BatchError {
+                            lane: 0,
+                            monitor,
+                            source
+                        })
+                    );
                     break;
                 }
             }
@@ -778,12 +792,12 @@ proptest! {
     ) {
         let trace = random_trace(rows);
         let table = four_bool_table();
-        let mut suite = fuse(std::slice::from_ref(&e), &table).instantiate();
+        let mut suite = fuse(std::slice::from_ref(&e), &table).instantiate_batch(1);
         let incremental: Vec<bool> = trace
             .iter()
             .map(|s| {
-                suite.observe(&table.frame_from_state_lossy(s)).expect("vars present");
-                suite.verdict(0)
+                observe(&mut suite, &table.frame_from_state_lossy(s)).expect("vars present");
+                suite.verdict(0, 0)
             })
             .collect();
         prop_assert_eq!(incremental, reference(&e, &trace));
@@ -892,12 +906,12 @@ proptest! {
         let expected: Vec<Vec<bool>> = exprs.iter().map(|e| reference(e, &trace)).collect();
         let program = fuse(&exprs, &table);
         prop_assert!(program.unique_nodes() <= program.source_nodes());
-        let mut fused = program.instantiate();
+        let mut fused = program.instantiate_batch(1);
         for (step, s) in trace.iter().enumerate() {
-            fused.observe(&table.frame_from_state_lossy(s)).expect("vars present");
+            observe(&mut fused, &table.frame_from_state_lossy(s)).expect("vars present");
             for (i, e) in exprs.iter().enumerate() {
                 prop_assert_eq!(
-                    fused.verdict(i),
+                    fused.verdict(0, i),
                     expected[i][step],
                     "monitor {} diverged at step {} on `{}`", i, step, e
                 );
@@ -905,7 +919,7 @@ proptest! {
         }
     }
 
-    /// The batched SoA evaluator and a scalar fused suite per lane both
+    /// The batched SoA evaluator and a one-lane fused suite per lane both
     /// produce exactly each lane's reference verdicts — on random suites,
     /// random per-lane traces, and random mid-batch retirement schedules
     /// (a lane that stops early must freeze without perturbing its
@@ -953,20 +967,20 @@ proptest! {
         let trace = random_trace(rows);
         let table = four_bool_table();
         let program = fuse(std::slice::from_ref(&e), &table);
-        let run = |suite: &mut FusedSuite| -> Vec<bool> {
+        let run = |suite: &mut FusedSuiteBatch| -> Vec<bool> {
             trace
                 .iter()
                 .map(|s| {
-                    suite.observe(&table.frame_from_state_lossy(s)).unwrap();
-                    suite.verdict(0)
+                    observe(suite, &table.frame_from_state_lossy(s)).unwrap();
+                    suite.verdict(0, 0)
                 })
                 .collect()
         };
-        let mut m = program.instantiate();
+        let mut m = program.instantiate_batch(1);
         run(&mut m);
         m.reset();
         let replay = run(&mut m);
-        prop_assert_eq!(&replay, &run(&mut program.instantiate()));
+        prop_assert_eq!(&replay, &run(&mut program.instantiate_batch(1)));
         prop_assert_eq!(replay, reference(&e, &trace));
     }
 

@@ -4,8 +4,8 @@
 use crate::correlate::{CorrelationReport, CorrelationRow, SubgoalStats};
 use crate::violation::{IntervalTracker, ViolationInterval};
 use esafe_logic::{
-    EvalError, Expr, Frame, FrameBatch, FrameTrace, FusedSuite, FusedSuiteBatch, FusedSuiteProgram,
-    SignalId, SignalTable,
+    EvalError, Expr, Frame, FrameBatch, FrameTrace, FusedSuiteBatch, FusedSuiteProgram, SignalId,
+    SignalTable,
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -63,8 +63,8 @@ impl std::error::Error for MonitorError {
 
 /// A monitor's immutable identity — id, place in the goal hierarchy,
 /// architecture location, source formula. Shared by `Arc` between a
-/// suite's entries and the [`SuiteTemplate`] they were instantiated
-/// from, so stamping out a suite clones no strings.
+/// suite, the [`SuiteTemplate`] it was instantiated from and the
+/// batches stamped from that, so stamping out a suite clones no strings.
 #[derive(Debug)]
 struct EntryMeta {
     id: String,
@@ -73,22 +73,18 @@ struct EntryMeta {
     expr: Expr,
 }
 
-#[derive(Debug, Clone)]
-struct Entry {
-    meta: Arc<EntryMeta>,
-    tracker: IntervalTracker,
-}
-
 /// A set of goal and subgoal monitors fed from a shared [`Frame`] stream.
 ///
 /// The suite is bound to one [`SignalTable`]; its goals compile into one
 /// [`FusedSuiteProgram`] against that table, so every variable reference
-/// resolves to a [`SignalId`] once and
-/// [`MonitorSuite::observe`] is one pass over a deduplicated DAG that
-/// evaluates every shared subformula once per tick. An authored suite
-/// ([`MonitorSuite::new`] + [`add_goal`](MonitorSuite::add_goal))
-/// compiles when it first observes; a [`SuiteTemplate`] carries the
-/// compiled program, so an instantiated suite never compiles.
+/// resolves to a [`SignalId`] once. A suite runs as one lane of a
+/// [`MonitorSuiteBatch`]: [`MonitorSuite::observe`] is one pass over the
+/// deduplicated DAG that evaluates every shared subformula once per
+/// tick, and the batch's edge-driven recorder turns the verdicts into
+/// violation intervals. An authored suite ([`MonitorSuite::new`] +
+/// [`add_goal`](MonitorSuite::add_goal)) compiles when it first
+/// observes; a [`SuiteTemplate`] carries the compiled program, so an
+/// instantiated suite never compiles.
 ///
 /// Goals are top-level entries; subgoals name their parent goal. After the
 /// run, [`MonitorSuite::correlate`] produces the hit / false-positive /
@@ -96,10 +92,10 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub struct MonitorSuite {
     table: Arc<SignalTable>,
-    entries: Vec<Entry>,
-    /// Roots index-aligned with `entries`; `None` until the suite
-    /// compiles.
-    fused: Option<FusedSuite>,
+    metas: Vec<Arc<EntryMeta>>,
+    /// The one-lane runtime, monitors index-aligned with `metas`;
+    /// `None` until the suite compiles.
+    batch: Option<MonitorSuiteBatch>,
 }
 
 impl MonitorSuite {
@@ -107,8 +103,8 @@ impl MonitorSuite {
     pub fn new(table: Arc<SignalTable>) -> Self {
         MonitorSuite {
             table,
-            entries: Vec::new(),
-            fused: None,
+            metas: Vec::new(),
+            batch: None,
         }
     }
 
@@ -159,9 +155,9 @@ impl MonitorSuite {
     ) -> Result<(), EvalError> {
         let parent_id = parent_id.into();
         assert!(
-            self.entries
+            self.metas
                 .iter()
-                .any(|e| e.meta.parent.is_none() && e.meta.id == parent_id),
+                .any(|m| m.parent.is_none() && m.id == parent_id),
             "parent goal `{parent_id}` must be added before its subgoals"
         );
         self.add_entry(id.into(), Some(parent_id), location, expr)
@@ -175,30 +171,18 @@ impl MonitorSuite {
         expr: Expr,
     ) -> Result<(), EvalError> {
         assert!(
-            self.fused.is_none(),
+            self.batch.is_none(),
             "cannot add monitors to a fused suite once it has compiled; \
              add every goal before the first observe"
         );
         FusedSuiteProgram::check(&expr, &self.table)?;
-        self.entries.push(Entry {
-            meta: Arc::new(EntryMeta {
-                id,
-                parent,
-                location,
-                expr,
-            }),
-            tracker: IntervalTracker::new(),
-        });
+        self.metas.push(Arc::new(EntryMeta {
+            id,
+            parent,
+            location,
+            expr,
+        }));
         Ok(())
-    }
-
-    /// Compiles every entry's formula into one fused program.
-    fn compile(&self) -> Arc<FusedSuiteProgram> {
-        let exprs: Vec<Expr> = self.entries.iter().map(|e| e.meta.expr.clone()).collect();
-        Arc::new(
-            FusedSuiteProgram::compile(&exprs, &self.table)
-                .expect("every formula was checked when it was added"),
-        )
     }
 
     /// Extracts the suite's compile-once artifacts as a
@@ -208,13 +192,20 @@ impl MonitorSuite {
     /// been. Building the template is the once-per-sweep compile point;
     /// stamping suites from it is O(monitors).
     pub fn template(&self) -> SuiteTemplate {
+        let fused = match &self.batch {
+            Some(batch) => Arc::clone(batch.fused.program()),
+            None => {
+                let exprs: Vec<Expr> = self.metas.iter().map(|m| m.expr.clone()).collect();
+                Arc::new(
+                    FusedSuiteProgram::compile(&exprs, &self.table)
+                        .expect("every formula was checked when it was added"),
+                )
+            }
+        };
         SuiteTemplate {
             table: self.table.clone(),
-            metas: self.entries.iter().map(|e| Arc::clone(&e.meta)).collect(),
-            fused: match &self.fused {
-                Some(f) => Arc::clone(f.program()),
-                None => self.compile(),
-            },
+            metas: self.metas.clone(),
+            fused,
         }
     }
 
@@ -224,19 +215,16 @@ impl MonitorSuite {
     /// identical to a freshly instantiated one — the property run-context
     /// pooling relies on.
     pub fn reset(&mut self) {
-        if let Some(f) = &mut self.fused {
-            f.reset();
-        }
-        for e in &mut self.entries {
-            e.tracker.reset();
+        if let Some(batch) = &mut self.batch {
+            batch.reset();
         }
     }
 
     /// Feeds one frame to every monitor — the per-tick hot path: no
     /// string lookups, no allocation, one table identity check for the
-    /// whole suite, a single pass over the deduplicated DAG, then one
-    /// verdict recorded per entry. An authored suite compiles on its
-    /// first call.
+    /// whole suite, then the one-lane batch's pass over the deduplicated
+    /// DAG, read from the frame in place ([`Frame::as_batch`]). An
+    /// authored suite compiles on its first call.
     ///
     /// Every node of the DAG is evaluated, including branches a
     /// connective has already decided, so the frame must set every
@@ -259,18 +247,13 @@ impl MonitorSuite {
             Arc::ptr_eq(frame.table(), &self.table),
             "frame and suite must share one signal table"
         );
-        if self.fused.is_none() {
-            self.fused = Some(self.compile().instantiate());
+        if self.batch.is_none() {
+            self.batch = Some(self.template().instantiate_batch(1));
         }
-        let fused = self.fused.as_mut().expect("compiled above");
-        fused.observe(frame).map_err(|err| MonitorError {
-            monitor_id: self.entries[err.monitor].meta.id.clone(),
-            source: err.source,
-        })?;
-        for (i, e) in self.entries.iter_mut().enumerate() {
-            e.tracker.record(fused.verdict(i));
-        }
-        Ok(())
+        let batch = self.batch.as_mut().expect("compiled above");
+        batch
+            .observe_slab(frame.as_batch())
+            .map_err(BatchMonitorError::into_monitor_error)
     }
 
     /// Replays a recorded [`FrameTrace`] from a clean start: the suite
@@ -335,78 +318,79 @@ impl MonitorSuite {
         Ok(())
     }
 
-    /// Closes any open violation intervals (call once after the run).
+    /// Ends the run: closes any open violation intervals at the number
+    /// of frames observed (call once after the run).
+    ///
+    /// This retires the suite's lane, as
+    /// [`MonitorSuiteBatch::retire_lane`] does: a later
+    /// [`observe`](MonitorSuite::observe) records nothing until
+    /// [`reset`](MonitorSuite::reset) starts a new run.
     pub fn finish(&mut self) {
-        for e in &mut self.entries {
-            e.tracker.finish();
+        if let Some(batch) = &mut self.batch {
+            batch.finish();
         }
+    }
+
+    /// The intervals monitor `i` recorded (none before the suite
+    /// compiles).
+    fn intervals(&self, i: usize) -> &[ViolationInterval] {
+        self.batch
+            .as_ref()
+            .map_or(&[], |batch| batch.trackers[i].intervals())
     }
 
     /// Violation intervals recorded for monitor `id` (goals and subgoals).
     pub fn violations(&self, id: &str) -> Option<&[ViolationInterval]> {
-        self.entries
-            .iter()
-            .find(|e| e.meta.id == id)
-            .map(|e| e.tracker.intervals())
+        let i = self.metas.iter().position(|m| m.id == id)?;
+        Some(self.intervals(i))
     }
 
     /// Drains the recorded violations into owned storage: one
     /// `(id, intervals)` pair per monitor with at least one interval, in
-    /// insertion order. The intervals are *moved* out of the trackers
-    /// (which keep running but report empty afterwards), so report
-    /// assembly copies nothing per monitor beyond the violating ids —
-    /// call [`MonitorSuite::correlate`] first, since correlation reads
-    /// the same intervals.
+    /// insertion order. The intervals are *moved* out of the recorder
+    /// (which reports empty afterwards), so report assembly copies
+    /// nothing per monitor beyond the violating ids — call
+    /// [`MonitorSuite::correlate`] first, since correlation reads the
+    /// same intervals.
     pub fn take_violations(&mut self) -> Vec<(String, Vec<ViolationInterval>)> {
-        let mut out = Vec::new();
-        for e in &mut self.entries {
-            let intervals = e.tracker.take_intervals();
-            if !intervals.is_empty() {
-                out.push((e.meta.id.clone(), intervals));
-            }
-        }
-        out
+        self.batch
+            .as_mut()
+            .map_or_else(Vec::new, |batch| batch.take_violations_lane(0))
     }
 
     /// Ids of all top-level goals, in insertion order.
     pub fn goal_ids(&self) -> Vec<&str> {
-        self.entries
+        self.metas
             .iter()
-            .filter(|e| e.meta.parent.is_none())
-            .map(|e| e.meta.id.as_str())
+            .filter(|m| m.parent.is_none())
+            .map(|m| m.id.as_str())
             .collect()
     }
 
     /// Ids of the subgoals of `goal_id`, in insertion order.
     pub fn subgoal_ids(&self, goal_id: &str) -> Vec<&str> {
-        self.entries
+        self.metas
             .iter()
-            .filter(|e| e.meta.parent.as_deref() == Some(goal_id))
-            .map(|e| e.meta.id.as_str())
+            .filter(|m| m.parent.as_deref() == Some(goal_id))
+            .map(|m| m.id.as_str())
             .collect()
     }
 
     /// The `(location, formula)` of a monitor.
     pub fn describe(&self, id: &str) -> Option<(&Location, &Expr)> {
-        self.entries
+        self.metas
             .iter()
-            .find(|e| e.meta.id == id)
-            .map(|e| (&e.meta.location, &e.meta.expr))
+            .find(|m| m.id == id)
+            .map(|m| (&m.location, &m.expr))
     }
 
     /// The monitoring-location matrix: `(id, parent, location)` rows in
     /// insertion order (the shape of thesis Table 5.3). Borrowed views —
     /// rendering or report assembly decides what to copy.
     pub fn location_matrix(&self) -> Vec<(&str, Option<&str>, &Location)> {
-        self.entries
+        self.metas
             .iter()
-            .map(|e| {
-                (
-                    e.meta.id.as_str(),
-                    e.meta.parent.as_deref(),
-                    &e.meta.location,
-                )
-            })
+            .map(|m| (m.id.as_str(), m.parent.as_deref(), &m.location))
             .collect()
     }
 
@@ -414,19 +398,19 @@ impl MonitorSuite {
     /// `window` (ticks of slack between subgoal and goal violations).
     pub fn correlate(&self, window: u64) -> CorrelationReport {
         let entries: Vec<(&EntryMeta, &[ViolationInterval])> = self
-            .entries
+            .metas
             .iter()
-            .map(|e| (&*e.meta, e.tracker.intervals()))
+            .enumerate()
+            .map(|(i, m)| (&**m, self.intervals(i)))
             .collect();
         correlate_entries(&entries, window)
     }
 }
 
 /// The §5.1.2 hit / false-positive / false-negative classification over
-/// one run's `(meta, recorded intervals)` rows, in suite order. **The
-/// one implementation** behind [`MonitorSuite::correlate`] and
-/// [`MonitorSuiteBatch::correlate_lane`], so the scalar and batched
-/// engines classify identically by construction.
+/// one run's `(meta, recorded intervals)` rows, in suite order: **the
+/// one implementation** behind [`MonitorSuiteBatch::correlate_lane`]
+/// and [`MonitorSuite::correlate`], which reads its one lane's rows.
 fn correlate_entries(
     entries: &[(&EntryMeta, &[ViolationInterval])],
     window: u64,
@@ -531,9 +515,10 @@ impl SuiteTemplate {
         &self.fused
     }
 
-    /// Stamps out a fresh suite — the production engine: no parsing, no
-    /// compilation, no string copies; every monitor verdict comes from
-    /// one shared evaluation pass per tick.
+    /// Stamps out a fresh suite — a one-lane
+    /// [`instantiate_batch`](SuiteTemplate::instantiate_batch): no
+    /// parsing, no compilation, no string copies; every monitor verdict
+    /// comes from one shared evaluation pass per tick.
     ///
     /// # Example
     ///
@@ -566,24 +551,16 @@ impl SuiteTemplate {
     pub fn instantiate(&self) -> MonitorSuite {
         MonitorSuite {
             table: self.table.clone(),
-            entries: self
-                .metas
-                .iter()
-                .map(|meta| Entry {
-                    meta: Arc::clone(meta),
-                    tracker: IntervalTracker::new(),
-                })
-                .collect(),
-            fused: Some(self.fused.instantiate()),
+            metas: self.metas.clone(),
+            batch: Some(self.instantiate_batch(1)),
         }
     }
 
     /// Stamps out a **batched** suite evaluating `lanes` independent
     /// runs in lock-step through one bit-sliced pass per tick — the
-    /// engine behind the harness's striped sweeps. Each lane carries its
-    /// own violation trackers and temporal history; per-lane results are
-    /// identical to `lanes` separate [`SuiteTemplate::instantiate`]d
-    /// suites fed the same frames (see [`MonitorSuiteBatch`]).
+    /// engine behind the harness's striped sweeps and, at one lane,
+    /// behind every [`MonitorSuite`]. Each lane carries its own violation
+    /// trackers and temporal history (see [`MonitorSuiteBatch`]).
     ///
     /// # Panics
     ///
@@ -631,8 +608,8 @@ impl std::error::Error for BatchMonitorError {
 }
 
 impl BatchMonitorError {
-    /// Drops the lane attribution, leaving the per-run error a scalar
-    /// suite would have reported.
+    /// Drops the lane attribution, leaving the per-run error that
+    /// [`MonitorSuite::observe`] reports for its one lane.
     pub fn into_monitor_error(self) -> MonitorError {
         MonitorError {
             monitor_id: self.monitor_id,
@@ -641,9 +618,10 @@ impl BatchMonitorError {
     }
 }
 
-/// A [`MonitorSuite`] over **many runs at once**: `lanes` independent
+/// The monitor runtime over **many runs at once**: `lanes` independent
 /// runs advance in lock-step through one batched fused pass per tick
-/// ([`FusedSuiteBatch`]), with one violation-tracker row per lane.
+/// ([`FusedSuiteBatch`]), with one violation-tracker row per lane. A
+/// [`MonitorSuite`] is its one-lane case.
 ///
 /// The batch is the monitor-side half of the harness's striped sweeps: a
 /// stripe of same-template sweep cells ticks its simulators together and
@@ -652,14 +630,15 @@ impl BatchMonitorError {
 /// across the whole stripe, 64 lanes per word operation, before moving
 /// to the next node, instead of re-walking the suite once per run.
 ///
-/// Lanes are observationally independent: verdicts, recorded intervals,
-/// correlation, and violation reports per lane are **identical** to
-/// running `lanes` separate [`SuiteTemplate::instantiate`]d suites over
-/// the same frames (pinned by unit, property, and golden sweep tests) —
-/// including when a lane [`retire`](MonitorSuiteBatch::retire_lane)s
-/// early while its neighbours keep running.
+/// Lanes are observationally independent: each lane's recorded
+/// intervals, correlation, and violation reports are those of its own
+/// frames alone — the intervals [`eval_trace`](esafe_logic::eval::eval_trace)
+/// of each monitor gives over them (pinned by unit, property, and golden
+/// sweep tests) — including when a lane
+/// [`retire`](MonitorSuiteBatch::retire_lane)s early while its
+/// neighbours keep running.
 ///
-/// The per-lane lifecycle mirrors the scalar suite's
+/// The per-lane lifecycle is [`MonitorSuite`]'s
 /// observe → finish → correlate → take_violations:
 /// [`observe_slab`](MonitorSuiteBatch::observe_slab) each tick, then
 /// [`retire_lane`](MonitorSuiteBatch::retire_lane) when the lane's run
@@ -772,8 +751,9 @@ impl MonitorSuiteBatch {
     ///
     /// Returns a [`BatchMonitorError`] naming the failing lane and
     /// monitor — for instance when an active lane leaves unset a signal
-    /// in [`reads`](MonitorSuiteBatch::reads). As with the scalar suite,
-    /// treat an error as fatal for the batch instance.
+    /// in [`reads`](MonitorSuiteBatch::reads). As with
+    /// [`MonitorSuite::observe`], treat an error as fatal for the batch
+    /// instance.
     ///
     /// # Panics
     ///
@@ -849,10 +829,10 @@ impl MonitorSuiteBatch {
     }
 
     /// Folds the pass's verdicts into the violation trackers — the
-    /// shared back half of both observe paths. Intervals only change at
-    /// verdict *edges*, so instead of one
-    /// [`IntervalTracker::record`] per monitor per lane per tick, this
-    /// diffs each monitor's verdict words against the previous copy
+    /// shared back half of both observe paths and the one interval
+    /// recorder. Intervals only change at verdict *edges*, so instead of
+    /// visiting every monitor of every lane each tick, this diffs each
+    /// monitor's verdict words against the previous copy
     /// under the pass's active-lane mask (one XOR per 64 lanes, almost
     /// always zero) and visits only the lanes whose verdict flipped.
     ///
@@ -886,10 +866,10 @@ impl MonitorSuiteBatch {
         }
     }
 
-    /// Ends a lane's run: closes its open violation intervals and
-    /// freezes its monitors, exactly as [`MonitorSuite::finish`] would
-    /// at the end of a scalar run. Subsequent passes skip the lane.
-    /// Idempotent.
+    /// Ends a lane's run: closes its open violation intervals at the
+    /// lane's frame count and freezes its monitors
+    /// ([`MonitorSuite::finish`] does this to its one lane). Subsequent
+    /// passes skip the lane. Idempotent.
     ///
     /// # Panics
     ///
@@ -937,7 +917,7 @@ impl MonitorSuiteBatch {
     }
 
     /// Drains `lane`'s recorded violations into owned storage — the
-    /// batched analogue of [`MonitorSuite::take_violations`]: one
+    /// per-lane form of [`MonitorSuite::take_violations`]: one
     /// `(id, intervals)` pair per monitor with at least one interval, in
     /// insertion order. Call
     /// [`correlate_lane`](MonitorSuiteBatch::correlate_lane) first;
@@ -1180,10 +1160,59 @@ mod tests {
         out
     }
 
-    #[test]
-    fn authored_and_instantiated_suites_match_eval() {
+    /// Each monitor's violation intervals over `frames` by the semantics
+    /// of record: [`eval_trace`](esafe_logic::eval::eval_trace) of its
+    /// monitor form, cut into maximal false runs — the reference the
+    /// edge-driven recorder is checked against.
+    fn eval_intervals(
+        metas: &[Arc<EntryMeta>],
+        frames: &[(bool, bool)],
+    ) -> Vec<Vec<ViolationInterval>> {
         use esafe_logic::eval::eval_trace;
         use esafe_logic::incremental::monitor_form;
+        let mut trace = esafe_logic::Trace::with_tick_millis(1);
+        for &(g, s) in frames {
+            trace.push(
+                esafe_logic::State::new()
+                    .with_bool("g", g)
+                    .with_bool("s", s),
+            );
+        }
+        metas
+            .iter()
+            .map(|m| intervals_of(&eval_trace(&monitor_form(&m.expr).unwrap(), &trace).unwrap()))
+            .collect()
+    }
+
+    /// Asserts that lane `l` of `batch`, its run over, recorded exactly
+    /// the [`eval_intervals`] of the lane's live `frames`, and correlates
+    /// them as those intervals correlate under `window`. Drains the lane.
+    fn assert_lane_matches_eval(
+        batch: &mut MonitorSuiteBatch,
+        l: usize,
+        frames: &[(bool, bool)],
+        window: u64,
+    ) {
+        let metas = batch.metas.clone();
+        let want = eval_intervals(&metas, frames);
+        let entries: Vec<(&EntryMeta, &[ViolationInterval])> = metas
+            .iter()
+            .zip(&want)
+            .map(|(m, v)| (&**m, v.as_slice()))
+            .collect();
+        let correlation = correlate_entries(&entries, window);
+        assert_eq!(batch.correlate_lane(l, window), correlation, "lane {l}");
+        let want: Vec<(String, Vec<ViolationInterval>)> = metas
+            .iter()
+            .zip(want)
+            .filter(|(_, v)| !v.is_empty())
+            .map(|(m, v)| (m.id.clone(), v))
+            .collect();
+        assert_eq!(batch.take_violations_lane(l), want, "lane {l}");
+    }
+
+    #[test]
+    fn authored_and_instantiated_suites_match_eval() {
         let goals = [
             ("G", None, "g && prev(s)"),
             ("G.A", Some("G"), "once(!s) -> g"),
@@ -1206,23 +1235,15 @@ mod tests {
             (false, true),
             (true, true),
         ];
-        let mut trace = esafe_logic::Trace::with_tick_millis(1);
-        for &(g, s) in &frames {
-            trace.push(
-                esafe_logic::State::new()
-                    .with_bool("g", g)
-                    .with_bool("s", s),
-            );
-        }
         for mut suite in [author(), author().template().instantiate()] {
             for &(g, s) in &frames {
                 observe(&mut suite, g, s);
             }
             suite.finish();
-            for (id, _, src) in goals {
-                let expr = monitor_form(&parse(src).unwrap()).unwrap();
-                let want = intervals_of(&eval_trace(&expr, &trace).unwrap());
-                assert_eq!(suite.violations(id).unwrap(), want, "monitor {id}");
+            let want = eval_intervals(&suite.metas, &frames);
+            for (meta, want) in suite.metas.iter().zip(&want) {
+                let got = suite.violations(&meta.id).unwrap();
+                assert_eq!(got, want.as_slice(), "monitor {}", meta.id);
             }
         }
     }
@@ -1296,14 +1317,11 @@ mod tests {
         assert_eq!((violations, hits), live);
     }
 
-    /// Drives `frame_lanes` (one frame sequence per lane, possibly of
+    /// Drives `lanes` (one frame sequence per lane, possibly of
     /// different lengths — shorter lanes retire early) through one
-    /// batched suite and through one scalar suite per lane, asserting
-    /// identical correlation and drained violations per lane.
-    fn assert_batch_lane_outcomes_match_scalar(
-        template: &SuiteTemplate,
-        lanes: &[&[(bool, bool)]],
-    ) {
+    /// batched suite, asserting each lane's correlation and drained
+    /// violations against `eval` of its own frames.
+    fn assert_batch_lanes_match_eval(template: &SuiteTemplate, lanes: &[&[(bool, bool)]]) {
         let t = template.table().clone();
         let width = lanes.len();
         let mut batch = template.instantiate_batch(width);
@@ -1327,17 +1345,7 @@ mod tests {
         }
         batch.finish();
         for (l, lane) in lanes.iter().enumerate() {
-            let scalar = outcome(template.instantiate(), lane);
-            let hits = batch
-                .correlate_lane(l, 0)
-                .for_goal("G")
-                .map_or(0, |row| row.hits);
-            let violations: Vec<(String, usize)> = batch
-                .take_violations_lane(l)
-                .into_iter()
-                .map(|(id, v)| (id, v.len()))
-                .collect();
-            assert_eq!((violations, hits), scalar, "lane {l} diverged");
+            assert_lane_matches_eval(&mut batch, l, lane, 0);
         }
     }
 
@@ -1345,7 +1353,7 @@ mod tests {
     fn batched_suite_matches_scalar_suites_per_lane() {
         let template = suite().template();
         // Uniform lanes.
-        assert_batch_lane_outcomes_match_scalar(
+        assert_batch_lanes_match_eval(
             &template,
             &[
                 &[(true, true), (false, false), (true, false)],
@@ -1355,8 +1363,8 @@ mod tests {
         );
         // Ragged lanes: lane 1 retires after one tick, lane 2 after two
         // — the early-termination-inside-a-stripe shape. Lane 0's
-        // verdicts must be bit-identical to its scalar run regardless.
-        assert_batch_lane_outcomes_match_scalar(
+        // intervals must be those of its own frames regardless.
+        assert_batch_lanes_match_eval(
             &template,
             &[
                 &[(true, true), (false, false), (true, false), (false, true)],
@@ -1449,17 +1457,8 @@ mod tests {
         let (g, s) = (t.id("g").unwrap(), t.id("s").unwrap());
         let mut batch = template.instantiate_batch(LANES);
         let mut slab = FrameBatch::new(&t, LANES);
-        // Each lane's run as a scalar suite fed only its live frames.
-        let mut scalars: Vec<MonitorSuite> = (0..LANES).map(|_| template.instantiate()).collect();
-        let assert_lane_matches = |batch: &mut MonitorSuiteBatch, scalar: &mut MonitorSuite, l| {
-            scalar.finish();
-            assert_eq!(batch.correlate_lane(l, 2), scalar.correlate(2), "lane {l}");
-            assert_eq!(
-                batch.take_violations_lane(l),
-                scalar.take_violations(),
-                "lane {l}"
-            );
-        };
+        // Each lane's live frames since its run began: what `eval` judges.
+        let mut runs: Vec<Vec<(bool, bool)>> = vec![Vec::new(); LANES];
         let mut seed = 0x5eed_u64;
         let mut next = move || {
             seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -1476,14 +1475,15 @@ mod tests {
                     // A retired lane is sometimes reclaimed for a new run.
                     if r % 4 == 0 {
                         batch.reclaim_lane(l);
-                        scalars[l] = template.instantiate();
                     }
                     continue;
                 }
                 match r % 16 {
                     0 => {
                         batch.retire_lane(l);
-                        assert_lane_matches(&mut batch, &mut scalars[l], l);
+                        // Checked and drained: the lane's run is over.
+                        assert_lane_matches_eval(&mut batch, l, &runs[l], 2);
+                        runs[l].clear();
                     }
                     // Sitting out, sometimes with its slots unset.
                     1 | 2 => slab.clear_lane(l),
@@ -1492,10 +1492,7 @@ mod tests {
                         let (gv, sv) = ((r >> 8) % 3 != 0, (r >> 12) % 4 != 0);
                         slab.set(g, l, gv);
                         slab.set(s, l, sv);
-                        let mut frame = t.frame();
-                        frame.set(g, gv);
-                        frame.set(s, sv);
-                        scalars[l].observe(&frame).unwrap();
+                        runs[l].push((gv, sv));
                         *live = true;
                     }
                 }
@@ -1503,8 +1500,8 @@ mod tests {
             batch.observe_slab_masked(&slab, &live).unwrap();
         }
         batch.finish();
-        for (l, scalar) in scalars.iter_mut().enumerate() {
-            assert_lane_matches(&mut batch, scalar, l);
+        for (l, run) in runs.iter().enumerate() {
+            assert_lane_matches_eval(&mut batch, l, run, 2);
         }
     }
 
@@ -1573,6 +1570,24 @@ mod tests {
         pooled.reset();
         let reused = outcome(pooled, &frames);
         assert_eq!(reused, outcome(template.instantiate(), &frames));
+    }
+
+    #[test]
+    fn observing_after_finish_records_nothing_until_reset() {
+        let mut m = suite();
+        observe(&mut m, false, true);
+        m.finish();
+        // The run is over: a later frame opens no interval.
+        observe(&mut m, false, false);
+        m.finish();
+        assert_eq!(m.violations("G").unwrap(), [ViolationInterval::new(0, 1)]);
+        assert!(m.violations("G.A").unwrap().is_empty());
+        // A reset starts a new run, counted from tick 0.
+        m.reset();
+        observe(&mut m, true, false);
+        m.finish();
+        assert!(m.violations("G").unwrap().is_empty());
+        assert_eq!(m.violations("G.A").unwrap(), [ViolationInterval::new(0, 1)]);
     }
 
     #[test]

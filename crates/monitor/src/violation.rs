@@ -59,7 +59,13 @@ impl fmt::Display for ViolationInterval {
     }
 }
 
-/// Accumulates per-tick truth values into violation intervals.
+/// Builds violation intervals from a monitor's verdict *edges*: a
+/// true→false edge [opens](IntervalTracker::open_at) one, a false→true
+/// edge [closes](IntervalTracker::close_at) it, and
+/// [`finish`](IntervalTracker::finish) closes one still open at the end
+/// of the run. [`MonitorSuiteBatch`](crate::MonitorSuiteBatch) finds the
+/// edges by diffing whole verdict words, so a tracker is touched only
+/// when its verdict flips.
 #[derive(Debug, Clone, Default)]
 pub struct IntervalTracker {
     open_since: Option<u64>,
@@ -73,20 +79,8 @@ impl IntervalTracker {
         Self::default()
     }
 
-    /// Records the goal's truth at the next tick.
-    pub fn record(&mut self, satisfied: bool) {
-        match (satisfied, self.open_since) {
-            (false, None) => self.open_since = Some(self.tick),
-            (true, Some(start)) => {
-                self.closed.push(ViolationInterval::new(start, self.tick));
-                self.open_since = None;
-            }
-            _ => {}
-        }
-        self.tick += 1;
-    }
-
-    /// Closes any open violation at the current tick.
+    /// Closes any open violation at the tick cursor
+    /// ([`advance_to`](IntervalTracker::advance_to)).
     pub fn finish(&mut self) {
         if let Some(start) = self.open_since.take() {
             if self.tick > start {
@@ -95,11 +89,8 @@ impl IntervalTracker {
         }
     }
 
-    /// Opens a violation at an absolute `tick` (no-op if one is already
-    /// open) — the transition-driven interface batched recording uses:
-    /// instead of one [`record`](IntervalTracker::record) call per tick,
-    /// the batch diffs whole verdict rows and touches the tracker only
-    /// at a true→false edge.
+    /// Opens a violation at an absolute `tick`, the tick of a true→false
+    /// edge (no-op if one is already open).
     pub fn open_at(&mut self, tick: u64) {
         if self.open_since.is_none() {
             self.open_since = Some(tick);
@@ -117,11 +108,10 @@ impl IntervalTracker {
         }
     }
 
-    /// Advances the tick cursor without recording (never rewinds).
-    /// Transition-driven recording leaves the cursor stale between
-    /// edges, so it syncs the clock this way before
-    /// [`finish`](IntervalTracker::finish) closes a still-open interval
-    /// at the right tick.
+    /// Advances the tick cursor (never rewinds). Edges carry their own
+    /// ticks, so the cursor only moves here: sync it to the run's length
+    /// before [`finish`](IntervalTracker::finish) closes a still-open
+    /// interval at the right tick.
     pub fn advance_to(&mut self, tick: u64) {
         self.tick = self.tick.max(tick);
     }
@@ -152,7 +142,8 @@ impl IntervalTracker {
         self.open_since.is_some()
     }
 
-    /// Ticks observed so far.
+    /// The tick cursor: the furthest tick
+    /// [`advance_to`](IntervalTracker::advance_to) has reached.
     pub fn ticks(&self) -> u64 {
         self.tick
     }
@@ -162,12 +153,25 @@ impl IntervalTracker {
 mod tests {
     use super::*;
 
+    /// Drives `t` with the edges of a verdict sequence, as the batch's
+    /// recorder does, then syncs its cursor to the sequence's length.
+    fn feed(t: &mut IntervalTracker, verdicts: &[bool]) {
+        let mut prev = true;
+        for (tick, &ok) in (0u64..).zip(verdicts) {
+            match (prev, ok) {
+                (true, false) => t.open_at(tick),
+                (false, true) => t.close_at(tick),
+                _ => {}
+            }
+            prev = ok;
+        }
+        t.advance_to(verdicts.len() as u64);
+    }
+
     #[test]
     fn tracker_builds_intervals() {
         let mut t = IntervalTracker::new();
-        for ok in [true, false, false, true, false, true] {
-            t.record(ok);
-        }
+        feed(&mut t, &[true, false, false, true, false, true]);
         t.finish();
         assert_eq!(
             t.intervals(),
@@ -178,9 +182,7 @@ mod tests {
     #[test]
     fn finish_closes_open_interval() {
         let mut t = IntervalTracker::new();
-        for ok in [true, false, false] {
-            t.record(ok);
-        }
+        feed(&mut t, &[true, false, false]);
         assert!(t.in_violation());
         t.finish();
         assert_eq!(t.intervals(), &[ViolationInterval::new(1, 3)]);
@@ -190,9 +192,7 @@ mod tests {
     #[test]
     fn all_satisfied_gives_no_intervals() {
         let mut t = IntervalTracker::new();
-        for _ in 0..5 {
-            t.record(true);
-        }
+        feed(&mut t, &[true; 5]);
         t.finish();
         assert!(t.intervals().is_empty());
         assert_eq!(t.ticks(), 5);

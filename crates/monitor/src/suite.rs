@@ -322,9 +322,11 @@ impl MonitorSuite {
     /// of frames observed (call once after the run).
     ///
     /// This retires the suite's lane, as
-    /// [`MonitorSuiteBatch::retire_lane`] does: a later
-    /// [`observe`](MonitorSuite::observe) records nothing until
-    /// [`reset`](MonitorSuite::reset) starts a new run.
+    /// [`MonitorSuiteBatch::retire_lane`] does: until
+    /// [`reset`](MonitorSuite::reset) starts a new run, a later
+    /// [`observe`](MonitorSuite::observe) records nothing and checks
+    /// nothing, so it returns `Ok` even for a frame that leaves a read
+    /// signal unset.
     pub fn finish(&mut self) {
         if let Some(batch) = &mut self.batch {
             batch.finish();
@@ -880,11 +882,7 @@ impl MonitorSuiteBatch {
             let steps = self.fused.steps_observed(lane);
             let n = self.metas.len();
             for tracker in &mut self.trackers[lane * n..][..n] {
-                // Edge-driven recording leaves the clock stale between
-                // verdict flips; sync it so a still-open violation
-                // closes at the lane's true end.
-                tracker.advance_to(steps);
-                tracker.finish();
+                tracker.close_at(steps);
             }
         }
     }
@@ -997,13 +995,27 @@ mod tests {
         b.finish()
     }
 
-    fn suite() -> MonitorSuite {
+    /// A test suite's monitors as authored: `(id, parent, formula)`.
+    type Goals = [(&'static str, Option<&'static str>, &'static str)];
+
+    /// The suite most tests run: goal `G` over `g`, subgoal `G.A` over `s`.
+    const SUITE: &Goals = &[("G", None, "g"), ("G.A", Some("G"), "s")];
+
+    /// Authors `goals` in order: goals at `System`, subgoals at `Sub`.
+    fn author(goals: &Goals) -> MonitorSuite {
         let mut m = MonitorSuite::new(table());
-        m.add_goal("G", Location::new("System"), parse("g").unwrap())
-            .unwrap();
-        m.add_subgoal("G.A", "G", Location::new("Sub"), parse("s").unwrap())
-            .unwrap();
+        for &(id, parent, src) in goals {
+            let expr = parse(src).unwrap();
+            match parent {
+                None => m.add_goal(id, Location::new("System"), expr).unwrap(),
+                Some(p) => m.add_subgoal(id, p, Location::new("Sub"), expr).unwrap(),
+            }
+        }
         m
+    }
+
+    fn suite() -> MonitorSuite {
+        author(SUITE)
     }
 
     fn observe(m: &mut MonitorSuite, goal_ok: bool, sub_ok: bool) {
@@ -1160,14 +1172,12 @@ mod tests {
         out
     }
 
-    /// Each monitor's violation intervals over `frames` by the semantics
-    /// of record: [`eval_trace`](esafe_logic::eval::eval_trace) of its
-    /// monitor form, cut into maximal false runs — the reference the
-    /// edge-driven recorder is checked against.
-    fn eval_intervals(
-        metas: &[Arc<EntryMeta>],
-        frames: &[(bool, bool)],
-    ) -> Vec<Vec<ViolationInterval>> {
+    /// Each of `goals`' violation intervals over `frames` by the
+    /// semantics of record: [`eval_trace`](esafe_logic::eval::eval_trace)
+    /// of the monitor form of its authored formula, cut into maximal
+    /// false runs — the reference the edge-driven recorder is checked
+    /// against, built without reading the suite under test.
+    fn eval_intervals(goals: &Goals, frames: &[(bool, bool)]) -> Vec<Vec<ViolationInterval>> {
         use esafe_logic::eval::eval_trace;
         use esafe_logic::incremental::monitor_form;
         let mut trace = esafe_logic::Trace::with_tick_millis(1);
@@ -1178,56 +1188,58 @@ mod tests {
                     .with_bool("s", s),
             );
         }
-        metas
+        goals
             .iter()
-            .map(|m| intervals_of(&eval_trace(&monitor_form(&m.expr).unwrap(), &trace).unwrap()))
+            .map(|&(_, _, src)| {
+                let expr = monitor_form(&parse(src).unwrap()).unwrap();
+                intervals_of(&eval_trace(&expr, &trace).unwrap())
+            })
             .collect()
     }
 
-    /// Asserts that lane `l` of `batch`, its run over, recorded exactly
-    /// the [`eval_intervals`] of the lane's live `frames`, and correlates
+    /// Asserts that lane `l` of `batch`, a batch of the [`author`]ed
+    /// `goals` whose run is over, recorded exactly the
+    /// [`eval_intervals`] of the lane's live `frames`, and correlates
     /// them as those intervals correlate under `window`. Drains the lane.
     fn assert_lane_matches_eval(
         batch: &mut MonitorSuiteBatch,
         l: usize,
+        goals: &Goals,
         frames: &[(bool, bool)],
         window: u64,
     ) {
-        let metas = batch.metas.clone();
-        let want = eval_intervals(&metas, frames);
+        let want = eval_intervals(goals, frames);
+        let metas: Vec<EntryMeta> = goals
+            .iter()
+            .map(|&(id, parent, src)| EntryMeta {
+                id: id.into(),
+                parent: parent.map(Into::into),
+                location: Location::new(if parent.is_none() { "System" } else { "Sub" }),
+                expr: parse(src).unwrap(),
+            })
+            .collect();
         let entries: Vec<(&EntryMeta, &[ViolationInterval])> = metas
             .iter()
             .zip(&want)
-            .map(|(m, v)| (&**m, v.as_slice()))
+            .map(|(m, v)| (m, v.as_slice()))
             .collect();
         let correlation = correlate_entries(&entries, window);
         assert_eq!(batch.correlate_lane(l, window), correlation, "lane {l}");
-        let want: Vec<(String, Vec<ViolationInterval>)> = metas
+        let want: Vec<(String, Vec<ViolationInterval>)> = goals
             .iter()
             .zip(want)
             .filter(|(_, v)| !v.is_empty())
-            .map(|(m, v)| (m.id.clone(), v))
+            .map(|(&(id, ..), v)| (id.to_string(), v))
             .collect();
         assert_eq!(batch.take_violations_lane(l), want, "lane {l}");
     }
 
     #[test]
     fn authored_and_instantiated_suites_match_eval() {
-        let goals = [
+        const GOALS: &Goals = &[
             ("G", None, "g && prev(s)"),
             ("G.A", Some("G"), "once(!s) -> g"),
         ];
-        let author = || {
-            let mut m = MonitorSuite::new(table());
-            for (id, parent, src) in goals {
-                let expr = parse(src).unwrap();
-                match parent {
-                    None => m.add_goal(id, Location::new("System"), expr).unwrap(),
-                    Some(p) => m.add_subgoal(id, p, Location::new("Sub"), expr).unwrap(),
-                }
-            }
-            m
-        };
         let frames = [
             (true, true),
             (false, false),
@@ -1235,15 +1247,18 @@ mod tests {
             (false, true),
             (true, true),
         ];
-        for mut suite in [author(), author().template().instantiate()] {
+        let want = eval_intervals(GOALS, &frames);
+        for mut suite in [author(GOALS), author(GOALS).template().instantiate()] {
             for &(g, s) in &frames {
                 observe(&mut suite, g, s);
             }
             suite.finish();
-            let want = eval_intervals(&suite.metas, &frames);
-            for (meta, want) in suite.metas.iter().zip(&want) {
-                let got = suite.violations(&meta.id).unwrap();
-                assert_eq!(got, want.as_slice(), "monitor {}", meta.id);
+            for (&(id, ..), want) in GOALS.iter().zip(&want) {
+                assert_eq!(
+                    suite.violations(id).unwrap(),
+                    want.as_slice(),
+                    "monitor {id}"
+                );
             }
         }
     }
@@ -1319,9 +1334,10 @@ mod tests {
 
     /// Drives `lanes` (one frame sequence per lane, possibly of
     /// different lengths — shorter lanes retire early) through one
-    /// batched suite, asserting each lane's correlation and drained
-    /// violations against `eval` of its own frames.
-    fn assert_batch_lanes_match_eval(template: &SuiteTemplate, lanes: &[&[(bool, bool)]]) {
+    /// batched suite of `goals`, asserting each lane's correlation and
+    /// drained violations against `eval` of its own frames.
+    fn assert_batch_lanes_match_eval(goals: &Goals, lanes: &[&[(bool, bool)]]) {
+        let template = author(goals).template();
         let t = template.table().clone();
         let width = lanes.len();
         let mut batch = template.instantiate_batch(width);
@@ -1345,16 +1361,15 @@ mod tests {
         }
         batch.finish();
         for (l, lane) in lanes.iter().enumerate() {
-            assert_lane_matches_eval(&mut batch, l, lane, 0);
+            assert_lane_matches_eval(&mut batch, l, goals, lane, 0);
         }
     }
 
     #[test]
     fn batched_suite_matches_scalar_suites_per_lane() {
-        let template = suite().template();
         // Uniform lanes.
         assert_batch_lanes_match_eval(
-            &template,
+            SUITE,
             &[
                 &[(true, true), (false, false), (true, false)],
                 &[(false, true), (true, true), (false, false)],
@@ -1365,7 +1380,7 @@ mod tests {
         // — the early-termination-inside-a-stripe shape. Lane 0's
         // intervals must be those of its own frames regardless.
         assert_batch_lanes_match_eval(
-            &template,
+            SUITE,
             &[
                 &[(true, true), (false, false), (true, false), (false, true)],
                 &[(false, false)],
@@ -1440,19 +1455,12 @@ mod tests {
     fn masked_observe_across_words_matches_scalar_suites_per_lane() {
         // 130 lanes: two full 64-lane words and a two-lane tail.
         const LANES: usize = 130;
-        let mut m = MonitorSuite::new(table());
-        for (id, parent, src) in [
+        const GOALS: &Goals = &[
             ("G", None, "g || prev(s)"),
             ("G.A", Some("G"), "s"),
             ("G.B", Some("G"), "held_for(g, 2ticks) -> once(s)"),
-        ] {
-            let expr = parse(src).unwrap();
-            match parent {
-                None => m.add_goal(id, Location::new("System"), expr).unwrap(),
-                Some(p) => m.add_subgoal(id, p, Location::new("Sub"), expr).unwrap(),
-            }
-        }
-        let template = m.template();
+        ];
+        let template = author(GOALS).template();
         let t = template.table().clone();
         let (g, s) = (t.id("g").unwrap(), t.id("s").unwrap());
         let mut batch = template.instantiate_batch(LANES);
@@ -1482,7 +1490,7 @@ mod tests {
                     0 => {
                         batch.retire_lane(l);
                         // Checked and drained: the lane's run is over.
-                        assert_lane_matches_eval(&mut batch, l, &runs[l], 2);
+                        assert_lane_matches_eval(&mut batch, l, GOALS, &runs[l], 2);
                         runs[l].clear();
                     }
                     // Sitting out, sometimes with its slots unset.
@@ -1501,7 +1509,7 @@ mod tests {
         }
         batch.finish();
         for (l, run) in runs.iter().enumerate() {
-            assert_lane_matches_eval(&mut batch, l, run, 2);
+            assert_lane_matches_eval(&mut batch, l, GOALS, run, 2);
         }
     }
 
@@ -1575,10 +1583,13 @@ mod tests {
     #[test]
     fn observing_after_finish_records_nothing_until_reset() {
         let mut m = suite();
+        let empty = m.table().clone().frame();
         observe(&mut m, false, true);
         m.finish();
-        // The run is over: a later frame opens no interval.
+        // The run is over: a later frame opens no interval, and a frame
+        // that leaves every signal unset raises no error.
         observe(&mut m, false, false);
+        assert!(m.observe(&empty).is_ok());
         m.finish();
         assert_eq!(m.violations("G").unwrap(), [ViolationInterval::new(0, 1)]);
         assert!(m.violations("G.A").unwrap().is_empty());
@@ -1588,6 +1599,9 @@ mod tests {
         m.finish();
         assert!(m.violations("G").unwrap().is_empty());
         assert_eq!(m.violations("G.A").unwrap(), [ViolationInterval::new(0, 1)]);
+        // A new run checks its frames again.
+        m.reset();
+        assert_eq!(m.observe(&empty).unwrap_err().monitor_id, "G");
     }
 
     #[test]

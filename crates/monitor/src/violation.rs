@@ -60,33 +60,22 @@ impl fmt::Display for ViolationInterval {
 }
 
 /// Builds violation intervals from a monitor's verdict *edges*: a
-/// true→false edge [opens](IntervalTracker::open_at) one, a false→true
-/// edge [closes](IntervalTracker::close_at) it, and
-/// [`finish`](IntervalTracker::finish) closes one still open at the end
-/// of the run. [`MonitorSuiteBatch`](crate::MonitorSuiteBatch) finds the
-/// edges by diffing whole verdict words, so a tracker is touched only
-/// when its verdict flips.
+/// true→false edge [opens](IntervalTracker::open_at) one, and a
+/// false→true edge [closes](IntervalTracker::close_at) it, as does the
+/// end of the run (closing at the run's length).
+/// [`MonitorSuiteBatch`](crate::MonitorSuiteBatch) finds the edges by
+/// diffing whole verdict words, so a tracker is touched only when its
+/// verdict flips.
 #[derive(Debug, Clone, Default)]
 pub struct IntervalTracker {
     open_since: Option<u64>,
     closed: Vec<ViolationInterval>,
-    tick: u64,
 }
 
 impl IntervalTracker {
     /// Creates an empty tracker.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Closes any open violation at the tick cursor
-    /// ([`advance_to`](IntervalTracker::advance_to)).
-    pub fn finish(&mut self) {
-        if let Some(start) = self.open_since.take() {
-            if self.tick > start {
-                self.closed.push(ViolationInterval::new(start, self.tick));
-            }
-        }
     }
 
     /// Opens a violation at an absolute `tick`, the tick of a true→false
@@ -99,7 +88,8 @@ impl IntervalTracker {
 
     /// Closes the open violation at an absolute `tick` (no-op if none is
     /// open) — the false→true edge counterpart of
-    /// [`open_at`](IntervalTracker::open_at).
+    /// [`open_at`](IntervalTracker::open_at), or the end of the run
+    /// when `tick` is the run's length.
     pub fn close_at(&mut self, tick: u64) {
         if let Some(start) = self.open_since.take() {
             if tick > start {
@@ -108,23 +98,15 @@ impl IntervalTracker {
         }
     }
 
-    /// Advances the tick cursor (never rewinds). Edges carry their own
-    /// ticks, so the cursor only moves here: sync it to the run's length
-    /// before [`finish`](IntervalTracker::finish) closes a still-open
-    /// interval at the right tick.
-    pub fn advance_to(&mut self, tick: u64) {
-        self.tick = self.tick.max(tick);
-    }
-
     /// The closed violation intervals recorded so far.
     pub fn intervals(&self) -> &[ViolationInterval] {
         &self.closed
     }
 
     /// Moves the closed intervals out, leaving the tracker recording
-    /// (tick position and any open violation are untouched) but with an
-    /// empty interval list — the drain report assembly uses so no
-    /// interval is ever copied.
+    /// (any open violation is untouched) but with an empty interval
+    /// list — the drain report assembly uses so no interval is ever
+    /// copied.
     pub fn take_intervals(&mut self) -> Vec<ViolationInterval> {
         std::mem::take(&mut self.closed)
     }
@@ -134,18 +116,11 @@ impl IntervalTracker {
     pub fn reset(&mut self) {
         self.open_since = None;
         self.closed.clear();
-        self.tick = 0;
     }
 
     /// Whether a violation is currently open.
     pub fn in_violation(&self) -> bool {
         self.open_since.is_some()
-    }
-
-    /// The tick cursor: the furthest tick
-    /// [`advance_to`](IntervalTracker::advance_to) has reached.
-    pub fn ticks(&self) -> u64 {
-        self.tick
     }
 }
 
@@ -154,7 +129,7 @@ mod tests {
     use super::*;
 
     /// Drives `t` with the edges of a verdict sequence, as the batch's
-    /// recorder does, then syncs its cursor to the sequence's length.
+    /// recorder does.
     fn feed(t: &mut IntervalTracker, verdicts: &[bool]) {
         let mut prev = true;
         for (tick, &ok) in (0u64..).zip(verdicts) {
@@ -165,14 +140,13 @@ mod tests {
             }
             prev = ok;
         }
-        t.advance_to(verdicts.len() as u64);
     }
 
     #[test]
     fn tracker_builds_intervals() {
         let mut t = IntervalTracker::new();
         feed(&mut t, &[true, false, false, true, false, true]);
-        t.finish();
+        t.close_at(6);
         assert_eq!(
             t.intervals(),
             &[ViolationInterval::new(1, 3), ViolationInterval::new(4, 5)]
@@ -184,7 +158,7 @@ mod tests {
         let mut t = IntervalTracker::new();
         feed(&mut t, &[true, false, false]);
         assert!(t.in_violation());
-        t.finish();
+        t.close_at(3);
         assert_eq!(t.intervals(), &[ViolationInterval::new(1, 3)]);
         assert!(!t.in_violation());
     }
@@ -193,9 +167,9 @@ mod tests {
     fn all_satisfied_gives_no_intervals() {
         let mut t = IntervalTracker::new();
         feed(&mut t, &[true; 5]);
-        t.finish();
+        t.close_at(5);
         assert!(t.intervals().is_empty());
-        assert_eq!(t.ticks(), 5);
+        assert!(!t.in_violation());
     }
 
     #[test]

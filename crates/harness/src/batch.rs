@@ -58,11 +58,14 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-/// Default stripe width for batched sweeps: wide enough to amortize the
-/// per-node decode across many lanes, narrow enough that the 140-cell
-/// thesis grid still splits into more stripes than cores. Sweeps of
-/// thousands of cells pass a wider one (the mega-grid runs at 128).
-pub const DEFAULT_BATCH_WIDTH: usize = 8;
+/// Default stripe width for batched sweeps. The fused pass and the
+/// violation trackers work on one `u64` word of lanes at a time, and a
+/// pass costs about the same per word up to 64 lanes, so a narrow stripe
+/// pays a whole word's work for a few runs. At 32 the 140-cell thesis
+/// grid still splits into 5 stripes, more than the two workers of the
+/// reference host. Sweeps of thousands of cells pass a wider one (the
+/// mega-grid runs at 128).
+pub const DEFAULT_BATCH_WIDTH: usize = 32;
 
 /// One schedulable piece of a sweep: a lock-step stripe of cell indices
 /// (one lane or more), or a cell whose build panicked, which only the
@@ -143,17 +146,24 @@ struct Lane {
 /// live after that many ticks report [`ExperimentError::TickBudget`]
 /// in place of their report.
 ///
+/// Once every lane has finished, the simulator is dropped and each
+/// lane's outcome goes to `emit(lane, outcome)` as soon as it is built,
+/// in lane order, so a caller that folds the outcomes holds one report
+/// at a time.
+///
 /// # Errors
 ///
 /// Returns the suite's [`BatchMonitorError`] if a monitor fails on any
-/// lane; the stripe's other runs are then incomplete.
+/// lane; the stripe's other runs are then incomplete, and nothing was
+/// emitted.
 pub(crate) fn run_stripe<S: Substrate>(
     group: &[&S],
     suite: &mut MonitorSuiteBatch,
     config: ExperimentConfig,
     budget: Option<u64>,
     record: bool,
-) -> Result<Vec<Result<RunReport, ExperimentError>>, BatchMonitorError> {
+    mut emit: impl FnMut(usize, Result<RunReport, ExperimentError>),
+) -> Result<(), BatchMonitorError> {
     let mut sim = S::build_simulator_batch(group);
     let dt = sim.dt_millis();
     let scheduled_ticks = group[0].duration_ms().div_ceil(dt);
@@ -216,46 +226,50 @@ pub(crate) fn run_stripe<S: Substrate>(
         }
     }
     suite.finish();
+    // `finish` retired every suite lane; the simulator still knows which
+    // runs were live when the budget elapsed. Keep that and each lane's
+    // clock, and free the simulator before the reports are built.
+    let clocks: Vec<(bool, u64, f64)> = (0..group.len())
+        .map(|l| (sim.is_active(l), sim.lane_tick(l), sim.lane_seconds(l)))
+        .collect();
+    drop(sim);
 
     let window_ticks = config.correlation_window_ms.div_ceil(dt);
-    Ok(lanes
-        .into_iter()
-        .enumerate()
-        .map(|(l, lane)| {
-            // `finish` retired every suite lane; the simulator still
-            // knows which runs were live when the budget elapsed.
-            if budget_tripped && sim.is_active(l) {
-                let budget = budget.expect("budget trips only when armed");
-                return Err(ExperimentError::TickBudget { budget });
-            }
-            let substrate = group[l];
-            let correlation = suite.correlate_lane(l, window_ticks);
-            let violations = suite.take_violations_lane(l);
-            let series = lane
-                .trace
-                .as_ref()
-                .map(|trace| SeriesLog::from_recording(trace, substrate.tracked_signals()))
-                .unwrap_or_default();
-            Ok(RunReport {
-                substrate: substrate.name().to_owned(),
-                label: substrate.label(),
-                config,
-                dt_millis: dt,
-                scheduled_ticks,
-                ticks: sim.lane_tick(l),
-                end_time_s: sim.lane_seconds(l),
-                terminated_early: lane.terminated_early,
-                terminal_event: lane.terminal_event,
-                violations,
-                correlation,
-                series,
-                trace: lane.trace,
-            })
-        })
-        .collect())
+    for (l, (lane, (live, ticks, end_time_s))) in lanes.into_iter().zip(clocks).enumerate() {
+        if budget_tripped && live {
+            let budget = budget.expect("budget trips only when armed");
+            emit(l, Err(ExperimentError::TickBudget { budget }));
+            continue;
+        }
+        let substrate = group[l];
+        let correlation = suite.correlate_lane(l, window_ticks);
+        let violations = suite.take_violations_lane(l);
+        let series = lane
+            .trace
+            .as_ref()
+            .map(|trace| SeriesLog::from_recording(trace, substrate.tracked_signals()))
+            .unwrap_or_default();
+        let report = RunReport {
+            substrate: substrate.name().to_owned(),
+            label: substrate.label(),
+            config,
+            dt_millis: dt,
+            scheduled_ticks,
+            ticks,
+            end_time_s,
+            terminated_early: lane.terminated_early,
+            terminal_event: lane.terminal_event,
+            violations,
+            correlation,
+            series,
+            trace: lane.trace,
+        };
+        emit(l, Ok(report));
+    }
+    Ok(())
 }
 
-type CellOutcome = (usize, Result<(RunReport, SuiteProvenance), ExperimentError>);
+type CellResult = Result<(RunReport, SuiteProvenance), ExperimentError>;
 
 /// A planned cell's substrate. Planning only emits stripes over built
 /// (`Some`) cells, so the lookup cannot fail for a planned index.
@@ -263,46 +277,47 @@ fn built<S>(subs: &[Option<S>], i: usize) -> &S {
     subs[i].as_ref().expect("planned cells are built")
 }
 
-/// Runs one planned stripe of sweep cells, unrecorded. `budget` is the
+/// Runs one planned stripe of sweep cells, unrecorded, handing each
+/// cell's outcome to `emit(cell, outcome)`. `budget` is the
 /// quarantine's tick budget (always `None` on the unguarded paths). A
 /// monitoring error in a wider stripe reruns each lane as its own
 /// [`Experiment`], so every cell's outcome — a stripe-mate's report or a
 /// failing cell's error — is the one its own run gives. A one-lane
-/// stripe *is* its cell's own run, so its error is returned as
+/// stripe *is* its cell's own run, so its error is emitted as
 /// [`Experiment`] returns it.
 fn run_planned_stripe<S: Substrate>(
     config: ExperimentConfig,
     budget: Option<u64>,
     subs: &[Option<S>],
     lanes_idx: &[usize],
-) -> Vec<CellOutcome> {
+    emit: &mut impl FnMut(usize, CellResult),
+) {
     let group: Vec<&S> = lanes_idx.iter().map(|&i| built(subs, i)).collect();
     let (mut suite, provenance) = match fresh_suite(group[0], group.len()) {
         Ok(fresh) => fresh,
         // Only a template-less cell compiles, and it stripes alone.
-        Err(err) => return vec![(lanes_idx[0], Err(err.into()))],
+        Err(err) => return emit(lanes_idx[0], Err(err.into())),
     };
-    match run_stripe(&group, &mut suite, config, budget, false) {
-        Ok(outcomes) => lanes_idx
-            .iter()
-            .zip(outcomes)
-            .map(|(&i, outcome)| (i, outcome.map(|report| (report, provenance))))
-            .collect(),
+    let ran = run_stripe(&group, &mut suite, config, budget, false, |l, outcome| {
+        emit(lanes_idx[l], outcome.map(|report| (report, provenance)));
+    });
+    match ran {
+        Ok(()) => {}
         Err(err) if group.len() == 1 => {
-            let err = ExperimentError::Monitor(err.into_monitor_error());
-            vec![(lanes_idx[0], Err(err))]
+            emit(
+                lanes_idx[0],
+                Err(ExperimentError::Monitor(err.into_monitor_error())),
+            );
         }
-        Err(_) => lanes_idx
-            .iter()
-            .zip(group)
-            .map(|(&i, substrate)| {
+        Err(_) => {
+            for (&i, substrate) in lanes_idx.iter().zip(group) {
                 let result = Experiment::new(substrate)
                     .with_config(config)
                     .with_tick_budget(budget)
                     .run_in(&mut RunContext::new());
-                (i, result)
-            })
-            .collect(),
+                emit(i, result);
+            }
+        }
     }
 }
 
@@ -344,16 +359,18 @@ impl<C: Sync> Sweep<C> {
     /// The one sweep driver (see the [module docs](self)): builds every
     /// `pending` cell, plans stripes of up to `width` lanes, runs the
     /// units in parallel, and folds each finished cell into a
-    /// per-worker accumulator (`fold`), merged at join (`merge`). A
-    /// fold that keeps no report holds O(workers × width) of them at
-    /// most.
+    /// per-worker accumulator (`fold`), merged at join (`merge`). An
+    /// unguarded stripe folds each report as soon as it is built, so a
+    /// fold that keeps no report holds one per worker at a time; a
+    /// quarantined stripe holds its reports until it has run, O(workers
+    /// × width) of them at most.
     pub(crate) fn drive<S, F, A>(
         &self,
         build: &F,
         width: usize,
         quarantine: Option<Quarantine>,
         pending: impl Fn(usize) -> bool,
-        fold: impl Fn(A, Finished) -> A + Sync,
+        fold: impl Fn(&mut A, Finished) + Sync,
         merge: impl Fn(A, A) -> A,
     ) -> A
     where
@@ -391,71 +408,84 @@ impl<C: Sync> Sweep<C> {
         units.extend(unbuilt);
         units
             .into_par_iter()
-            // `map_init` only for its `fold` hook — units carry no
+            // `map_init` only for its `fold` hook, inside which each unit
+            // runs, so every finished cell reaches the worker's
+            // accumulator as soon as it is built. Units carry no
             // per-worker state (each stripe instantiates its own suite).
-            .map_init(
-                || (),
-                |(), unit| self.run_unit(quarantine, &subs, &unit, build),
-            )
-            .fold(A::default, |acc, cells| cells.into_iter().fold(acc, &fold))
+            .map_init(|| (), |(), unit| unit)
+            .fold(A::default, |mut acc, unit| {
+                self.run_unit(quarantine, &subs, &unit, build, &mut |cell| {
+                    fold(&mut acc, cell);
+                });
+                acc
+            })
             .reduce(A::default, merge)
     }
 
     /// Runs one planned unit — the one place the quarantine policy is
-    /// read. Without a quarantine a failing cell's error is its outcome.
-    /// With one, every failing lane — and, after a panic, every lane of
-    /// its stripe — reruns on the guarded rung, so provenance and
-    /// retries never depend on which stripe a cell was planned into.
+    /// read — handing each finished cell to `emit`. Without a quarantine
+    /// a failing cell's error is its outcome. With one, every failing
+    /// lane — and, after a panic, every lane of its stripe — reruns on
+    /// the guarded rung, so provenance and retries never depend on which
+    /// stripe a cell was planned into.
     fn run_unit<S, F>(
         &self,
         quarantine: Option<Quarantine>,
         subs: &[Option<S>],
         unit: &Unit,
         build: &F,
-    ) -> Vec<Finished>
-    where
+        emit: &mut impl FnMut(Finished),
+    ) where
         S: Substrate + Sync,
         F: Fn(&C, u64) -> S + Sync,
     {
-        let outcomes = match (unit, quarantine) {
+        let mut finish = |cell, result| match (result, quarantine) {
+            (Ok(ok), _) => emit(Finished {
+                cell,
+                result: Ok(ok),
+                retries: 0,
+            }),
+            (Err(e), None) => emit(Finished {
+                cell,
+                result: Err(Failure::Abort(e)),
+                retries: 0,
+            }),
+            (Err(_), Some(q)) => emit(self.run_guarded(q, cell, build)),
+        };
+        match (unit, quarantine) {
             (Unit::Unbuilt(i), q) => {
                 let q = q.expect("only a quarantined build leaves a cell unbuilt");
-                return vec![self.run_guarded(q, *i, build)];
+                emit(self.run_guarded(q, *i, build));
             }
-            (Unit::Stripe(lanes), None) => run_planned_stripe(self.config, None, subs, lanes),
+            (Unit::Stripe(lanes), None) => {
+                run_planned_stripe(self.config, None, subs, lanes, &mut finish);
+            }
             (Unit::Stripe(lanes), Some(q)) => {
-                match catch_unwind(AssertUnwindSafe(|| {
-                    run_planned_stripe(self.config, q.tick_budget, subs, lanes)
-                })) {
-                    Ok(outcomes) => outcomes,
+                // A panic may strike after some lanes have reported, so
+                // the stripe's outcomes are held until it has run.
+                let mut outcomes = Vec::with_capacity(lanes.len());
+                let ran = catch_unwind(AssertUnwindSafe(|| {
+                    run_planned_stripe(self.config, q.tick_budget, subs, lanes, &mut |cell, r| {
+                        outcomes.push((cell, r));
+                    });
+                }));
+                match ran {
+                    Ok(()) => {
+                        for (cell, result) in outcomes {
+                            finish(cell, result);
+                        }
+                    }
                     // The faulty cell is quarantined with its own panic
                     // payload; stripe-mates reproduce their healthy
                     // reports bit-identically.
                     Err(_) => {
-                        return lanes
-                            .iter()
-                            .map(|&i| self.run_guarded(q, i, build))
-                            .collect()
+                        for &i in lanes {
+                            emit(self.run_guarded(q, i, build));
+                        }
                     }
                 }
             }
-        };
-        outcomes
-            .into_iter()
-            .map(|(cell, result)| match (result, quarantine) {
-                (Ok(ok), _) => Finished {
-                    cell,
-                    result: Ok(ok),
-                    retries: 0,
-                },
-                (Err(e), None) => Finished {
-                    cell,
-                    result: Err(Failure::Abort(e)),
-                    retries: 0,
-                },
-                (Err(_), Some(q)) => self.run_guarded(q, cell, build),
-            })
-            .collect()
+        }
     }
 
     /// The guarded rung: the cell rebuilt and run alone under

@@ -253,18 +253,18 @@ impl<'a, S: Substrate> Experiment<'a, S> {
     ) -> Result<(RunReport, SuiteProvenance), ExperimentError> {
         let substrate = self.substrate;
         let (mut suite, provenance) = ctx.take_suite(substrate)?;
-        let outcome = run_stripe(
+        let mut outcome = None;
+        run_stripe(
             &[substrate],
             &mut suite,
             self.config,
             self.tick_budget,
             self.record_frames,
+            |_, lane| outcome = Some(lane),
         )
-        .map_err(|err| ExperimentError::Monitor(err.into_monitor_error()))?
-        .pop()
-        .expect("a one-lane stripe reports one lane");
+        .map_err(|err| ExperimentError::Monitor(err.into_monitor_error()))?;
         // A failed run drops its half-stepped suite instead of pooling it.
-        let report = outcome?;
+        let report = outcome.expect("a one-lane stripe reports one lane")?;
         ctx.put_back(suite, substrate.suite_template());
         Ok((report, provenance))
     }

@@ -217,10 +217,7 @@ impl<C: Sync> Sweep<C> {
             width,
             self.quarantine,
             |_| true,
-            |mut all: Vec<Finished>, cell| {
-                all.push(cell);
-                all
-            },
+            |all: &mut Vec<Finished>, cell| all.push(cell),
             |mut a, b| {
                 a.extend(b);
                 a
@@ -244,9 +241,10 @@ impl<C: Sync> Sweep<C> {
     }
 
     /// Runs every cell as a **streaming reduction**: each worker folds
-    /// the cells it finishes into a partial aggregate the moment their
-    /// stripe completes, and the partials merge at join. No report
-    /// outlives its stripe, so memory is O(workers × width) regardless
+    /// each report into a partial aggregate as soon as its stripe has
+    /// built it, and the partials merge at join. Without a quarantine a
+    /// worker holds one report at a time (with one, a stripe's reports
+    /// until it completes), so memory is O(workers × width) regardless
     /// of grid size — the engine behind `repro --grid` and
     /// `repro --mega-grid`. The aggregate equals
     /// `run(..).aggregate()` (every total is a commutative sum).
@@ -269,7 +267,7 @@ impl<C: Sync> Sweep<C> {
             width,
             self.quarantine,
             |_| true,
-            Partial::absorbed,
+            Partial::absorb,
             Partial::merged,
         )
         .finish()
@@ -329,7 +327,7 @@ impl<C: Sync> Sweep<C> {
             width,
             Some(self.quarantine.unwrap_or_default()),
             |i| pending[i],
-            |mut stats: SweepStats, f: Finished| {
+            |stats: &mut SweepStats, f: Finished| {
                 let record = match f.result {
                     Ok((report, provenance)) => {
                         stats.absorb(provenance);
@@ -348,7 +346,6 @@ impl<C: Sync> Sweep<C> {
                         guard.1 = Some(e);
                     }
                 }
-                stats
             },
             |mut a, b| {
                 a.merge(b);
@@ -380,7 +377,7 @@ impl Partial {
     /// failures land in the aggregate (only healthy reports count in
     /// the suite counters), and an unquarantined error is kept if it is
     /// the earliest by cell index.
-    fn absorbed(mut self, f: Finished) -> Partial {
+    fn absorb(&mut self, f: Finished) {
         self.aggregate.add_retries(f.retries as usize);
         match f.result {
             Ok((report, provenance)) => {
@@ -394,7 +391,6 @@ impl Partial {
                 }
             }
         }
-        self
     }
 
     /// Merges two workers' partials.

@@ -104,8 +104,8 @@ pub fn run_parallel(grid: Vec<GridCell>) -> Result<(SweepReport, SweepStats), Ex
 }
 
 /// [`run_parallel`] as a **streaming reduction** ([`Sweep::run_aggregate`]):
-/// every stripe's reports fold into a per-worker partial aggregate the
-/// moment the stripe completes, so no report is retained and memory
+/// every report folds into a per-worker partial aggregate as soon as its
+/// stripe has built it, so no report is retained and memory
 /// stays O(workers × stripe width) no matter how many cells the grid
 /// holds. This is the engine behind `repro --grid`.
 ///

@@ -185,12 +185,25 @@ impl Simulator {
 /// First-order actuator lag: `value` approaches `target` with time
 /// constant `tau` (the plant response behind the thesis's Min/Max
 /// actuation-delay relationships, eq. 4.2–4.5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct FirstOrderLag {
     /// Time constant in seconds.
     pub tau_s: f64,
     /// Current output.
     pub value: f64,
+    /// The last coefficient `1 − exp(−dt/τ)` that `step` computed, keyed
+    /// on the bits of the `tau_s` and `dt_s` it was computed from, since
+    /// `tau_s` may change between steps.
+    #[serde(skip)]
+    alpha: Option<(u64, u64, f64)>,
+}
+
+/// Equal when the time constant and the output are; the coefficient
+/// cache is left out.
+impl PartialEq for FirstOrderLag {
+    fn eq(&self, other: &Self) -> bool {
+        self.tau_s == other.tau_s && self.value == other.value
+    }
 }
 
 impl FirstOrderLag {
@@ -199,6 +212,7 @@ impl FirstOrderLag {
         FirstOrderLag {
             tau_s,
             value: initial,
+            alpha: None,
         }
     }
 
@@ -207,7 +221,15 @@ impl FirstOrderLag {
         if self.tau_s <= 0.0 {
             self.value = target;
         } else {
-            let alpha = 1.0 - (-dt_s / self.tau_s).exp();
+            let key = (self.tau_s.to_bits(), dt_s.to_bits());
+            let alpha = match self.alpha {
+                Some((tau, dt, alpha)) if (tau, dt) == key => alpha,
+                _ => {
+                    let alpha = 1.0 - (-dt_s / self.tau_s).exp();
+                    self.alpha = Some((key.0, key.1, alpha));
+                    alpha
+                }
+            };
             self.value += (target - self.value) * alpha;
         }
         self.value
@@ -463,6 +485,38 @@ mod tests {
             last = v;
         }
         assert!(last > 0.99);
+    }
+
+    #[test]
+    fn cached_coefficient_follows_tau_and_dt() {
+        // Every step must equal the uncached formula, bit for bit, also
+        // after `tau_s` or the step changes.
+        let mut lag = FirstOrderLag::new(0.1, 0.0);
+        let mut value = 0.0f64;
+        for (tau, dt) in [
+            (0.1, 0.001),
+            (0.1, 0.001),
+            (0.25, 0.001),
+            (0.25, 0.01),
+            (0.1, 0.001),
+        ] {
+            lag.tau_s = tau;
+            value += (1.0 - value) * (1.0 - (-dt / tau).exp());
+            assert_eq!(
+                lag.step(1.0, dt).to_bits(),
+                value.to_bits(),
+                "τ {tau}, dt {dt}"
+            );
+        }
+        // The cache is left out of equality and of what serde writes.
+        assert_eq!(lag, FirstOrderLag::new(0.1, value));
+        let json = serde_json::to_string(&lag).unwrap();
+        assert_eq!(
+            json,
+            serde_json::to_string(&FirstOrderLag::new(0.1, value)).unwrap()
+        );
+        let back: FirstOrderLag = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, lag);
     }
 
     #[test]

@@ -19,6 +19,7 @@ use crate::config::{DefectSet, VehicleParams};
 use crate::signals::{self as sig, VehicleSigs};
 use esafe_logic::{SignalRead, SignalWrite};
 use esafe_sim::{LaneSubsystem, SimTime};
+use std::sync::Arc;
 
 /// Steering-capable features in correct priority order (indices into
 /// [`sig::FEATURES`]).
@@ -29,18 +30,22 @@ const STEERING_PRIORITY: [usize; 2] = [sig::PA, sig::LCA];
 pub struct Arbiter {
     params: VehicleParams,
     defects: DefectSet,
-    sigs: VehicleSigs,
+    sigs: Arc<VehicleSigs>,
     last_cmd: f64,
     last_steering_cmd: f64,
 }
 
 impl Arbiter {
     /// Creates the arbiter.
-    pub fn new(params: VehicleParams, defects: DefectSet, sigs: VehicleSigs) -> Self {
+    pub fn new(
+        params: VehicleParams,
+        defects: DefectSet,
+        sigs: impl Into<Arc<VehicleSigs>>,
+    ) -> Self {
         Arbiter {
             params,
             defects,
-            sigs,
+            sigs: sigs.into(),
             last_cmd: 0.0,
             last_steering_cmd: 0.0,
         }

@@ -31,8 +31,10 @@ pub struct VehicleLaneConfig {
 /// together over the shared signal table: driver, the five feature
 /// subsystems, the arbiter, and the plant, each as a [`LaneVec`] over
 /// per-lane instances, with every lane's initial frame fully seeded.
-/// Every subsystem carries a copy of the resolved [`VehicleSigs`], so
-/// its per-tick reads and writes are dense slot accesses. A single run
+/// Every subsystem of every lane holds the same resolved
+/// [`VehicleSigs`], one `Arc` per stripe, so its per-tick reads and
+/// writes are dense slot accesses and a lane's eight instances carry a
+/// pointer each rather than eight copies of the id set. A single run
 /// is the one-lane case; lane `l` steps bit-identically to a one-lane
 /// build of `lanes[l]` (pinned by this module's tests and the
 /// workspace's sweep golden tests) because every lane runs the same
@@ -69,36 +71,42 @@ pub fn build_vehicle_batch(
     assert!(!lanes.is_empty(), "a vehicle batch needs at least one lane");
     let mut sim = SimulatorBatch::new(1, table, lanes.len());
     let n = lanes.len();
+    let sigs = Arc::new(*sigs);
     sim.add(LaneVec::from_fn(n, |l| {
-        ScriptedDriver::new(lanes[l].params, *sigs, lanes[l].script.clone())
+        ScriptedDriver::new(lanes[l].params, Arc::clone(&sigs), lanes[l].script.clone())
     }));
     sim.add(LaneVec::from_fn(n, |l| {
-        CollisionAvoidance::new(lanes[l].params, lanes[l].defects, *sigs)
+        CollisionAvoidance::new(lanes[l].params, lanes[l].defects, Arc::clone(&sigs))
     }));
     sim.add(LaneVec::from_fn(n, |l| {
-        RearCollisionAvoidance::new(lanes[l].params, lanes[l].defects, *sigs)
+        RearCollisionAvoidance::new(lanes[l].params, lanes[l].defects, Arc::clone(&sigs))
     }));
     sim.add(LaneVec::from_fn(n, |l| {
-        ParkAssist::new(lanes[l].params, lanes[l].defects, *sigs)
+        ParkAssist::new(lanes[l].params, lanes[l].defects, Arc::clone(&sigs))
     }));
     sim.add(LaneVec::from_fn(n, |l| {
-        LaneChangeAssist::new(lanes[l].params, lanes[l].defects, *sigs)
+        LaneChangeAssist::new(lanes[l].params, lanes[l].defects, Arc::clone(&sigs))
     }));
     sim.add(LaneVec::from_fn(n, |l| {
-        AdaptiveCruiseControl::new(lanes[l].params, lanes[l].defects, *sigs)
+        AdaptiveCruiseControl::new(lanes[l].params, lanes[l].defects, Arc::clone(&sigs))
     }));
     sim.add(LaneVec::from_fn(n, |l| {
-        Arbiter::new(lanes[l].params, lanes[l].defects, *sigs)
+        Arbiter::new(lanes[l].params, lanes[l].defects, Arc::clone(&sigs))
     }));
     sim.add(LaneVec::from_fn(n, |l| {
-        HostDynamics::new(lanes[l].params, lanes[l].defects, lanes[l].scene, *sigs)
+        HostDynamics::new(
+            lanes[l].params,
+            lanes[l].defects,
+            lanes[l].scene,
+            Arc::clone(&sigs),
+        )
     }));
 
     for (l, cfg) in lanes.iter().enumerate() {
         sim.init_lane_with(l, |frame| {
-            HostDynamics::seed(frame, sigs, &cfg.scene);
-            ScriptedDriver::seed(frame, sigs);
-            Arbiter::seed(frame, sigs);
+            HostDynamics::seed(frame, &sigs, &cfg.scene);
+            ScriptedDriver::seed(frame, &sigs);
+            Arbiter::seed(frame, &sigs);
             for f in &sigs.features {
                 FeatureOutputs::seed(frame, f);
             }
@@ -111,6 +119,7 @@ pub fn build_vehicle_batch(
 mod tests {
     use super::*;
     use crate::signals::vehicle_table;
+    use esafe_logic::Value;
     use esafe_sim::Simulator;
 
     /// One run alone: a one-lane build.
@@ -131,6 +140,103 @@ mod tests {
             sigs,
         )
     }
+
+    /// A stripe built the other way the constructors allow: every
+    /// subsystem of every lane takes its own copy of the ids by value.
+    fn build_with_copied_sigs(
+        lanes: &[VehicleLaneConfig],
+        table: &Arc<SignalTable>,
+        sigs: VehicleSigs,
+    ) -> SimulatorBatch {
+        let n = lanes.len();
+        let mut sim = SimulatorBatch::new(1, table, n);
+        sim.add(LaneVec::from_fn(n, |l| {
+            ScriptedDriver::new(lanes[l].params, sigs, lanes[l].script.clone())
+        }));
+        sim.add(LaneVec::from_fn(n, |l| {
+            CollisionAvoidance::new(lanes[l].params, lanes[l].defects, sigs)
+        }));
+        sim.add(LaneVec::from_fn(n, |l| {
+            RearCollisionAvoidance::new(lanes[l].params, lanes[l].defects, sigs)
+        }));
+        sim.add(LaneVec::from_fn(n, |l| {
+            ParkAssist::new(lanes[l].params, lanes[l].defects, sigs)
+        }));
+        sim.add(LaneVec::from_fn(n, |l| {
+            LaneChangeAssist::new(lanes[l].params, lanes[l].defects, sigs)
+        }));
+        sim.add(LaneVec::from_fn(n, |l| {
+            AdaptiveCruiseControl::new(lanes[l].params, lanes[l].defects, sigs)
+        }));
+        sim.add(LaneVec::from_fn(n, |l| {
+            Arbiter::new(lanes[l].params, lanes[l].defects, sigs)
+        }));
+        sim.add(LaneVec::from_fn(n, |l| {
+            HostDynamics::new(lanes[l].params, lanes[l].defects, lanes[l].scene, sigs)
+        }));
+        for (l, cfg) in lanes.iter().enumerate() {
+            sim.init_lane_with(l, |frame| {
+                HostDynamics::seed(frame, &sigs, &cfg.scene);
+                ScriptedDriver::seed(frame, &sigs);
+                Arbiter::seed(frame, &sigs);
+                for f in &sigs.features {
+                    FeatureOutputs::seed(frame, f);
+                }
+            });
+        }
+        sim
+    }
+
+    #[test]
+    fn shared_and_copied_ids_step_every_lane_bit_for_bit() {
+        let (table, sigs) = vehicle_table();
+        let lead = Scene {
+            lead: Some(crate::dynamics::SceneObject::constant(20.0, 0.0)),
+            rear: None,
+        };
+        let configs: Vec<VehicleLaneConfig> = [
+            (DefectSet::none(), Scene::default(), 0.3),
+            (DefectSet::thesis(), lead, 0.10),
+            (DefectSet::none(), lead, 0.10),
+            (DefectSet::thesis(), Scene::default(), 0.5),
+        ]
+        .into_iter()
+        .map(|(defects, scene, throttle)| VehicleLaneConfig {
+            params: VehicleParams::default(),
+            defects,
+            scene,
+            script: vec![
+                (0.5, DriverAction::Enable("CA".into(), true)),
+                (0.5, DriverAction::Enable("ACC".into(), true)),
+                (1.0, DriverAction::Throttle(throttle)),
+                (3.0, DriverAction::Engage("ACC".into(), true)),
+            ],
+        })
+        .collect();
+        let mut shared = build_vehicle_batch(&configs, &table, &sigs);
+        let mut copied = build_with_copied_sigs(&configs, &table, sigs);
+        // Reals compare by their bits, so a sign of zero or a NaN payload
+        // cannot hide a difference.
+        let bits = |v: Option<Value>| match v {
+            Some(Value::Real(x)) => Some(Value::Int(x.to_bits() as i64)),
+            other => other,
+        };
+        for tick in 0..15_000u64 {
+            shared.step();
+            copied.step();
+            for l in 0..configs.len() {
+                for id in table.ids() {
+                    assert_eq!(
+                        bits(shared.state().get(id, l)),
+                        bits(copied.state().get(id, l)),
+                        "lane {l}, `{}` diverged at tick {tick}",
+                        table.name(id)
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn batched_vehicle_matches_scalar_lanes_bit_for_bit() {
         let (table, sigs) = vehicle_table();

@@ -6,6 +6,7 @@ use crate::signals::{feature_index, VehicleSigs};
 use esafe_logic::{SignalRead, SignalWrite, Value};
 use esafe_sim::{LaneSubsystem, SimTime};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One scripted driver/HMI action.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -37,7 +38,7 @@ pub enum DriverAction {
 #[derive(Debug, Clone)]
 pub struct ScriptedDriver {
     params: VehicleParams,
-    sigs: VehicleSigs,
+    sigs: Arc<VehicleSigs>,
     schedule: Vec<(f64, DriverAction)>,
     next_idx: usize,
     throttle: f64,
@@ -55,13 +56,13 @@ impl ScriptedDriver {
     /// timestamp.
     pub fn new(
         params: VehicleParams,
-        sigs: VehicleSigs,
+        sigs: impl Into<Arc<VehicleSigs>>,
         mut schedule: Vec<(f64, DriverAction)>,
     ) -> Self {
+        let sigs: Arc<VehicleSigs> = sigs.into();
         schedule.sort_by(|a, b| a.0.total_cmp(&b.0));
         ScriptedDriver {
             params,
-            sigs,
             schedule,
             next_idx: 0,
             throttle: 0.0,
@@ -70,6 +71,7 @@ impl ScriptedDriver {
             steering: 0.0,
             gear: sigs.sym_d,
             go_pending: false,
+            sigs,
         }
     }
 
@@ -106,7 +108,7 @@ impl LaneSubsystem for ScriptedDriver {
     }
 
     fn step_lane<R: SignalRead, W: SignalWrite>(&mut self, t: &SimTime, _prev: &R, next: &mut W) {
-        let s = self.sigs;
+        let s = &*self.sigs;
         let now = t.seconds();
         // Momentary signals reset each tick unless re-pressed.
         next.set(s.hmi_go, false);

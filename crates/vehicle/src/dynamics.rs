@@ -13,6 +13,7 @@ use crate::signals::VehicleSigs;
 use esafe_logic::{SignalRead, SignalWrite};
 use esafe_sim::{FirstOrderLag, LaneSubsystem, SimTime};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A scene object ahead of or behind the host.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -62,7 +63,7 @@ pub struct HostDynamics {
     #[allow(dead_code)]
     params: VehicleParams,
     defects: DefectSet,
-    sigs: VehicleSigs,
+    sigs: Arc<VehicleSigs>,
     scene: Scene,
     accel_lag: FirstOrderLag,
     steering_lag: FirstOrderLag,
@@ -86,11 +87,16 @@ fn impact_accel(ms_since_impact: f64) -> f64 {
 
 impl HostDynamics {
     /// Creates the plant for a scene.
-    pub fn new(params: VehicleParams, defects: DefectSet, scene: Scene, sigs: VehicleSigs) -> Self {
+    pub fn new(
+        params: VehicleParams,
+        defects: DefectSet,
+        scene: Scene,
+        sigs: impl Into<Arc<VehicleSigs>>,
+    ) -> Self {
         HostDynamics {
             params,
             defects,
-            sigs,
+            sigs: sigs.into(),
             scene,
             accel_lag: FirstOrderLag::new(params.accel_tau_s, 0.0),
             steering_lag: FirstOrderLag::new(params.steering_tau_s, 0.0),

@@ -6,6 +6,7 @@ use crate::config::{DefectSet, VehicleParams};
 use crate::signals::VehicleSigs;
 use esafe_logic::{SignalRead, SignalWrite};
 use esafe_sim::{LaneSubsystem, SimTime};
+use std::sync::Arc;
 
 /// Ticks after an engage before a healthy ACC starts requesting control.
 const ACTIVATION_DELAY_TICKS: u64 = 50;
@@ -22,7 +23,7 @@ const DEFECT_GLITCH_TICKS: u64 = 50;
 pub struct AdaptiveCruiseControl {
     params: VehicleParams,
     defects: DefectSet,
-    sigs: VehicleSigs,
+    sigs: Arc<VehicleSigs>,
     out: FeatureOutputs,
     engaged: bool,
     engage_refused: bool,
@@ -35,12 +36,17 @@ pub struct AdaptiveCruiseControl {
 
 impl AdaptiveCruiseControl {
     /// Creates the ACC subsystem.
-    pub fn new(params: VehicleParams, defects: DefectSet, sigs: VehicleSigs) -> Self {
+    pub fn new(
+        params: VehicleParams,
+        defects: DefectSet,
+        sigs: impl Into<Arc<VehicleSigs>>,
+    ) -> Self {
+        let sigs: Arc<VehicleSigs> = sigs.into();
         AdaptiveCruiseControl {
             params,
             defects,
-            sigs,
             out: FeatureOutputs::new(sigs.features[crate::signals::ACC]),
+            sigs,
             engaged: false,
             engage_refused: false,
             go_authorized: false,

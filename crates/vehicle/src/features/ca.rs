@@ -6,6 +6,7 @@ use crate::config::{DefectSet, VehicleParams};
 use crate::signals::VehicleSigs;
 use esafe_logic::{SignalRead, SignalWrite};
 use esafe_sim::{LaneSubsystem, SimTime};
+use std::sync::Arc;
 
 /// The CA feature subsystem.
 ///
@@ -21,7 +22,7 @@ use esafe_sim::{LaneSubsystem, SimTime};
 pub struct CollisionAvoidance {
     params: VehicleParams,
     defects: DefectSet,
-    sigs: VehicleSigs,
+    sigs: Arc<VehicleSigs>,
     out: FeatureOutputs,
     engaged: bool,
     engaged_ticks: u64,
@@ -29,12 +30,17 @@ pub struct CollisionAvoidance {
 
 impl CollisionAvoidance {
     /// Creates the CA subsystem.
-    pub fn new(params: VehicleParams, defects: DefectSet, sigs: VehicleSigs) -> Self {
+    pub fn new(
+        params: VehicleParams,
+        defects: DefectSet,
+        sigs: impl Into<Arc<VehicleSigs>>,
+    ) -> Self {
+        let sigs: Arc<VehicleSigs> = sigs.into();
         CollisionAvoidance {
             params,
             defects,
-            sigs,
             out: FeatureOutputs::new(sigs.features[crate::signals::CA]),
+            sigs,
             engaged: false,
             engaged_ticks: 0,
         }

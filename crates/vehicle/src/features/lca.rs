@@ -8,6 +8,7 @@ use crate::config::{DefectSet, VehicleParams};
 use crate::signals::VehicleSigs;
 use esafe_logic::{SignalRead, SignalWrite};
 use esafe_sim::{LaneSubsystem, SimTime};
+use std::sync::Arc;
 
 /// Ticks after engage before LCA requests control (thesis Fig. 5.10:
 /// control gained at 5.001 s after a 5.0 s enable — one 1 ms state).
@@ -24,7 +25,7 @@ pub struct LaneChangeAssist {
     #[allow(dead_code)]
     params: VehicleParams,
     defects: DefectSet,
-    sigs: VehicleSigs,
+    sigs: Arc<VehicleSigs>,
     out: FeatureOutputs,
     engaged: bool,
     ticks_since_engage: u64,
@@ -32,12 +33,17 @@ pub struct LaneChangeAssist {
 
 impl LaneChangeAssist {
     /// Creates the LCA subsystem.
-    pub fn new(params: VehicleParams, defects: DefectSet, sigs: VehicleSigs) -> Self {
+    pub fn new(
+        params: VehicleParams,
+        defects: DefectSet,
+        sigs: impl Into<Arc<VehicleSigs>>,
+    ) -> Self {
+        let sigs: Arc<VehicleSigs> = sigs.into();
         LaneChangeAssist {
             params,
             defects,
-            sigs,
             out: FeatureOutputs::new(sigs.features[crate::signals::LCA]),
+            sigs,
             engaged: false,
             ticks_since_engage: 0,
         }

@@ -7,6 +7,7 @@ use crate::config::{DefectSet, VehicleParams};
 use crate::signals::VehicleSigs;
 use esafe_logic::{SignalRead, SignalWrite};
 use esafe_sim::{LaneSubsystem, SimTime};
+use std::sync::Arc;
 
 /// The creep acceleration PA uses while maneuvering, m/s².
 const PA_CREEP_ACCEL: f64 = 0.5;
@@ -16,7 +17,7 @@ const PA_CREEP_ACCEL: f64 = 0.5;
 pub struct ParkAssist {
     params: VehicleParams,
     defects: DefectSet,
-    sigs: VehicleSigs,
+    sigs: Arc<VehicleSigs>,
     out: FeatureOutputs,
     engaged: bool,
     authorized: bool,
@@ -25,12 +26,17 @@ pub struct ParkAssist {
 
 impl ParkAssist {
     /// Creates the PA subsystem.
-    pub fn new(params: VehicleParams, defects: DefectSet, sigs: VehicleSigs) -> Self {
+    pub fn new(
+        params: VehicleParams,
+        defects: DefectSet,
+        sigs: impl Into<Arc<VehicleSigs>>,
+    ) -> Self {
+        let sigs: Arc<VehicleSigs> = sigs.into();
         ParkAssist {
             params,
             defects,
-            sigs,
             out: FeatureOutputs::new(sigs.features[crate::signals::PA]),
+            sigs,
             engaged: false,
             authorized: false,
             // A healthy request stream stays inside the jerk bound.

@@ -7,25 +7,31 @@ use crate::config::{DefectSet, VehicleParams};
 use crate::signals::VehicleSigs;
 use esafe_logic::{SignalRead, SignalWrite};
 use esafe_sim::{LaneSubsystem, SimTime};
+use std::sync::Arc;
 
 /// The RCA feature subsystem.
 #[derive(Debug)]
 pub struct RearCollisionAvoidance {
     params: VehicleParams,
     defects: DefectSet,
-    sigs: VehicleSigs,
+    sigs: Arc<VehicleSigs>,
     out: FeatureOutputs,
     engaged: bool,
 }
 
 impl RearCollisionAvoidance {
     /// Creates the RCA subsystem.
-    pub fn new(params: VehicleParams, defects: DefectSet, sigs: VehicleSigs) -> Self {
+    pub fn new(
+        params: VehicleParams,
+        defects: DefectSet,
+        sigs: impl Into<Arc<VehicleSigs>>,
+    ) -> Self {
+        let sigs: Arc<VehicleSigs> = sigs.into();
         RearCollisionAvoidance {
             params,
             defects,
-            sigs,
             out: FeatureOutputs::new(sigs.features[crate::signals::RCA]),
+            sigs,
             engaged: false,
         }
     }

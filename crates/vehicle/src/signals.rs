@@ -201,8 +201,10 @@ pub struct FeatureSigs {
 }
 
 /// Every vehicle signal id plus the pre-interned source-tag symbols —
-/// resolved once against the substrate's [`SignalTable`] and copied into
-/// each subsystem (`Copy`: a few hundred bytes of plain ids).
+/// resolved once against the substrate's [`SignalTable`]. A stripe's
+/// subsystems share one set through an `Arc` (it is ~480 bytes of plain
+/// ids, eight subsystems a lane); it stays `Copy`, so a subsystem built
+/// on its own may take it by value.
 #[derive(Debug, Clone, Copy)]
 #[allow(missing_docs)]
 pub struct VehicleSigs {

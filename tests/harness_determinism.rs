@@ -146,8 +146,9 @@ fn elevator_family_sweep_matches_standalone_sweep_on_both_paths() {
     let standalone = |_cell: &u64, seed: u64| ElevatorSubstrate::new(fault, seed).with_ticks(1200);
     let reference = per_cell(&cells, 1977, ExperimentConfig::default(), standalone);
     let sweep = Sweep::new(cells).with_base_seed(1977);
-    // Width 8 runs the six cells as one stripe, width 1 as scalar cells.
-    for width in [DEFAULT_BATCH_WIDTH, 1] {
+    // The default width runs the six cells as one stripe, width 4 as a
+    // ragged pair of stripes of 4 and 2, width 1 as one-lane stripes.
+    for width in [DEFAULT_BATCH_WIDTH, 4, 1] {
         let (family_sweep, stats) = sweep.run(in_family, width).unwrap();
         assert_eq!(family_sweep, reference, "width {width}");
         assert_eq!(stats.suites_compiled, 0, "family cells must not recompile");
